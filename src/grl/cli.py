@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
+from typing import Optional
 
 from . import __version__, catalog, jsonio
 from .constructions import (
@@ -68,7 +69,7 @@ from .semigroups import (
 )
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
     return int(raw) if raw else default
 
@@ -438,20 +439,24 @@ def _load_any(path: str):
     return kind, structure, {}
 
 
-_LOAD_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError)
+_LOAD_ERRORS = (ValidationError, OSError, json.JSONDecodeError, KeyError, TypeError,
+                ValueError)
+
+
+def _input_error(err: Exception, args, **extra) -> int:
+    """Report input that failed to load or validate as JSON; exit code 1."""
+    report = {**extra, "error": type(err).__name__, "message": str(err)}
+    if isinstance(err, ValidationError):
+        report.update(error=err.code, context=list(err.context))
+    _print_json(report, args.pretty)
+    return 1
 
 
 def cmd_validate(args) -> int:
     try:
         kind, _, _ = _load_any(args.path)
-    except ValidationError as err:
-        _print_json({"valid": False, "error": err.code, "context": list(err.context),
-                     "message": str(err)}, args.pretty)
-        return 1
     except _LOAD_ERRORS as err:
-        _print_json({"valid": False, "error": type(err).__name__, "message": str(err)},
-                    args.pretty)
-        return 1
+        return _input_error(err, args, valid=False)
     _print_json({"valid": True, "kind": kind}, args.pretty)
     return 0
 
@@ -460,13 +465,8 @@ def cmd_classify(args) -> int:
     started = time.perf_counter()
     try:
         kind, structure, _ = _load_any(args.path)
-    except ValidationError as err:
-        _print_json({"error": err.code, "context": list(err.context),
-                     "message": str(err)}, args.pretty)
-        return 1
     except _LOAD_ERRORS as err:
-        _print_json({"error": type(err).__name__, "message": str(err)}, args.pretty)
-        return 1
+        return _input_error(err, args)
     if isinstance(structure, GoodGrading):
         structure = structure.graded
     report = classify_structure(kind, structure, args.max_witnesses)
@@ -481,13 +481,8 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     try:
         loaded = _load_any(args.path)
-    except ValidationError as err:
-        _print_json({"error": err.code, "context": list(err.context),
-                     "message": str(err)}, args.pretty)
-        return 1
     except _LOAD_ERRORS as err:
-        _print_json({"error": type(err).__name__, "message": str(err)}, args.pretty)
-        return 1
+        return _input_error(err, args)
     report = run_theorem_check(args.theorem, loaded, args)
     report["subject"] = args.path
     report["tool_version"] = __version__
@@ -502,13 +497,8 @@ def cmd_construct(args) -> int:
     try:
         spec = json.loads(Path(args.spec).read_text())
         structure, _ = jsonio.construction_from_json(spec)
-    except ValidationError as err:
-        _print_json({"error": err.code, "context": list(err.context),
-                     "message": str(err)}, args.pretty)
-        return 1
     except _LOAD_ERRORS as err:
-        _print_json({"error": type(err).__name__, "message": str(err)}, args.pretty)
-        return 1
+        return _input_error(err, args)
     if isinstance(structure, GoodGrading):
         structure = structure.graded
     out = Path(args.out)
@@ -521,10 +511,12 @@ def cmd_construct(args) -> int:
 
 def cmd_corpus_run(args) -> int:
     started = time.perf_counter()
+    manifest = default_manifest()
     if args.manifest:
-        manifest = CorpusManifest.from_json(json.loads(Path(args.manifest).read_text()))
-    else:
-        manifest = default_manifest()
+        try:
+            manifest = CorpusManifest.from_json(json.loads(Path(args.manifest).read_text()))
+        except _LOAD_ERRORS as err:
+            return _input_error(err, args)
     if args.seed is not None:
         manifest = CorpusManifest.from_json({**manifest.to_json(), "seed": args.seed})
     corpus = generate_corpus(manifest)
@@ -590,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest JSON (defaults to the built-in corpus)")
     p.add_argument("--out", help="directory for summary.json and per-entry reports")
     p.add_argument("--dump", help="directory to materialize the corpus structure files")
-    p.add_argument("--seed", type=int, default=_env_int("GRL_SEED", 0) or None,
+    p.add_argument("--seed", type=int, default=_env_int("GRL_SEED", None),
                    help="override the manifest seed")
     p.add_argument("--jobs", type=int, default=_env_int("GRL_JOBS", 1),
                    help="worker threads for corpus suites")

@@ -7,7 +7,7 @@ seeded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
 from . import catalog
@@ -21,6 +21,9 @@ from .constructions import (
 )
 from .gradings import GradedRing
 from .semigroups import enumerate_semigroups, sample_semigroups
+
+# enumerate_semigroups tests order^(order^2) tables: 19683 at 3, 4^16 (hours) at 4
+MAX_EXHAUSTIVE_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,22 @@ class CorpusManifest:
         ("Z2", "pair2+group_Z2"),
         ("zero2", "group_Z2"), ("zero4", "pair2"))
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "exhaustive_semigroups_max_order", "order4_sample_count"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"manifest {name} must be an integer: {getattr(self, name)!r}")
+        if self.exhaustive_semigroups_max_order > MAX_EXHAUSTIVE_ORDER:
+            raise ValueError(f"manifest exhaustive_semigroups_max_order is at most "
+                             f"{MAX_EXHAUSTIVE_ORDER}")
+
     def to_json(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_json(data: dict) -> "CorpusManifest":
+        unknown = sorted(set(data) - {f.name for f in fields(CorpusManifest)})
+        if unknown:
+            raise ValueError(f"unknown manifest keys: {', '.join(unknown)}")
         kwargs: dict[str, Any] = {}
         for key, value in data.items():
             if isinstance(value, list):

@@ -15,11 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     BilinearityError,
     CodomainError,
     GradedAssociativityError,
     NonComposableProductError,
+    NotAnIdealError,
     OutOfRangeError,
 )
 from .groupoids import FiniteGroupoid, to_inverse_semigroup
@@ -34,6 +37,7 @@ from .rings import (
     is_von_neumann_regular,
 )
 from .semigroups import FiniteSemigroup, classify_semigroup, idempotents, inverses
+from .tables import first_assoc_violation, first_biadditivity_violation, first_nonzero
 
 BaseLike = Union[FiniteSemigroup, FiniteGroupoid]
 ProductTable = tuple[tuple[int, ...], ...]
@@ -117,10 +121,6 @@ class GradedRing:
 # validation
 
 
-def _zero_table(rows: int, cols: int) -> ProductTable:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def validate_grading(base: BaseLike,
                      components: Sequence[FiniteAdditiveGroup],
                      products: Mapping[tuple[int, int], Sequence[Sequence[int]]]) -> GradedRing:
@@ -129,8 +129,7 @@ def validate_grading(base: BaseLike,
     ``components`` must already be validated additive groups, one per base
     element (semigroup elements / groupoid morphisms).
     """
-    is_semigroup = isinstance(base, FiniteSemigroup)
-    n = base.order if is_semigroup else base.n_morphisms
+    n = base.order if isinstance(base, FiniteSemigroup) else base.n_morphisms
     if len(components) != n:
         raise OutOfRangeError(f"expected {n} components, got {len(components)}")
 
@@ -160,79 +159,52 @@ def validate_grading(base: BaseLike,
         prods[(s, t)] = tuple(tuple(row) for row in raw)
 
     R = GradedRing(base=base, components=tuple(components), products=prods)
+    P = {key: np.array(table, dtype=np.intp) for key, table in prods.items()}
+    add = [np.array(g.add, dtype=np.intp) for g in components]
 
     # bi-additivity first: it makes every table send 0 to 0, which the
     # associativity shortcuts below rely on
-    for (s, t), table in sorted(prods.items()):
-        st = R.target(s, t)
-        add_s, add_t, add_st = components[s].add, components[t].add, components[st].add
-        rows, cols = components[s].order, components[t].order
-        for a in range(rows):
-            for a2 in range(rows):
-                sa = add_s[a][a2]
-                for b in range(cols):
-                    if table[sa][b] != add_st[table[a][b]][table[a2][b]]:
-                        raise BilinearityError(
-                            f"(a+a')*b != a*b + a'*b at product ({s}, {t}), "
-                            f"(a, a', b) = ({a}, {a2}, {b})", (s, t, a, a2, b))
-        for a in range(rows):
-            for b in range(cols):
-                for b2 in range(cols):
-                    sb = add_t[b][b2]
-                    if table[a][sb] != add_st[table[a][b]][table[a][b2]]:
-                        raise BilinearityError(
-                            f"a*(b+b') != a*b + a*b' at product ({s}, {t}), "
-                            f"(a, b, b') = ({a}, {b}, {b2})", (s, t, a, b, b2))
+    for (s, t) in sorted(P):
+        left, right = first_biadditivity_violation(P[(s, t)], add[s], add[t],
+                                                   add[R.target(s, t)])
+        if left is not None:
+            raise BilinearityError(
+                f"(a+a')*b != a*b + a'*b at product ({s}, {t}), "
+                f"(a, a', b) = {left}", (s, t, *left))
+        if right is not None:
+            raise BilinearityError(
+                f"a*(b+b') != a*b + a*b' at product ({s}, {t}), "
+                f"(a, b, b') = {right}", (s, t, *right))
 
-    def table_or_zero(s: int, t: int) -> ProductTable:
-        got = prods.get((s, t))
-        if got is not None:
-            return got
-        return _zero_table(components[s].order, components[t].order)
+    def table(s: int, t: int) -> np.ndarray:
+        if (s, t) in P:
+            return P[(s, t)]
+        return np.zeros((components[s].order, components[t].order), dtype=np.intp)
 
-    def image(table: ProductTable) -> set[int]:
-        return {v for row in table for v in row}
-
-    if is_semigroup:
-        triples = ((s, t, u) for s in range(n) for t in range(n) for u in range(n))
-    else:
-        triples = ((s, t, u) for (s, t) in base.composable_pairs()
-                   for u in range(n) if base.composable(t, u))
+    triples = ((s, t, u) for (s, t) in R.base_pairs() for u in range(n)
+               if R.target(t, u) is not None)
     for (s, t, u) in triples:
-        st = R.target(s, t)
-        tu = R.target(t, u)
-        left_present = (s, t) in prods
-        right_present = (t, u) in prods
-        if not left_present and not right_present:
-            continue  # both sides are identically zero
-        p_st = table_or_zero(s, t)
-        p_tu = table_or_zero(t, u)
-        p_st_u = table_or_zero(st, u)
-        p_s_tu = table_or_zero(s, tu)
+        st, tu = R.target(s, t), R.target(t, u)
+        left_present = (s, t) in P
+        right_present = (t, u) in P
         if left_present and right_present:
-            for a in range(components[s].order):
-                for b in range(components[t].order):
-                    ab = p_st[a][b]
-                    for c in range(components[u].order):
-                        if p_st_u[ab][c] != p_s_tu[a][p_tu[b][c]]:
-                            raise GradedAssociativityError(
-                                f"(ab)c != a(bc) at graders ({s}, {t}, {u}), "
-                                f"elements ({a}, {b}, {c})", (s, t, u, a, b, c))
-        elif left_present:
+            bad = first_assoc_violation(P[(s, t)], table(st, u), P[(t, u)], table(s, tu))
+            if bad is not None:
+                raise GradedAssociativityError(
+                    f"(ab)c != a(bc) at graders ({s}, {t}, {u}), elements {bad}",
+                    (s, t, u, *bad))
+        elif left_present and (st, u) in P:
             # right side vanishes; left side must vanish on the image of R_s R_t
-            for ab in sorted(image(p_st)):
-                for c in range(components[u].order):
-                    if p_st_u[ab][c] != 0:
-                        raise GradedAssociativityError(
-                            f"(ab)c != 0 = a(bc) at graders ({s}, {t}, {u})",
-                            (s, t, u, ab, c))
-        else:
-            for bc in sorted(image(p_tu)):
-                for a in range(components[s].order):
-                    if p_s_tu[a][bc] != 0:
-                        raise GradedAssociativityError(
-                            f"a(bc) != 0 = (ab)c at graders ({s}, {t}, {u})",
-                            (s, t, u, a, bc))
+            bad = first_nonzero(P[(st, u)], np.unique(P[(s, t)]))
+            if bad is not None:
+                raise GradedAssociativityError(
+                    f"(ab)c != 0 = a(bc) at graders ({s}, {t}, {u})", (s, t, u, *bad))
+        elif right_present and (s, tu) in P:
+            bad = first_nonzero(P[(s, tu)].T, np.unique(P[(t, u)]))
+            if bad is not None:
+                bc, a = bad
+                raise GradedAssociativityError(
+                    f"a(bc) != 0 = (ab)c at graders ({s}, {t}, {u})", (s, t, u, a, bc))
     return R
 
 
@@ -289,7 +261,7 @@ def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
 
     When t is an inverse of s the span is additionally verified to be a
     two-sided ideal of the component ring at st; a failure there indicates a
-    corrupted grading and raises.
+    corrupted grading and raises ``NotAnIdealError`` with context (s, t).
     """
     span = _product_span(R, s, t)
     if (s, t) in set(R.inverse_pairs()):
@@ -298,9 +270,9 @@ def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
         for u in ring.elements():
             for x in span.elements():
                 if ring.times(u, x) not in span or ring.times(x, u) not in span:
-                    raise RuntimeError(
+                    raise NotAnIdealError(
                         f"span of R_{s} R_{t} is not an ideal of R_{st}; "
-                        "the grading is inconsistent")
+                        "the grading is inconsistent", (s, t))
     return span
 
 
@@ -587,24 +559,11 @@ def check_theorem_inverse_semigroup(R: GradedRing) -> dict:
 
     part_i = is_graded_vnr(R).holds
 
-    part_ii = True
-    ii_failing = None
-    for s in R.graders():
-        vs = cls.inverse_sets[s]
-        for r in R.component(s).elements():
-            found = False
-            for t in vs:
-                st = R.target(s, t)
-                if any(R.product(st, s, R.product(s, t, r, y), r) == r
-                       for y in R.component(t).elements()):
-                    found = True
-                    break
-            if not found:
-                part_ii = False
-                ii_failing = (s, r)
-                break
-        if not part_ii:
-            break
+    ii_failing = next(((s, r) for s in R.graders() for r in R.component(s).elements()
+                       if not any(R.product(R.target(s, t), s, R.product(s, t, r, y), r) == r
+                                  for t in cls.inverse_sets[s]
+                                  for y in R.component(t).elements())), None)
+    part_ii = ii_failing is None
 
     part_iii = is_nearly_epsilon_strong(R).holds and base_components_vnr(R).holds
     return {
@@ -728,30 +687,18 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
                 "reason": "needs a groupoid-graded ring"}
     G = R.base
 
-    part_i = True
-    i_failing = None
-    for g in G.morphisms():
-        for r in R.component(g).elements():
-            if not _homogeneous_in_rRr(R, g, r):
-                part_i = False
-                i_failing = (g, r)
-                break
-        if not part_i:
-            break
+    i_failing = next(((g, r) for g in G.morphisms() for r in R.component(g).elements()
+                      if not _homogeneous_in_rRr(R, g, r)), None)
+    part_i = i_failing is None
 
-    part_ii = True
-    ii_failing = None
-    for g in G.morphisms():
+    def has_quasi_inverse(g: int, r: int) -> bool:
         gi = G.inv[g]
-        ggi = G.compose(g, gi)
-        for r in R.component(g).elements():
-            if not any(R.product(ggi, g, R.product(g, gi, r, y), r) == r
-                       for y in R.component(gi).elements()):
-                part_ii = False
-                ii_failing = (g, r)
-                break
-        if not part_ii:
-            break
+        return any(R.product(G.compose(g, gi), g, R.product(g, gi, r, y), r) == r
+                   for y in R.component(gi).elements())
+
+    ii_failing = next(((g, r) for g in G.morphisms() for r in R.component(g).elements()
+                       if not has_quasi_inverse(g, r)), None)
+    part_ii = ii_failing is None
 
     part_iii = is_nearly_epsilon_strong(R).holds and base_components_vnr(R).holds
     return {

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     IdentityViolationError,
     InverseViolationError,
@@ -19,6 +21,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .semigroups import FiniteSemigroup, validate_semigroup
+from .tables import first_assoc_violation
 
 
 @dataclass(frozen=True)
@@ -124,17 +127,14 @@ def validate_groupoid(n_objects: int,
             raise InverseViolationError(
                 f"morphism {g} composed with inv[{g}] = {gi} is not an identity", (g, gi))
 
-    for g in range(m):
-        for h in range(m):
-            if dom[g] != cod[h]:
-                continue
-            gh = table[g][h]
-            for k in range(m):
-                if dom[h] != cod[k]:
-                    continue
-                if table[gh][k] != table[g][table[h][k]]:
-                    raise NotAssociativeError(
-                        f"(g h) k != g (h k) at (g, h, k) = ({g}, {h}, {k})", (g, h, k))
+    # With index m for "undefined", the extended table is associative exactly
+    # when composition is: the domain checks above make every triple that is
+    # not composable undefined on both sides.
+    ext = np.array([[m if gh is None else gh for gh in row] + [m] for row in table]
+                   + [[m] * (m + 1)], dtype=np.intp)
+    bad = first_assoc_violation(ext, ext, ext, ext)
+    if bad is not None:
+        raise NotAssociativeError(f"(g h) k != g (h k) at (g, h, k) = {bad}", bad)
 
     return FiniteGroupoid(
         n_objects=n_objects,

@@ -20,6 +20,7 @@ from .errors import (
     NotAssociativeError,
     OutOfRangeError,
 )
+from .tables import first_assoc_violation, first_biadditivity_violation
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,6 @@ def _check_index_table(table: Sequence[Sequence[int]], n: int, what: str) -> Non
                                       (a, b, v))
 
 
-def _first_assoc_violation(t: np.ndarray) -> Optional[tuple[int, int, int]]:
-    n = len(t)
-    for a in range(n):
-        lhs = t[t[a], :]
-        rhs = t[a][t]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return (a, int(b), int(c))
-    return None
-
-
 def validate_additive_group(add: Sequence[Sequence[int]],
                             neg: Sequence[int]) -> FiniteAdditiveGroup:
     """Abelian-group axioms, exhaustively: commutative, associative, 0 neutral, neg inverse."""
@@ -114,7 +104,7 @@ def validate_additive_group(add: Sequence[Sequence[int]],
     if not np.array_equal(A[np.arange(n), N], np.zeros(n, dtype=np.int64)):
         x = int(np.argwhere(A[np.arange(n), N] != 0)[0][0])
         raise AdditiveGroupError(f"x + neg[x] != 0 at x = {x}", (x,))
-    bad = _first_assoc_violation(A)
+    bad = first_assoc_violation(A, A, A, A)
     if bad is not None:
         raise AdditiveGroupError(f"addition is not associative at {bad}", bad)
     return FiniteAdditiveGroup(order=n,
@@ -130,26 +120,19 @@ def validate_ring(add: Sequence[Sequence[int]], neg: Sequence[int],
     _check_index_table(mul, n, "mul")
     A = np.asarray(add, dtype=np.int64)
     M = np.asarray(mul, dtype=np.int64)
-    bad = _first_assoc_violation(M)
+    bad = first_assoc_violation(M, M, M, M)
     if bad is not None:
         raise NotAssociativeError(f"(a*b)*c != a*(b*c) at (a, b, c) = {bad}", bad)
-    for a in range(n):
-        # (a+b)*c == a*c + b*c: both sides indexed [b, c]
-        lhs = M[A[a], :]
-        rhs = A[np.broadcast_to(M[a], (n, n)), M]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            raise DistributivityError(
-                f"(a+b)*c != a*c + b*c at (a, b, c) = ({a}, {int(b)}, {int(c)})",
-                (a, int(b), int(c)))
-        # a*(b+c) == a*b + a*c
-        lhs2 = M[a][A]
-        rhs2 = A[M[a][:, None], M[a][None, :]]
-        if not np.array_equal(lhs2, rhs2):
-            b, c = np.argwhere(lhs2 != rhs2)[0]
-            raise DistributivityError(
-                f"a*(b+c) != a*b + a*c at (a, b, c) = ({a}, {int(b)}, {int(c)})",
-                (a, int(b), int(c)))
+    # both laws are scanned in (a, b, c) order; the earlier a wins, left first on a tie
+    left, right = first_biadditivity_violation(M, A, A, A)
+    if left is not None and (right is None or left[0] <= right[0]):
+        a, b, c = left
+        raise DistributivityError(
+            f"(a+b)*c != a*c + b*c at (a, b, c) = ({a}, {b}, {c})", left)
+    if right is not None:
+        a, b, c = right
+        raise DistributivityError(
+            f"a*(b+c) != a*b + a*c at (a, b, c) = ({a}, {b}, {c})", right)
     return FiniteRing(additive=grp, mul=tuple(tuple(row) for row in mul))
 
 

@@ -7,12 +7,12 @@ Labels are presentation-only and never affect any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import NotAssociativeError, OutOfRangeError
+from .tables import CELL_BUDGET, associative_mask, first_assoc_violation
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,6 @@ class FiniteSemigroup:
         return self.labels[s] if self.labels is not None else str(s)
 
 
-def _associativity_violation(flat: Sequence[int], n: int) -> Optional[tuple[int, int, int]]:
-    for a in range(n):
-        an = a * n
-        for b in range(n):
-            ab = flat[an + b]
-            bn = b * n
-            abn = ab * n
-            for c in range(n):
-                if flat[abn + c] != flat[an + flat[bn + c]]:
-                    return (a, b, c)
-    return None
-
-
 def validate_semigroup(table: Sequence[Sequence[int]],
                        labels: Optional[Sequence[str]] = None) -> FiniteSemigroup:
     """Check closure and associativity; the first violating entry/triple wins."""
@@ -59,11 +46,10 @@ def validate_semigroup(table: Sequence[Sequence[int]],
                 raise OutOfRangeError(f"table[{a}][{b}] = {v!r} is not an index in [0, {n})",
                                       (a, b, v))
         rows.append(tuple(row))
-    flat = [v for row in rows for v in row]
-    bad = _associativity_violation(flat, n)
+    T = np.array(rows, dtype=np.intp)
+    bad = first_assoc_violation(T, T, T, T)
     if bad is not None:
-        a, b, c = bad
-        raise NotAssociativeError(f"(a*b)*c != a*(b*c) at (a, b, c) = ({a}, {b}, {c})", bad)
+        raise NotAssociativeError(f"(a*b)*c != a*(b*c) at (a, b, c) = {bad}", bad)
     lab = None
     if labels is not None:
         lab = tuple(str(x) for x in labels)
@@ -169,52 +155,47 @@ def monogenic_semigroup(index: int, period: int) -> FiniteSemigroup:
 # exhaustive enumeration and seeded sampling
 
 
+def _tables(tabs: np.ndarray) -> Iterator[FiniteSemigroup]:
+    for t in tabs.tolist():
+        yield FiniteSemigroup(order=len(t), table=tuple(tuple(row) for row in t))
+
+
 def enumerate_semigroups(order: int) -> Iterator[FiniteSemigroup]:
     """All associative tables on 0..order-1, lexicographic by flattened table.
 
-    No isomorphism reduction is performed; practical for order <= 3
-    (3^9 = 19683 raw candidates).
+    Candidate k is the table whose flattened cells are the base-``order``
+    digits of k, most significant first, so counting k up walks the
+    candidates in lexicographic order.  They are built in chunks of
+    ``CELL_BUDGET`` cells and filtered by ``associative_mask``.  No
+    isomorphism reduction is performed.  All order^(order^2) candidates are
+    tested, so order 3 (19683 candidates) is the practical limit: order 4
+    has 4^16, about 4.3e9, and takes hours.
     """
     cells = order * order
-    for flat in product(range(order), repeat=cells):
-        if _associativity_violation(flat, order) is None:
-            table = tuple(flat[i * order:(i + 1) * order] for i in range(order))
-            yield FiniteSemigroup(order=order, table=table)
-
-
-def count_associative_tables(order: int) -> int:
-    return sum(1 for _ in enumerate_semigroups(order))
-
-
-_ALL_TRIPLES_CACHE: dict[int, list[tuple[int, int, int]]] = {}
+    total = order ** cells
+    weights = order ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    step = max(1, CELL_BUDGET // max(1, cells))
+    for start in range(0, total, step):
+        k = np.arange(start, min(start + step, total), dtype=np.int64)
+        tabs = (k[:, None] // weights % order).reshape(len(k), order, order)
+        yield from _tables(tabs[associative_mask(tabs)])
 
 
 def sample_semigroups(order: int, count: int, seed: int,
                       batch: int = 200_000) -> list[FiniteSemigroup]:
     """Uniform rejection sampling: draw raw tables, keep the associative ones.
 
-    Deterministic for a fixed seed.  Candidate batches are filtered one
-    associativity triple at a time, which discards almost everything after a
-    few triples; survivors have every triple checked.
+    Deterministic for a fixed seed: batches are drawn from one PCG64 stream
+    and their associative tables kept in draw order.
     """
     if count <= 0:
         return []
-    triples = _ALL_TRIPLES_CACHE.setdefault(
-        order, [(a, b, c) for a in range(order) for b in range(order) for c in range(order)])
     rng = np.random.Generator(np.random.PCG64(seed))
     found: list[FiniteSemigroup] = []
     while len(found) < count:
         tabs = rng.integers(0, order, size=(batch, order, order), dtype=np.int64)
-        for (a, b, c) in triples:
-            if len(tabs) == 0:
-                break
-            idx = np.arange(len(tabs))
-            lhs = tabs[idx, tabs[idx, a, b], c]
-            rhs = tabs[idx, a, tabs[idx, b, c]]
-            tabs = tabs[lhs == rhs]
-        for t in tabs:
-            found.append(FiniteSemigroup(order=order,
-                                         table=tuple(tuple(int(v) for v in row) for row in t)))
+        tabs = tabs[associative_mask(tabs)]  # frees the batch before the next draw
+        found.extend(_tables(tabs))
     return found[:count]
 
 

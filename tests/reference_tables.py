@@ -1,0 +1,180 @@
+"""Plain-loop reference for the table axioms, for checking grl.tables against.
+
+Each function scans in the same order as the validators and reports the
+first violation as (error class, context tuple), or None when the axioms
+hold.  Inputs are assumed in range: the range checks are not repeated here.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+from grl.errors import (
+    AdditiveGroupError,
+    BilinearityError,
+    DistributivityError,
+    GradedAssociativityError,
+    NotAssociativeError,
+)
+from grl.semigroups import FiniteSemigroup
+
+
+def assoc_violation(t) -> tuple | None:
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def semigroup_violation(table):
+    bad = assoc_violation(table)
+    return None if bad is None else (NotAssociativeError, bad)
+
+
+def additive_group_violation(add, neg):
+    n = len(add)
+    for x in range(n):
+        for y in range(n):
+            if add[x][y] != add[y][x]:
+                return (AdditiveGroupError, (x, y))
+    for x in range(n):
+        if add[0][x] != x:
+            return (AdditiveGroupError, (x,))
+    for x in range(n):
+        if add[x][neg[x]] != 0:
+            return (AdditiveGroupError, (x,))
+    bad = assoc_violation(add)
+    return None if bad is None else (AdditiveGroupError, bad)
+
+
+def ring_violation(add, neg, mul):
+    bad = additive_group_violation(add, neg)
+    if bad is not None:
+        return bad
+    bad = assoc_violation(mul)
+    if bad is not None:
+        return (NotAssociativeError, bad)
+    n = len(add)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    return (DistributivityError, (a, b, c))
+        for b in range(n):
+            for c in range(n):
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    return (DistributivityError, (a, b, c))
+    return None
+
+
+def groupoid_violation(dom, cod, table):
+    """Associativity of composition, over composable triples only."""
+    m = len(dom)
+    for g in range(m):
+        for h in range(m):
+            if dom[g] != cod[h]:
+                continue
+            for k in range(m):
+                if dom[h] != cod[k]:
+                    continue
+                if table[table[g][h]][k] != table[g][table[h][k]]:
+                    return (NotAssociativeError, (g, h, k))
+    return None
+
+
+def _target(base, s, t):
+    if isinstance(base, FiniteSemigroup):
+        return base.mul(s, t)
+    return base.compose(s, t) if base.composable(s, t) else None
+
+
+def grading_violation(base, components, products):
+    """Bi-additivity of every table, then graded associativity of every triple."""
+    is_semigroup = isinstance(base, FiniteSemigroup)
+    n = len(components)
+    for (s, t), table in sorted(products.items()):
+        st = _target(base, s, t)
+        add_s, add_t, add_st = components[s].add, components[t].add, components[st].add
+        rows, cols = components[s].order, components[t].order
+        for a in range(rows):
+            for a2 in range(rows):
+                for b in range(cols):
+                    if table[add_s[a][a2]][b] != add_st[table[a][b]][table[a2][b]]:
+                        return (BilinearityError, (s, t, a, a2, b))
+        for a in range(rows):
+            for b in range(cols):
+                for b2 in range(cols):
+                    if table[a][add_t[b][b2]] != add_st[table[a][b]][table[a][b2]]:
+                        return (BilinearityError, (s, t, a, b, b2))
+
+    def table_or_zero(s, t):
+        got = products.get((s, t))
+        if got is not None:
+            return got
+        return tuple((0,) * components[t].order for _ in range(components[s].order))
+
+    if is_semigroup:
+        triples = [(s, t, u) for s in range(n) for t in range(n) for u in range(n)]
+    else:
+        triples = [(s, t, u) for (s, t) in base.composable_pairs()
+                   for u in range(n) if base.composable(t, u)]
+    for (s, t, u) in triples:
+        st, tu = _target(base, s, t), _target(base, t, u)
+        left_present, right_present = (s, t) in products, (t, u) in products
+        if not left_present and not right_present:
+            continue
+        p_st, p_tu = table_or_zero(s, t), table_or_zero(t, u)
+        p_st_u, p_s_tu = table_or_zero(st, u), table_or_zero(s, tu)
+        if left_present and right_present:
+            for a in range(components[s].order):
+                for b in range(components[t].order):
+                    for c in range(components[u].order):
+                        if p_st_u[p_st[a][b]][c] != p_s_tu[a][p_tu[b][c]]:
+                            return (GradedAssociativityError, (s, t, u, a, b, c))
+        elif left_present:
+            for ab in sorted({v for row in p_st for v in row}):
+                for c in range(components[u].order):
+                    if p_st_u[ab][c] != 0:
+                        return (GradedAssociativityError, (s, t, u, ab, c))
+        else:
+            for bc in sorted({v for row in p_tu for v in row}):
+                for a in range(components[s].order):
+                    if p_s_tu[a][bc] != 0:
+                        return (GradedAssociativityError, (s, t, u, a, bc))
+    return None
+
+
+def enumerate_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every associative table, by filtering all of them in lexicographic order."""
+    out = []
+    for flat in product(range(order), repeat=order * order):
+        table = tuple(flat[i * order:(i + 1) * order] for i in range(order))
+        if assoc_violation(table) is None:
+            out.append(table)
+    return out
+
+
+def sample_tables(order: int, count: int, seed: int,
+                  batch: int = 200_000) -> list[tuple[tuple[int, ...], ...]]:
+    """Rejection sampling with its own filter: the same PCG64 draws as
+    sample_semigroups, filtered one triple at a time by shrinking the batch."""
+    triples = list(product(range(order), repeat=3))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    found: list[tuple[tuple[int, ...], ...]] = []
+    while len(found) < count:
+        tabs = rng.integers(0, order, size=(batch, order, order), dtype=np.int64)
+        for (a, b, c) in triples:
+            if len(tabs) == 0:
+                break
+            idx = np.arange(len(tabs))
+            lhs = tabs[idx, tabs[idx, a, b], c]
+            rhs = tabs[idx, a, tabs[idx, b, c]]
+            tabs = tabs[lhs == rhs]
+        for t in tabs:
+            found.append(tuple(tuple(int(v) for v in row) for row in t))
+    return found[:count]

@@ -1,6 +1,10 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,57 @@ class TestCorpusRun:
         code, summary = run_cli("corpus-run", "--suite", "all",
                                 "--manifest", str(path))
         assert code == 0 and summary["n_entries"] == 0
+
+    def test_seed_zero_from_env_is_used(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRL_SEED", "0")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"order4_sample_count": 0}))
+        code, summary = run_cli("corpus-run", "--suite", "none", "--manifest", str(path))
+        assert code == 0 and summary["seed"] == 0
+
+
+class TestManifestErrors:
+    def run_manifest(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        code, out = run_cli("corpus-run", "--suite", "none", "--manifest", str(path))
+        assert code == 1 and set(out) == {"error", "message"}
+        return out
+
+    def test_missing_file(self, tmp_path):
+        code, out = run_cli("corpus-run", "--manifest", str(tmp_path / "nope.json"))
+        assert code == 1 and out["error"] == "FileNotFoundError"
+
+    def test_bad_json(self, tmp_path):
+        out = self.run_manifest(tmp_path, "{not json")
+        assert out["error"] == "JSONDecodeError"
+
+    def test_unknown_key(self, tmp_path):
+        out = self.run_manifest(tmp_path, json.dumps({"seed": 1, "sead": 2}))
+        assert out["error"] == "ValueError" and "sead" in out["message"]
+
+    def test_non_integer_seed(self, tmp_path):
+        out = self.run_manifest(tmp_path, json.dumps({"seed": "7"}))
+        assert out["error"] == "ValueError" and "seed" in out["message"]
+
+    def test_exhaustive_order_above_three(self, tmp_path):
+        out = self.run_manifest(tmp_path,
+                                json.dumps({"exhaustive_semigroups_max_order": 4}))
+        assert out["error"] == "ValueError"
+        assert "exhaustive_semigroups_max_order" in out["message"]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_grl(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env.pop("GRL_SEED", None)
+        proc = subprocess.run([sys.executable, "-m", "grl", "corpus-run", "--suite", "none"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout)
+        assert summary["suite"] == "none" and summary["n_entries"] == 0
 
 
 class TestJsonRoundTrips:
