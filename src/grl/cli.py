@@ -512,13 +512,13 @@ def cmd_construct(args) -> int:
 def cmd_corpus_run(args) -> int:
     started = time.perf_counter()
     manifest = default_manifest()
-    if args.manifest:
-        try:
+    try:
+        if args.manifest:
             manifest = CorpusManifest.from_json(json.loads(Path(args.manifest).read_text()))
-        except _LOAD_ERRORS as err:
-            return _input_error(err, args)
-    if args.seed is not None:
-        manifest = CorpusManifest.from_json({**manifest.to_json(), "seed": args.seed})
+        if args.seed is not None:
+            manifest = CorpusManifest.from_json({**manifest.to_json(), "seed": args.seed})
+    except _LOAD_ERRORS as err:
+        return _input_error(err, args)
     corpus = generate_corpus(manifest)
     if args.dump:
         write_corpus(corpus, args.dump)

@@ -149,22 +149,6 @@ def validate_degree_map(base: FiniteSemigroup, deg: Sequence[Sequence[int]]) -> 
     return DegreeMap(n=n, deg=tuple(tuple(row) for row in deg), base=base)
 
 
-def _decode(x: int, base: int, k: int) -> list[int]:
-    """The k digits of x in the given base, most significant first."""
-    digits = []
-    for _ in range(k):
-        digits.append(x % base)
-        x //= base
-    return digits[::-1]
-
-
-def _encode(digits: Sequence[int], base: int) -> int:
-    x = 0
-    for d in digits:
-        x = x * base + d
-    return x
-
-
 def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
     """Direct power G^k; tuples encoded big-endian in base |G|."""
     if k == 0:
@@ -172,11 +156,28 @@ def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
     if k == 1:
         return G
     size = G.order ** k
-    digits = [_decode(x, G.order, k) for x in range(size)]
-    neg = tuple(_encode([G.neg[d] for d in dx], G.order) for dx in digits)
-    add = tuple(tuple(_encode([G.add[a][b] for a, b in zip(dx, dy)], G.order) for dy in digits)
-                for dx in digits)
-    return FiniteAdditiveGroup(order=size, add=add, neg=neg)
+
+    def decode(x: int) -> list[int]:
+        digits = []
+        for _ in range(k):
+            digits.append(x % G.order)
+            x //= G.order
+        return digits[::-1]
+
+    def encode(digits: Sequence[int]) -> int:
+        x = 0
+        for d in digits:
+            x = x * G.order + d
+        return x
+
+    add = []
+    neg = []
+    for x in range(size):
+        dx = decode(x)
+        neg.append(encode([G.neg[d] for d in dx]))
+        add.append(tuple(encode([G.add[a][b] for a, b in zip(dx, decode(y))])
+                         for y in range(size)))
+    return FiniteAdditiveGroup(order=size, add=tuple(add), neg=tuple(neg))
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,20 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     cell_pos = {s: {c: p for p, c in enumerate(cs)} for s, cs in enumerate(cells)}
     components = tuple(_power_group(A.additive, len(cs)) for cs in cells)
 
+    def decode(s: int, x: int) -> list[int]:
+        k = len(cells[s])
+        digits = []
+        for _ in range(k):
+            digits.append(x % A.order)
+            x //= A.order
+        return digits[::-1]
+
+    def encode(s: int, digits: Sequence[int]) -> int:
+        x = 0
+        for d in digits:
+            x = x * A.order + d
+        return x
+
     products = {}
     for s in base.elements():
         for t in base.elements():
@@ -219,17 +234,17 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
             st = base.mul(s, t)
             table = []
             for x in range(components[s].order):
-                dx = _decode(x, A.order, len(cells[s]))
+                dx = decode(s, x)
                 row = []
                 for y in range(components[t].order):
-                    dy = _decode(y, A.order, len(cells[t]))
+                    dy = decode(t, y)
                     out = [0] * len(cells[st])
                     for (ci, cj) in chains:
                         i = cells[s][ci][0]
                         l = cells[t][cj][1]
                         pos = cell_pos[st][(i, l)]
                         out[pos] = A.plus(out[pos], A.times(dx[ci], dy[cj]))
-                    row.append(_encode(out, A.order))
+                    row.append(encode(st, out))
                 table.append(tuple(row))
             products[(s, t)] = tuple(table)
 

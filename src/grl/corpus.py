@@ -55,8 +55,9 @@ class CorpusManifest:
 
     def __post_init__(self) -> None:
         for name in ("seed", "exhaustive_semigroups_max_order", "order4_sample_count"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"manifest {name} must be an integer: {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"manifest {name} must be a non-negative integer: {value!r}")
         if self.exhaustive_semigroups_max_order > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"manifest exhaustive_semigroups_max_order is at most "
                              f"{MAX_EXHAUSTIVE_ORDER}")

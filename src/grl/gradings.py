@@ -559,11 +559,24 @@ def check_theorem_inverse_semigroup(R: GradedRing) -> dict:
 
     part_i = is_graded_vnr(R).holds
 
-    ii_failing = next(((s, r) for s in R.graders() for r in R.component(s).elements()
-                       if not any(R.product(R.target(s, t), s, R.product(s, t, r, y), r) == r
-                                  for t in cls.inverse_sets[s]
-                                  for y in R.component(t).elements())), None)
-    part_ii = ii_failing is None
+    part_ii = True
+    ii_failing = None
+    for s in R.graders():
+        vs = cls.inverse_sets[s]
+        for r in R.component(s).elements():
+            found = False
+            for t in vs:
+                st = R.target(s, t)
+                if any(R.product(st, s, R.product(s, t, r, y), r) == r
+                       for y in R.component(t).elements()):
+                    found = True
+                    break
+            if not found:
+                part_ii = False
+                ii_failing = (s, r)
+                break
+        if not part_ii:
+            break
 
     part_iii = is_nearly_epsilon_strong(R).holds and base_components_vnr(R).holds
     return {
@@ -687,18 +700,30 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
                 "reason": "needs a groupoid-graded ring"}
     G = R.base
 
-    i_failing = next(((g, r) for g in G.morphisms() for r in R.component(g).elements()
-                      if not _homogeneous_in_rRr(R, g, r)), None)
-    part_i = i_failing is None
+    part_i = True
+    i_failing = None
+    for g in G.morphisms():
+        for r in R.component(g).elements():
+            if not _homogeneous_in_rRr(R, g, r):
+                part_i = False
+                i_failing = (g, r)
+                break
+        if not part_i:
+            break
 
-    def has_quasi_inverse(g: int, r: int) -> bool:
+    part_ii = True
+    ii_failing = None
+    for g in G.morphisms():
         gi = G.inv[g]
-        return any(R.product(G.compose(g, gi), g, R.product(g, gi, r, y), r) == r
-                   for y in R.component(gi).elements())
-
-    ii_failing = next(((g, r) for g in G.morphisms() for r in R.component(g).elements()
-                       if not has_quasi_inverse(g, r)), None)
-    part_ii = ii_failing is None
+        ggi = G.compose(g, gi)
+        for r in R.component(g).elements():
+            if not any(R.product(ggi, g, R.product(g, gi, r, y), r) == r
+                       for y in R.component(gi).elements()):
+                part_ii = False
+                ii_failing = (g, r)
+                break
+        if not part_ii:
+            break
 
     part_iii = is_nearly_epsilon_strong(R).holds and base_components_vnr(R).holds
     return {

@@ -7,12 +7,13 @@ Labels are presentation-only and never affect any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import NotAssociativeError, OutOfRangeError
-from .tables import CELL_BUDGET, associative_mask, first_assoc_violation
+from .tables import associative_mask, first_assoc_violation, is_associative_flat
 
 
 @dataclass(frozen=True)
@@ -155,30 +156,18 @@ def monogenic_semigroup(index: int, period: int) -> FiniteSemigroup:
 # exhaustive enumeration and seeded sampling
 
 
-def _tables(tabs: np.ndarray) -> Iterator[FiniteSemigroup]:
-    for t in tabs.tolist():
-        yield FiniteSemigroup(order=len(t), table=tuple(tuple(row) for row in t))
-
-
 def enumerate_semigroups(order: int) -> Iterator[FiniteSemigroup]:
     """All associative tables on 0..order-1, lexicographic by flattened table.
 
-    Candidate k is the table whose flattened cells are the base-``order``
-    digits of k, most significant first, so counting k up walks the
-    candidates in lexicographic order.  They are built in chunks of
-    ``CELL_BUDGET`` cells and filtered by ``associative_mask``.  No
-    isomorphism reduction is performed.  All order^(order^2) candidates are
-    tested, so order 3 (19683 candidates) is the practical limit: order 4
-    has 4^16, about 4.3e9, and takes hours.
+    Walks the order^(order^2) candidate tables lazily with itertools.product
+    and yields those that pass ``is_associative_flat``.  No isomorphism
+    reduction is performed, so order 3 (19683 candidates) is the practical
+    limit: order 4 has 4^16, about 4.3e9, and takes hours.
     """
-    cells = order * order
-    total = order ** cells
-    weights = order ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    step = max(1, CELL_BUDGET // max(1, cells))
-    for start in range(0, total, step):
-        k = np.arange(start, min(start + step, total), dtype=np.int64)
-        tabs = (k[:, None] // weights % order).reshape(len(k), order, order)
-        yield from _tables(tabs[associative_mask(tabs)])
+    for flat in product(range(order), repeat=order * order):
+        if is_associative_flat(flat, order):
+            table = tuple(flat[i * order:(i + 1) * order] for i in range(order))
+            yield FiniteSemigroup(order=order, table=table)
 
 
 def sample_semigroups(order: int, count: int, seed: int,
@@ -195,7 +184,8 @@ def sample_semigroups(order: int, count: int, seed: int,
     while len(found) < count:
         tabs = rng.integers(0, order, size=(batch, order, order), dtype=np.int64)
         tabs = tabs[associative_mask(tabs)]  # frees the batch before the next draw
-        found.extend(_tables(tabs))
+        found.extend(FiniteSemigroup(order=order, table=tuple(tuple(row) for row in t))
+                     for t in tabs.tolist())
     return found[:count]
 
 

@@ -5,6 +5,8 @@ A product table P has ``P[a, b]`` = index of a*b.  Each check returns the
 lexicographically first violating tuple, so error contexts do not depend on
 table size.  Comparisons run in slabs of at most ``CELL_BUDGET`` cells and
 never build the whole cube of triples, so memory stays flat as tables grow.
+``is_associative_flat`` is the one plain loop: it tests a single tiny
+candidate table, as exhaustive enumeration produces them.
 """
 
 from __future__ import annotations
@@ -58,6 +60,19 @@ def first_nonzero(P, rows) -> Optional[tuple[int, int]]:
     associativity where one side is the zero map, on the image feeding the other."""
     found = _first_mismatch(len(rows), 1, P.shape[1], lambda r, _: (P[rows[r]], 0))
     return None if found is None else (int(rows[found[0]]), found[2])
+
+
+def is_associative_flat(flat, n: int) -> bool:
+    """Is the n x n table with row-major cells ``flat`` associative?"""
+    for a in range(n):
+        an = a * n
+        for b in range(n):
+            abn = flat[an + b] * n
+            bn = b * n
+            for c in range(n):
+                if flat[abn + c] != flat[an + flat[bn + c]]:
+                    return False
+    return True
 
 
 def associative_mask(tabs: np.ndarray) -> np.ndarray:

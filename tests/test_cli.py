@@ -246,6 +246,16 @@ class TestManifestErrors:
         out = self.run_manifest(tmp_path, json.dumps({"seed": "7"}))
         assert out["error"] == "ValueError" and "seed" in out["message"]
 
+    @pytest.mark.parametrize("key", ["seed", "exhaustive_semigroups_max_order",
+                                     "order4_sample_count"])
+    def test_negative_integer(self, tmp_path, key):
+        out = self.run_manifest(tmp_path, json.dumps({key: -1}))
+        assert out["error"] == "ValueError" and key in out["message"]
+
+    def test_negative_seed_flag(self):
+        code, out = run_cli("corpus-run", "--suite", "none", "--seed", "-1")
+        assert code == 1 and out["error"] == "ValueError" and "seed" in out["message"]
+
     def test_exhaustive_order_above_three(self, tmp_path):
         out = self.run_manifest(tmp_path,
                                 json.dumps({"exhaustive_semigroups_max_order": 4}))

@@ -5,7 +5,9 @@ reference, whatever slab size the kernel scans in.
 """
 
 import contextlib
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +168,14 @@ class TestEnumerationAndSampling:
         got = [S.table for S in enumerate_semigroups(order)]
         assert got == ref.enumerate_tables(order)
         assert len(got) == count
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_batch_mask_accepts_the_enumerated_tables(self, order):
+        candidates = np.array(list(product(range(order), repeat=order * order)))
+        candidates = candidates.reshape(-1, order, order)
+        kept = candidates[tables.associative_mask(candidates)].tolist()
+        assert [tuple(map(tuple, t)) for t in kept] == [
+            S.table for S in enumerate_semigroups(order)]
 
     def test_sampling_matches_reference(self):
         got = [S.table for S in sample_semigroups(4, 4, 20250810)]
