@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from functools import partial, reduce
+from typing import Callable
 
 from .constructions import matrix_units_semigroup
 from .groupoids import (
@@ -55,40 +57,53 @@ def semigroup_names() -> tuple[str, ...]:
     return tuple(sorted(_SEMIGROUPS))
 
 
-def named_semigroup(name: str) -> FiniteSemigroup:
+# The *_factory functions resolve a name without building anything, so a
+# manifest can be checked before the corpus is generated.
+
+def semigroup_factory(name: str) -> Callable[[], FiniteSemigroup]:
     if name in _SEMIGROUPS:
-        return _SEMIGROUPS[name]()
+        return _SEMIGROUPS[name]
     raise KeyError(f"unknown semigroup name: {name!r}")
 
 
-def named_ring(name: str) -> FiniteRing:
-    """Resolve a ring name: Z<n>, zero<n>, or one of the explicit entries."""
+def ring_factory(name: str) -> Callable[[], FiniteRing]:
+    """Resolve a ring name: Z<n> or zero<n> with n >= 1, or an explicit entry."""
     if name in _RINGS:
-        return _RINGS[name]()
-    m = re.fullmatch(r"Z(\d+)", name)
+        return _RINGS[name]
+    m = re.fullmatch(r"Z([1-9]\d*)", name)
     if m:
-        return cyclic_ring(int(m.group(1)))
-    m = re.fullmatch(r"zero(\d+)", name)
+        return partial(cyclic_ring, int(m.group(1)))
+    m = re.fullmatch(r"zero([1-9]\d*)", name)
     if m:
-        return zero_multiplication_ring(int(m.group(1)))
+        return partial(zero_multiplication_ring, int(m.group(1)))
     raise KeyError(f"unknown ring name: {name!r}")
 
 
-def named_groupoid(name: str) -> FiniteGroupoid:
-    """Resolve a groupoid name: pair<n>, group_Z<n>, or a "+"-joined union."""
+def groupoid_factory(name: str) -> Callable[[], FiniteGroupoid]:
+    """Resolve a groupoid name: pair<n> or group_Z<n> with n >= 1, or a
+    "+"-joined union."""
     if "+" in name:
-        parts = [named_groupoid(p) for p in name.split("+")]
-        out = parts[0]
-        for p in parts[1:]:
-            out = disjoint_union(out, p)
-        return out
-    m = re.fullmatch(r"pair(\d+)", name)
+        parts = [groupoid_factory(p) for p in name.split("+")]
+        return lambda: reduce(disjoint_union, (part() for part in parts))
+    m = re.fullmatch(r"pair([1-9]\d*)", name)
     if m:
-        return pair_groupoid(int(m.group(1)))
-    m = re.fullmatch(r"group_Z(\d+)", name)
+        return partial(pair_groupoid, int(m.group(1)))
+    m = re.fullmatch(r"group_Z([1-9]\d*)", name)
     if m:
-        return group_groupoid(cyclic_group(int(m.group(1))))
+        return lambda: group_groupoid(cyclic_group(int(m.group(1))))
     raise KeyError(f"unknown groupoid name: {name!r}")
+
+
+def named_semigroup(name: str) -> FiniteSemigroup:
+    return semigroup_factory(name)()
+
+
+def named_ring(name: str) -> FiniteRing:
+    return ring_factory(name)()
+
+
+def named_groupoid(name: str) -> FiniteGroupoid:
+    return groupoid_factory(name)()
 
 
 # degree maps for the named good gradings; entries are (ring, base name, deg rows)

@@ -69,9 +69,17 @@ from .semigroups import (
 )
 
 
-def _env_int(name: str, default: Optional[int]) -> Optional[int]:
+def _env_int(name: str, default: Optional[int]):
+    """An option's default from the environment.  A value that is not an
+    integer becomes a ValueError default, which ``main`` reports only when the
+    chosen command reads that option and the command line does not set it."""
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        return ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _env_flag(name: str) -> bool:
@@ -557,24 +565,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a structure file")
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, reads=())
 
     p = sub.add_parser("classify", help="compute every applicable verdict")
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, reads=("max_witnesses",))
 
     p = sub.add_parser("check", help="run one theorem cross-check")
     p.add_argument("theorem", choices=THEOREMS)
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, reads=("max_witnesses", "fg_ideal_bound"))
 
     p = sub.add_parser("construct", help="build a structure from a spec file")
     p.add_argument("spec")
     p.add_argument("out")
     add_common(p)
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, reads=())
 
     p = sub.add_parser("corpus-run", help="run a suite across the corpus")
     p.add_argument("--suite", default="all",
@@ -587,13 +595,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=_env_int("GRL_JOBS", 1),
                    help="worker threads for corpus suites")
     add_common(p)
-    p.set_defaults(func=cmd_corpus_run)
+    p.set_defaults(func=cmd_corpus_run,
+                   reads=("seed", "jobs", "max_witnesses", "fg_ideal_bound"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code = args.func(args)
+    # ``reads`` names the options the command uses; a bad GRL_* value behind
+    # any other option is never looked at
+    bad_env = next((v for v in map(partial(getattr, args), args.reads)
+                    if isinstance(v, ValueError)), None)
+    code = args.func(args) if bad_env is None else _input_error(bad_env, args)
     if argv is None:
         sys.exit(code)
     return code

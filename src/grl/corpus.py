@@ -8,7 +8,7 @@ seeded.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import catalog
 from .constructions import (
@@ -24,6 +24,36 @@ from .semigroups import enumerate_semigroups, sample_semigroups
 
 # enumerate_semigroups tests order^(order^2) tables: 19683 at 3, 4^16 (hours) at 4
 MAX_EXHAUSTIVE_ORDER = 3
+
+
+def _known(resolve) -> Callable[[object], bool]:
+    """Predicate: the value is a name that the catalog resolver knows."""
+    def known(value) -> bool:
+        if not isinstance(value, str):
+            return False
+        try:
+            resolve(value)
+        except KeyError:
+            return False
+        return True
+    return known
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+# Per list field of the manifest, one check for each part of an entry.
+_ENTRY_CHECKS = {
+    "named_semigroups": (_known(catalog.semigroup_factory),),
+    "rings": (_known(catalog.ring_factory),),
+    "groupoids": (_known(catalog.groupoid_factory),),
+    "semigroup_ring_coefficients": (_known(catalog.ring_factory),),
+    "semigroup_ring_bases": (_known(catalog.semigroup_factory),),
+    "matrix_gradings": (_known(catalog.ring_factory), _positive_int),
+    "good_gradings": (_known(catalog.GOOD_GRADING_SPECS.__getitem__),),
+    "groupoid_ring_pairs": (_known(catalog.ring_factory), _known(catalog.groupoid_factory)),
+}
 
 
 @dataclass(frozen=True)
@@ -61,6 +91,16 @@ class CorpusManifest:
         if self.exhaustive_semigroups_max_order > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"manifest exhaustive_semigroups_max_order is at most "
                              f"{MAX_EXHAUSTIVE_ORDER}")
+        for name, checks in _ENTRY_CHECKS.items():
+            entries = getattr(self, name)
+            if not isinstance(entries, tuple):
+                raise ValueError(f"manifest {name} must be a list: {entries!r}")
+            for entry in entries:
+                parts = entry if len(checks) > 1 else (entry,)
+                if not (isinstance(parts, tuple) and len(parts) == len(checks)
+                        and all(check(part) for check, part in zip(checks, parts))):
+                    raise ValueError(f"manifest {name} has an unknown or malformed "
+                                     f"entry: {entry!r}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -8,7 +8,9 @@ first hit, so every witness is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +45,13 @@ class FiniteAdditiveGroup:
 
 @dataclass(frozen=True)
 class FiniteRing:
-    """Additive group with an associative, bi-additive multiplication table."""
+    """Additive group with an associative, bi-additive multiplication table.
+
+    Searches that run many times over one ring keep what they derive from the
+    tables on the instance: the tables as arrays, fixer bitmasks and principal
+    left ideals.  These caches are not dataclass fields, so they take no part
+    in ``==``, ``hash`` or ``repr``, and every new instance starts empty.
+    """
 
     additive: FiniteAdditiveGroup
     mul: tuple[tuple[int, ...], ...]
@@ -63,6 +71,33 @@ class FiniteRing:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``add``, ``neg`` and ``mul`` as int64 arrays."""
+        return (np.asarray(self.additive.add, dtype=np.int64),
+                np.asarray(self.additive.neg, dtype=np.int64),
+                np.asarray(self.mul, dtype=np.int64))
+
+    @cached_property
+    def _fixers(self) -> dict[str, tuple[int, ...]]:
+        """Per side, ``cols[v]`` is the bitmask of every u with u*v = v
+        ("left") or v*u = v ("right"); bit u stands for element u."""
+        M = self._arrays[2]
+        idx = np.arange(self.order)
+        return {"left": _column_masks(M == idx[None, :]),
+                "right": _column_masks((M == idx[:, None]).T)}
+
+    @cached_property
+    def _principal(self) -> dict[int, frozenset[int]]:
+        """Principal left ideals by generator, filled in as they are asked for."""
+        return {}
+
+
+def _column_masks(fixes: np.ndarray) -> tuple[int, ...]:
+    """Column v of a boolean (u, v) matrix as the int with bit u set where true."""
+    packed = np.packbits(fixes, axis=0, bitorder="little").T
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 TRIVIAL_GROUP = FiniteAdditiveGroup(order=1, add=((0,),), neg=(0,))
@@ -312,14 +347,20 @@ def unity(T: FiniteRing) -> Optional[int]:
 
 def common_unit(T: FiniteRing, V: Iterable[int], side: str = "left") -> Optional[int]:
     """First u with u*v = v for all v in V (or v*u = v for side="right")."""
-    vs = sorted(set(V))
-    if side == "left":
-        return next((u for u in T.elements()
-                     if all(T.times(u, v) == v for v in vs)), None)
-    if side == "right":
-        return next((u for u in T.elements()
-                     if all(T.times(v, u) == v for v in vs)), None)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    vs = set(V)
+    bad = next((v for v in vs if not 0 <= v < T.order), None)
+    if bad is not None:
+        raise IndexError(f"{bad!r} is not an element of a ring of order {T.order}")
+    mask = _common_fixers(T._fixers[side], vs)
+    return (mask & -mask).bit_length() - 1 if mask else None  # the lowest set bit
+
+
+def _common_fixers(cols: Sequence[int], vs: Iterable[int]) -> int:
+    """AND of the fixer masks ``cols[v]`` over vs: the bitmask of every common
+    unit of vs, so vs has one iff it is nonzero.  All bits are set for empty vs."""
+    return reduce(and_, map(cols.__getitem__, vs), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,35 +413,50 @@ def additive_closure(group: FiniteAdditiveGroup, seeds: Iterable[int]) -> Subgro
     return Subgroup(ambient_order=group.order, members=frozenset(members))
 
 
+def _principal_left_ideal(T: FiniteRing, c: int) -> frozenset[int]:
+    """Members of the left ideal generated by c, computed once per ring."""
+    members = T._principal.get(c)
+    if members is None:
+        mul = T.mul
+        seeds = {c, *(mul[t][c] for t in T.elements())}
+        members = T._principal[c] = additive_closure(T.additive, seeds).members
+    return members
+
+
 def left_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
     """Left ideal generated by the given elements.
 
     The generators themselves are included so the result is the ideal
-    generated by them even when T has no one-sided units.
+    generated by them even when T has no one-sided units.  It is the sum
+    I + J = {i + j} of the principal left ideals of the generators.
     """
-    gens = sorted(set(generators))
-    seeds = set(gens)
-    for t in T.elements():
-        for c in gens:
-            seeds.add(T.times(t, c))
-    return additive_closure(T.additive, seeds)
+    parts = [_principal_left_ideal(T, c) for c in set(generators)] or [frozenset((0,))]
+    members = reduce(partial(_subgroup_sum, T.additive.add), parts)
+    return Subgroup(ambient_order=T.order, members=members)
+
+
+def _subgroup_sum(add, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
+    """I + J for additive subgroups I and J, as the union of the cosets j + I:
+    a j that is already in the union lies in a coset taken before."""
+    members: set[int] = set()
+    for j in J:
+        if j not in members:
+            members.update(map(add[j].__getitem__, I))
+    return frozenset(members)
 
 
 def right_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
     return left_ideal(opposite_ring(T), generators)
 
 
-def is_additive_subgroup(group: FiniteAdditiveGroup, members: frozenset[int]) -> bool:
-    if 0 not in members:
-        return False
-    return all(group.add[x][y] in members and group.neg[x] in members
-               for x in members for y in members)
-
-
 def is_left_ideal(T: FiniteRing, sub: Subgroup) -> bool:
-    if not is_additive_subgroup(T.additive, sub.members):
-        return False
-    return all(T.times(t, x) in sub.members for t in T.elements() for x in sub.members)
+    """Additive subgroup closed under left multiplication by every element of T."""
+    add, neg, mul = T._arrays
+    idx = np.fromiter(sub.members, dtype=np.int64, count=len(sub.members))
+    inside = np.zeros(T.order, dtype=bool)
+    inside[idx] = True
+    return bool(inside[0] and inside[neg[idx]].all()
+                and inside[add[idx[:, None], idx]].all() and inside[mul[:, idx]].all())
 
 
 def idempotent_generator(T: FiniteRing, I: Subgroup) -> Optional[int]:
@@ -409,7 +465,7 @@ def idempotent_generator(T: FiniteRing, I: Subgroup) -> Optional[int]:
         raise NotAnIdealError("the given subgroup is not a left ideal",
                               tuple(I.elements()))
     for u in I.elements():
-        if T.times(u, u) == u and left_ideal(T, [u]).members == I.members:
+        if T.times(u, u) == u and _principal_left_ideal(T, u) == I.members:
             return u
     return None
 
@@ -506,13 +562,10 @@ def check_tominaga(T: FiniteRing, max_subset: int = 3) -> dict:
     out: dict = {"check": "tominaga", "applicable": True, "bound": max_subset}
     agree = True
     for side, unital in (("left", su.is_left), ("right", su.is_right)):
-        failing = None
-        ok = True
-        for vs in _subsets_up_to(T.order, max_subset):
-            if common_unit(T, vs, side) is None:
-                ok = False
-                failing = list(vs)
-                break
+        cols = T._fixers[side]
+        failing = next((list(vs) for vs in _subsets_up_to(T.order, max_subset)
+                        if not _common_fixers(cols, vs)), None)
+        ok = failing is None
         out[side] = {"s_unital": unital, "common_units": ok, "failing_subset": failing,
                      "agree": unital == ok}
         agree = agree and unital == ok

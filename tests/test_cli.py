@@ -262,6 +262,54 @@ class TestManifestErrors:
         assert out["error"] == "ValueError"
         assert "exhaustive_semigroups_max_order" in out["message"]
 
+    @pytest.mark.parametrize("key,entry", [
+        ("rings", "Z7x"), ("rings", "Z0"), ("rings", "zero0"), ("groupoids", "pair0"),
+        ("groupoids", "group_Z0"), ("named_semigroups", "L9"), ("groupoids", "pair2+foo"),
+        ("good_gradings", "M9"), ("rings", 7), ("matrix_gradings", ["Z2", 0]),
+        ("groupoid_ring_pairs", ["Z2"])])
+    def test_unknown_or_malformed_entry(self, tmp_path, key, entry):
+        out = self.run_manifest(tmp_path, json.dumps({key: [entry]}))
+        assert out["error"] == "ValueError" and key in out["message"]
+
+    def test_string_in_place_of_a_list(self, tmp_path):
+        out = self.run_manifest(tmp_path, json.dumps({"named_semigroups": "L2"}))
+        assert out["error"] == "ValueError" and "named_semigroups" in out["message"]
+
+
+class TestEnvironmentErrors:
+    @pytest.mark.parametrize("name", ["GRL_SEED", "GRL_JOBS", "GRL_MAX_WITNESSES",
+                                      "GRL_FG_IDEAL_BOUND"])
+    def test_non_integer_value(self, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out = run_cli("corpus-run", "--suite", "none")
+        assert code == 1 and set(out) == {"error", "message"}
+        assert out["error"] == "ValueError" and name in out["message"]
+
+    def test_only_commands_that_read_the_option_report_it(self, files, tmp_path,
+                                                          monkeypatch):
+        for name in ("GRL_SEED", "GRL_JOBS", "GRL_MAX_WITNESSES", "GRL_FG_IDEAL_BOUND"):
+            monkeypatch.setenv(name, "abc")
+        code, out = run_cli("validate", str(files / "Z4.json"))
+        assert code == 0 and out == {"valid": True, "kind": "ring"}
+        code, out = run_cli("construct", str(files / "bn_spec.json"),
+                            str(tmp_path / "bn.json"))
+        assert code == 0 and "written" in out
+        code, out = run_cli("classify", str(files / "Z4.json"))
+        assert code == 1 and "GRL_MAX_WITNESSES" in out["message"]
+        monkeypatch.delenv("GRL_MAX_WITNESSES")
+        code, out = run_cli("classify", str(files / "Z4.json"))
+        assert code == 0 and out["kind"] == "ring"
+        code, out = run_cli("check", "tominaga", str(files / "Z4.json"))
+        assert code == 1 and "GRL_FG_IDEAL_BOUND" in out["message"]
+
+    def test_flag_overrides_a_bad_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRL_SEED", "abc")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"order4_sample_count": 0}))
+        code, out = run_cli("corpus-run", "--suite", "none", "--manifest", str(path),
+                            "--seed", "5")
+        assert code == 0 and out["seed"] == 5
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_grl(self):

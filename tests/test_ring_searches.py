@@ -1,0 +1,174 @@
+"""Ring searches against the plain-loop reference in reference_rings.py.
+
+``check_tominaga`` and ``common_unit`` work on fixer bitmasks, and the ideal
+searches on principal left ideals cached per ring; the reports, first units
+and first failing subsets must be exactly those of the element-by-element
+scans.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_rings as ref
+from grl import catalog
+from grl.constructions import good_grading, validate_degree_map
+from grl.corpus import default_manifest
+from grl.errors import NotAnIdealError
+from grl.rings import (
+    FiniteAdditiveGroup,
+    FiniteRing,
+    check_tominaga,
+    check_vnr_characterization,
+    common_unit,
+    cyclic_ring,
+    idempotent_generator,
+    is_left_ideal,
+    left_ideal,
+    matrix_ring,
+    multiples_ring,
+    opposite_ring,
+    product_ring,
+    ring_from_ops,
+    Subgroup,
+    zero_multiplication_ring,
+)
+
+M2 = matrix_ring(cyclic_ring(2), 2)
+# [[x, y], [0, 0]] over Z2: left s-unital but not right s-unital, so a
+# search that mixes up the two sides changes its verdict here
+ROWS = ring_from_ops([(0, 0), (0, 1), (1, 0), (1, 1)],
+                     lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
+                     lambda p: p,
+                     lambda p, q: (p[0] * q[0], p[0] * q[1]))
+POOL = {f"corpus:{name}": catalog.named_ring(name) for name in default_manifest().rings}
+POOL.update({
+    "M2(Z2)": M2,
+    "M2(Z2)^op": opposite_ring(M2),
+    "rows": ROWS,
+    "rows^op": opposite_ring(ROWS),
+    "EVEN8": multiples_ring(2, 8),
+    "zero3": zero_multiplication_ring(3),
+})
+POOL_NAMES = sorted(POOL)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotAnIdealError as err:
+        return ("NotAnIdealError", err.context)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(POOL_NAMES), st.integers(1, 3))
+def test_tominaga_matches_reference(name, bound):
+    T = POOL[name]
+    assert check_tominaga(T, bound) == ref.check_tominaga(T, bound)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(POOL_NAMES), st.integers(1, 2), st.sampled_from(["left", "right"]))
+def test_vnr_characterization_matches_reference(name, bound, side):
+    T = POOL[name]
+    assert (check_vnr_characterization(T, bound, side)
+            == ref.check_vnr_characterization(T, bound, side))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(POOL_NAMES), st.data())
+def test_ideal_searches_match_reference(name, data):
+    T = POOL[name]
+    gens = data.draw(st.lists(st.integers(0, T.order - 1), max_size=3))
+    I = left_ideal(T, gens)
+    assert I == ref.left_ideal(T, gens)
+    assert outcome(idempotent_generator, T, I) == outcome(ref.idempotent_generator, T, I)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(POOL_NAMES), st.data())
+def test_left_ideal_guard_matches_reference(name, data):
+    # ideals with a few elements toggled in or out, so most are not ideals
+    T = POOL[name]
+    elements = st.lists(st.integers(0, T.order - 1), max_size=2)
+    members = set(ref.left_ideal(T, data.draw(elements)).members)
+    members.symmetric_difference_update(data.draw(elements))
+    sub = Subgroup(ambient_order=T.order, members=frozenset(members))
+    assert is_left_ideal(T, sub) == ref.is_left_ideal(T, sub)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_arbitrary_tables_match_reference(data):
+    # The searches only scan tables, so any multiplication table over Z_n
+    # exercises them, ring or not; non-ideals must raise in both.
+    n = data.draw(st.integers(1, 12))
+    cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    mul = tuple(tuple(row) for row in data.draw(st.lists(cells, min_size=n, max_size=n)))
+    Zn = cyclic_ring(n)
+    T = FiniteRing(additive=Zn.additive, mul=mul)
+    vs = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    for side in ("left", "right"):
+        assert common_unit(T, vs, side) == ref.common_unit(T, vs, side)
+    I = left_ideal(T, vs)
+    assert I == ref.left_ideal(T, vs)
+    assert outcome(idempotent_generator, T, I) == outcome(ref.idempotent_generator, T, I)
+    bound = data.draw(st.integers(1, 3))
+    assert check_tominaga(T, bound) == ref.check_tominaga(T, bound)
+
+
+@pytest.mark.parametrize("T", [M2, opposite_ring(M2)], ids=["M2(Z2)", "M2(Z2)^op"])
+def test_common_unit_on_every_small_subset(T):
+    for vs in ref.subsets_up_to(T.order, 2):
+        for side in ("left", "right"):
+            assert common_unit(T, vs, side) == ref.common_unit(T, vs, side), (vs, side)
+    assert common_unit(T, []) == ref.common_unit(T, []) == 0
+
+
+def test_order_48_ring_matches_reference():
+    T = product_ring(M2, cyclic_ring(3))
+    assert check_tominaga(T) == ref.check_tominaga(T)
+    assert check_vnr_characterization(T) == ref.check_vnr_characterization(T)
+
+
+def test_common_unit_rejects_bad_input():
+    with pytest.raises(ValueError):
+        common_unit(M2, [1], side="middle")
+    for v in (-1, M2.order):
+        with pytest.raises(IndexError):
+            common_unit(M2, [v])
+
+
+class TestCacheScope:
+    """Cached masks and ideals belong to one ring object and never leak."""
+
+    def test_component_rings_are_fresh_and_equal(self):
+        coefficients, base, deg = catalog.good_grading_spec("M2_Z2_trivial")
+        graded = good_grading(coefficients, validate_degree_map(base, deg)).graded
+        e = graded.base_idempotents()[0]
+        A, B = graded.component_ring(e), graded.component_ring(e)
+        assert A is not B
+        for c in A.elements():
+            left_ideal(A, [c])
+        check_tominaga(A, 1)
+        assert "_principal" not in vars(B) and "_fixers" not in vars(B)
+        assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+
+    def test_opposite_ring_sees_its_own_ideals(self):
+        T = matrix_ring(cyclic_ring(2), 2)
+        for c in T.elements():
+            left_ideal(T, [c])
+        check_tominaga(T, 1)
+        op = opposite_ring(T)
+        assert op.additive is T.additive
+        for c in op.elements():
+            assert left_ideal(op, [c]) == ref.left_ideal(op, [c])
+        assert check_tominaga(op) == ref.check_tominaga(op)
+        assert left_ideal(T, [1]) != left_ideal(op, [1])
+
+    def test_equal_rings_stay_equal_once_cached(self):
+        a = FiniteRing(additive=FiniteAdditiveGroup(order=2, add=((0, 1), (1, 0)),
+                                                    neg=(0, 1)),
+                       mul=((0, 0), (0, 1)))
+        b = FiniteRing(additive=a.additive, mul=a.mul)
+        check_vnr_characterization(a)
+        assert a == b and hash(a) == hash(b) and {a, b} == {a}
