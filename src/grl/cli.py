@@ -82,8 +82,14 @@ def _env_int(name: str, default: Optional[int]):
         return ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0", "false", "no")
+def _env_flag(name: str):
+    """A switch's default from the environment: 1/true/yes/on or 0/false/no/off
+    in any case.  Any other value becomes a ValueError default, as in ``_env_int``."""
+    raw = os.environ.get(name, "")
+    if raw.lower() in ("", "0", "false", "no", "off", "1", "true", "yes", "on"):
+        return raw.lower() in ("1", "true", "yes", "on")
+    return ValueError(f"environment variable {name} must be one of "
+                      f"1/true/yes/on or 0/false/no/off, got {raw!r}")
 
 
 def _print_json(data: dict, pretty: bool) -> None:
@@ -602,10 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # ``reads`` names the options the command uses; a bad GRL_* value behind
-    # any other option is never looked at
-    bad_env = next((v for v in map(partial(getattr, args), args.reads)
+    # ``reads`` names the options the command uses besides ``pretty``; a bad
+    # GRL_* value behind any other option is never looked at
+    bad_env = next((v for v in map(partial(getattr, args), ("pretty", *args.reads))
                     if isinstance(v, ValueError)), None)
+    if bad_env is not None:
+        args.pretty = args.pretty is True  # a bad GRL_PRETTY reports compactly
     code = args.func(args) if bad_env is None else _input_error(bad_env, args)
     if argv is None:
         sys.exit(code)

@@ -8,7 +8,10 @@ additive group; the total ring is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import product
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DiagonalNotIdempotentError,
@@ -53,18 +56,10 @@ def matrix_units_semigroup(n: int) -> FiniteSemigroup:
     e_{i,j} e_{k,l} = e_{i,l} when j = k, else zero."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * n + (j - 1) + 1
-
     order = n * n + 1
     table = [[0] * order for _ in range(order)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if j == k:
-                        table[idx(i, j)][idx(k, l)] = idx(i, l)
+    for i, j, l in product(range(1, n + 1), repeat=3):
+        table[bn_index(n, i, j)][bn_index(n, j, l)] = bn_index(n, i, l)
     labels = ["0"] + [f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     return validate_semigroup(table, labels=labels)
 
@@ -82,11 +77,8 @@ def matrix_bn_grading(A: FiniteRing, n: int) -> GradedRing:
     B = matrix_units_semigroup(n)
     components: list[FiniteAdditiveGroup] = [TRIVIAL_GROUP]
     components += [A.additive for _ in range(n * n)]
-    products = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for l in range(1, n + 1):
-                products[(bn_index(n, i, j), bn_index(n, j, l))] = A.mul
+    products = {(bn_index(n, i, j), bn_index(n, j, l)): A.mul
+                for i, j, l in product(range(1, n + 1), repeat=3)}
     return validate_grading(B, components, products)
 
 
@@ -149,35 +141,36 @@ def validate_degree_map(base: FiniteSemigroup, deg: Sequence[Sequence[int]]) -> 
     return DegreeMap(n=n, deg=tuple(tuple(row) for row in deg), base=base)
 
 
+def _digits(base: int, k: int) -> np.ndarray:
+    """Row x holds the k digits of x < base**k, big-endian."""
+    return np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+
+
+def _encode(base: int, digits: Iterable[np.ndarray]) -> np.ndarray:
+    """Inverse of ``_digits``, elementwise over equal-shaped digit arrays,
+    most significant first."""
+    x = 0
+    for d in digits:
+        x = x * base + d
+    return x
+
+
+def _as_table(P: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, P.tolist()))
+
+
 def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
     """Direct power G^k; tuples encoded big-endian in base |G|."""
     if k == 0:
         return TRIVIAL_GROUP
     if k == 1:
         return G
-    size = G.order ** k
-
-    def decode(x: int) -> list[int]:
-        digits = []
-        for _ in range(k):
-            digits.append(x % G.order)
-            x //= G.order
-        return digits[::-1]
-
-    def encode(digits: Sequence[int]) -> int:
-        x = 0
-        for d in digits:
-            x = x * G.order + d
-        return x
-
-    add = []
-    neg = []
-    for x in range(size):
-        dx = decode(x)
-        neg.append(encode([G.neg[d] for d in dx]))
-        add.append(tuple(encode([G.add[a][b] for a, b in zip(dx, decode(y))])
-                         for y in range(size)))
-    return FiniteAdditiveGroup(order=size, add=tuple(add), neg=tuple(neg))
+    add, neg = np.array(G.add), np.array(G.neg)
+    D = _digits(G.order, k)
+    return FiniteAdditiveGroup(
+        order=G.order ** k,
+        add=_as_table(_encode(G.order, (add[d[:, None], d] for d in D.T))),
+        neg=tuple(_encode(G.order, (neg[d] for d in D.T)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -210,43 +203,25 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     cell_pos = {s: {c: p for p, c in enumerate(cs)} for s, cs in enumerate(cells)}
     components = tuple(_power_group(A.additive, len(cs)) for cs in cells)
 
-    def decode(s: int, x: int) -> list[int]:
-        k = len(cells[s])
-        digits = []
-        for _ in range(k):
-            digits.append(x % A.order)
-            x //= A.order
-        return digits[::-1]
+    add, mul = np.array(A.additive.add), np.array(A.mul)
+    digits = [_digits(A.order, len(cs)) for cs in cells]
 
-    def encode(s: int, digits: Sequence[int]) -> int:
-        x = 0
-        for d in digits:
-            x = x * A.order + d
-        return x
+    def coordinate(s: int, t: int, cell: tuple[int, int]) -> np.ndarray:
+        """Coordinate (i, l) of x*y for all x in R_s, y in R_t: the sum of
+        x_ij y_jl over the j with (i, j) in cells[s] and (j, l) in cells[t]."""
+        i, l = cell
+        out = np.zeros((components[s].order, components[t].order), dtype=np.intp)
+        for ci, (row, j) in enumerate(cells[s]):
+            cj = cell_pos[t].get((j, l))
+            if row == i and cj is not None:
+                out = add[out, mul[digits[s][:, ci, None], digits[t][:, cj]]]
+        return out
 
     products = {}
-    for s in base.elements():
-        for t in base.elements():
-            chains = [(ci, cj) for ci in range(len(cells[s])) for cj in range(len(cells[t]))
-                      if cells[s][ci][1] == cells[t][cj][0]]
-            if not chains:
-                continue
-            st = base.mul(s, t)
-            table = []
-            for x in range(components[s].order):
-                dx = decode(s, x)
-                row = []
-                for y in range(components[t].order):
-                    dy = decode(t, y)
-                    out = [0] * len(cells[st])
-                    for (ci, cj) in chains:
-                        i = cells[s][ci][0]
-                        l = cells[t][cj][1]
-                        pos = cell_pos[st][(i, l)]
-                        out[pos] = A.plus(out[pos], A.times(dx[ci], dy[cj]))
-                    row.append(encode(st, out))
-                table.append(tuple(row))
-            products[(s, t)] = tuple(table)
+    for s, t in product(base.elements(), repeat=2):
+        if any(j == k for (_, j) in cells[s] for (k, _) in cells[t]):
+            coordinates = (coordinate(s, t, cell) for cell in cells[base.mul(s, t)])
+            products[(s, t)] = _as_table(_encode(A.order, coordinates))
 
     graded = validate_grading(base, components, products)
     return GoodGrading(graded=graded, degree_map=dm, coefficients=A,

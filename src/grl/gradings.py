@@ -13,6 +13,7 @@ so verdicts and witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +33,6 @@ from .rings import (
     FiniteRing,
     Subgroup,
     additive_closure,
-    is_left_ideal,
     idempotent_generator,
     is_von_neumann_regular,
 )
@@ -45,6 +45,9 @@ ProductTable = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class GradedRing:
+    """``table`` serves ``products`` as int arrays, built once per instance
+    and not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore them."""
+
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
     products: dict[tuple[int, int], ProductTable]
@@ -78,6 +81,18 @@ class GradedRing:
         table = self.products.get((s, t))
         return table[a][b] if table is not None else 0
 
+    def table(self, s: int, t: int) -> np.ndarray:
+        """Product table R_s x R_t -> R_{st} as an int array, zeros if absent."""
+        if self.target(s, t) is None:
+            raise ValueError(f"graders {s} and {t} are not composable")
+        stored = self._arrays.get((s, t))
+        return stored if stored is not None else np.zeros(
+            (self.components[s].order, self.components[t].order), dtype=np.intp)
+
+    @cached_property
+    def _arrays(self) -> dict[tuple[int, int], np.ndarray]:
+        return {key: np.array(table, dtype=np.intp) for key, table in self.products.items()}
+
     def base_pairs(self) -> Iterator[tuple[int, int]]:
         """All grader pairs with a defined target."""
         if isinstance(self.base, FiniteSemigroup):
@@ -105,11 +120,8 @@ class GradedRing:
         """The component at an idempotent grader, as a ring in its own right."""
         if self.target(e, e) != e:
             raise ValueError(f"grader {e} is not idempotent")
-        group = self.components[e]
-        table = self.products.get((e, e))
-        if table is None:
-            table = tuple((0,) * group.order for _ in range(group.order))
-        return FiniteRing(additive=group, mul=table)
+        return FiniteRing(additive=self.components[e],
+                          mul=tuple(map(tuple, self.table(e, e).tolist())))
 
     def grader_label(self, s: int) -> str:
         if isinstance(self.base, FiniteSemigroup):
@@ -159,13 +171,13 @@ def validate_grading(base: BaseLike,
         prods[(s, t)] = tuple(tuple(row) for row in raw)
 
     R = GradedRing(base=base, components=tuple(components), products=prods)
-    P = {key: np.array(table, dtype=np.intp) for key, table in prods.items()}
+    T = R.table
     add = [np.array(g.add, dtype=np.intp) for g in components]
 
     # bi-additivity first: it makes every table send 0 to 0, which the
     # associativity shortcuts below rely on
-    for (s, t) in sorted(P):
-        left, right = first_biadditivity_violation(P[(s, t)], add[s], add[t],
+    for (s, t) in sorted(prods):
+        left, right = first_biadditivity_violation(T(s, t), add[s], add[t],
                                                    add[R.target(s, t)])
         if left is not None:
             raise BilinearityError(
@@ -176,31 +188,26 @@ def validate_grading(base: BaseLike,
                 f"a*(b+b') != a*b + a*b' at product ({s}, {t}), "
                 f"(a, b, b') = {right}", (s, t, *right))
 
-    def table(s: int, t: int) -> np.ndarray:
-        if (s, t) in P:
-            return P[(s, t)]
-        return np.zeros((components[s].order, components[t].order), dtype=np.intp)
-
     triples = ((s, t, u) for (s, t) in R.base_pairs() for u in range(n)
                if R.target(t, u) is not None)
     for (s, t, u) in triples:
         st, tu = R.target(s, t), R.target(t, u)
-        left_present = (s, t) in P
-        right_present = (t, u) in P
+        left_present = (s, t) in prods
+        right_present = (t, u) in prods
         if left_present and right_present:
-            bad = first_assoc_violation(P[(s, t)], table(st, u), P[(t, u)], table(s, tu))
+            bad = first_assoc_violation(T(s, t), T(st, u), T(t, u), T(s, tu))
             if bad is not None:
                 raise GradedAssociativityError(
                     f"(ab)c != a(bc) at graders ({s}, {t}, {u}), elements {bad}",
                     (s, t, u, *bad))
-        elif left_present and (st, u) in P:
+        elif left_present and (st, u) in prods:
             # right side vanishes; left side must vanish on the image of R_s R_t
-            bad = first_nonzero(P[(st, u)], np.unique(P[(s, t)]))
+            bad = first_nonzero(T(st, u), _image(T(s, t), components[st].order))
             if bad is not None:
                 raise GradedAssociativityError(
                     f"(ab)c != 0 = a(bc) at graders ({s}, {t}, {u})", (s, t, u, *bad))
-        elif right_present and (s, tu) in P:
-            bad = first_nonzero(P[(s, tu)].T, np.unique(P[(t, u)]))
+        elif right_present and (s, tu) in prods:
+            bad = first_nonzero(T(s, tu).T, _image(T(t, u), components[tu].order))
             if bad is not None:
                 bc, a = bad
                 raise GradedAssociativityError(
@@ -247,13 +254,21 @@ class GradedVnrWitness:
 # product spans
 
 
+def _image(P: np.ndarray, order: int) -> np.ndarray:
+    """The distinct values of an index array, ascending."""
+    hit = np.zeros(order, dtype=bool)
+    hit[P] = True
+    return np.flatnonzero(hit)
+
+
+def _span(group: FiniteAdditiveGroup, P: np.ndarray) -> Subgroup:
+    """Additive span of the values of an index array inside ``group``."""
+    return additive_closure(group, _image(P, group.order).tolist())
+
+
 def _product_span(R: GradedRing, s: int, t: int) -> Subgroup:
-    st = R.target(s, t)
-    if st is None:
-        raise ValueError(f"graders {s} and {t} are not composable")
-    seeds = {R.product(s, t, a, b)
-             for a in R.component(s).elements() for b in R.component(t).elements()}
-    return additive_closure(R.component(st), seeds)
+    table = R.table(s, t)  # raises ValueError off G^(2)
+    return _span(R.component(R.target(s, t)), table)
 
 
 def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
@@ -266,26 +281,23 @@ def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
     span = _product_span(R, s, t)
     if (s, t) in set(R.inverse_pairs()):
         st = R.target(s, t)
-        ring = R.component_ring(st)
-        for u in ring.elements():
-            for x in span.elements():
-                if ring.times(u, x) not in span or ring.times(x, u) not in span:
-                    raise NotAnIdealError(
-                        f"span of R_{s} R_{t} is not an ideal of R_{st}; "
-                        "the grading is inconsistent", (s, t))
+        M = R.table(st, st)
+        idx = np.array(span.elements())
+        inside = np.zeros(len(M), dtype=bool)
+        inside[idx] = True
+        if not (inside[M[:, idx]].all() and inside[M[idx, :]].all()):
+            raise NotAnIdealError(
+                f"span of R_{s} R_{t} is not an ideal of R_{st}; "
+                "the grading is inconsistent", (s, t))
     return span
 
 
 def _triple_span(R: GradedRing, s: int, t: int) -> Subgroup:
-    """Additive span of R_s R_t R_s inside R_s (for t an inverse of s)."""
+    """Additive span of R_s R_t R_s inside R_s (for t an inverse of s): the
+    products x*c with x in the image of R_s R_t and c in R_s."""
     st = R.target(s, t)
-    seeds = set()
-    for a in R.component(s).elements():
-        for b in R.component(t).elements():
-            ab = R.product(s, t, a, b)
-            for c in R.component(s).elements():
-                seeds.add(R.product(st, s, ab, c))
-    return additive_closure(R.component(s), seeds)
+    return _span(R.component(s),
+                 R.table(st, s)[_image(R.table(s, t), R.component(st).order)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +323,19 @@ def is_strong(R: GradedRing) -> Verdict:
     return Verdict(holds=True)
 
 
-def _subring_unity(ring: FiniteRing, members: Sequence[int]) -> Optional[int]:
-    """Two-sided unity of a subgroup viewed as a ring; {0} is unital with u = 0."""
-    return next((u for u in members
-                 if all(ring.times(u, x) == x == ring.times(x, u) for x in members)),
-                None)
+def _subring_unity(M: np.ndarray, members: Sequence[int]) -> Optional[int]:
+    """Two-sided unity of a subgroup viewed as a ring under the table M;
+    {0} is unital with u = 0."""
+    idx = np.asarray(members)
+    sub = M[np.ix_(idx, idx)]  # sub[i, j] = members[i] * members[j]
+    units = ((sub == idx) & (sub.T == idx)).all(axis=1)
+    return int(idx[units.argmax()]) if units.any() else None
 
 
-def _subring_is_s_unital(ring: FiniteRing, members: Sequence[int]) -> bool:
-    for x in members:
-        if not any(ring.times(u, x) == x for u in members):
-            return False
-        if not any(ring.times(x, v) == x for v in members):
-            return False
-    return True
+def _subring_is_s_unital(M: np.ndarray, members: Sequence[int]) -> bool:
+    idx = np.asarray(members)
+    sub = M[np.ix_(idx, idx)]
+    return bool((sub == idx).any(axis=0).all() and (sub == idx[:, None]).any(axis=1).all())
 
 
 def is_epsilon_strong(R: GradedRing) -> Verdict:
@@ -340,10 +351,10 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         ts = R.target(t, s)
-        eps = _subring_unity(R.component_ring(st), _product_span(R, s, t).elements())
+        eps = _subring_unity(R.table(st, st), _product_span(R, s, t).elements())
         if eps is None:
             return Verdict(holds=False, failing=(s, t))
-        eps_prime = _subring_unity(R.component_ring(ts), _product_span(R, t, s).elements())
+        eps_prime = _subring_unity(R.table(ts, ts), _product_span(R, t, s).elements())
         if eps_prime is None:
             return Verdict(holds=False, failing=(t, s))
         uniform[(s, t)] = (eps, eps_prime)
@@ -358,14 +369,17 @@ def _per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         ts = R.target(t, s)
-        left_span = _product_span(R, s, t).elements()
-        right_span = _product_span(R, t, s).elements()
-        for r in R.component(s).elements():
-            eps = next((u for u in left_span if R.product(st, s, u, r) == r), None)
-            eps_prime = next((v for v in right_span if R.product(s, ts, r, v) == r), None)
-            if eps is None or eps_prime is None:
+        left_span = np.array(_product_span(R, s, t).elements())
+        right_span = np.array(_product_span(R, t, s).elements())
+        rs = np.arange(R.component(s).order)
+        left = R.table(st, s)[left_span] == rs  # [i, r]: left_span[i] * r == r
+        right = R.table(s, ts)[:, right_span] == rs[:, None]  # [r, j]: r * right_span[j] == r
+        has_left, has_right = left.any(axis=0), right.any(axis=1)
+        eps, eps_prime = left_span[left.argmax(axis=0)], right_span[right.argmax(axis=1)]
+        for r in rs.tolist():
+            if not (has_left[r] and has_right[r]):
                 return False, out, (s, t, r)
-            out[(s, t, r)] = (eps, eps_prime)
+            out[(s, t, r)] = (int(eps[r]), int(eps_prime[r]))
     return True, out, None
 
 
@@ -381,7 +395,7 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         span = _product_span(R, s, t)
-        if not _subring_is_s_unital(R.component_ring(st), span.elements()):
+        if not _subring_is_s_unital(R.table(st, st), span.elements()):
             return Verdict(holds=False, failing=(s, t))
     ok, per_element, _ = _per_element_epsilons(R)
     witness = EpsilonWitness(kind="per-element", per_element=per_element) if ok else None
@@ -401,11 +415,12 @@ def is_graded_vnr(R: GradedRing) -> Verdict:
     vacuous = not any(R.component(s).order > 1 for (s, _) in pairs)
     assignments: dict[tuple[int, int, int], int] = {}
     for (s, t) in pairs:
-        st = R.target(s, t)
-        for r in R.component(s).elements():
-            y = next((y for y in R.component(t).elements()
-                      if R.product(st, s, R.product(s, t, r, y), r) == r), None)
-            if y is None:
+        rs = np.arange(R.component(s).order)[:, None]
+        # [r, y]: r*y*r == r
+        fixed = R.table(R.target(s, t), s)[R.table(s, t), rs] == rs
+        ys = np.where(fixed.any(axis=1), fixed.argmax(axis=1), -1)
+        for r, y in enumerate(ys.tolist()):
+            if y < 0:
                 return Verdict(holds=False, vacuous=vacuous,
                                witness=GradedVnrWitness(assignments, (s, r, t), vacuous),
                                failing=(s, r, t))
@@ -442,14 +457,12 @@ def check_eps_characterizations(R: GradedRing) -> dict:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         ts = R.target(t, s)
-        left_span = _product_span(R, s, t).elements()
-        right_span = _product_span(R, t, s).elements()
-        rs = R.component(s).elements()
-        eps = next((u for u in left_span
-                    if all(R.product(st, s, u, r) == r for r in rs)), None)
-        eps_prime = next((v for v in right_span
-                          if all(R.product(s, ts, r, v) == r for r in rs)), None)
-        if eps is None or eps_prime is None:
+        rs = np.arange(R.component(s).order)
+        left_span = list(_product_span(R, s, t).elements())
+        right_span = list(_product_span(R, t, s).elements())
+        # an eps that fixes every r from the left, an eps' from the right
+        if not ((R.table(st, s)[left_span] == rs).all(axis=1).any()
+                and (R.table(s, ts)[:, right_span].T == rs).all(axis=1).any()):
             eps_wit = False
             eps_wit_failing = (s, t)
             break
@@ -461,7 +474,7 @@ def check_eps_characterizations(R: GradedRing) -> dict:
     if eps_def.holds:
         unit_components["checked"] = True
         for e in R.base_idempotents():
-            u = _subring_unity(R.component_ring(e), list(R.component(e).elements()))
+            u = _subring_unity(R.table(e, e), R.component(e).elements())
             if u is None:
                 unit_components["holds"] = False
                 unit_components["failing"] = e
@@ -523,14 +536,15 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
     for (s, t) in R.inverse_pairs():
         ts = R.target(t, s)
         ring_ts = R.component_ring(ts)
+        table_ts = R.table(t, s)
         for r in R.component(s).elements():
-            gens = {R.product(t, s, b, r) for b in R.component(t).elements()}
-            I = additive_closure(R.component(ts), gens)
-            if not is_left_ideal(ring_ts, I):
+            I = _span(R.component(ts), table_ts[:, r])  # R_t r
+            try:
+                u = idempotent_generator(ring_ts, I)
+            except NotAnIdealError:
                 return {"check": "lemma-technical", "applicable": True, "holds": False,
                         "agree": False,
                         "failing": {"s": s, "t": t, "r": r, "reason": "not a left ideal"}}
-            u = idempotent_generator(ring_ts, I)
             if u is None:
                 return {"check": "lemma-technical", "applicable": True, "holds": False,
                         "agree": False,
@@ -562,20 +576,15 @@ def check_theorem_inverse_semigroup(R: GradedRing) -> dict:
     part_ii = True
     ii_failing = None
     for s in R.graders():
-        vs = cls.inverse_sets[s]
-        for r in R.component(s).elements():
-            found = False
-            for t in vs:
-                st = R.target(s, t)
-                if any(R.product(st, s, R.product(s, t, r, y), r) == r
-                       for y in R.component(t).elements()):
-                    found = True
-                    break
-            if not found:
-                part_ii = False
-                ii_failing = (s, r)
-                break
-        if not part_ii:
+        rs = np.arange(R.component(s).order)
+        # r has a y in some R_t, t in V(s), with r*y*r = r
+        found = np.zeros(len(rs), dtype=bool)
+        for t in cls.inverse_sets[s]:
+            rys = R.table(R.target(s, t), s)[R.table(s, t), rs[:, None]]
+            found |= (rys == rs[:, None]).any(axis=1)
+        if not found.all():
+            part_ii = False
+            ii_failing = (s, int(found.argmin()))
             break
 
     part_iii = is_nearly_epsilon_strong(R).holds and base_components_vnr(R).holds
@@ -681,14 +690,13 @@ def _homogeneous_in_rRr(R: GradedRing, g: int, r: int) -> bool:
     Only graders h with g h g = g can contribute to the component of r, so
     the span is accumulated from exactly those (found by scan, not assumed).
     """
-    seeds = set()
+    seeds = [np.zeros(1, dtype=np.intp)]
     for h in R.graders():
         gh = R.target(g, h)
         if gh is None or R.target(gh, g) != g:
             continue
-        for x in R.component(h).elements():
-            seeds.add(R.product(gh, g, R.product(g, h, r, x), r))
-    return r in additive_closure(R.component(g), seeds).members
+        seeds.append(R.table(gh, g)[R.table(g, h)[r], r])
+    return r in _span(R.component(g), np.concatenate(seeds)).members
 
 
 def check_theorem_groupoid(R: GradedRing) -> dict:
@@ -715,14 +723,13 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
     ii_failing = None
     for g in G.morphisms():
         gi = G.inv[g]
-        ggi = G.compose(g, gi)
-        for r in R.component(g).elements():
-            if not any(R.product(ggi, g, R.product(g, gi, r, y), r) == r
-                       for y in R.component(gi).elements()):
-                part_ii = False
-                ii_failing = (g, r)
-                break
-        if not part_ii:
+        rs = np.arange(R.component(g).order)
+        # [r, y]: r*y*r for y in the component at g^{-1}
+        ryr = R.table(G.compose(g, gi), g)[R.table(g, gi), rs[:, None]]
+        quasi = (ryr == rs[:, None]).any(axis=1)
+        if not quasi.all():
+            part_ii = False
+            ii_failing = (g, int(quasi.argmin()))
             break
 
     part_iii = is_nearly_epsilon_strong(R).holds and base_components_vnr(R).holds
@@ -743,11 +750,7 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
 
 
 def _normalized_products(R: GradedRing) -> dict:
-    out = {}
-    for key, table in R.products.items():
-        if any(v != 0 for row in table for v in row):
-            out[key] = table
-    return out
+    return {key: table for key, table in R.products.items() if R.table(*key).any()}
 
 
 def structurally_equal(R1: GradedRing, R2: GradedRing) -> bool:

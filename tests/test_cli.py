@@ -302,6 +302,28 @@ class TestEnvironmentErrors:
         code, out = run_cli("check", "tominaga", str(files / "Z4.json"))
         assert code == 1 and "GRL_FG_IDEAL_BOUND" in out["message"]
 
+    @pytest.mark.parametrize("value,indented", [("False", False), ("OFF", False),
+                                                 ("no", False), ("0", False),
+                                                 ("TRUE", True), ("On", True),
+                                                 ("yes", True), ("1", True)])
+    def test_pretty_values(self, files, monkeypatch, capsys, value, indented):
+        monkeypatch.setenv("GRL_PRETTY", value)
+        assert cli.main(["validate", str(files / "Z4.json")]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"valid": True, "kind": "ring"}
+        assert ("\n  " in out) is indented
+
+    def test_bad_pretty_value(self, files, monkeypatch, capsys):
+        monkeypatch.setenv("GRL_PRETTY", "maybe")
+        assert cli.main(["validate", str(files / "Z4.json")]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1  # printed compactly
+        report = json.loads(out)
+        assert set(report) == {"error", "message"}
+        assert report["error"] == "ValueError" and "GRL_PRETTY" in report["message"]
+        assert cli.main(["validate", "--pretty", str(files / "Z4.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "kind": "ring"}
+
     def test_flag_overrides_a_bad_value(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRL_SEED", "abc")
         path = tmp_path / "manifest.json"

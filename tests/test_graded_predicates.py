@@ -1,0 +1,210 @@
+"""Graded predicates and good-grading builders against the per-element
+reference in reference_gradings.py.
+
+The predicates index ``GradedRing.table`` arrays; every verdict, witness,
+failing tuple and report dict must be exactly that of the element-by-element
+scans through ``GradedRing.product``.  Each predicate is compared on its own,
+so a fault on one side of a cross check shows even where both sides agree.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_gradings as ref
+from grl import catalog, gradings as gr
+from grl.constructions import (
+    _power_group,
+    good_grading,
+    semigroup_ring,
+    validate_degree_map,
+)
+from grl.errors import NotAnIdealError
+from grl.gradings import GradedRing, regrade_groupoid_to_semigroup
+from grl.rings import cyclic_ring, field_f4, ring_from_ops
+from grl.semigroups import cyclic_group, enumerate_semigroups, trivial_semigroup
+
+Z2 = cyclic_ring(2)
+F4 = field_f4()
+# [[x, y], [0, 0]] over Z2: a non-commutative ring of order 4, so a table
+# read with its axes swapped changes the verdicts
+ROW_RING = ring_from_ops([(0, 0), (0, 1), (1, 0), (1, 1)],
+                         lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
+                         lambda p: p,
+                         lambda p, q: (p[0] * q[0], p[0] * q[1]))
+SEMIGROUPS_3 = list(enumerate_semigroups(3))
+SMALL_SEMIGROUPS = [*enumerate_semigroups(1), *enumerate_semigroups(2), *SEMIGROUPS_3]
+COEFFICIENTS = {name: catalog.named_ring(name)
+                for name in ("Z2", "Z4", "F4", "zero2", "2Z8")}
+COEFFICIENTS["rows"] = ROW_RING
+COEFFICIENT_NAMES = sorted(COEFFICIENTS)
+LARGE_GRADING_SPECS = {
+    "M2(Z9)/Z2": ("Z9", "Z2", ((0, 1), (1, 0))),
+    "M2(Z3)/trivial": ("Z3", "trivial", ((0, 0), (0, 0))),
+    "M3(Z3)/Z3": ("Z3", "Z3", ((0, 1, 2), (2, 0, 1), (1, 2, 0))),
+}
+
+
+def not_an_ideal_grading() -> GradedRing:
+    """A Z2-grading, built past validate_grading, whose hypotheses for the
+    technical lemma hold but where R_1 * 1 spans {0, 1}: no ideal of R_0 = F4."""
+    proj = tuple(tuple((a & 1) * c for c in range(2)) for a in range(4))  # F4 x Z2 -> Z2
+    return GradedRing(base=cyclic_group(2), components=(F4.additive, Z2.additive),
+                      products={(0, 0): F4.mul, (0, 1): proj,
+                                (1, 0): tuple(zip(*proj)),
+                                (1, 1): ((0, 0), (0, 1))})
+
+
+def left_ideal_span_grading() -> GradedRing:
+    """A Z2-grading, built past validate_grading, where R_1 R_1 spans
+    {0, (1, 0)} in R_0 = ROW_RING: a left ideal but no right ideal."""
+    return GradedRing(base=cyclic_group(2), components=(ROW_RING.additive, Z2.additive),
+                      products={(0, 0): ROW_RING.mul, (1, 1): ((0, 0), (0, 2))})
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotAnIdealError as err:
+        return ("NotAnIdealError", err.context)
+
+
+def assert_matches_reference(R: GradedRing) -> None:
+    for (s, t) in R.base_pairs():
+        stored = R.products.get((s, t))
+        expected = np.zeros((R.component(s).order, R.component(t).order), dtype=np.intp) \
+            if stored is None else np.array(stored)
+        assert np.array_equal(R.table(s, t), expected), (s, t)
+        assert gr._product_span(R, s, t) == ref.product_span(R, s, t), (s, t)
+        assert outcome(gr.product_subgroup, R, s, t) == outcome(ref.product_subgroup, R, s, t)
+    for (s, t) in R.inverse_pairs():
+        assert gr._triple_span(R, s, t) == ref.triple_span(R, s, t), (s, t)
+        for (a, b) in ((s, t), (t, s)):
+            e = R.target(a, b)
+            members = ref.product_span(R, a, b).elements()
+            ring = ref.component_ring(R, e)
+            assert (gr._subring_unity(R.table(e, e), members)
+                    == ref.subring_unity(ring, members)), (a, b)
+            assert (gr._subring_is_s_unital(R.table(e, e), members)
+                    == ref.subring_is_s_unital(ring, members)), (a, b)
+    for e in R.base_idempotents():
+        ring = ref.component_ring(R, e)
+        assert R.component_ring(e) == ring
+        members = R.component(e).elements()
+        assert gr._subring_unity(R.table(e, e), members) == ref.subring_unity(ring, members)
+    assert gr._per_element_epsilons(R) == ref.per_element_epsilons(R)
+    for name in ("is_symmetric", "is_strong", "is_epsilon_strong",
+                 "is_nearly_epsilon_strong", "is_graded_vnr", "base_components_vnr"):
+        assert getattr(gr, name)(R) == getattr(ref, name)(R), name
+    for name in ("check_eps_characterizations", "check_theorem_main",
+                 "check_theorem_inverse_semigroup", "check_corollaries",
+                 "check_theorem_groupoid"):
+        assert getattr(gr, name)(R) == getattr(ref, name)(R), name
+    for cap in (None, 2):
+        assert gr.check_lemma_technical(R, cap) == ref.check_lemma_technical(R, cap)
+    if R.base_kind == "groupoid":
+        for g in R.graders():
+            for r in R.component(g).elements():
+                assert gr._homogeneous_in_rRr(R, g, r) == ref.homogeneous_in_rRr(R, g, r)
+        assert gr.check_prop_switch(R) == ref.check_prop_switch(R)
+
+
+def test_corpus_gradings_match_reference(corpus):
+    for entry in corpus.graded:
+        assert_matches_reference(entry.graded)
+
+
+def test_regraded_groupoid_rings_match_reference(corpus):
+    regraded = [regrade_groupoid_to_semigroup(e.graded) for e in corpus.graded
+                if e.graded.base_kind == "groupoid"]
+    assert regraded
+    for R in regraded:
+        assert_matches_reference(R)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(range(len(SEMIGROUPS_3))), st.sampled_from(COEFFICIENT_NAMES))
+def test_order_3_semigroup_rings_match_reference(index, coefficients):
+    assert_matches_reference(semigroup_ring(COEFFICIENTS[coefficients],
+                                            SEMIGROUPS_3[index]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_arbitrary_tables_match_reference(data):
+    # The predicates only scan tables, so any tables over any base exercise
+    # them, grading or not; unlike a grading's, these differ from pair to pair.
+    base = data.draw(st.sampled_from(SMALL_SEMIGROUPS))
+    orders = [data.draw(st.integers(1, 4)) for _ in base.elements()]
+    products = {}
+    for s, t in product(base.elements(), repeat=2):
+        rows, cols, out = orders[s], orders[t], orders[base.mul(s, t)]
+        kind = data.draw(st.sampled_from(["absent", "ring", "random"]))
+        if kind == "ring":
+            products[(s, t)] = tuple(tuple(a * b % out for b in range(cols))
+                                     for a in range(rows))
+        elif kind == "random":
+            cells = st.lists(st.integers(0, out - 1), min_size=cols, max_size=cols)
+            products[(s, t)] = tuple(map(tuple, data.draw(
+                st.lists(cells, min_size=rows, max_size=rows))))
+    components = tuple(cyclic_ring(n).additive for n in orders)
+    assert_matches_reference(GradedRing(base=base, components=components, products=products))
+
+
+@pytest.mark.parametrize("make", [not_an_ideal_grading, left_ideal_span_grading])
+def test_inconsistent_gradings_match_reference(make):
+    assert_matches_reference(make())
+
+
+def test_span_that_is_only_a_left_ideal_raises():
+    with pytest.raises(NotAnIdealError) as exc:
+        gr.product_subgroup(left_ideal_span_grading(), 1, 1)
+    assert exc.value.context == (1, 1)
+
+
+def test_lemma_reports_a_span_that_is_not_a_left_ideal():
+    rep = gr.check_lemma_technical(not_an_ideal_grading())
+    assert rep == {"check": "lemma-technical", "applicable": True, "holds": False,
+                   "agree": False,
+                   "failing": {"s": 1, "t": 1, "r": 1, "reason": "not a left ideal"}}
+
+
+def test_table_is_built_once_and_rejects_pairs_off_the_base():
+    R = catalog.named_groupoid("pair2")
+    graded = gr.validate_grading(R, [Z2.additive] * R.n_morphisms, {})
+    assert np.array_equal(graded.table(0, 0), np.zeros((2, 2)))  # absent: zero map
+    with pytest.raises(ValueError):
+        graded.table(1, 1)  # (0,1) cannot follow (0,1)
+    S = semigroup_ring(Z2, trivial_semigroup())
+    assert S.table(0, 0) is S.table(0, 0)
+    assert S == semigroup_ring(Z2, trivial_semigroup())
+    assert "_arrays" not in repr(S)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.GOOD_GRADING_SPECS))
+def test_good_grading_tables_match_reference(name):
+    A, base, deg = catalog.good_grading_spec(name)
+    dm = validate_degree_map(base, deg)
+    new, old = good_grading(A, dm), ref.good_grading(A, dm)
+    assert new.graded.components == old.graded.components
+    assert new.graded.products == old.graded.products
+    assert new.cells == old.cells
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GRADING_SPECS))
+def test_large_good_grading_tables_match_reference(name):
+    ring_name, base_name, deg = LARGE_GRADING_SPECS[name]
+    A = catalog.named_ring(ring_name)
+    dm = validate_degree_map(catalog.named_semigroup(base_name), deg)
+    new, old = good_grading(A, dm), ref.good_grading(A, dm)
+    assert new.graded.components == old.graded.components
+    assert new.graded.products == old.graded.products
+
+
+@pytest.mark.parametrize("ring_name", ["Z2", "Z3", "Z4", "F4", "Z2xZ2"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_power_group_matches_reference(ring_name, k):
+    G = catalog.named_ring(ring_name).additive
+    assert _power_group(G, k) == ref.power_group(G, k)
