@@ -53,10 +53,6 @@ _RINGS = {
 }
 
 
-def semigroup_names() -> tuple[str, ...]:
-    return tuple(sorted(_SEMIGROUPS))
-
-
 # The *_factory functions resolve a name without building anything, so a
 # manifest can be checked before the corpus is generated.
 

@@ -131,13 +131,14 @@ def validate_degree_map(base: FiniteSemigroup, deg: Sequence[Sequence[int]]) -> 
                     f"deg({j + 1},{i + 1}) = {deg[j][i]} but the inverse of "
                     f"deg({i + 1},{j + 1}) is {expected}",
                     (i + 1, j + 1, deg[i][j], deg[j][i]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if base.mul(deg[i][j], deg[j][k]) != deg[i][k]:
-                    raise IncompatibleDegreesError(
-                        f"deg({i + 1},{j + 1})*deg({j + 1},{k + 1}) != deg({i + 1},{k + 1})",
-                        (i + 1, j + 1, k + 1))
+    D = np.array(deg, dtype=np.intp)
+    # [i, j, k]: deg(i,j)*deg(j,k) != deg(i,k)
+    incompatible = np.argwhere(base.relations.table[D[:, :, None], D[None]] != D[:, None, :])
+    if incompatible.size:
+        i, j, k = incompatible[0].tolist()
+        raise IncompatibleDegreesError(
+            f"deg({i + 1},{j + 1})*deg({j + 1},{k + 1}) != deg({i + 1},{k + 1})",
+            (i + 1, j + 1, k + 1))
     return DegreeMap(n=n, deg=tuple(tuple(row) for row in deg), base=base)
 
 
@@ -220,7 +221,7 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     products = {}
     for s, t in product(base.elements(), repeat=2):
         if any(j == k for (_, j) in cells[s] for (k, _) in cells[t]):
-            coordinates = (coordinate(s, t, cell) for cell in cells[base.mul(s, t)])
+            coordinates = (coordinate(s, t, cell) for cell in cells[base.table[s][t]])
             products[(s, t)] = _as_table(_encode(A.order, coordinates))
 
     graded = validate_grading(base, components, products)

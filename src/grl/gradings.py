@@ -13,8 +13,8 @@ so verdicts and witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from functools import cache, cached_property
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .rings import (
     Subgroup,
     additive_closure,
     idempotent_generator,
+    is_s_unital,
     is_von_neumann_regular,
 )
-from .semigroups import FiniteSemigroup, classify_semigroup, idempotents, inverses
+from .semigroups import FiniteSemigroup, classify_semigroup
 from .tables import first_assoc_violation, first_biadditivity_violation, first_nonzero
 
 BaseLike = Union[FiniteSemigroup, FiniteGroupoid]
@@ -68,11 +69,7 @@ class GradedRing:
 
     def target(self, s: int, t: int) -> Optional[int]:
         """Index of the component receiving R_s * R_t, or None off G^(2)."""
-        if isinstance(self.base, FiniteSemigroup):
-            return self.base.mul(s, t)
-        if self.base.composable(s, t):
-            return self.base.compose(s, t)
-        return None
+        return self.base.table[s][t]  # a groupoid's table holds None off G^(2)
 
     def product(self, s: int, t: int, a: int, b: int) -> int:
         """Index of the product of a in R_s with b in R_t, inside R_{st}."""
@@ -93,28 +90,18 @@ class GradedRing:
     def _arrays(self) -> dict[tuple[int, int], np.ndarray]:
         return {key: np.array(table, dtype=np.intp) for key, table in self.products.items()}
 
-    def base_pairs(self) -> Iterator[tuple[int, int]]:
-        """All grader pairs with a defined target."""
-        if isinstance(self.base, FiniteSemigroup):
-            for s in self.graders():
-                for t in self.graders():
-                    yield (s, t)
-        else:
-            yield from self.base.composable_pairs()
+    def base_pairs(self) -> tuple[tuple[int, int], ...]:
+        """All grader pairs with a defined target, row by row."""
+        return self.base.relations.pairs
 
-    def inverse_pairs(self) -> list[tuple[int, int]]:
-        """Pairs (s, t) with t an inverse of s: every t in V(s) for a
-        semigroup base, t = s^{-1} for a groupoid base."""
-        if isinstance(self.base, FiniteSemigroup):
-            return [(s, t) for s in self.graders() for t in inverses(self.base, s)]
-        return [(g, self.base.inv[g]) for g in self.base.morphisms()]
+    def inverse_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (s, t) with t in V(s), row by row; over a groupoid base
+        V(g) = {g^{-1}}."""
+        return self.base.relations.inverse_pairs
 
     def base_idempotents(self) -> tuple[int, ...]:
         """Idempotent graders: E(S), or the identity morphisms of a groupoid."""
-        if isinstance(self.base, FiniteSemigroup):
-            return idempotents(self.base)
-        return tuple(g for g in self.base.morphisms()
-                     if self.base.composable(g, g) and self.base.compose(g, g) == g)
+        return self.base.relations.idempotents
 
     def component_ring(self, e: int) -> FiniteRing:
         """The component at an idempotent grader, as a ring in its own right."""
@@ -122,11 +109,6 @@ class GradedRing:
             raise ValueError(f"grader {e} is not idempotent")
         return FiniteRing(additive=self.components[e],
                           mul=tuple(map(tuple, self.table(e, e).tolist())))
-
-    def grader_label(self, s: int) -> str:
-        if isinstance(self.base, FiniteSemigroup):
-            return self.base.label(s)
-        return self.base.morphism_label(s)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +123,7 @@ def validate_grading(base: BaseLike,
     ``components`` must already be validated additive groups, one per base
     element (semigroup elements / groupoid morphisms).
     """
-    n = base.order if isinstance(base, FiniteSemigroup) else base.n_morphisms
+    n = len(base.relations.table)
     if len(components) != n:
         raise OutOfRangeError(f"expected {n} components, got {len(components)}")
 
@@ -607,15 +589,14 @@ def check_corollaries(R: GradedRing) -> dict:
     idempotent components, and under that s-unitality the same regularity
     equivalence must hold.
     """
-    from .rings import is_s_unital
-
     out: dict = {"check": "corollaries", "applicable": True}
     agree = True
+    # (graded_vnr, base_components_vnr), computed once even when both cases apply
+    regularity = cache(lambda: (is_graded_vnr(R).holds, base_components_vnr(R).holds))
 
     eps = is_epsilon_strong(R)
     if eps.holds:
-        lhs = is_graded_vnr(R).holds
-        rhs = base_components_vnr(R).holds
+        lhs, rhs = regularity()
         out["epsilon_strong_case"] = {"applicable": True, "graded_vnr": lhs,
                                       "base_components_vnr": rhs, "agree": lhs == rhs}
         agree = agree and lhs == rhs
@@ -632,8 +613,7 @@ def check_corollaries(R: GradedRing) -> dict:
                 "agree": near == components_s_unital}
         agree = agree and near == components_s_unital
         if components_s_unital:
-            lhs = is_graded_vnr(R).holds
-            rhs = base_components_vnr(R).holds
+            lhs, rhs = regularity()
             part["regularity"] = {"graded_vnr": lhs, "base_components_vnr": rhs,
                                   "agree": lhs == rhs}
             agree = agree and lhs == rhs
@@ -688,14 +668,11 @@ def _homogeneous_in_rRr(R: GradedRing, g: int, r: int) -> bool:
     """Membership of r in the span of r * R * r, computed across all graders.
 
     Only graders h with g h g = g can contribute to the component of r, so
-    the span is accumulated from exactly those (found by scan, not assumed).
+    the span is accumulated from exactly those: the base's weak inverses of g.
     """
     seeds = [np.zeros(1, dtype=np.intp)]
-    for h in R.graders():
-        gh = R.target(g, h)
-        if gh is None or R.target(gh, g) != g:
-            continue
-        seeds.append(R.table(gh, g)[R.table(g, h)[r], r])
+    for h in R.base.relations.weak_inverse_sets[g]:
+        seeds.append(R.table(R.target(g, h), g)[R.table(g, h)[r], r])
     return r in _span(R.component(g), np.concatenate(seeds)).members
 
 

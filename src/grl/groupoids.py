@@ -9,6 +9,7 @@ derived (and checked) during validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     NotComposableClosedError,
     OutOfRangeError,
 )
-from .semigroups import FiniteSemigroup, validate_semigroup
+from .semigroups import FiniteSemigroup, TableRelations, classify_semigroup, validate_semigroup
 from .tables import first_assoc_violation
 
 
@@ -52,13 +53,16 @@ class FiniteGroupoid:
         return gh
 
     def composable_pairs(self) -> Iterator[tuple[int, int]]:
-        for g in self.morphisms():
-            for h in self.morphisms():
-                if self.dom[g] == self.cod[h]:
-                    yield (g, h)
+        return iter(self.relations.pairs)
 
     def morphism_label(self, g: int) -> str:
         return self.morphism_labels[g] if self.morphism_labels is not None else str(g)
+
+    @cached_property
+    def relations(self) -> TableRelations:
+        """Over the composition table, with n_morphisms where it is undefined."""
+        m = self.n_morphisms
+        return TableRelations([[m if gh is None else gh for gh in row] for row in self.table])
 
 
 def validate_groupoid(n_objects: int,
@@ -103,20 +107,18 @@ def validate_groupoid(n_objects: int,
                         f"composite of ({g}, {h}) has wrong domain or codomain",
                         (g, h, gh))
 
+    # the composition table with m where composition is undefined
+    T = np.array([[m if gh is None else gh for gh in row] for row in table], dtype=np.intp)
+    # loops_at[i]: the object i is a loop at, or -1; units: i g = g and g i = g
+    # wherever defined
+    idx, loops_at = np.arange(m), np.where(np.array(dom) == cod, dom, -1)
+    units = ((T == idx) | (T == m)).all(axis=1) & ((T.T == idx) | (T.T == m)).all(axis=1)
     identity: list[int] = []
     for e in range(n_objects):
-        found = None
-        for i in range(m):
-            if dom[i] != e or cod[i] != e:
-                continue
-            left_ok = all(table[i][g] == g for g in range(m) if cod[g] == e)
-            right_ok = all(table[g][i] == g for g in range(m) if dom[g] == e)
-            if left_ok and right_ok:
-                found = i
-                break
-        if found is None:
+        found = np.flatnonzero(units & (loops_at == e))
+        if found.size == 0:
             raise IdentityViolationError(f"object {e} has no identity morphism", (e,))
-        identity.append(found)
+        identity.append(int(found[0]))
 
     for g in range(m):
         gi = inv[g]
@@ -130,8 +132,7 @@ def validate_groupoid(n_objects: int,
     # With index m for "undefined", the extended table is associative exactly
     # when composition is: the domain checks above make every triple that is
     # not composable undefined on both sides.
-    ext = np.array([[m if gh is None else gh for gh in row] + [m] for row in table]
-                   + [[m] * (m + 1)], dtype=np.intp)
+    ext = np.pad(T, (0, 1), constant_values=m)
     bad = first_assoc_violation(ext, ext, ext, ext)
     if bad is not None:
         raise NotAssociativeError(f"(g h) k != g (h k) at (g, h, k) = {bad}", bad)
@@ -169,14 +170,10 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
 
 def group_groupoid(S: FiniteSemigroup) -> FiniteGroupoid:
     """One-object groupoid whose morphisms are the elements of a finite group."""
-    from .semigroups import classify_semigroup, identity_element
     if not classify_semigroup(S).is_group:
         raise ValueError("group_groupoid needs a group table")
-    e = identity_element(S)
-    inv = []
-    for a in S.elements():
-        inv.append(next(b for b in S.elements() if S.mul(a, b) == e == S.mul(b, a)))
-    compose = {(a, b): S.mul(a, b) for a in S.elements() for b in S.elements()}
+    inv = [v[0] for v in S.relations.inverse_sets]  # a group: V(a) = {a^-1}
+    compose = {(a, b): S.table[a][b] for a in S.elements() for b in S.elements()}
     return validate_groupoid(1, [0] * S.order, [0] * S.order, inv, compose,
                              morphism_labels=[S.label(a) for a in S.elements()])
 
@@ -209,12 +206,8 @@ def to_inverse_semigroup(G: FiniteGroupoid) -> tuple[FiniteSemigroup, tuple[int,
     morphism g to its semigroup index.
     """
     m = G.n_morphisms
-    n = m + 1
-    table = [[0] * n for _ in range(n)]
-    for g in range(m):
-        for h in range(m):
-            if G.composable(g, h):
-                table[g + 1][h + 1] = G.table[g][h] + 1
+    table = np.zeros((m + 1, m + 1), dtype=np.intp)
+    table[1:, 1:] = (G.relations.table + 1) % (m + 1)  # undefined m -> zero 0
     labels = ["0"] + [G.morphism_label(g) for g in G.morphisms()]
-    S = validate_semigroup(table, labels=labels)
+    S = validate_semigroup(table.tolist(), labels=labels)
     return S, tuple(g + 1 for g in range(m))

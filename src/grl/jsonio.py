@@ -11,7 +11,9 @@ Every file carries a top-level "kind" used for auto-detection:
                "products": [{"s", "t", "table"}, ...]}
 
 Absent graded products mean the zero map and must be absent for
-non-composable groupoid pairs.  Writers emit canonical bytes: sorted keys,
+non-composable groupoid pairs.  A declared "order" that differs from its
+table, a component key that names no grader, and a product or compose pair
+given twice are errors.  Writers emit canonical bytes: sorted keys,
 two-space indent, nonzero products only.
 """
 
@@ -54,7 +56,25 @@ def semigroup_to_json(S: FiniteSemigroup) -> dict:
     return out
 
 
+def _check_order(data: dict, table) -> None:
+    """A declared "order" must be the number of rows of its table."""
+    if "order" in data and (type(data["order"]) is not int or data["order"] != len(table)):
+        raise OutOfRangeError(f"declared order {data['order']!r} does not match a table "
+                              f"with {len(table)} rows")
+
+
+def _unique(pairs, what: str) -> dict:
+    """``(key, value)`` pairs as a dict; a key given twice is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise OutOfRangeError(f"{what} entry {key} appears twice", key)
+        out[key] = value
+    return out
+
+
 def semigroup_from_json(data: dict) -> FiniteSemigroup:
+    _check_order(data, data["table"])
     return validate_semigroup(data["table"], labels=data.get("labels"))
 
 
@@ -79,10 +99,7 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     dom = [m["dom"] for m in morphisms]
     cod = [m["cod"] for m in morphisms]
     inv = [m["inv"] for m in morphisms]
-    compose = {}
-    for item in data.get("compose", []):
-        g, h, gh = item
-        compose[(g, h)] = gh
+    compose = _unique((((g, h), gh) for g, h, gh in data.get("compose", [])), "compose")
     labels = [str(x) for x in objects]
     return validate_groupoid(len(objects), dom, cod, inv, compose,
                              object_labels=labels,
@@ -113,6 +130,7 @@ def ring_from_json(data) -> FiniteRing:
         if kind == "matrix":
             return matrix_ring(ring_from_json(data["A"]), int(data["n"]))
         raise OutOfRangeError(f"unknown ring constructor: {kind!r}")
+    _check_order(data, data["add"])
     return validate_ring(data["add"], data["neg"], data["mul"])
 
 
@@ -122,6 +140,7 @@ def _group_to_json(g: FiniteAdditiveGroup) -> dict:
 
 
 def _group_from_json(data: dict) -> FiniteAdditiveGroup:
+    _check_order(data, data["add"])
     return validate_additive_group(data["add"], data["neg"])
 
 
@@ -152,18 +171,19 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
         ref = json.loads(path.read_text())
     if base_spec["kind"] == "semigroup":
         base = semigroup_from_json(ref)
-        n = base.order
     elif base_spec["kind"] == "groupoid":
         base = groupoid_from_json(ref)
-        n = base.n_morphisms
     else:
         raise OutOfRangeError(f"unknown base kind: {base_spec['kind']!r}")
+    n = len(base.relations.table)
+    unknown = sorted(set(data["components"]) - {str(s) for s in range(n)})
+    if unknown:
+        raise OutOfRangeError(f"component key {unknown[0]!r} names no grader")
     trivial = {"order": 1, "add": [[0]], "neg": [0]}
     components = [_group_from_json(data["components"].get(str(s), trivial))
                   for s in range(n)]
-    products = {}
-    for item in data.get("products", []):
-        products[(item["s"], item["t"])] = item["table"]
+    products = _unique((((item["s"], item["t"]), item["table"])
+                        for item in data.get("products", [])), "product")
     return validate_grading(base, components, products)
 
 

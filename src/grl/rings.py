@@ -383,10 +383,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.ambient_order
-
 
 def additive_closure(group: FiniteAdditiveGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest subset containing the seeds and 0, closed under add and neg."""

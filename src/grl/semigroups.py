@@ -7,7 +7,8 @@ Labels are presentation-only and never affect any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import compress, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -30,6 +31,40 @@ class FiniteSemigroup:
 
     def label(self, s: int) -> str:
         return self.labels[s] if self.labels is not None else str(s)
+
+    @cached_property
+    def relations(self) -> TableRelations:
+        return TableRelations(self.table)
+
+
+class TableRelations:
+    """Everything the semigroup queries read, derived at once from one table.
+
+    ``table[s, t]`` is s*t, or n, the "undefined" index, off a groupoid's
+    composable pairs.  It absorbs, like an adjoined zero, and is left out of
+    every relation.  Each base keeps one in ``relations``, which is not a
+    dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
+    """
+
+    def __init__(self, table) -> None:
+        P = self.table = np.asarray(table, dtype=np.intp)
+        n = len(P)
+        idx = np.arange(n)
+        padded = np.full((n + 1, n + 1), n, dtype=np.intp)
+        padded[:n, :n] = P
+        weak = padded[P, idx[:, None]] == idx[:, None]  # [s, x]: (s x) s = s
+        inverse = weak & weak.T  # ... and (x s) x = x
+        self.idempotents = tuple(np.flatnonzero(P[idx, idx] == idx).tolist())
+        # row s of each relation as the ascending tuple of the x it holds
+        self.weak_inverse_sets, self.inverse_sets, defined = (
+            tuple(tuple(compress(idx.tolist(), row)) for row in rel.tolist())
+            for rel in (weak, inverse, P < n))
+        self.pairs = tuple((s, t) for s, ts in enumerate(defined) for t in ts)
+        self.inverse_pairs = tuple((s, t) for s, ts in enumerate(self.inverse_sets) for t in ts)
+        units = (P == idx).all(axis=1) & (P.T == idx).all(axis=1)  # e x = x = x e
+        self.identity = int(units.argmax()) if units.any() else None
+        self.is_group = self.identity is not None and bool(
+            ((P == self.identity) & (P.T == self.identity)).any(axis=1).all())
 
 
 def validate_semigroup(table: Sequence[Sequence[int]],
@@ -61,28 +96,21 @@ def validate_semigroup(table: Sequence[Sequence[int]],
 
 def idempotents(S: FiniteSemigroup) -> tuple[int, ...]:
     """Fixed points of squaring, in ascending index order."""
-    return tuple(e for e in S.elements() if S.mul(e, e) == e)
+    return S.relations.idempotents
 
 
 def weak_inverses(S: FiniteSemigroup, s: int) -> tuple[int, ...]:
     """All x with s = s*x*s."""
-    return tuple(x for x in S.elements() if S.mul(S.mul(s, x), s) == s)
+    return S.relations.weak_inverse_sets[s]
 
 
 def inverses(S: FiniteSemigroup, s: int) -> tuple[int, ...]:
     """All x with s = s*x*s and x = x*s*x."""
-    out = []
-    for x in S.elements():
-        if S.mul(S.mul(s, x), s) == s and S.mul(S.mul(x, s), x) == x:
-            out.append(x)
-    return tuple(out)
+    return S.relations.inverse_sets[s]
 
 
 def identity_element(S: FiniteSemigroup) -> Optional[int]:
-    for e in S.elements():
-        if all(S.mul(e, x) == x == S.mul(x, e) for x in S.elements()):
-            return e
-    return None
+    return S.relations.identity
 
 
 @dataclass(frozen=True)
@@ -97,19 +125,14 @@ class SemigroupClassification:
 
 def classify_semigroup(S: FiniteSemigroup) -> SemigroupClassification:
     """Regular: every weak-inverse set nonempty. Inverse: every inverse set a singleton."""
-    qs = tuple(weak_inverses(S, s) for s in S.elements())
-    vs = tuple(inverses(S, s) for s in S.elements())
-    e = identity_element(S)
-    is_group = e is not None and all(
-        any(S.mul(a, b) == e == S.mul(b, a) for b in S.elements()) for a in S.elements()
-    )
+    qs, vs = S.relations.weak_inverse_sets, S.relations.inverse_sets
     return SemigroupClassification(
         idempotents=idempotents(S),
         weak_inverse_sets=qs,
         inverse_sets=vs,
         is_regular=all(len(q) > 0 for q in qs),
         is_inverse=all(len(v) == 1 for v in vs),
-        is_group=is_group,
+        is_group=S.relations.is_group,
     )
 
 
@@ -194,7 +217,5 @@ def isomorphic_under(S1: FiniteSemigroup, S2: FiniteSemigroup,
     """Does the bijection perm: S1 -> S2 carry the first table onto the second?"""
     if S1.order != S2.order or sorted(perm) != list(range(S1.order)):
         return False
-    return all(
-        perm[S1.mul(a, b)] == S2.mul(perm[a], perm[b])
-        for a in S1.elements() for b in S1.elements()
-    )
+    p = np.asarray(perm)
+    return bool((p[S1.relations.table] == S2.relations.table[np.ix_(p, p)]).all())

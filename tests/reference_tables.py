@@ -16,6 +16,7 @@ from grl.errors import (
     BilinearityError,
     DistributivityError,
     GradedAssociativityError,
+    IdentityViolationError,
     NotAssociativeError,
 )
 from grl.semigroups import FiniteSemigroup
@@ -87,6 +88,27 @@ def groupoid_violation(dom, cod, table):
     return None
 
 
+def groupoid_identities(n_objects, dom, cod, table):
+    """The identity morphism of each object, as ``validate_groupoid`` searches
+    for it; ``table`` holds None off the composable pairs."""
+    m = len(dom)
+    identity = []
+    for e in range(n_objects):
+        found = None
+        for i in range(m):
+            if dom[i] != e or cod[i] != e:
+                continue
+            left_ok = all(table[i][g] == g for g in range(m) if cod[g] == e)
+            right_ok = all(table[g][i] == g for g in range(m) if dom[g] == e)
+            if left_ok and right_ok:
+                found = i
+                break
+        if found is None:
+            return (IdentityViolationError, (e,))
+        identity.append(found)
+    return tuple(identity)
+
+
 def _target(base, s, t):
     if isinstance(base, FiniteSemigroup):
         return base.mul(s, t)
@@ -121,8 +143,8 @@ def grading_violation(base, components, products):
     if is_semigroup:
         triples = [(s, t, u) for s in range(n) for t in range(n) for u in range(n)]
     else:
-        triples = [(s, t, u) for (s, t) in base.composable_pairs()
-                   for u in range(n) if base.composable(t, u)]
+        triples = [(s, t, u) for s in range(n) for t in range(n) for u in range(n)
+                   if base.composable(s, t) and base.composable(t, u)]
     for (s, t, u) in triples:
         st, tu = _target(base, s, t), _target(base, t, u)
         left_present, right_present = (s, t) in products, (t, u) in products

@@ -378,3 +378,63 @@ class TestJsonRoundTrips:
         path.write_text(jsonio.dumps_canonical(jsonio.ring_to_json(T)))
         _, back = jsonio.load_structure(path)
         assert back.mul == T.mul and back.additive.add == T.additive.add
+
+
+Z2_GROUP = {"order": 2, "add": [[0, 1], [1, 0]], "neg": [0, 1]}
+TRIVIAL_BASE = {"kind": "semigroup", "order": 1, "table": [[0]]}
+
+
+def graded_file(components, products):
+    return {"kind": "graded_ring", "base": {"kind": "semigroup", "ref": TRIVIAL_BASE},
+            "components": components, "products": products}
+
+
+class TestInputFileRules:
+    """Files that contradict themselves exit 1 with the error report."""
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "semigroup", "order": 3, "table": [[0, 0], [1, 1]]},
+        {"kind": "semigroup", "order": "2", "table": [[0, 0], [1, 1]]},
+        {"kind": "ring", "order": 7, "add": [[0, 1], [1, 0]], "neg": [0, 1],
+         "mul": [[0, 0], [0, 1]]},
+        graded_file({"0": {**Z2_GROUP, "order": 4}}, []),
+    ], ids=["semigroup", "semigroup-string", "ring", "graded-component"])
+    def test_declared_order_must_match_the_table(self, tmp_path, data):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["valid"] is False and out["error"] == "OutOfRange"
+        assert "declared order" in out["message"]
+
+    def test_matching_orders_pass(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(graded_file(
+            {"0": Z2_GROUP}, [{"s": 0, "t": 0, "table": [[0, 0], [0, 1]]}])))
+        assert run_cli("validate", str(path)) == (0, {"valid": True, "kind": "graded_ring"})
+
+    def test_component_key_naming_no_grader(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(graded_file({"0": Z2_GROUP, "5": Z2_GROUP}, [])))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"] == "component key '5' names no grader"
+
+    def test_product_entry_given_twice(self, tmp_path):
+        # either table alone is a valid grading, with different verdicts
+        products = [{"s": 0, "t": 0, "table": [[0, 0], [0, 1]]},
+                    {"s": 0, "t": 0, "table": [[0, 0], [0, 0]]}]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(graded_file({"0": Z2_GROUP}, products)))
+        code, out = run_cli("classify", str(path))
+        assert code == 1 and out["error"] == "OutOfRange" and out["context"] == [0, 0]
+        assert out["message"] == "product entry (0, 0) appears twice"
+
+    def test_compose_entry_given_twice(self, tmp_path):
+        data = {"kind": "groupoid", "objects": [0],
+                "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+                "compose": [[0, 0, 0], [0, 0, 0]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange" and out["context"] == [0, 0]
+        assert out["message"] == "compose entry (0, 0) appears twice"

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from grl.constructions import (
@@ -105,19 +107,51 @@ class TestDegreeMaps:
         assert dm.degree(1, 2) == 1
 
     def test_opposite_degree_violation(self):
-        with pytest.raises(OppositeDegreeError):
+        with pytest.raises(OppositeDegreeError) as exc:
             validate_degree_map(matrix_units_semigroup(2),
                                 [[1, 2], [2, 4]])
+        assert exc.value.context == (1, 2, 2, 2)
+        assert str(exc.value) == "deg(2,1) = 2 but the inverse of deg(1,2) is 3"
 
     def test_diagonal_not_idempotent(self):
-        with pytest.raises(DiagonalNotIdempotentError):
+        with pytest.raises(DiagonalNotIdempotentError) as exc:
             validate_degree_map(cyclic_group(2), [[1, 1], [1, 1]])
+        assert exc.value.context == (1, 1, 1)
+        assert str(exc.value) == "deg(1,1) = 1 is not idempotent"
+        with pytest.raises(DiagonalNotIdempotentError) as exc:
+            validate_degree_map(cyclic_group(2), [[0, 1], [1, 1]])
+        assert exc.value.context == (2, 2, 1)
 
     def test_incompatible_degrees(self):
         # diagonal and opposite laws hold, but deg(1,2)*deg(2,3) != deg(1,3)
         z2 = cyclic_group(2)
-        with pytest.raises(IncompatibleDegreesError):
+        with pytest.raises(IncompatibleDegreesError) as exc:
             validate_degree_map(z2, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert exc.value.context == (1, 2, 3)
+        assert str(exc.value) == "deg(1,2)*deg(2,3) != deg(1,3)"
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_first_incompatible_triple_in_scan_order(self, k):
+        # every degree map over Z_k on a 4x4 grid that passes the diagonal
+        # and opposite laws: zero diagonal, deg(j,i) = -deg(i,j)
+        base = cyclic_group(k)
+        upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        raised = 0
+        for values in product(range(k), repeat=len(upper)):
+            deg = [[0] * 4 for _ in range(4)]
+            for (i, j), v in zip(upper, values):
+                deg[i][j], deg[j][i] = v, (-v) % k
+            expected = next(((i + 1, j + 1, l + 1)
+                             for i, j, l in product(range(4), repeat=3)
+                             if (deg[i][j] + deg[j][l]) % k != deg[i][l]), None)
+            if expected is None:
+                assert validate_degree_map(base, deg).deg == tuple(map(tuple, deg))
+                continue
+            with pytest.raises(IncompatibleDegreesError) as exc:
+                validate_degree_map(base, deg)
+            assert exc.value.context == expected
+            raised += 1
+        assert raised > 0
 
     def test_out_of_range_degree(self):
         with pytest.raises(OutOfRangeError):
