@@ -32,7 +32,7 @@ from .corpus import (
     generate_corpus,
     write_corpus,
 )
-from .errors import ValidationError
+from .errors import OutOfRangeError, ValidationError
 from .gradings import (
     GradedRing,
     base_components_vnr,
@@ -442,11 +442,19 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_object(path) -> dict:
+    """The JSON object a structure or spec file holds."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise OutOfRangeError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _load_any(path: str):
     """Load a structure or construction-spec file; returns (kind, object, meta)."""
     p = Path(path)
-    data = json.loads(p.read_text())
-    if "construct" in data:
+    data = _read_object(p)
+    if "construct" in data and "kind" not in data:  # ring constructor files carry a kind
         structure, meta = jsonio.construction_from_json(data)
         return "graded_ring", structure, meta
     kind, structure = jsonio.structure_from_json(data, base_dir=p.parent)
@@ -509,7 +517,7 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        spec = json.loads(Path(args.spec).read_text())
+        spec = _read_object(args.spec)
         structure, _ = jsonio.construction_from_json(spec)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)

@@ -136,6 +136,8 @@ def validate_groupoid(n_objects: int,
     bad = first_assoc_violation(ext, ext, ext, ext)
     if bad is not None:
         raise NotAssociativeError(f"(g h) k != g (h k) at (g, h, k) = {bad}", bad)
+    if morphism_labels is not None and len(morphism_labels) != m:
+        raise OutOfRangeError(f"expected {m} morphism labels, got {len(morphism_labels)}")
 
     return FiniteGroupoid(
         n_objects=n_objects,

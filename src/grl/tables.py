@@ -80,13 +80,19 @@ def associative_mask(tabs: np.ndarray) -> np.ndarray:
 
     Triples are tested one at a time on the tables still alive; a random
     table almost always fails within a few, so a batch costs about one pass.
+    Cells are gathered from the flat batch in its own dtype: ``base`` holds
+    the flat offset t*n*n of each live table t, and a cell used as a row
+    index is widened to intp as it is scaled, so narrow cells never overflow.
     """
-    alive = np.arange(len(tabs))
-    for a, b, c in product(range(tabs.shape[-1]), repeat=3):
-        if alive.size == 0:
+    m, n = len(tabs), tabs.shape[-1]
+    flat = np.ascontiguousarray(tabs).reshape(-1)
+    base = np.arange(0, m * n * n, n * n)
+    for a, b, c in product(range(n), repeat=3):
+        if base.size == 0:
             break
-        lhs = tabs[alive, tabs[alive, a, b], c]
-        alive = alive[lhs == tabs[alive, a, tabs[alive, b, c]]]
-    mask = np.zeros(len(tabs), dtype=bool)
-    mask[alive] = True
+        ab_row = np.multiply(flat.take(base + (a * n + b)), n, dtype=base.dtype)
+        lhs = flat.take(base + c + ab_row)  # (ab)c
+        base = base[lhs == flat.take(base + a * n + flat.take(base + (b * n + c)))]  # a(bc)
+    mask = np.zeros(m, dtype=bool)
+    mask[base // (n * n)] = True
     return mask

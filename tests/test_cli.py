@@ -346,6 +346,23 @@ class TestModuleEntryPoint:
         assert summary["suite"] == "none" and summary["n_entries"] == 0
 
 
+class TestRingConstructorFiles:
+    """README's ring constructor files are rings, not construction specs."""
+
+    @pytest.mark.parametrize("spec,order", [
+        ({"kind": "ring", "construct": "Zn", "n": 6}, 6),
+        ({"kind": "ring", "construct": "product",
+          "factors": ["Z2", {"construct": "Zn", "n": 3}]}, 6),
+        ({"kind": "ring", "construct": "matrix", "A": "Z2", "n": 2}, 16),
+    ], ids=["Zn", "product", "matrix"])
+    def test_validate_and_classify(self, tmp_path, spec, order):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("validate", str(path)) == (0, {"valid": True, "kind": "ring"})
+        code, out = run_cli("classify", str(path))
+        assert code == 0 and out["kind"] == "ring" and out["order"] == order
+
+
 class TestJsonRoundTrips:
     def test_ring_constructor_forms(self, tmp_path):
         spec = {"kind": "ring", "construct": "product",
@@ -411,6 +428,28 @@ class TestInputFileRules:
         path.write_text(json.dumps(graded_file(
             {"0": Z2_GROUP}, [{"s": 0, "t": 0, "table": [[0, 0], [0, 1]]}])))
         assert run_cli("validate", str(path)) == (0, {"valid": True, "kind": "graded_ring"})
+
+    @pytest.mark.parametrize("command", [["validate"], ["classify"], ["check", "main"]])
+    def test_morphism_labels_must_match_the_morphisms(self, tmp_path, command):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "kind": "groupoid", "objects": [0],
+            "morphisms": [{"dom": 0, "cod": 0, "inv": 0}, {"dom": 0, "cod": 0, "inv": 1}],
+            "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "morphism_labels": ["e"]}))
+        code, out = run_cli(*command, str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"] == "expected 2 morphism labels, got 1"
+
+    @pytest.mark.parametrize("command", [["validate"], ["classify"], ["construct"]])
+    @pytest.mark.parametrize("data", [[1, 2], "Z2"], ids=["list", "string"])
+    def test_top_level_must_be_an_object(self, tmp_path, command, data):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        extra = [str(tmp_path / "out.json")] if command == ["construct"] else []
+        code, out = run_cli(*command, str(path), *extra)
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"].startswith("expected a JSON object")
 
     def test_component_key_naming_no_grader(self, tmp_path):
         path = tmp_path / "f.json"

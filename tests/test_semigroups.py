@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grl import semigroups
 from grl.errors import NotAssociativeError, OutOfRangeError
 from grl.semigroups import (
     chain_semilattice,
     classify_semigroup,
     cyclic_group,
+    draw_order4_tables,
     enumerate_semigroups,
     idempotents,
     identity_element,
@@ -132,6 +135,30 @@ class TestEnumeration:
         a = sample_semigroups(4, 2, seed=1)
         b = sample_semigroups(4, 2, seed=2)
         assert [s.table for s in a] != [s.table for s in b]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 20250810])
+    def test_raw_word_draws_match_generator_integers(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        bits = np.random.PCG64(seed)
+        for count in (1, 7, 65536, 3):
+            got = draw_order4_tables(bits, count)
+            assert got.dtype == np.uint8 and got.shape == (count, 4, 4)
+            want = rng.integers(0, 4, size=(count, 4, 4), dtype=np.int64)
+            assert np.array_equal(got, want)
+
+    def test_sampling_does_not_depend_on_the_batch(self, monkeypatch):
+        want = [S.table for S in sample_semigroups(4, 4, 20250810)]
+        monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 8192)
+        assert [S.table for S in sample_semigroups(4, 4, 20250810)] == want
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_sampling_draws_order_4_only(self, order):
+        with pytest.raises(ValueError):
+            sample_semigroups(order, 1, seed=0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sampling_nothing(self, count):
+        assert sample_semigroups(4, count, seed=0) == []
 
 
 ALL_ORDER3 = list(enumerate_semigroups(3))

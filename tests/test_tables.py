@@ -201,6 +201,14 @@ class TestEnumerationAndSampling:
         assert [tuple(map(tuple, t)) for t in kept] == [
             S.table for S in enumerate_semigroups(order)]
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_batch_mask_does_not_depend_on_the_cell_dtype(self, order):
+        candidates = np.array(list(product(range(order), repeat=order * order)))
+        candidates = candidates.reshape(-1, order, order)
+        wide = tables.associative_mask(candidates.astype(np.int64))
+        narrow = tables.associative_mask(candidates.astype(np.uint8))
+        assert wide.tolist() == narrow.tolist()
+
     def test_sampling_matches_reference(self):
         got = [S.table for S in sample_semigroups(4, 4, 20250810)]
         assert got == ref.sample_tables(4, 4, 20250810)
