@@ -107,6 +107,8 @@ class CorpusManifest:
 
     @staticmethod
     def from_json(data: dict) -> "CorpusManifest":
+        if not isinstance(data, dict):
+            raise ValueError(f"manifest must be a JSON object, got {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(CorpusManifest)})
         if unknown:
             raise ValueError(f"unknown manifest keys: {', '.join(unknown)}")

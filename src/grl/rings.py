@@ -22,7 +22,12 @@ from .errors import (
     NotAssociativeError,
     OutOfRangeError,
 )
-from .tables import first_assoc_violation, first_biadditivity_violation
+from .tables import (
+    agree_on_generators,
+    biadditive,
+    first_assoc_violation,
+    first_biadditivity_violation,
+)
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,30 @@ class FiniteAdditiveGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy generators: the ascending elements outside the span of the
+        earlier ones; (0,) for the trivial group.  Not a dataclass field.
+
+        Adding g to a span H adds the cosets g + H, 2g + H, ... up to the
+        first that is H again, so each step costs the size of the new span.
+        """
+        in_span = np.zeros(self.order, dtype=bool)
+        in_span[0] = True
+        span = np.zeros(1, dtype=np.intp)
+        gens = []
+        for g in range(1, self.order):
+            if in_span[g]:
+                continue
+            gens.append(g)
+            row = np.asarray(self.add[g])
+            coset = row[span]
+            while not in_span[coset[0]]:
+                in_span[coset] = True
+                coset = row[coset]
+            span = np.flatnonzero(in_span)
+        return tuple(gens) or (0,)
 
 
 @dataclass(frozen=True)
@@ -155,6 +184,14 @@ def validate_ring(add: Sequence[Sequence[int]], neg: Sequence[int],
     _check_index_table(mul, n, "mul")
     A = np.asarray(add, dtype=np.int64)
     M = np.asarray(mul, dtype=np.int64)
+    g = np.asarray(grp.generators)
+    if not (biadditive(M, A, A, A, g, g) and agree_on_generators(g, g, g, (M, M), (M, M))):
+        _raise_first_ring_violation(A, M)
+    return FiniteRing(additive=grp, mul=tuple(tuple(row) for row in mul))
+
+
+def _raise_first_ring_violation(A: np.ndarray, M: np.ndarray) -> None:
+    """Report the first failing law, associativity before distributivity."""
     bad = first_assoc_violation(M, M, M, M)
     if bad is not None:
         raise NotAssociativeError(f"(a*b)*c != a*(b*c) at (a, b, c) = {bad}", bad)
@@ -168,7 +205,6 @@ def validate_ring(add: Sequence[Sequence[int]], neg: Sequence[int],
         a, b, c = right
         raise DistributivityError(
             f"a*(b+c) != a*b + a*c at (a, b, c) = ({a}, {b}, {c})", right)
-    return FiniteRing(additive=grp, mul=tuple(tuple(row) for row in mul))
 
 
 def ring_from_ops(elems: Sequence, plus, neg, times) -> FiniteRing:

@@ -1,12 +1,16 @@
 """The table axioms, associativity and bi-additivity, checked on integer arrays.
 
 Every validator in grl calls this module; nothing else checks a table axiom.
-A product table P has ``P[a, b]`` = index of a*b.  Each check returns the
-lexicographically first violating tuple, so error contexts do not depend on
-table size.  Comparisons run in slabs of at most ``CELL_BUDGET`` cells and
-never build the whole cube of triples, so memory stays flat as tables grow.
-``is_associative_flat`` is the one plain loop: it tests a single tiny
-candidate table, as exhaustive enumeration produces them.
+A product table P has ``P[a, b]`` = index of a*b.  Tables over additive
+groups are first accepted on generators: ``biadditive`` and
+``agree_on_generators`` are complete proofs that answer yes or no.  Only
+when they answer no do the validators run the ``first_*`` scans, which
+return the lexicographically first violating tuple, so error contexts do not
+depend on table size or on the generators.  Comparisons run in slabs of at
+most ``CELL_BUDGET`` cells and never build the whole cube of triples, so
+memory stays flat as tables grow.  ``is_associative_flat`` is the one plain
+loop: it tests a single tiny candidate table, as exhaustive enumeration
+produces them.
 """
 
 from __future__ import annotations
@@ -53,6 +57,37 @@ def first_biadditivity_violation(P, add_left, add_right, add_out) -> tuple:
     right = _first_mismatch(rows, cols, cols, lambda a, b: (
         P[a[:, None], add_right[b]], add_out[P[a, b][:, None], P[a]]))
     return left, right
+
+
+def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
+    """Is P bi-additive?  Checks (x+a)b = xb + ab for x in the array
+    ``gens_left`` and every a, b, and a(y+b) = ay + ab for y in the array
+    ``gens_right`` and every a, b.
+
+    The x for which the first law holds for every a, b are closed under
+    addition, so in a finite group they are the whole group once they
+    include a generating set; likewise on the right.  Generator pairs alone
+    prove nothing: on Z4 they never reach 3*b.
+    """
+    g, h = gens_left, gens_right
+    rows, cols = P.shape
+    return (_first_mismatch(len(g), rows, cols, lambda i, a: (
+                P[add_left[g[i], a]], add_out[P[g[i]], P[a]])) is None
+            and _first_mismatch(rows, len(h), cols, lambda a, j: (
+                P[a[:, None], add_right[h[j]]], add_out[P[a, h[j]][:, None], P[a]])) is None)
+
+
+def agree_on_generators(gens_a, gens_b, gens_c, left, right) -> bool:
+    """Do (ab)c and a(bc) agree for a, b, c in the given generator arrays?
+
+    ``left`` is (p_ab, p_ab_c) and ``right`` is (p_bc, p_a_bc), or None for
+    a side that is the zero map.  Once every table is bi-additive both sides
+    are tri-additive, so agreeing on generators is agreeing everywhere.
+    """
+    a, b, c = gens_a[:, None, None], gens_b[None, :, None], gens_c
+    lhs = 0 if left is None else left[1][left[0][a, b], c]
+    rhs = 0 if right is None else right[1][a, right[0][b, c]]
+    return np.count_nonzero(lhs != rhs) == 0
 
 
 def first_nonzero(P, rows) -> Optional[tuple[int, int]]:

@@ -109,6 +109,23 @@ def groupoid_identities(n_objects, dom, cod, table):
     return tuple(identity)
 
 
+def biadditivity_violation(table, add_left, add_right, add_out):
+    """First (a, a', b) breaking (a+a')b = ab + a'b, else first (a, b, b')
+    breaking a(b+b') = ab + ab', else None."""
+    rows, cols = len(add_left), len(add_right)
+    for a in range(rows):
+        for a2 in range(rows):
+            for b in range(cols):
+                if table[add_left[a][a2]][b] != add_out[table[a][b]][table[a2][b]]:
+                    return (a, a2, b)
+    for a in range(rows):
+        for b in range(cols):
+            for b2 in range(cols):
+                if table[a][add_right[b][b2]] != add_out[table[a][b]][table[a][b2]]:
+                    return (a, b, b2)
+    return None
+
+
 def _target(base, s, t):
     if isinstance(base, FiniteSemigroup):
         return base.mul(s, t)
@@ -121,18 +138,10 @@ def grading_violation(base, components, products):
     n = len(components)
     for (s, t), table in sorted(products.items()):
         st = _target(base, s, t)
-        add_s, add_t, add_st = components[s].add, components[t].add, components[st].add
-        rows, cols = components[s].order, components[t].order
-        for a in range(rows):
-            for a2 in range(rows):
-                for b in range(cols):
-                    if table[add_s[a][a2]][b] != add_st[table[a][b]][table[a2][b]]:
-                        return (BilinearityError, (s, t, a, a2, b))
-        for a in range(rows):
-            for b in range(cols):
-                for b2 in range(cols):
-                    if table[a][add_t[b][b2]] != add_st[table[a][b]][table[a][b2]]:
-                        return (BilinearityError, (s, t, a, b, b2))
+        bad = biadditivity_violation(table, components[s].add, components[t].add,
+                                     components[st].add)
+        if bad is not None:
+            return (BilinearityError, (s, t, *bad))
 
     def table_or_zero(s, t):
         got = products.get((s, t))

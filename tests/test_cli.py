@@ -230,6 +230,12 @@ class TestManifestErrors:
         assert code == 1 and set(out) == {"error", "message"}
         return out
 
+    @pytest.mark.parametrize("text", ["[1]", "7", '"seed"', "null"])
+    def test_not_an_object(self, tmp_path, text):
+        out = self.run_manifest(tmp_path, text)
+        assert out["error"] == "ValueError"
+        assert out["message"].startswith("manifest must be a JSON object")
+
     def test_missing_file(self, tmp_path):
         code, out = run_cli("corpus-run", "--manifest", str(tmp_path / "nope.json"))
         assert code == 1 and out["error"] == "FileNotFoundError"

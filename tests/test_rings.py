@@ -1,6 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grl import catalog
+from grl.corpus import default_manifest
+from grl.jsonio import construction_from_json
+
 from grl.errors import (
     AdditiveGroupError,
     DistributivityError,
@@ -242,3 +246,65 @@ class TestTominaga:
             assert u is not None
             for v in vs:
                 assert (T.times(u, v) if side == "left" else T.times(v, u)) == v
+
+
+def plain_span(group, gens):
+    """Every sum of elements of ``gens``, by closing {0} under adding them."""
+    span, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.add[x][g]
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+# the three inputs of the large-gradings benchmark workload
+LARGE_GRADING_SPECS = [
+    {"construct": "good_grading", "A": "Z9", "base": "Z2", "deg": [[0, 1], [1, 0]]},
+    {"construct": "good_grading", "A": "Z3", "base": "trivial", "deg": [[0, 0], [0, 0]]},
+    {"construct": "good_grading", "A": "Z3", "base": "Z3",
+     "deg": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]},
+]
+
+
+def catalog_groups():
+    names = sorted(set(catalog._RINGS) | set(default_manifest().rings))
+    return [catalog.named_ring(name).additive for name in names]
+
+
+class TestGenerators:
+    """Validators accept tables on ``generators``, so they must span the
+    group, and the greedy choice keeps each one outside the earlier span."""
+
+    def check(self, group):
+        gens = group.generators
+        assert plain_span(group, gens) == set(group.elements())
+        assert list(gens) == sorted(gens)
+        if group.order == 1:
+            assert gens == (0,)
+            return
+        for i, g in enumerate(gens):
+            assert g not in plain_span(group, gens[:i])
+
+    def test_catalog_rings(self):
+        for group in catalog_groups():
+            self.check(group)
+
+    def test_corpus_components(self, corpus):
+        for entry in corpus.graded:
+            for group in entry.graded.components:
+                self.check(group)
+
+    @pytest.mark.parametrize("spec", LARGE_GRADING_SPECS)
+    def test_large_grading_components(self, spec):
+        good, _ = construction_from_json(spec)
+        for group in good.graded.components:
+            self.check(group)
+
+    def test_cyclic_and_power_groups(self):
+        assert cyclic_ring(12).additive.generators == (1,)
+        assert product_ring(Z2, Z2).additive.generators == (1, 2)
+        assert matrix_ring(Z2, 3).additive.generators == (1, 2, 4, 8, 16, 32, 64, 128, 256)

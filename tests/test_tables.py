@@ -6,6 +6,7 @@ reference, whatever slab size the kernel scans in.
 
 import contextlib
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,11 +15,27 @@ from hypothesis import given, settings, strategies as st
 import reference_tables as ref
 from grl import catalog, tables
 from grl.constructions import groupoid_ring, semigroup_ring
-from grl.errors import IdentityViolationError, ValidationError
+from grl.errors import (
+    BilinearityError,
+    IdentityViolationError,
+    NotAssociativeError,
+    ValidationError,
+)
 from grl.gradings import validate_grading
 from grl.groupoids import validate_groupoid
-from grl.rings import matrix_ring, ring_from_ops, validate_ring
-from grl.semigroups import enumerate_semigroups, sample_semigroups, validate_semigroup
+from grl.rings import (
+    cyclic_ring,
+    matrix_ring,
+    ring_from_ops,
+    validate_additive_group,
+    validate_ring,
+)
+from grl.semigroups import (
+    cyclic_group,
+    enumerate_semigroups,
+    sample_semigroups,
+    validate_semigroup,
+)
 
 SEMIGROUP_TABLES = ([S.table for S in enumerate_semigroups(3)]
                     + [catalog.named_semigroup(name).table
@@ -183,6 +200,140 @@ class TestKernelMatchesReference:
     @given(data=st.data())
     def test_groupoid_gradings(self, data, corpus):
         self.check_grading(data, self.draw_grading(data, corpus, "groupoid"))
+
+
+def cyclic_product(moduli):
+    """Z_m1 x ... x Z_mk with mixed-radix indices, first coordinate most
+    significant, and the coordinates of each index as a (order, k) array."""
+    m = np.array(moduli)
+    coords = np.array(list(np.ndindex(*moduli)))
+
+    def index(c):
+        return np.ravel_multi_index(tuple(np.moveaxis(c % m, -1, 0)), moduli)
+
+    group = validate_additive_group(index(coords[:, None] + coords[None]).tolist(),
+                                    index(-coords).tolist())
+    return group, coords, m
+
+
+# Z_n for n <= 12, with the trivial group, and two non-cyclic groups
+GROUP_MODULI = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4)]
+SMALL_MODULI = [(1,), (2,), (3,), (4,), (6,), (2, 2), (2, 4)]
+GROUPS = {moduli: cyclic_product(moduli) for moduli in GROUP_MODULI}
+
+
+def draw_bilinear(data, left, right, out):
+    """A random bi-additive table left x right -> out.  The value at the
+    pair of basis vectors (e_i, e_j) is killed by gcd(m_i, m_j), so the sum
+    of a_i b_j times these values does not depend on representatives."""
+    (_, cl, ml), (_, cr, mr), (K, ck, mk) = left, right, out
+    V = np.zeros((len(ml), len(mr), len(mk)), dtype=np.int64)
+    for i, j in product(range(len(ml)), range(len(mr))):
+        killer = gcd(int(ml[i]), int(mr[j]))
+        w = ck[data.draw(st.integers(0, K.order - 1))]
+        V[i, j] = w * (mk // np.gcd(mk, killer))
+    coords = np.einsum("ai,bj,ijk->abk", cl, cr, V) % mk
+    return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(mk)).tolist()
+
+
+def generator_check(P, G, H, K):
+    """tables.biadditive on the groups' own addition tables and generators."""
+    add = [np.array(g.add) for g in (G, H, K)]
+    return tables.biadditive(np.array(P), *add, np.array(G.generators),
+                             np.array(H.generators))
+
+
+class TestGeneratorKernel:
+    """Tables over additive groups are accepted on generators; the kernel must
+    accept exactly the tables the plain loops accept."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_biadditive_matches_reference(self, data, corpus):
+        source = data.draw(st.sampled_from(("bilinear", "bilinear", "random", "corpus")))
+        if source == "corpus":
+            R = data.draw(st.sampled_from([e.graded for e in corpus.graded
+                                           if e.graded.products]))
+            s, t = data.draw(st.sampled_from(sorted(R.products)))
+            G, H, K = R.component(s), R.component(t), R.component(R.target(s, t))
+            P = R.products[(s, t)]
+        else:
+            left, right, out = (GROUPS[data.draw(st.sampled_from(GROUP_MODULI))]
+                                for _ in range(3))
+            G, H, K = left[0], right[0], out[0]
+            P = (draw_bilinear(data, left, right, out) if source == "bilinear" else
+                 [[data.draw(st.integers(0, K.order - 1)) for _ in range(H.order)]
+                  for _ in range(G.order)])
+        if data.draw(st.booleans()):
+            P = mutate_cells(data, P, K.order)
+        expected = ref.biadditivity_violation(P, G.add, H.add, K.add) is None
+        assert generator_check(P, G, H, K) == expected
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_rings_on_generators(self, data):
+        # random bi-additive multiplications are often not associative, so
+        # the generator test for associativity decides many of these alone
+        group = GROUPS[data.draw(st.sampled_from(GROUP_MODULI))]
+        G = group[0]
+        add, neg = [list(row) for row in G.add], list(G.neg)
+        mul = draw_bilinear(data, group, group, group)
+        if data.draw(st.booleans()):
+            mul = mutate_cells(data, mul, G.order)
+        with cell_budget(data.draw(st.sampled_from(BUDGETS))):
+            got = outcome(validate_ring, add, neg, mul)
+        assert got == ref.ring_violation(add, neg, mul)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_random_bilinear_gradings(self, data):
+        # every stored table is bi-additive, some pairs have none, and
+        # components may be trivial: graded associativity is decided on
+        # generators, one-sided triples included
+        S = data.draw(st.sampled_from([S for S in enumerate_semigroups(2)]
+                                      + [cyclic_group(3)]))
+        n = S.order
+        same = data.draw(st.booleans())
+        moduli = [data.draw(st.sampled_from(SMALL_MODULI))] * n if same else [
+            data.draw(st.sampled_from(SMALL_MODULI)) for _ in range(n)]
+        groups = [GROUPS[m] for m in moduli]
+        products = {}
+        for s, t in product(range(n), repeat=2):
+            if data.draw(st.integers(0, 3)):
+                products[(s, t)] = draw_bilinear(data, groups[s], groups[t],
+                                                 groups[S.table[s][t]])
+        if products and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(products)))
+            products[key] = mutate_cells(data, products[key],
+                                         groups[S.table[key[0]][key[1]]][0].order,
+                                         max_cells=1)
+        components = [g[0] for g in groups]
+        with cell_budget(data.draw(st.sampled_from(BUDGETS))):
+            got = outcome(validate_grading, S, components, products)
+        assert got == ref.grading_violation(S, components, products)
+
+    def test_trivial_factors_must_send_zero_to_zero(self):
+        # R_1 is trivial and R_1 R_1 lands in R_0 = Z2; 0 * 0 = 1 breaks
+        # (0 + 0) * 0 = 0 * 0 + 0 * 0, and only a generator 0 of the trivial
+        # group can see it
+        S = cyclic_group(2)
+        components = [GROUPS[(2,)][0], GROUPS[(1,)][0]]
+        products = {(1, 1): [[1]]}
+        got = outcome(validate_grading, S, components, products)
+        assert got == (BilinearityError, (1, 1, 0, 0, 0))
+        assert got == ref.grading_violation(S, components, products)
+
+    def test_first_violation_off_the_generators(self):
+        # Z4 with 3 * 3 = 0: generator triples (1, 1, 1) still associate, the
+        # generator test for distributivity fails, and the scan reports the
+        # first triple (2, 3, 3), in which 1 does not occur
+        Z4 = cyclic_ring(4)
+        add, neg = [list(row) for row in Z4.additive.add], list(Z4.additive.neg)
+        mul = [list(row) for row in Z4.mul]
+        mul[3][3] = 0
+        assert Z4.additive.generators == (1,)
+        assert outcome(validate_ring, add, neg, mul) == (NotAssociativeError, (2, 3, 3))
+        assert outcome(validate_ring, add, neg, mul) == ref.ring_violation(add, neg, mul)
 
 
 class TestEnumerationAndSampling:
