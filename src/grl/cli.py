@@ -524,9 +524,12 @@ def cmd_construct(args) -> int:
     if isinstance(structure, GoodGrading):
         structure = structure.graded
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(structure)))
+    try:
+        if out.parent != Path(""):
+            out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(structure)))
+    except OSError as err:
+        return _input_error(err, args)
     _print_json({"written": str(out)}, args.pretty)
     return 0
 
@@ -543,15 +546,21 @@ def cmd_corpus_run(args) -> int:
         return _input_error(err, args)
     corpus = generate_corpus(manifest)
     if args.dump:
-        write_corpus(corpus, args.dump)
+        try:
+            write_corpus(corpus, args.dump)
+        except OSError as err:
+            return _input_error(err, args)
     summary = run_suite(corpus, args.suite, args, jobs=args.jobs)
     if args.out:
         out = Path(args.out)
-        (out / "reports").mkdir(parents=True, exist_ok=True)
-        for entry in summary["entries"]:
-            name = f"{entry['suite']}__{entry['id']}".replace(":", "_").replace("+", "-")
-            _write_atomic(out / "reports" / f"{name}.json", jsonio.dumps_canonical(entry))
-        _write_atomic(out / "summary.json", jsonio.dumps_canonical(summary))
+        try:
+            (out / "reports").mkdir(parents=True, exist_ok=True)
+            for entry in summary["entries"]:
+                name = f"{entry['suite']}__{entry['id']}".replace(":", "_").replace("+", "-")
+                _write_atomic(out / "reports" / f"{name}.json", jsonio.dumps_canonical(entry))
+            _write_atomic(out / "summary.json", jsonio.dumps_canonical(summary))
+        except OSError as err:
+            return _input_error(err, args)
     summary["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
     _print_json(summary, args.pretty)
     return 2 if summary["n_disagree"] else 0

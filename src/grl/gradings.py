@@ -52,8 +52,9 @@ ProductTable = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class GradedRing:
-    """``table`` serves ``products`` as int arrays, built once per instance
-    and not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore them."""
+    """``table`` serves ``products`` as int arrays and ``span`` the product
+    spans, each built once per instance.  Neither cache is a dataclass field,
+    so ``==``, ``hash`` and ``repr`` ignore them."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
@@ -77,13 +78,6 @@ class GradedRing:
         """Index of the component receiving R_s * R_t, or None off G^(2)."""
         return self.base.table[s][t]  # a groupoid's table holds None off G^(2)
 
-    def product(self, s: int, t: int, a: int, b: int) -> int:
-        """Index of the product of a in R_s with b in R_t, inside R_{st}."""
-        if self.target(s, t) is None:
-            raise ValueError(f"graders {s} and {t} are not composable")
-        table = self.products.get((s, t))
-        return table[a][b] if table is not None else 0
-
     def table(self, s: int, t: int) -> np.ndarray:
         """Product table R_s x R_t -> R_{st} as an int array, zeros if absent."""
         if self.target(s, t) is None:
@@ -95,6 +89,18 @@ class GradedRing:
     @cached_property
     def _arrays(self) -> dict[tuple[int, int], np.ndarray]:
         return {key: np.array(table, dtype=np.intp) for key, table in self.products.items()}
+
+    def span(self, s: int, t: int) -> Subgroup:
+        """Additive span of the products R_s R_t inside R_{st}."""
+        if (s, t) not in self._spans:
+            P = self.table(s, t)  # raises ValueError off G^(2)
+            self._spans[s, t] = _span(self.components[self.target(s, t)], P)
+        return self._spans[s, t]
+
+    @cached_property
+    def _spans(self) -> dict[tuple[int, int], Subgroup]:
+        """Product spans by grader pair, filled in as they are asked for."""
+        return {}
 
     def base_pairs(self) -> tuple[tuple[int, int], ...]:
         """All grader pairs with a defined target, row by row."""
@@ -286,11 +292,6 @@ def _span(group: FiniteAdditiveGroup, P: np.ndarray) -> Subgroup:
     return additive_closure(group, _image(P, group.order).tolist())
 
 
-def _product_span(R: GradedRing, s: int, t: int) -> Subgroup:
-    table = R.table(s, t)  # raises ValueError off G^(2)
-    return _span(R.component(R.target(s, t)), table)
-
-
 def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
     """Additive span of the products R_s R_t inside R_{st}.
 
@@ -298,7 +299,7 @@ def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
     two-sided ideal of the component ring at st; a failure there indicates a
     corrupted grading and raises ``NotAnIdealError`` with context (s, t).
     """
-    span = _product_span(R, s, t)
+    span = R.span(s, t)
     if (s, t) in set(R.inverse_pairs()):
         st = R.target(s, t)
         M = R.table(st, st)
@@ -338,7 +339,7 @@ def is_strong(R: GradedRing) -> Verdict:
     """Does span(R_s R_t) fill R_{st} for every defined pair?"""
     for (s, t) in R.base_pairs():
         st = R.target(s, t)
-        if len(_product_span(R, s, t)) != R.component(st).order:
+        if len(R.span(s, t)) != R.component(st).order:
             return Verdict(holds=False, failing=(s, t))
     return Verdict(holds=True)
 
@@ -371,10 +372,10 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         ts = R.target(t, s)
-        eps = _subring_unity(R.table(st, st), _product_span(R, s, t).elements())
+        eps = _subring_unity(R.table(st, st), R.span(s, t).elements())
         if eps is None:
             return Verdict(holds=False, failing=(s, t))
-        eps_prime = _subring_unity(R.table(ts, ts), _product_span(R, t, s).elements())
+        eps_prime = _subring_unity(R.table(ts, ts), R.span(t, s).elements())
         if eps_prime is None:
             return Verdict(holds=False, failing=(t, s))
         uniform[(s, t)] = (eps, eps_prime)
@@ -389,8 +390,8 @@ def _per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         ts = R.target(t, s)
-        left_span = np.array(_product_span(R, s, t).elements())
-        right_span = np.array(_product_span(R, t, s).elements())
+        left_span = np.array(R.span(s, t).elements())
+        right_span = np.array(R.span(t, s).elements())
         rs = np.arange(R.component(s).order)
         left = R.table(st, s)[left_span] == rs  # [i, r]: left_span[i] * r == r
         right = R.table(s, ts)[:, right_span] == rs[:, None]  # [r, j]: r * right_span[j] == r
@@ -414,7 +415,7 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
         return Verdict(holds=False, failing=("symmetric", *sym.failing))
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
-        span = _product_span(R, s, t)
+        span = R.span(s, t)
         if not _subring_is_s_unital(R.table(st, st), span.elements()):
             return Verdict(holds=False, failing=(s, t))
     ok, per_element, _ = _per_element_epsilons(R)
@@ -478,8 +479,8 @@ def check_eps_characterizations(R: GradedRing) -> dict:
         st = R.target(s, t)
         ts = R.target(t, s)
         rs = np.arange(R.component(s).order)
-        left_span = list(_product_span(R, s, t).elements())
-        right_span = list(_product_span(R, t, s).elements())
+        left_span = list(R.span(s, t).elements())
+        right_span = list(R.span(t, s).elements())
         # an eps that fixes every r from the left, an eps' from the right
         if not ((R.table(st, s)[left_span] == rs).all(axis=1).any()
                 and (R.table(s, ts)[:, right_span].T == rs).all(axis=1).any()):

@@ -8,8 +8,8 @@ first hit, so every witness is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import chain, combinations
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
@@ -50,26 +50,8 @@ class FiniteAdditiveGroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Greedy generators: the ascending elements outside the span of the
-        earlier ones; (0,) for the trivial group.  Not a dataclass field.
-
-        Adding g to a span H adds the cosets g + H, 2g + H, ... up to the
-        first that is H again, so each step costs the size of the new span.
-        """
-        in_span = np.zeros(self.order, dtype=bool)
-        in_span[0] = True
-        span = np.zeros(1, dtype=np.intp)
-        gens = []
-        for g in range(1, self.order):
-            if in_span[g]:
-                continue
-            gens.append(g)
-            row = np.asarray(self.add[g])
-            coset = row[span]
-            while not in_span[coset[0]]:
-                in_span[coset] = True
-                coset = row[coset]
-            span = np.flatnonzero(in_span)
-        return tuple(gens) or (0,)
+        earlier ones; (0,) for the trivial group.  Not a dataclass field."""
+        return tuple(_grow(self.add, {0}, range(1, self.order))) or (0,)
 
 
 @dataclass(frozen=True)
@@ -420,28 +402,32 @@ class Subgroup:
         return len(self.members)
 
 
+def _grow(add, members: set[int], seeds: Iterable[int]) -> list[int]:
+    """Grow the subgroup ``members`` in place by each seed in turn and return
+    the seeds that enlarged it.
+
+    A seed g outside the span H adds the cosets g + H, 2g + H, ... up to the
+    first that is H again.  Cosets of H are equal or disjoint, so testing the
+    first element of each next coset is enough and none is built twice.
+    ``members`` must be a subgroup on entry; it is one again on return.
+    """
+    enlarged = []
+    for g in seeds:
+        if g in members:
+            continue
+        enlarged.append(g)
+        row = add[g]
+        coset = [row[h] for h in members]
+        while coset[0] not in members:
+            members.update(coset)
+            coset = [row[x] for x in coset]
+    return enlarged
+
+
 def additive_closure(group: FiniteAdditiveGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest subset containing the seeds and 0, closed under add and neg."""
-    add = group.add
-    neg = group.neg
+    """Smallest subgroup containing the seeds."""
     members = {0}
-    work = [0]
-    for s in sorted(set(seeds)):
-        if s not in members:
-            members.add(s)
-            work.append(s)
-    while work:
-        x = work.pop()
-        nx = neg[x]
-        if nx not in members:
-            members.add(nx)
-            work.append(nx)
-        row = add[x]
-        for y in list(members):
-            z = row[y]
-            if z not in members:
-                members.add(z)
-                work.append(z)
+    _grow(group.add, members, seeds)
     return Subgroup(ambient_order=group.order, members=frozenset(members))
 
 
@@ -462,19 +448,12 @@ def left_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
     generated by them even when T has no one-sided units.  It is the sum
     I + J = {i + j} of the principal left ideals of the generators.
     """
-    parts = [_principal_left_ideal(T, c) for c in set(generators)] or [frozenset((0,))]
-    members = reduce(partial(_subgroup_sum, T.additive.add), parts)
-    return Subgroup(ambient_order=T.order, members=members)
-
-
-def _subgroup_sum(add, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
-    """I + J for additive subgroups I and J, as the union of the cosets j + I:
-    a j that is already in the union lies in a coset taken before."""
-    members: set[int] = set()
-    for j in J:
-        if j not in members:
-            members.update(map(add[j].__getitem__, I))
-    return frozenset(members)
+    first, *rest = [_principal_left_ideal(T, c) for c in set(generators)] or [frozenset((0,))]
+    if rest:
+        members = set(first)
+        _grow(T.additive.add, members, chain.from_iterable(rest))
+        first = frozenset(members)
+    return Subgroup(ambient_order=T.order, members=first)
 
 
 def right_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:

@@ -25,9 +25,6 @@ class FiniteSemigroup:
     table: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[str, ...]] = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def elements(self) -> range:
         return range(self.order)
 

@@ -3,7 +3,8 @@ builders, for checking grl.gradings and grl.constructions against.
 
 These are the element-by-element scans that the graded predicates replace
 with indexing into ``GradedRing.table`` arrays.  Every product goes through
-``GradedRing.product``, which reads the raw tuples.  The functions take the
+``product``, which reads the raw tuples, and every span through the
+breadth-first ``reference_rings.additive_closure``.  The functions take the
 same arguments, scan in the same order and return the same verdicts,
 witnesses and report dicts.
 """
@@ -27,7 +28,6 @@ from grl.rings import (
     FiniteAdditiveGroup,
     FiniteRing,
     Subgroup,
-    additive_closure,
     idempotent_generator,
     is_left_ideal,
     is_s_unital,
@@ -35,6 +35,16 @@ from grl.rings import (
     unity,
 )
 from grl.semigroups import classify_semigroup
+from reference_rings import additive_closure
+from reference_semigroups import mul
+
+
+def product(R: GradedRing, s: int, t: int, a: int, b: int) -> int:
+    """Index of the product of a in R_s with b in R_t, inside R_{st}."""
+    if R.target(s, t) is None:
+        raise ValueError(f"graders {s} and {t} are not composable")
+    table = R.products.get((s, t))
+    return table[a][b] if table is not None else 0
 
 
 def component_ring(R: GradedRing, e: int) -> FiniteRing:
@@ -55,7 +65,7 @@ def product_span(R: GradedRing, s: int, t: int) -> Subgroup:
     st = R.target(s, t)
     if st is None:
         raise ValueError(f"graders {s} and {t} are not composable")
-    seeds = {R.product(s, t, a, b)
+    seeds = {product(R, s, t, a, b)
              for a in R.component(s).elements() for b in R.component(t).elements()}
     return additive_closure(R.component(st), seeds)
 
@@ -79,9 +89,9 @@ def triple_span(R: GradedRing, s: int, t: int) -> Subgroup:
     seeds = set()
     for a in R.component(s).elements():
         for b in R.component(t).elements():
-            ab = R.product(s, t, a, b)
+            ab = product(R, s, t, a, b)
             for c in R.component(s).elements():
-                seeds.add(R.product(st, s, ab, c))
+                seeds.add(product(R, st, s, ab, c))
     return additive_closure(R.component(s), seeds)
 
 
@@ -148,8 +158,8 @@ def per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
         left_span = product_span(R, s, t).elements()
         right_span = product_span(R, t, s).elements()
         for r in R.component(s).elements():
-            eps = next((u for u in left_span if R.product(st, s, u, r) == r), None)
-            eps_prime = next((v for v in right_span if R.product(s, ts, r, v) == r), None)
+            eps = next((u for u in left_span if product(R, st, s, u, r) == r), None)
+            eps_prime = next((v for v in right_span if product(R, s, ts, r, v) == r), None)
             if eps is None or eps_prime is None:
                 return False, out, (s, t, r)
             out[(s, t, r)] = (eps, eps_prime)
@@ -182,7 +192,7 @@ def is_graded_vnr(R: GradedRing) -> Verdict:
         st = R.target(s, t)
         for r in R.component(s).elements():
             y = next((y for y in R.component(t).elements()
-                      if R.product(st, s, R.product(s, t, r, y), r) == r), None)
+                      if product(R, st, s, product(R, s, t, r, y), r) == r), None)
             if y is None:
                 return Verdict(holds=False, vacuous=vacuous,
                                witness=GradedVnrWitness(assignments, (s, r, t), vacuous),
@@ -216,9 +226,9 @@ def check_eps_characterizations(R: GradedRing) -> dict:
         right_span = product_span(R, t, s).elements()
         rs = R.component(s).elements()
         eps = next((u for u in left_span
-                    if all(R.product(st, s, u, r) == r for r in rs)), None)
+                    if all(product(R, st, s, u, r) == r for r in rs)), None)
         eps_prime = next((v for v in right_span
-                          if all(R.product(s, ts, r, v) == r for r in rs)), None)
+                          if all(product(R, s, ts, r, v) == r for r in rs)), None)
         if eps is None or eps_prime is None:
             eps_wit = False
             eps_wit_failing = (s, t)
@@ -290,7 +300,7 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
         ts = R.target(t, s)
         ring_ts = component_ring(R, ts)
         for r in R.component(s).elements():
-            gens = {R.product(t, s, b, r) for b in R.component(t).elements()}
+            gens = {product(R, t, s, b, r) for b in R.component(t).elements()}
             I = additive_closure(R.component(ts), gens)
             if not is_left_ideal(ring_ts, I):
                 return {"check": "lemma-technical", "applicable": True, "holds": False,
@@ -330,7 +340,7 @@ def check_theorem_inverse_semigroup(R: GradedRing) -> dict:
             found = False
             for t in vs:
                 st = R.target(s, t)
-                if any(R.product(st, s, R.product(s, t, r, y), r) == r
+                if any(product(R, st, s, product(R, s, t, r, y), r) == r
                        for y in R.component(t).elements()):
                     found = True
                     break
@@ -416,7 +426,7 @@ def homogeneous_in_rRr(R: GradedRing, g: int, r: int) -> bool:
         if gh is None or R.target(gh, g) != g:
             continue
         for x in R.component(h).elements():
-            seeds.add(R.product(gh, g, R.product(g, h, r, x), r))
+            seeds.add(product(R, gh, g, product(R, g, h, r, x), r))
     return r in additive_closure(R.component(g), seeds).members
 
 
@@ -443,7 +453,7 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
         gi = G.inv[g]
         ggi = G.compose(g, gi)
         for r in R.component(g).elements():
-            if not any(R.product(ggi, g, R.product(g, gi, r, y), r) == r
+            if not any(product(R, ggi, g, product(R, g, gi, r, y), r) == r
                        for y in R.component(gi).elements()):
                 part_ii = False
                 ii_failing = (g, r)
@@ -533,7 +543,7 @@ def good_grading(A: FiniteRing, degree_map) -> GoodGrading:
                       if cells[s][ci][1] == cells[t][cj][0]]
             if not chains:
                 continue
-            st = base.mul(s, t)
+            st = mul(base, s, t)
             table = []
             for x in range(components[s].order):
                 dx = decode(s, x)

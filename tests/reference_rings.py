@@ -3,8 +3,9 @@
 These are the element-by-element scans that ``common_unit``, ``left_ideal``,
 ``idempotent_generator``, ``check_tominaga`` and
 ``check_vnr_characterization`` replace with fixer bitmasks and cached
-principal ideals.  They take the same arguments, scan in the same order and
-return the same values and report dicts.
+principal ideals, and the breadth-first closure that ``additive_closure``
+replaces with coset growth.  They take the same arguments, scan in the same
+order and return the same values and report dicts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import combinations
 from grl.errors import NotAnIdealError
 from grl.rings import (
     Subgroup,
-    additive_closure,
     is_von_neumann_regular,
     opposite_ring,
     s_unitality,
@@ -24,6 +24,31 @@ from grl.rings import (
 def subsets_up_to(n: int, k: int):
     for size in range(1, k + 1):
         yield from combinations(range(n), size)
+
+
+def additive_closure(group, seeds) -> Subgroup:
+    """Smallest subset containing the seeds and 0, closed under add and neg."""
+    add = group.add
+    neg = group.neg
+    members = {0}
+    work = [0]
+    for s in sorted(set(seeds)):
+        if s not in members:
+            members.add(s)
+            work.append(s)
+    while work:
+        x = work.pop()
+        nx = neg[x]
+        if nx not in members:
+            members.add(nx)
+            work.append(nx)
+        row = add[x]
+        for y in list(members):
+            z = row[y]
+            if z not in members:
+                members.add(z)
+                work.append(z)
+    return Subgroup(ambient_order=group.order, members=frozenset(members))
 
 
 def common_unit(T, V, side="left"):

@@ -2,7 +2,7 @@
 ``GradedRing``, for checking grl.semigroups and grl.gradings against.
 
 These are the element-by-element scans that the base relations replace
-with arrays derived once per base.  Products go through ``FiniteSemigroup.mul``
+with arrays derived once per base.  Products go through ``mul``
 and ``FiniteGroupoid.compose``, which read the raw tuples; each function scans
 in the same order and returns the same values as the array version.
 """
@@ -15,25 +15,29 @@ from grl.gradings import GradedRing
 from grl.semigroups import FiniteSemigroup, SemigroupClassification
 
 
+def mul(S: FiniteSemigroup, a: int, b: int) -> int:
+    return S.table[a][b]
+
+
 def idempotents(S: FiniteSemigroup) -> tuple[int, ...]:
-    return tuple(e for e in S.elements() if S.mul(e, e) == e)
+    return tuple(e for e in S.elements() if mul(S, e, e) == e)
 
 
 def weak_inverses(S: FiniteSemigroup, s: int) -> tuple[int, ...]:
-    return tuple(x for x in S.elements() if S.mul(S.mul(s, x), s) == s)
+    return tuple(x for x in S.elements() if mul(S, mul(S, s, x), s) == s)
 
 
 def inverses(S: FiniteSemigroup, s: int) -> tuple[int, ...]:
     out = []
     for x in S.elements():
-        if S.mul(S.mul(s, x), s) == s and S.mul(S.mul(x, s), x) == x:
+        if mul(S, mul(S, s, x), s) == s and mul(S, mul(S, x, s), x) == x:
             out.append(x)
     return tuple(out)
 
 
 def identity_element(S: FiniteSemigroup) -> Optional[int]:
     for e in S.elements():
-        if all(S.mul(e, x) == x == S.mul(x, e) for x in S.elements()):
+        if all(mul(S, e, x) == x == mul(S, x, e) for x in S.elements()):
             return e
     return None
 
@@ -43,7 +47,7 @@ def classify_semigroup(S: FiniteSemigroup) -> SemigroupClassification:
     vs = tuple(inverses(S, s) for s in S.elements())
     e = identity_element(S)
     is_group = e is not None and all(
-        any(S.mul(a, b) == e == S.mul(b, a) for b in S.elements()) for a in S.elements()
+        any(mul(S, a, b) == e == mul(S, b, a) for b in S.elements()) for a in S.elements()
     )
     return SemigroupClassification(
         idempotents=idempotents(S),
@@ -60,7 +64,7 @@ def isomorphic_under(S1: FiniteSemigroup, S2: FiniteSemigroup,
     if S1.order != S2.order or sorted(perm) != list(range(S1.order)):
         return False
     return all(
-        perm[S1.mul(a, b)] == S2.mul(perm[a], perm[b])
+        perm[mul(S1, a, b)] == mul(S2, perm[a], perm[b])
         for a in S1.elements() for b in S1.elements()
     )
 
@@ -71,7 +75,7 @@ def isomorphic_under(S1: FiniteSemigroup, S2: FiniteSemigroup,
 
 def target(R: GradedRing, s: int, t: int) -> Optional[int]:
     if R.base_kind == "semigroup":
-        return R.base.mul(s, t)
+        return mul(R.base, s, t)
     if R.base.composable(s, t):
         return R.base.compose(s, t)
     return None

@@ -11,6 +11,7 @@ from itertools import product
 
 import numpy as np
 
+import reference_semigroups
 from grl.errors import (
     AdditiveGroupError,
     BilinearityError,
@@ -128,7 +129,7 @@ def biadditivity_violation(table, add_left, add_right, add_out):
 
 def _target(base, s, t):
     if isinstance(base, FiniteSemigroup):
-        return base.mul(s, t)
+        return reference_semigroups.mul(base, s, t)
     return base.compose(s, t) if base.composable(s, t) else None
 
 

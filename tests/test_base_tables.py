@@ -34,7 +34,7 @@ def relabel(S: FiniteSemigroup, q) -> FiniteSemigroup:
     table = [[0] * S.order for _ in S.elements()]
     for a in S.elements():
         for b in S.elements():
-            table[q[a]][q[b]] = q[S.mul(a, b)]
+            table[q[a]][q[b]] = q[ref.mul(S, a, b)]
     return sg.validate_semigroup(table)
 
 

@@ -222,6 +222,28 @@ class TestCorpusRun:
         assert code == 0 and summary["seed"] == 0
 
 
+class TestOutputPathErrors:
+    """An output path that cannot be written is reported like bad input."""
+
+    @pytest.mark.parametrize("flag, error", [("--out", "NotADirectoryError"),
+                                             ("--dump", "FileExistsError")])
+    def test_corpus_run_onto_a_file(self, tmp_path, flag, error):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"order4_sample_count": 0}))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out = run_cli("corpus-run", "--suite", "none", "--manifest", str(manifest),
+                            flag, str(taken))
+        assert code == 1 and set(out) == {"error", "message"} and out["error"] == error
+
+    def test_construct_under_a_file(self, files):
+        (files / "taken").write_text("")
+        code, out = run_cli("construct", str(files / "bn_spec.json"),
+                            str(files / "taken" / "x.json"))
+        assert code == 1 and set(out) == {"error", "message"}
+        assert out["error"] == "FileExistsError"
+
+
 class TestManifestErrors:
     def run_manifest(self, tmp_path, text):
         path = tmp_path / "manifest.json"

@@ -3,10 +3,12 @@ reference in reference_gradings.py.
 
 The predicates index ``GradedRing.table`` arrays; every verdict, witness,
 failing tuple and report dict must be exactly that of the element-by-element
-scans through ``GradedRing.product``.  Each predicate is compared on its own,
-so a fault on one side of a cross check shows even where both sides agree.
+scans through ``reference_gradings.product``.  Each predicate is compared on
+its own, so a fault on one side of a cross check shows even where both sides
+agree.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -14,17 +16,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_gradings as ref
-from grl import catalog, gradings as gr
+from grl import catalog, cli, gradings as gr
 from grl.constructions import (
     _power_group,
     good_grading,
+    groupoid_ring,
     semigroup_ring,
     validate_degree_map,
 )
+from grl.corpus import default_manifest, generate_corpus
 from grl.errors import NotAnIdealError
 from grl.gradings import GradedRing, regrade_groupoid_to_semigroup
+from grl.groupoids import pair_groupoid
 from grl.rings import cyclic_ring, field_f4, ring_from_ops
 from grl.semigroups import cyclic_group, enumerate_semigroups, trivial_semigroup
+from reference_semigroups import mul
 
 Z2 = cyclic_ring(2)
 F4 = field_f4()
@@ -77,7 +83,7 @@ def assert_matches_reference(R: GradedRing) -> None:
         expected = np.zeros((R.component(s).order, R.component(t).order), dtype=np.intp) \
             if stored is None else np.array(stored)
         assert np.array_equal(R.table(s, t), expected), (s, t)
-        assert gr._product_span(R, s, t) == ref.product_span(R, s, t), (s, t)
+        assert R.span(s, t) == ref.product_span(R, s, t), (s, t)
         assert outcome(gr.product_subgroup, R, s, t) == outcome(ref.product_subgroup, R, s, t)
     for (s, t) in R.inverse_pairs():
         assert gr._triple_span(R, s, t) == ref.triple_span(R, s, t), (s, t)
@@ -140,7 +146,7 @@ def test_arbitrary_tables_match_reference(data):
     orders = [data.draw(st.integers(1, 4)) for _ in base.elements()]
     products = {}
     for s, t in product(base.elements(), repeat=2):
-        rows, cols, out = orders[s], orders[t], orders[base.mul(s, t)]
+        rows, cols, out = orders[s], orders[t], orders[mul(base, s, t)]
         kind = data.draw(st.sampled_from(["absent", "ring", "random"]))
         if kind == "ring":
             products[(s, t)] = tuple(tuple(a * b % out for b in range(cols))
@@ -181,6 +187,59 @@ def test_table_is_built_once_and_rejects_pairs_off_the_base():
     assert S.table(0, 0) is S.table(0, 0)
     assert S == semigroup_ring(Z2, trivial_semigroup())
     assert "_arrays" not in repr(S)
+
+
+class TestSpanCache:
+    """``GradedRing.span`` builds each product span once per ring object and
+    keeps it out of the ring's fields."""
+
+    def test_each_span_is_built_once_per_ring(self, monkeypatch):
+        builds = Counter()
+        rings = []  # keeps every traced ring alive, so no id is reused
+        asking = []
+        span, build = GradedRing.span, gr._span
+
+        def traced_span(R, s, t):
+            asking.append((R, s, t))
+            try:
+                return span(R, s, t)
+            finally:
+                asking.pop()
+
+        def traced_build(group, P):
+            if asking:
+                R, s, t = asking[-1]
+                rings.append(R)
+                builds[id(R), s, t] += 1
+            return build(group, P)
+
+        monkeypatch.setattr(GradedRing, "span", traced_span)
+        monkeypatch.setattr(gr, "_span", traced_build)
+        corpus = generate_corpus(default_manifest())
+        summary = cli.run_suite(corpus, "all", cli.build_parser().parse_args(["corpus-run"]))
+        assert summary["n_disagree"] == 0
+        assert builds and max(builds.values()) == 1
+
+    def test_pairs_off_the_base_raise(self):
+        G = catalog.named_groupoid("pair2")
+        graded = gr.validate_grading(G, [Z2.additive] * G.n_morphisms, {})
+        assert graded.span(0, 0).elements() == (0,)  # absent: zero map
+        with pytest.raises(ValueError):
+            graded.span(1, 1)  # (0,1) cannot follow (0,1)
+
+    def test_fields_and_fresh_rings_ignore_the_cache(self):
+        R = groupoid_ring(F4, pair_groupoid(2))
+        before = repr(R)
+        for (s, t) in R.base_pairs():
+            assert R.span(s, t) is R.span(s, t)
+        fresh = gr.validate_grading(R.base, R.components, R.products)
+        assert R == fresh and repr(R) == before == repr(fresh)
+        assert "_spans" in vars(R) and "_spans" not in vars(fresh)
+        once = regrade_groupoid_to_semigroup(R)
+        for (s, t) in once.base_pairs():
+            once.span(s, t)
+        again = regrade_groupoid_to_semigroup(R)
+        assert "_spans" not in vars(again) and again == once
 
 
 @pytest.mark.parametrize("name", sorted(catalog.GOOD_GRADING_SPECS))

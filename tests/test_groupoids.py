@@ -23,6 +23,7 @@ from grl.semigroups import (
     inverses,
     isomorphic_under,
 )
+from reference_semigroups import mul
 
 
 class TestValidation:
@@ -65,7 +66,7 @@ class TestValidation:
 
     def test_broken_associativity(self):
         z4 = cyclic_group(4)
-        compose = {(a, b): z4.mul(a, b) for a in range(4) for b in range(4)}
+        compose = {(a, b): mul(z4, a, b) for a in range(4) for b in range(4)}
         compose[(1, 1)] = 3  # identity and inverse laws still hold
         with pytest.raises(NotAssociativeError):
             validate_groupoid(1, [0] * 4, [0] * 4, [0, 3, 2, 1], compose)
@@ -79,7 +80,7 @@ class TestAdjoinedZeroSemigroup:
     def test_group_gains_absorbing_zero(self):
         S, embedding = to_inverse_semigroup(group_groupoid(cyclic_group(2)))
         assert S.order == 3 and embedding == (1, 2)
-        assert all(S.mul(0, x) == 0 == S.mul(x, 0) for x in S.elements())
+        assert all(mul(S, 0, x) == 0 == mul(S, x, 0) for x in S.elements())
         assert classify_semigroup(S).is_inverse
 
     def test_pair_groupoid_matches_matrix_units(self):

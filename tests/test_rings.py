@@ -1,6 +1,9 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_rings as ref
 from grl import catalog
 from grl.corpus import default_manifest
 from grl.jsonio import construction_from_json
@@ -12,6 +15,7 @@ from grl.errors import (
     OutOfRangeError,
 )
 from grl.rings import (
+    TRIVIAL_GROUP,
     Subgroup,
     additive_closure,
     check_tominaga,
@@ -131,6 +135,8 @@ class TestIdeals:
         assert additive_closure(Z4.additive, [2]).elements() == (0, 2)
         assert additive_closure(Z6.additive, [4]).elements() == (0, 2, 4)
         assert additive_closure(Z6.additive, []).elements() == (0,)
+        assert additive_closure(Z4.additive, [1]).elements() == (0, 1, 2, 3)
+        assert additive_closure(Z6.additive, [3, 4]).elements() == (0, 1, 2, 3, 4, 5)
 
     def test_left_ideal(self):
         assert left_ideal(Z4, [2]).elements() == (0, 2)
@@ -308,3 +314,32 @@ class TestGenerators:
         assert cyclic_ring(12).additive.generators == (1,)
         assert product_ring(Z2, Z2).additive.generators == (1, 2)
         assert matrix_ring(Z2, 3).additive.generators == (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+class TestAdditiveClosure:
+    """``additive_closure`` grows {0} by cosets of the seeds; it must equal
+    the breadth-first closure of reference_rings on any seed list."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_seed_lists(self, corpus, data):
+        corpus_groups = [g for entry in corpus.graded for g in entry.graded.components]
+        group = data.draw(st.sampled_from(closure_groups() + corpus_groups))
+        seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=6))
+        assert additive_closure(group, seeds) == ref.additive_closure(group, seeds)
+
+    @pytest.mark.parametrize("seeds", [[], [0], [0, 0], [1], [1, 1], [3, 1], [2, 0, 2],
+                                       [5, 4, 3, 2, 1]])
+    def test_edge_seed_lists(self, seeds):
+        for group in (TRIVIAL_GROUP, Z4.additive, Z6.additive, product_ring(Z2, Z2).additive):
+            inside = [x for x in seeds if x < group.order]
+            assert additive_closure(group, inside) == ref.additive_closure(group, inside)
+
+
+@cache
+def closure_groups():
+    """The trivial group, the catalog rings' groups and the large-gradings
+    components."""
+    return [TRIVIAL_GROUP, *catalog_groups(),
+            *(g for spec in LARGE_GRADING_SPECS
+              for g in construction_from_json(spec)[0].graded.components)]
