@@ -561,7 +561,7 @@ def cmd_corpus_run(args) -> int:
             _write_atomic(out / "summary.json", jsonio.dumps_canonical(summary))
         except OSError as err:
             return _input_error(err, args)
-    summary["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
+    summary["timings"] = {"seconds": round(time.perf_counter() - started, 6), **corpus.work}
     _print_json(summary, args.pretty)
     return 2 if summary["n_disagree"] else 0
 

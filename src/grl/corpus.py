@@ -24,6 +24,8 @@ from .semigroups import enumerate_semigroups, sample_semigroups
 
 # enumerate_semigroups tests order^(order^2) tables: 19683 at 3, 4^16 (hours) at 4
 MAX_EXHAUSTIVE_ORDER = 3
+# about 8e-7 of order-4 tables are associative: some 0.1 s of sampling each
+MAX_ORDER4_SAMPLES = 64
 
 
 def _known(resolve) -> Callable[[object], bool]:
@@ -91,6 +93,8 @@ class CorpusManifest:
         if self.exhaustive_semigroups_max_order > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"manifest exhaustive_semigroups_max_order is at most "
                              f"{MAX_EXHAUSTIVE_ORDER}")
+        if self.order4_sample_count > MAX_ORDER4_SAMPLES:
+            raise ValueError(f"manifest order4_sample_count is at most {MAX_ORDER4_SAMPLES}")
         for name, checks in _ENTRY_CHECKS.items():
             entries = getattr(self, name)
             if not isinstance(entries, tuple):
@@ -144,6 +148,9 @@ class Corpus:
     groupoids: list[CorpusEntry]
     graded: list[CorpusEntry]
     counts: dict[str, int]
+    # deterministic work done while generating; reported apart from counts,
+    # which are part of the corpus bytes
+    work: dict[str, int] = field(default_factory=dict)
 
     def all_entries(self) -> list[CorpusEntry]:
         return self.semigroups + self.rings + self.groupoids + self.graded
@@ -156,6 +163,7 @@ def default_manifest() -> CorpusManifest:
 def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
     m = manifest if manifest is not None else default_manifest()
     counts: dict[str, int] = {}
+    work = {"order4_tables_scanned": 0}
 
     semigroups: list[CorpusEntry] = []
     for order in range(1, m.exhaustive_semigroups_max_order + 1):
@@ -167,7 +175,7 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
             n += 1
         counts[f"semigroups_exhaustive_order_{order}"] = n
     if m.order4_sample_count > 0:
-        samples = sample_semigroups(4, m.order4_sample_count, m.seed)
+        samples = sample_semigroups(4, m.order4_sample_count, m.seed, work)
         for i, S in enumerate(samples):
             semigroups.append(CorpusEntry(
                 id=f"sg4.s{i:02d}", kind="semigroup", structure=S,
@@ -223,7 +231,7 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
     counts["graded_rings"] = len(graded)
 
     return Corpus(manifest=m, semigroups=semigroups, rings=rings,
-                  groupoids=groupoids, graded=graded, counts=counts)
+                  groupoids=groupoids, graded=graded, counts=counts, work=work)
 
 
 def write_corpus(corpus: Corpus, directory) -> list[str]:

@@ -203,7 +203,8 @@ def draw_order4_tables(bits: np.random.PCG64, count: int) -> np.ndarray:
     return np.right_shift(halves, 30, out=cells, casting="unsafe").reshape(count, 4, 4)
 
 
-def sample_semigroups(order: int, count: int, seed: int) -> list[FiniteSemigroup]:
+def sample_semigroups(order: int, count: int, seed: int,
+                      work: Optional[dict] = None) -> list[FiniteSemigroup]:
     """Uniform rejection sampling of order-4 tables: keep the associative ones.
 
     Deterministic for a fixed seed: the first ``count`` associative tables of
@@ -212,20 +213,26 @@ def sample_semigroups(order: int, count: int, seed: int) -> list[FiniteSemigroup
     method never rejects a power-of-two range.  Batches use whole words, so
     ``SAMPLE_BATCH`` does not change the output.  Orders up to 3 are
     enumerated exhaustively, and at order 5 only about 6e-13 of tables are
-    associative, so only order 4 is sampled.
+    associative, so only order 4 is sampled.  If ``work`` is given, its
+    ``order4_tables_scanned`` is set to the stream position of the last kept
+    table plus 1, which does not depend on ``SAMPLE_BATCH`` either.
     """
     if order != 4:
         raise ValueError(f"sampling draws order-4 tables only, not order {order}")
-    if count <= 0:
-        return []
     bits = np.random.PCG64(seed)
     found: list[FiniteSemigroup] = []
+    drawn = scanned = 0
     while len(found) < count:
         tabs = draw_order4_tables(bits, SAMPLE_BATCH)
-        tabs = tabs[associative_mask(tabs)]
+        kept = np.flatnonzero(associative_mask(tabs))[:count - len(found)]
         found.extend(FiniteSemigroup(order=4, table=tuple(tuple(row) for row in t))
-                     for t in tabs.tolist())
-    return found[:count]
+                     for t in tabs[kept].tolist())
+        if kept.size:
+            scanned = drawn + int(kept[-1]) + 1
+        drawn += len(tabs)
+    if work is not None:
+        work["order4_tables_scanned"] = scanned
+    return found
 
 
 def isomorphic_under(S1: FiniteSemigroup, S2: FiniteSemigroup,

@@ -2,19 +2,23 @@
 
 Every validator in grl calls this module; nothing else checks a table axiom.
 A product table P has ``P[a, b]`` = index of a*b.  Tables over additive
-groups are first accepted on generators: ``biadditive`` and
-``agree_on_generators`` are complete proofs that answer yes or no.  Only
-when they answer no do the validators run the ``first_*`` scans, which
-return the lexicographically first violating tuple, so error contexts do not
-depend on table size or on the generators.  Comparisons run in slabs of at
-most ``CELL_BUDGET`` cells and never build the whole cube of triples, so
-memory stays flat as tables grow.  ``is_associative_flat`` is the one plain
-loop: it tests a single tiny candidate table, as exhaustive enumeration
-produces them.
+groups are first accepted on generators: ``biadditive``,
+``agree_on_generators`` and ``associative_through`` are complete proofs that
+answer yes or no.  Only when they answer no do the validators run the
+``first_*`` scans, which return the lexicographically first violating tuple,
+so error contexts do not depend on table size or on the generators.
+Comparisons run in slabs of at most ``CELL_BUDGET`` cells and never build
+the whole cube of triples, so memory stays flat as tables grow.
+``is_associative_flat`` is the one plain loop: it tests a single tiny
+candidate table, as exhaustive enumeration produces them.
+``associative_mask`` filters batches of tables of order at most 4 by
+row/column lookup: (ab)c and a(bc) depend only on row a and column c, so
+one lookup settles every b for a pair (a, c).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Optional
 
@@ -57,6 +61,19 @@ def first_biadditivity_violation(P, add_left, add_right, add_out) -> tuple:
     right = _first_mismatch(rows, cols, cols, lambda a, b: (
         P[a[:, None], add_right[b]], add_out[P[a, b][:, None], P[a]]))
     return left, right
+
+
+def associative_through(T, gens) -> bool:
+    """Does (xg)y = x(gy) hold for g in the array ``gens`` and every x, y?
+
+    Light's test (Clifford and Preston 1961, §1.2): the g that pass are
+    closed under the product, since (x(gh))y = ((xg)h)y = (xg)(hy) =
+    x(g(hy)) = x((gh)y).  So once every element is a product of the given
+    g, passing proves T associative in n^2 steps per g instead of n^3.
+    """
+    n = len(T)
+    return _first_mismatch(len(gens), n, n, lambda i, x: (
+        T[T[x, gens[i]]], T[x[:, None], T[gens[i]]])) is None
 
 
 def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
@@ -110,24 +127,60 @@ def is_associative_flat(flat, n: int) -> bool:
     return True
 
 
-def associative_mask(tabs: np.ndarray) -> np.ndarray:
-    """One bool per Cayley table of a batch (m, n, n), in batch order.
+MAX_MASK_ORDER = 4  # a row or column packs into 8 bits, a (row, column) pair into 16
+_SPREAD = np.uint32(0x01041040)  # moves the low 2 bits of byte b to bits 24 + 2b
 
-    Triples are tested one at a time on the tables still alive; a random
-    table almost always fails within a few, so a batch costs about one pass.
-    Cells are gathered from the flat batch in its own dtype: ``base`` holds
-    the flat offset t*n*n of each live table t, and a cell used as a row
-    index is widened to intp as it is scaled, so narrow cells never overflow.
+
+@cache
+def _pair_table(n: int) -> np.ndarray:
+    """ok[(row << 8) | col]: does col[row[b]] == row[col[b]] hold for every b?
+
+    For the row of a and the column of c of a table T, those are (ab)c and
+    a(bc).  Rows and columns are packed 2 bits a cell, cell b at bits 2b;
+    only keys of n cells below n, with 0 beyond them, can be true.  Built on
+    first use, not at import.
+    """
+    cells = np.array(list(product(range(n), repeat=n)), dtype=np.intp).reshape(-1, n)
+    keys = (cells << 2 * np.arange(n)).sum(axis=1)
+    lhs = cells[np.arange(len(cells))[None, :, None], cells[:, None, :]]  # col[row[b]]
+    rhs = cells[np.arange(len(cells))[:, None, None], cells[None, :, :]]  # row[col[b]]
+    ok = np.zeros(1 << 16, dtype=bool)
+    ok[(keys[:, None] << 8) | keys[None, :]] = (lhs == rhs).all(axis=-1)
+    return ok
+
+
+def _pair_keys(packed: np.ndarray, a: int, c: int) -> np.ndarray:
+    """``_pair_table`` index of row a and column c of each packed table."""
+    row = (packed >> 8 * a) & 0xFF
+    col = (((packed >> 2 * c) & 0x03030303) * _SPREAD) >> 24  # cell (x, c) to bits 2x
+    return (row << 8) | col
+
+
+def associative_mask(tabs: np.ndarray) -> np.ndarray:
+    """One bool per Cayley table of a batch (m, n, n) with n <= 4, in batch order.
+
+    A table is associative when, for every row a and column c, the pair
+    passes ``_pair_table``: one lookup per (a, c) instead of one test per
+    triple.  Each table is zero-padded to 4 x 4 and packed into one uint32,
+    2 bits a cell, cell (a, b) at bit 8a + 2b, so row a is byte a and column
+    c gathers by one multiply.  Row 0 and the last column are looked up for
+    the whole batch; few tables pass, and only those look up every pair.
     """
     m, n = len(tabs), tabs.shape[-1]
-    flat = np.ascontiguousarray(tabs).reshape(-1)
-    base = np.arange(0, m * n * n, n * n)
-    for a, b, c in product(range(n), repeat=3):
-        if base.size == 0:
+    if n > MAX_MASK_ORDER:
+        raise ValueError(f"associative_mask takes orders up to {MAX_MASK_ORDER}, not {n}")
+    ok = _pair_table(n)
+    cells = np.zeros((m, 4, 4), dtype=np.uint8)
+    cells[:, :n, :n] = tabs
+    rows = cells.view("<u4")[..., 0]  # (m, 4): row a of each table as one word
+    rows *= _SPREAD
+    rows >>= 24  # ... packed into 8 bits
+    packed = rows.astype(np.uint8).view("<u4")[:, 0]
+    live = np.flatnonzero(ok.take(_pair_keys(packed, 0, n - 1)))
+    for a, c in product(range(n), repeat=2):
+        if live.size == 0:
             break
-        ab_row = np.multiply(flat.take(base + (a * n + b)), n, dtype=base.dtype)
-        lhs = flat.take(base + c + ab_row)  # (ab)c
-        base = base[lhs == flat.take(base + a * n + flat.take(base + (b * n + c)))]  # a(bc)
+        live = live[ok.take(_pair_keys(packed[live], a, c))]
     mask = np.zeros(m, dtype=bool)
-    mask[base // (n * n)] = True
+    mask[live] = True
     return mask

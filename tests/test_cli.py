@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from grl import cli, jsonio
+from grl import cli, jsonio, semigroups
+from grl.corpus import MAX_ORDER4_SAMPLES
 from grl.rings import cyclic_ring
 from grl.semigroups import left_zero_semigroup
 
@@ -187,6 +188,17 @@ class TestCorpusRun:
         parallel.pop("timings")
         assert serial == parallel
 
+    def test_tables_scanned_does_not_depend_on_the_batch(self, monkeypatch):
+        _, big = run_cli("corpus-run", "--suite", "none")
+        monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 8192)
+        _, small = run_cli("corpus-run", "--suite", "none")
+        scanned = big["timings"]["order4_tables_scanned"]
+        assert scanned == small["timings"]["order4_tables_scanned"] > 65_536
+        assert "order4_tables_scanned" not in big["counts"]
+        big.pop("timings")
+        small.pop("timings")
+        assert big == small
+
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("GRL_MAX_WITNESSES", "3")
         args = cli.build_parser().parse_args(["classify", "x.json"])
@@ -289,6 +301,12 @@ class TestManifestErrors:
                                 json.dumps({"exhaustive_semigroups_max_order": 4}))
         assert out["error"] == "ValueError"
         assert "exhaustive_semigroups_max_order" in out["message"]
+
+    def test_order4_sample_count_is_bounded(self, tmp_path):
+        # a million samples would take days; the bound answers at once
+        out = self.run_manifest(tmp_path, json.dumps({"order4_sample_count": 1_000_000}))
+        assert out == {"error": "ValueError", "message":
+                       f"manifest order4_sample_count is at most {MAX_ORDER4_SAMPLES}"}
 
     @pytest.mark.parametrize("key,entry", [
         ("rings", "Z7x"), ("rings", "Z0"), ("rings", "zero0"), ("groupoids", "pair0"),

@@ -152,6 +152,20 @@ class TestEnumeration:
         monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 8192)
         assert [S.table for S in sample_semigroups(4, 4, 20250810)] == want
 
+    @pytest.mark.parametrize("batch", [8192, 65_536])
+    def test_tables_scanned_is_the_stream_position(self, monkeypatch, batch):
+        monkeypatch.setattr(semigroups, "SAMPLE_BATCH", batch)
+        work = {}
+        last = sample_semigroups(4, 2, 20250810, work)[-1]
+        scanned = work["order4_tables_scanned"]
+        bits = np.random.PCG64(20250810)
+        bits.advance(8 * (scanned - 1))  # a table takes 8 raw words
+        assert draw_order4_tables(bits, 1)[0].tolist() == [list(row) for row in last.table]
+
+    def test_nothing_scanned_for_no_samples(self):
+        work = {}
+        assert sample_semigroups(4, 0, 1, work) == [] and work == {"order4_tables_scanned": 0}
+
     @pytest.mark.parametrize("order", [3, 5])
     def test_sampling_draws_order_4_only(self, order):
         with pytest.raises(ValueError):

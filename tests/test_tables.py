@@ -5,8 +5,12 @@ reference, whatever slab size the kernel scans in.
 """
 
 import contextlib
-from itertools import product
+import os
+import subprocess
+import sys
+from itertools import permutations, product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +35,10 @@ from grl.rings import (
     validate_ring,
 )
 from grl.semigroups import (
+    chain_semilattice,
     cyclic_group,
     enumerate_semigroups,
+    left_zero_semigroup,
     sample_semigroups,
     validate_semigroup,
 )
@@ -336,6 +342,71 @@ class TestGeneratorKernel:
         assert outcome(validate_ring, add, neg, mul) == ref.ring_violation(add, neg, mul)
 
 
+def commutative_loops(n):
+    """Every symmetric Latin square on 0..n-1 with 0 neutral, by backtracking
+    over the upper triangle in row-major order."""
+    t = [[None] * n for _ in range(n)]
+    for x in range(n):
+        t[0][x] = t[x][0] = x
+    cells = [(x, y) for x in range(1, n) for y in range(x, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [list(row) for row in t]
+            return
+        x, y = cells[k]
+        for v in range(n):
+            if v not in t[x] and v not in t[y]:
+                t[x][y] = t[y][x] = v
+                yield from fill(k + 1)
+                t[x][y] = t[y][x] = None
+
+    yield from fill(0)
+
+
+class TestAdditiveAssociativity:
+    """validate_additive_group accepts addition by Light's test on the greedy
+    generators and scans for the first failing triple only when it fails."""
+
+    def test_commutative_loops(self):
+        # order 6 is the first with non-associative commutative loops: each
+        # has identity and inverses, so only associativity can reject it
+        loops = list(commutative_loops(6))
+        rejected = 0
+        for add in loops:
+            neg = [row.index(0) for row in add]
+            got = outcome(validate_additive_group, add, neg)
+            assert got == ref.additive_group_violation(add, neg)
+            rejected += got is not None
+        assert len(loops) == 456 and rejected == 396
+
+    # every change of one cell, or of one cell and its mirror image
+    @pytest.mark.parametrize("moduli", [(4,), (6,), (8,), (2, 2), (2, 4), (12,)])
+    def test_changed_group_tables(self, moduli):
+        G = GROUPS[moduli][0]
+        n, seen = G.order, set()
+        for x, y, v in product(range(n), range(n), range(n)):
+            if v == G.add[x][y]:
+                continue
+            for symmetric in (False, True):
+                add = [list(row) for row in G.add]
+                add[x][y] = v
+                if symmetric:
+                    add[y][x] = v
+                got = outcome(validate_additive_group, add, list(G.neg))
+                assert got == ref.additive_group_violation(add, list(G.neg))
+                seen.add(len(got[1]))
+        assert seen == {1, 2, 3}  # zero or inverse, commutativity, associativity
+
+    def test_light_test_needs_every_generator(self):
+        # (x + 1) + y = x + (1 + y) for all x, y on this loop, yet it is not
+        # associative: the sums of 1 do not reach every element
+        add = np.array(next(add for add in commutative_loops(6)
+                            if ref.assoc_violation(add) is not None
+                            and tables.associative_through(np.array(add), np.array([1]))))
+        assert not tables.associative_through(add, np.arange(6))
+
+
 class TestEnumerationAndSampling:
     # labelled associative tables, OEIS A023814
     @pytest.mark.parametrize("order,count", [(1, 1), (2, 8), (3, 113)])
@@ -379,3 +450,79 @@ class TestEnumerationAndSampling:
         got = ["".join(str(v) for row in S.table for v in row)
                for S in sample_semigroups(4, 4, seed)]
         assert got == flat
+
+
+def relabellings(table):
+    """The table carried by every permutation of its elements."""
+    t, n = np.array(table), len(table)
+    for perm in permutations(range(n)):
+        p = np.array(perm)
+        relabelled = np.empty_like(t)
+        relabelled[np.ix_(p, p)] = p[t]
+        yield relabelled
+
+
+def one_cell_changes(table):
+    t = np.array(table)
+    n = len(t)
+    for a, b, v in product(range(n), range(n), range(n)):
+        if v != t[a, b]:
+            changed = t.copy()
+            changed[a, b] = v
+            yield changed
+
+
+class TestOrder4Mask:
+    """associative_mask at order 4, the order it filters when sampling,
+    against the plain triple loop."""
+
+    @pytest.fixture(scope="class")
+    def near_semigroups(self):
+        """Every relabelling of sampled and named order-4 semigroups, and
+        every single-cell change of each: (tables, expected mask)."""
+        seeds = [S.table for seed in (20250810, 1, 2, 3)
+                 for S in sample_semigroups(4, 4, seed)]
+        named = [S.table for S in (cyclic_group(4), chain_semilattice(4),
+                                   left_zero_semigroup(4))]
+        relabelled = np.unique(np.array([r for t in seeds + named for r in relabellings(t)]),
+                               axis=0)
+        changed = np.unique(np.array([c for t in relabelled for c in one_cell_changes(t)]),
+                            axis=0)
+        tabs = np.concatenate([relabelled, changed])
+        expected = [ref.assoc_violation(t) is None for t in tabs.tolist()]
+        return tabs, expected
+
+    def test_relabellings_and_one_cell_changes(self, near_semigroups):
+        tabs, expected = near_semigroups
+        assert len(tabs) > 10_000 and 100 < sum(expected) < len(tabs)
+        assert tables.associative_mask(tabs.astype(np.uint8)).tolist() == expected
+
+    def test_cell_dtype(self, near_semigroups):
+        tabs, expected = near_semigroups
+        assert tables.associative_mask(tabs.astype(np.int64)).tolist() == expected
+
+    # cells below 2 make an associative table rare instead of all but unheard of
+    @pytest.mark.parametrize("seed,values", [(0, 4), (1, 4), (2, 2), (3, 2)])
+    def test_random_batches(self, seed, values):
+        tabs = np.random.default_rng(seed).integers(0, values, size=(4096, 4, 4),
+                                                    dtype=np.uint8)
+        mask = tables.associative_mask(tabs)
+        assert mask.dtype == bool and mask.shape == (4096,)
+        assert mask.tolist() == [ref.assoc_violation(t) is None for t in tabs.tolist()]
+
+    def test_empty_batch(self):
+        mask = tables.associative_mask(np.zeros((0, 4, 4), dtype=np.uint8))
+        assert mask.dtype == bool and mask.shape == (0,)
+
+    def test_order_5_is_refused(self):
+        with pytest.raises(ValueError):
+            tables.associative_mask(np.zeros((1, 5, 5), dtype=np.uint8))
+
+    def test_import_does_not_build_the_pair_table(self):
+        # the table is built on the first mask, so import time does not grow
+        code = ("import grl.cli; from grl import tables; "
+                "print(tables._pair_table.cache_info().currsize)")
+        src = str(Path(tables.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
