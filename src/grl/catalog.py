@@ -14,6 +14,7 @@ from .groupoids import (
     pair_groupoid,
 )
 from .rings import (
+    MAX_RING_ORDER,
     FiniteRing,
     cyclic_ring,
     field_f4,
@@ -63,15 +64,15 @@ def semigroup_factory(name: str) -> Callable[[], FiniteSemigroup]:
 
 
 def ring_factory(name: str) -> Callable[[], FiniteRing]:
-    """Resolve a ring name: Z<n> or zero<n> with n >= 1, or an explicit entry."""
+    """Resolve Z<n> or zero<n> with 1 <= n <= MAX_RING_ORDER, or an explicit entry."""
     if name in _RINGS:
         return _RINGS[name]
-    m = re.fullmatch(r"Z([1-9]\d*)", name)
+    m = re.fullmatch(r"(Z|zero)([1-9]\d*)", name)
     if m:
-        return partial(cyclic_ring, int(m.group(1)))
-    m = re.fullmatch(r"zero([1-9]\d*)", name)
-    if m:
-        return partial(zero_multiplication_ring, int(m.group(1)))
+        n = int(m.group(2))
+        if n > MAX_RING_ORDER:
+            raise KeyError(f"ring name {name!r} is above MAX_RING_ORDER = {MAX_RING_ORDER}")
+        return partial(cyclic_ring if m.group(1) == "Z" else zero_multiplication_ring, n)
     raise KeyError(f"unknown ring name: {name!r}")
 
 

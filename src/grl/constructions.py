@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .rings import (
     TRIVIAL_GROUP,
     FiniteAdditiveGroup,
     FiniteRing,
+    _matrix_product,
+    _power_group,
     is_von_neumann_regular,
     unity,
 )
@@ -142,38 +144,6 @@ def validate_degree_map(base: FiniteSemigroup, deg: Sequence[Sequence[int]]) -> 
     return DegreeMap(n=n, deg=tuple(tuple(row) for row in deg), base=base)
 
 
-def _digits(base: int, k: int) -> np.ndarray:
-    """Row x holds the k digits of x < base**k, big-endian."""
-    return np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
-
-
-def _encode(base: int, digits: Iterable[np.ndarray]) -> np.ndarray:
-    """Inverse of ``_digits``, elementwise over equal-shaped digit arrays,
-    most significant first."""
-    x = 0
-    for d in digits:
-        x = x * base + d
-    return x
-
-
-def _as_table(P: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, P.tolist()))
-
-
-def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
-    """Direct power G^k; tuples encoded big-endian in base |G|."""
-    if k == 0:
-        return TRIVIAL_GROUP
-    if k == 1:
-        return G
-    add, neg = np.array(G.add), np.array(G.neg)
-    D = _digits(G.order, k)
-    return FiniteAdditiveGroup(
-        order=G.order ** k,
-        add=_as_table(_encode(G.order, (add[d[:, None], d] for d in D.T))),
-        neg=tuple(_encode(G.order, (neg[d] for d in D.T)).tolist()))
-
-
 @dataclass(frozen=True)
 class GoodGrading:
     """A validated good grading together with its construction data.
@@ -201,29 +171,10 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             cells[dm.degree(i, j)].append((i, j))
-    cell_pos = {s: {c: p for p, c in enumerate(cs)} for s, cs in enumerate(cells)}
     components = tuple(_power_group(A.additive, len(cs)) for cs in cells)
-
-    add, mul = np.array(A.additive.add), np.array(A.mul)
-    digits = [_digits(A.order, len(cs)) for cs in cells]
-
-    def coordinate(s: int, t: int, cell: tuple[int, int]) -> np.ndarray:
-        """Coordinate (i, l) of x*y for all x in R_s, y in R_t: the sum of
-        x_ij y_jl over the j with (i, j) in cells[s] and (j, l) in cells[t]."""
-        i, l = cell
-        out = np.zeros((components[s].order, components[t].order), dtype=np.intp)
-        for ci, (row, j) in enumerate(cells[s]):
-            cj = cell_pos[t].get((j, l))
-            if row == i and cj is not None:
-                out = add[out, mul[digits[s][:, ci, None], digits[t][:, cj]]]
-        return out
-
-    products = {}
-    for s, t in product(base.elements(), repeat=2):
-        if any(j == k for (_, j) in cells[s] for (k, _) in cells[t]):
-            coordinates = (coordinate(s, t, cell) for cell in cells[base.table[s][t]])
-            products[(s, t)] = _as_table(_encode(A.order, coordinates))
-
+    products = {(s, t): _matrix_product(A, cells[s], cells[t], cells[base.table[s][t]])
+                for s, t in product(base.elements(), repeat=2)
+                if any(j == k for (_, j) in cells[s] for (k, _) in cells[t])}
     graded = validate_grading(base, components, products)
     return GoodGrading(graded=graded, degree_map=dm, coefficients=A,
                        cells=tuple(tuple(cs) for cs in cells))

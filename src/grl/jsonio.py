@@ -113,6 +113,14 @@ def ring_to_json(T: FiniteRing) -> dict:
             "mul": [list(row) for row in T.mul]}
 
 
+def _size(spec: dict, least: int) -> int:
+    """``spec["n"]``, which must be a JSON integer of at least ``least``."""
+    n = spec["n"]
+    if type(n) is not int or n < least:
+        raise OutOfRangeError(f"n must be an integer >= {least}, got {n!r}")
+    return n
+
+
 def ring_from_json(data) -> FiniteRing:
     """Accept inline tables, a registry name, or a constructor form."""
     from . import catalog
@@ -124,11 +132,11 @@ def ring_from_json(data) -> FiniteRing:
     if "construct" in data:
         kind = data["construct"]
         if kind == "Zn":
-            return cyclic_ring(int(data["n"]))
+            return cyclic_ring(_size(data, 1))
         if kind == "product":
             return product_ring(*(ring_from_json(f) for f in data["factors"]))
         if kind == "matrix":
-            return matrix_ring(ring_from_json(data["A"]), int(data["n"]))
+            return matrix_ring(ring_from_json(data["A"]), _size(data, 0))
         raise OutOfRangeError(f"unknown ring constructor: {kind!r}")
     _check_order(data, data["add"])
     return validate_ring(data["add"], data["neg"], data["mul"])
@@ -263,7 +271,7 @@ def construction_from_json(spec: dict):
         return semigroup_ring(A, S), {"construction": kind, "A": A, "S": S}
     if kind == "matrix_bn":
         A = ring_from_json(spec["A"])
-        return matrix_bn_grading(A, int(spec["n"])), {"construction": kind, "A": A}
+        return matrix_bn_grading(A, _size(spec, 1)), {"construction": kind, "A": A}
     if kind == "good_grading":
         A = ring_from_json(spec["A"])
         base = semigroup_from_spec(spec["base"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations
+from math import prod
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
@@ -211,13 +212,74 @@ def ring_from_ops(elems: Sequence, plus, neg, times) -> FiniteRing:
 # ---------------------------------------------------------------------------
 # named constructors
 
+# Larger rings and powers are refused before any table is built; M4(Z2) has 2^32 cells.
+MAX_RING_ORDER = 1024
+
+_Cells = Sequence[tuple[int, int]]
+
+
+def _check_order(order: int, size: str) -> None:
+    if order > MAX_RING_ORDER:
+        raise ValueError(f"order {size} is above MAX_RING_ORDER = {MAX_RING_ORDER}")
+
+
+def _entrywise(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply ``tables[i]`` to entry i of lexicographic tuples with entry i in
+    ``range(len(tables[i]))``: unary (1-D) or binary (2-D) maps on tuple indices.
+    An entry with one value is always 0, so it is left out of the arithmetic."""
+    tables = [t for t in tables if len(t) > 1] or tables[:1]
+    shape = tuple(len(t) for t in tables)
+    x = np.unravel_index(np.arange(np.prod(shape)), shape)
+    return np.ravel_multi_index([t[np.ix_(*[d] * t.ndim)] for t, d in zip(tables, x)], shape)
+
+
+def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
+    """Direct power G^k; tuples encoded big-endian in base |G|."""
+    if k == 1:
+        return G
+    if k == 0 or G.order == 1:
+        return TRIVIAL_GROUP
+    # G.order >= 2, so the power capped at the bound's bit length still passes it
+    _check_order(G.order ** min(k, MAX_RING_ORDER.bit_length()), f"{G.order}^{k}")
+    add, neg = np.array(G.add), np.array(G.neg)
+    return FiniteAdditiveGroup(order=G.order ** k,
+                               add=tuple(map(tuple, _entrywise([add] * k).tolist())),
+                               neg=tuple(_entrywise([neg] * k).tolist()))
+
+
+def _matrix_product(A: FiniteRing, left: _Cells, right: _Cells,
+                    out: _Cells) -> tuple[tuple[int, ...], ...]:
+    """Product table of the matrices over A supported on the (i, j) cells
+    ``left`` times those on ``right``, read on the cells ``out``.  A matrix is
+    the tuple of its entries in cell order, indexed lexicographically."""
+    shape = (A.order ** len(left), A.order ** len(right))
+    if A.order == 1 or not (left and right):  # every product is the zero matrix
+        return ((0,) * shape[1],) * shape[0]
+    add, _, mul = A._arrays
+    x = np.unravel_index(np.arange(shape[0]), (A.order,) * len(left))
+    y = np.unravel_index(np.arange(shape[1]), (A.order,) * len(right))
+    entries = []
+    for i, l in out:
+        acc = np.zeros(shape, dtype=np.intp)
+        for p, (row, j) in enumerate(left):
+            if row == i and (j, l) in right:
+                acc = add[acc, mul[x[p][:, None], y[right.index((j, l))]]]
+        entries.append(acc)
+    return tuple(map(tuple, np.ravel_multi_index(entries, (A.order,) * len(out)).tolist()))
+
+
+def _integers(m: int, c: int) -> FiniteRing:
+    """Integers mod m with the product x*y = c*x*y."""
+    _check_order(m, str(m))
+    x = np.arange(m)
+    c %= max(m, 1)  # so that c*x*y stays far inside int64
+    return validate_ring(((x[:, None] + x) % m).tolist(), (-x % m).tolist(),
+                         (c * x[:, None] * x % m).tolist())
+
 
 def cyclic_ring(n: int) -> FiniteRing:
     """Integers mod n."""
-    return ring_from_ops(list(range(n)),
-                         lambda a, b: (a + b) % n,
-                         lambda a: (-a) % n,
-                         lambda a, b: (a * b) % n)
+    return _integers(n, 1)
 
 
 def field_f4() -> FiniteRing:
@@ -234,66 +296,42 @@ def field_f4() -> FiniteRing:
 
 def zero_multiplication_ring(n: int) -> FiniteRing:
     """Additive group of integers mod n with xy = 0 for all x, y."""
-    return ring_from_ops(list(range(n)),
-                         lambda a, b: (a + b) % n,
-                         lambda a: (-a) % n,
-                         lambda a, b: 0)
+    return _integers(n, 0)
 
 
 def multiples_ring(k: int, n: int) -> FiniteRing:
-    """The subring {0, k, 2k, ...} of the integers mod n (n divisible by k)."""
+    """The subring {0, k, 2k, ...} of the integers mod n (n divisible by k).
+
+    Element i stands for k*i, and (k*i)(k*j) = k*(k*i*j), so it is the
+    integers mod n/k with x*y = k*x*y."""
     if n % k != 0:
         raise ValueError("k must divide n")
-    elems = list(range(0, n, k))
-    return ring_from_ops(elems,
-                         lambda a, b: (a + b) % n,
-                         lambda a: (-a) % n,
-                         lambda a, b: (a * b) % n)
+    return _integers(n // k, k)
 
 
 def product_ring(*factors: FiniteRing) -> FiniteRing:
     """Componentwise operations; elements enumerated lexicographically."""
     if not factors:
         raise ValueError("need at least one factor")
-    from itertools import product as iproduct
-    elems = list(iproduct(*(range(T.order) for T in factors)))
-    return ring_from_ops(
-        elems,
-        lambda a, b: tuple(T.plus(x, y) for T, x, y in zip(factors, a, b)),
-        lambda a: tuple(T.negate(x) for T, x in zip(factors, a)),
-        lambda a, b: tuple(T.times(x, y) for T, x, y in zip(factors, a, b)),
-    )
+    _check_order(prod(T.order for T in factors), "*".join(str(T.order) for T in factors))
+    tables = zip(*(T._arrays for T in factors))  # the adds, the negs, the muls
+    return validate_ring(*(_entrywise(t).tolist() for t in tables))
 
 
 def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:
     """k-by-k matrices over T; elements enumerated row-major by entry, lexicographic."""
-    from itertools import product as iproduct
-    elems = list(iproduct(range(T.order), repeat=k * k))
-
-    def plus(a, b):
-        return tuple(T.plus(x, y) for x, y in zip(a, b))
-
-    def neg(a):
-        return tuple(T.negate(x) for x in a)
-
-    def times(a, b):
-        out = []
-        for i in range(k):
-            for j in range(k):
-                acc = 0
-                for m in range(k):
-                    acc = T.plus(acc, T.times(a[i * k + m], b[m * k + j]))
-                out.append(acc)
-        return tuple(out)
-
-    return ring_from_ops(elems, plus, neg, times)
+    if k < 0:
+        raise ValueError(f"matrix size must be >= 0, got {k}")
+    if T.order == 1:
+        k = 0  # the zero matrix is the only element
+    G = _power_group(T.additive, k * k)  # checks the order first
+    cells = [(i, j) for i in range(k) for j in range(k)]
+    return validate_ring(G.add, G.neg, _matrix_product(T, cells, cells, cells))
 
 
 def opposite_ring(T: FiniteRing) -> FiniteRing:
     """Same additive group, multiplication reversed."""
-    n = T.order
-    return FiniteRing(additive=T.additive,
-                      mul=tuple(tuple(T.mul[b][a] for b in range(n)) for a in range(n)))
+    return FiniteRing(additive=T.additive, mul=tuple(zip(*T.mul)))
 
 
 # ---------------------------------------------------------------------------

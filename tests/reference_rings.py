@@ -6,19 +6,72 @@ These are the element-by-element scans that ``common_unit``, ``left_ideal``,
 principal ideals, and the breadth-first closure that ``additive_closure``
 replaces with coset growth.  They take the same arguments, scan in the same
 order and return the same values and report dicts.
+
+``multiples_ring``, ``product_ring`` and ``matrix_ring`` build their tables
+one element pair at a time through ``ring_from_ops`` and Python closures,
+where grl.rings computes whole tables with numpy index arithmetic.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from grl.errors import NotAnIdealError
 from grl.rings import (
     Subgroup,
     is_von_neumann_regular,
     opposite_ring,
+    ring_from_ops,
     s_unitality,
 )
+
+
+def multiples_ring(k, n, zero_product=False):
+    """The subring {0, k, 2k, ...} of the integers mod n, or its additive
+    group with every product 0."""
+    return ring_from_ops(list(range(0, n, k)),
+                         lambda a, b: (a + b) % n,
+                         lambda a: (-a) % n,
+                         lambda a, b: 0 if zero_product else a * b % n)
+
+
+def product_ring(*factors):
+    """Componentwise operations; elements enumerated lexicographically."""
+    return ring_from_ops(
+        list(product(*(range(T.order) for T in factors))),
+        lambda a, b: tuple(T.plus(x, y) for T, x, y in zip(factors, a, b)),
+        lambda a: tuple(T.negate(x) for T, x in zip(factors, a)),
+        lambda a, b: tuple(T.times(x, y) for T, x, y in zip(factors, a, b)),
+    )
+
+
+def matrix_ops(T, k):
+    """Elements of M_k(T), row-major entry tuples in lexicographic order, and
+    their sum, negative and product as closures over tuples."""
+    elems = list(product(range(T.order), repeat=k * k))
+
+    def plus(a, b):
+        return tuple(T.plus(x, y) for x, y in zip(a, b))
+
+    def neg(a):
+        return tuple(T.negate(x) for x in a)
+
+    def times(a, b):
+        out = []
+        for i in range(k):
+            for j in range(k):
+                acc = 0
+                for m in range(k):
+                    acc = T.plus(acc, T.times(a[i * k + m], b[m * k + j]))
+                out.append(acc)
+        return tuple(out)
+
+    return elems, plus, neg, times
+
+
+def matrix_ring(T, k):
+    """k-by-k matrices over T; elements enumerated row-major by entry, lexicographic."""
+    return ring_from_ops(*matrix_ops(T, k))
 
 
 def subsets_up_to(n: int, k: int):

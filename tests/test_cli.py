@@ -312,7 +312,8 @@ class TestManifestErrors:
         ("rings", "Z7x"), ("rings", "Z0"), ("rings", "zero0"), ("groupoids", "pair0"),
         ("groupoids", "group_Z0"), ("named_semigroups", "L9"), ("groupoids", "pair2+foo"),
         ("good_gradings", "M9"), ("rings", 7), ("matrix_gradings", ["Z2", 0]),
-        ("groupoid_ring_pairs", ["Z2"])])
+        ("groupoid_ring_pairs", ["Z2"]), ("rings", "Z1025"),
+        ("semigroup_ring_coefficients", "zero1025")])
     def test_unknown_or_malformed_entry(self, tmp_path, key, entry):
         out = self.run_manifest(tmp_path, json.dumps({key: [entry]}))
         assert out["error"] == "ValueError" and key in out["message"]
@@ -400,13 +401,44 @@ class TestRingConstructorFiles:
         ({"kind": "ring", "construct": "product",
           "factors": ["Z2", {"construct": "Zn", "n": 3}]}, 6),
         ({"kind": "ring", "construct": "matrix", "A": "Z2", "n": 2}, 16),
-    ], ids=["Zn", "product", "matrix"])
+        ({"kind": "ring", "construct": "matrix", "A": "Z2", "n": 3}, 512),
+        ({"kind": "ring", "construct": "matrix", "A": "Z2", "n": 0}, 1),
+    ], ids=["Zn", "product", "matrix", "M3(Z2)", "M0(Z2)"])
     def test_validate_and_classify(self, tmp_path, spec, order):
         path = tmp_path / "ring.json"
         path.write_text(json.dumps(spec))
         assert run_cli("validate", str(path)) == (0, {"valid": True, "kind": "ring"})
         code, out = run_cli("classify", str(path))
         assert code == 0 and out["kind"] == "ring" and out["order"] == order
+
+    @pytest.mark.parametrize("construct,n", [
+        ("Zn", 2.7), ("Zn", True), ("Zn", "3"), ("Zn", 0), ("Zn", None),
+        ("matrix", 2.7), ("matrix", True), ("matrix", "3"), ("matrix", -1)])
+    def test_n_must_be_an_integer(self, tmp_path, construct, n):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"kind": "ring", "construct": construct, "A": "Z2", "n": n}))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"].startswith("n must be an integer >= ")
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "ring", "construct": "Zn", "n": 1025},
+        {"kind": "ring", "construct": "matrix", "A": "Z6", "n": 2},
+        {"kind": "ring", "construct": "product", "factors": ["Z2"] * 11},
+        {"kind": "ring", "name": "zero1025"}], ids=["Z1025", "M2(Z6)", "Z2^11", "zero1025"])
+    def test_order_bound(self, tmp_path, spec):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and "MAX_RING_ORDER = 1024" in out["message"]
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", 0])
+    def test_matrix_bn_n_must_be_an_integer(self, tmp_path, n):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"construct": "matrix_bn", "A": "Z2", "n": n}))
+        code, out = run_cli("construct", str(spec), str(tmp_path / "out.json"))
+        assert code == 1 and out["message"].startswith("n must be an integer >= 1")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestJsonRoundTrips:

@@ -201,6 +201,13 @@ class TestGoodGrading:
         assert rep["graded_vnr"] and is_von_neumann_regular(
             good_grading(Z2, dm).graded.component_ring(0)).holds
 
+    def test_components_above_the_order_bound(self):
+        # the lone component of the trivial grading of M2(Z6) has order 6^4 = 1296
+        dm = validate_degree_map(validate_semigroup([[0]]), [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match=r"order 6\^4 is above MAX_RING_ORDER = 1024"):
+            good_grading(Z6, dm)
+        assert good_grading(Z4, dm).graded.component(0).order == 256
+
 
 class TestGroupoidRing:
     def test_pair_groupoid_matches_matrix_grading_after_regrade(self):

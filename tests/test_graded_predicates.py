@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 import reference_gradings as ref
 from grl import catalog, cli, gradings as gr
 from grl.constructions import (
-    _power_group,
     good_grading,
     groupoid_ring,
     semigroup_ring,
@@ -28,7 +27,7 @@ from grl.corpus import default_manifest, generate_corpus
 from grl.errors import NotAnIdealError
 from grl.gradings import GradedRing, regrade_groupoid_to_semigroup
 from grl.groupoids import pair_groupoid
-from grl.rings import cyclic_ring, field_f4, ring_from_ops
+from grl.rings import _power_group, cyclic_ring, field_f4, ring_from_ops
 from grl.semigroups import cyclic_group, enumerate_semigroups, trivial_semigroup
 from reference_semigroups import mul
 

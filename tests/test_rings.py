@@ -1,3 +1,4 @@
+import random
 from functools import cache
 
 import pytest
@@ -15,6 +16,7 @@ from grl.errors import (
     OutOfRangeError,
 )
 from grl.rings import (
+    MAX_RING_ORDER,
     TRIVIAL_GROUP,
     Subgroup,
     additive_closure,
@@ -80,6 +82,94 @@ class TestValidation:
         m = matrix_ring(Z2, 2)
         assert m.order == 16
         assert unity(m) == 9  # identity matrix (1,0,0,1) encoded big-endian
+
+
+def tables(T):
+    return T.additive.add, T.additive.neg, T.mul
+
+
+class TestBuildersMatchReference:
+    """The integer, product and matrix rings compute whole tables by index
+    arithmetic; each table must equal the per-pair closures' of
+    reference_rings, element order included."""
+
+    COEFFICIENTS = {"Z1": cyclic_ring(1), "Z2": Z2, "Z3": cyclic_ring(3), "Z4": Z4,
+                    "F4": F4, "2Z8": EVEN8, "zero3": zero_multiplication_ring(3)}
+
+    @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matrix_ring(self, name, k):
+        T = self.COEFFICIENTS[name]
+        assert tables(matrix_ring(T, k)) == tables(ref.matrix_ring(T, k))
+
+    def test_matrix_ring_over_the_zero_ring(self):
+        assert tables(matrix_ring(cyclic_ring(1), 3)) == tables(ref.matrix_ring(cyclic_ring(1), 3))
+
+    def test_m3_z2_on_sampled_pairs(self):
+        # the full reference build takes seconds: every negative, and sums
+        # and products on a seeded sample of pairs
+        M = matrix_ring(Z2, 3)
+        elems, plus, neg, times = ref.matrix_ops(Z2, 3)
+        index = {e: i for i, e in enumerate(elems)}
+        assert M.additive.neg == tuple(index[neg(a)] for a in elems)
+        rng = random.Random(3)
+        for _ in range(4096):
+            x, y = rng.randrange(512), rng.randrange(512)
+            assert M.additive.add[x][y] == index[plus(elems[x], elems[y])]
+            assert M.mul[x][y] == index[times(elems[x], elems[y])]
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (1, 6), (1, 9), (2, 8), (3, 9),
+                                     (2, 12), (4, 8), (6, 12), (5, 5), (10**17, 4 * 10**17)])
+    def test_integer_rings(self, k, n):
+        assert tables(multiples_ring(k, n)) == tables(ref.multiples_ring(k, n))
+        if k == 1:
+            assert tables(cyclic_ring(n)) == tables(ref.multiples_ring(1, n))
+            assert tables(zero_multiplication_ring(n)) == \
+                tables(ref.multiples_ring(1, n, zero_product=True))
+
+    @pytest.mark.parametrize("names", [
+        ("Z2",), ("Z2", "Z2"), ("Z2", "Z3"), ("F4", "Z4"), ("2Z8", "zero3", "Z1"),
+        ("Z2", "Z2", "Z2", "Z2"), ("M2(Z2)", "Z3"), ("Z1",) * 40 + ("Z2", "Z1")],
+        ids=lambda names: "x".join(names) if len(names) < 8 else "40 Z1 factors")
+    def test_product_ring(self, names):
+        factors = [catalog.named_ring(name) if name == "M2(Z2)" else self.COEFFICIENTS[name]
+                   for name in names]
+        assert tables(product_ring(*factors)) == tables(ref.product_ring(*factors))
+
+    @pytest.mark.parametrize("T", [Z4, EVEN8, product_ring(Z2, Z2), matrix_ring(Z2, 2)])
+    def test_opposite_ring_transposes(self, T):
+        op = opposite_ring(T)
+        assert op.additive == T.additive
+        assert op.mul == tuple(tuple(T.mul[b][a] for b in T.elements()) for a in T.elements())
+
+
+class TestOrderBound:
+    """Constructors refuse rings above MAX_RING_ORDER before building tables.
+    Every size here would also build in seconds without the bound, so a
+    missing check fails the test instead of exhausting memory."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic_ring(1025), lambda: zero_multiplication_ring(1025),
+        lambda: multiples_ring(1, 1025), lambda: matrix_ring(Z6, 2),
+        lambda: product_ring(*[Z2] * 11)],
+        ids=["Z1025", "zero1025", "1Z1025", "M2(Z6)", "Z2^11"])
+    def test_above_the_bound(self, build):
+        with pytest.raises(ValueError, match="MAX_RING_ORDER = 1024"):
+            build()
+
+    def test_at_the_bound(self):
+        assert MAX_RING_ORDER == 1024
+        assert product_ring(*[Z2] * 10).order == 1024
+
+    def test_negative_matrix_size(self):
+        with pytest.raises(ValueError, match="matrix size"):
+            matrix_ring(Z2, -1)
+
+    def test_catalog_names(self):
+        assert catalog.ring_factory("Z1024") and catalog.ring_factory("zero1024")
+        for name in ("Z1025", "zero1025"):
+            with pytest.raises(KeyError, match="MAX_RING_ORDER"):
+                catalog.ring_factory(name)
 
 
 class TestUnitality:
