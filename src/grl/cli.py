@@ -467,7 +467,9 @@ _LOAD_ERRORS = (ValidationError, OSError, json.JSONDecodeError, KeyError, TypeEr
 
 def _input_error(err: Exception, args, **extra) -> int:
     """Report input that failed to load or validate as JSON; exit code 1."""
-    report = {**extra, "error": type(err).__name__, "message": str(err)}
+    # str() of a KeyError is the repr of its argument, quotes and all
+    message = str(err.args[0]) if isinstance(err, KeyError) and err.args else str(err)
+    report = {**extra, "error": type(err).__name__, "message": message}
     if isinstance(err, ValidationError):
         report.update(error=err.code, context=list(err.context))
     _print_json(report, args.pretty)

@@ -42,6 +42,7 @@ from .tables import (
     agree_on_generators,
     biadditive,
     first_assoc_violation,
+    first_bad_index,
     first_biadditivity_violation,
     first_nonzero,
 )
@@ -150,20 +151,19 @@ def validate_grading(base: BaseLike,
         if st is None:
             raise NonComposableProductError(
                 f"product table present for non-composable pair ({s}, {t})", (s, t))
-        rows, cols, out = components[s].order, components[t].order, components[st].order
-        if len(raw) != rows:
-            raise CodomainError(f"product ({s}, {t}) has {len(raw)} rows, expected {rows}",
-                                (s, t))
-        for a, row in enumerate(raw):
-            if len(row) != cols:
+        rows, cols = components[s].order, components[t].order
+        match first_bad_index(raw, rows, cols, components[st].order):
+            case (length,):
+                raise CodomainError(f"product ({s}, {t}) has {length} rows, expected {rows}",
+                                    (s, t))
+            case (a, length):
                 raise CodomainError(
-                    f"product ({s}, {t}) row {a} has length {len(row)}, expected {cols}",
+                    f"product ({s}, {t}) row {a} has length {length}, expected {cols}",
                     (s, t, a))
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < out:
-                    raise CodomainError(
-                        f"product ({s}, {t})[{a}][{b}] = {v!r} not an index in R_{st}",
-                        (s, t, a, b, v))
+            case (a, b, v):
+                raise CodomainError(
+                    f"product ({s}, {t})[{a}][{b}] = {v!r} not an index in R_{st}",
+                    (s, t, a, b, v))
         prods[(s, t)] = tuple(tuple(row) for row in raw)
 
     R = GradedRing(base=base, components=tuple(components), products=prods)

@@ -28,6 +28,7 @@ from .tables import (
     associative_through,
     biadditive,
     first_assoc_violation,
+    first_bad_index,
     first_biadditivity_violation,
 )
 
@@ -117,15 +118,14 @@ TRIVIAL_GROUP = FiniteAdditiveGroup(order=1, add=((0,),), neg=(0,))
 
 
 def _check_index_table(table: Sequence[Sequence[int]], n: int, what: str) -> None:
-    if len(table) != n:
-        raise OutOfRangeError(f"{what} has {len(table)} rows, expected {n}")
-    for a, row in enumerate(table):
-        if len(row) != n:
-            raise OutOfRangeError(f"{what} row {a} has length {len(row)}, expected {n}", (a,))
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise OutOfRangeError(f"{what}[{a}][{b}] = {v!r} is not an index in [0, {n})",
-                                      (a, b, v))
+    match first_bad_index(table, n, n, n):
+        case (length,):
+            raise OutOfRangeError(f"{what} has {length} rows, expected {n}")
+        case (a, length):
+            raise OutOfRangeError(f"{what} row {a} has length {length}, expected {n}", (a,))
+        case (a, b, v):
+            raise OutOfRangeError(f"{what}[{a}][{b}] = {v!r} is not an index in [0, {n})",
+                                  (a, b, v))
 
 
 def validate_additive_group(add: Sequence[Sequence[int]],
@@ -559,6 +559,61 @@ def _subsets_up_to(n: int, k: int):
         yield from combinations(range(n), size)
 
 
+def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int
+                                ) -> Optional[tuple[tuple[int, ...], Subgroup]]:
+    """First generator set in ``_subsets_up_to`` order whose left ideal has no
+    idempotent generator, with that ideal; None if there is none.
+
+    The ideal of a set is the sum of its generators' principal ideals, so
+    its verdict depends only on the set of those ideals, and each such set is
+    decided once.  The ideals get ids as their generators are met, so a scan
+    that stops early closes only the principal ideals it reached.
+    """
+    ids: dict[frozenset[int], int] = {}
+    of: list[Optional[int]] = [None] * T.order
+    good: set[frozenset[int]] = set()
+
+    def ideal_id(c: int) -> int:
+        i = of[c]
+        if i is None:
+            i = of[c] = ids.setdefault(_principal_left_ideal(T, c), len(ids))
+        return i
+
+    for gens in _subsets_up_to(T.order, max_generators):
+        key = frozenset(map(ideal_id, gens))
+        if key in good:
+            continue
+        I = left_ideal(T, gens)
+        if idempotent_generator(T, I) is None:
+            return gens, I
+        good.add(key)
+    return None
+
+
+def _first_subset_without_common_unit(cols: Sequence[int], max_subset: int
+                                      ) -> Optional[list[int]]:
+    """First subset of at most ``max_subset`` elements in ``_subsets_up_to``
+    order whose fixer masks ``cols[v]`` AND to 0, or None.
+
+    Only the distinct masks matter.  ``level`` holds every AND of at most
+    ``size`` of them, so the first level that holds 0 gives the size of the
+    smallest failing subset: a subset has at most as many distinct masks as
+    elements, and one element per mask realises a failing AND.  Only the
+    subsets of that size are scanned.
+    """
+    distinct = set(cols)
+    level: set[int] = set()
+    for size in range(1, max_subset + 1):
+        grown = distinct | {x & d for x in level for d in distinct}
+        if 0 in grown:
+            return next(list(vs) for vs in combinations(range(len(cols)), size)
+                        if not _common_fixers(cols, vs))
+        if grown == level:
+            return None
+        level = grown
+    return None
+
+
 def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
                                side: str = "left") -> dict:
     """Three independent regularity verdicts that must coincide on s-unital rings.
@@ -588,14 +643,10 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
             principal_failing = {"generator": c, "ideal": list(I.elements())}
             break
 
-    finitely_generated = True
-    fg_failing = None
-    for gens in _subsets_up_to(work.order, max_generators):
-        I = left_ideal(work, gens)
-        if idempotent_generator(work, I) is None:
-            finitely_generated = False
-            fg_failing = {"generators": list(gens), "ideal": list(I.elements())}
-            break
+    fg = _first_non_idempotent_ideal(work, max_generators)
+    finitely_generated = fg is None
+    fg_failing = None if fg is None else {"generators": list(fg[0]),
+                                          "ideal": list(fg[1].elements())}
 
     return {
         "check": "vnr-characterization",
@@ -618,9 +669,7 @@ def check_tominaga(T: FiniteRing, max_subset: int = 3) -> dict:
     out: dict = {"check": "tominaga", "applicable": True, "bound": max_subset}
     agree = True
     for side, unital in (("left", su.is_left), ("right", su.is_right)):
-        cols = T._fixers[side]
-        failing = next((list(vs) for vs in _subsets_up_to(T.order, max_subset)
-                        if not _common_fixers(cols, vs)), None)
+        failing = _first_subset_without_common_unit(T._fixers[side], max_subset)
         ok = failing is None
         out[side] = {"s_unital": unital, "common_units": ok, "failing_subset": failing,
                      "agree": unital == ok}

@@ -19,12 +19,42 @@ one lookup settles every b for a pair (a, c).
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
-from typing import Optional
+from itertools import chain, product
+from typing import Optional, Sequence
 
 import numpy as np
 
 CELL_BUDGET = 8192  # cells per compared slab; 64 KiB per int64 array
+
+
+def first_bad_index(table: Sequence[Sequence[int]], rows: int, cols: int,
+                    bound: int) -> Optional[tuple]:
+    """None if ``table`` has ``rows`` rows of ``cols`` ints (bools excluded)
+    in [0, bound).  Otherwise the first fault in row order, each row's length
+    before its cells: ``(len(table),)`` for the row count, ``(a, len(row))``
+    for a row length, ``(a, b, v)`` for a cell.
+
+    The whole table is checked at once, by the set of its cell types and of
+    its values; only a table that fails that is scanned cell by cell.
+    """
+    if len(table) != rows:
+        return (len(table),)
+    try:
+        ints = (set(map(len, table)) <= {cols}
+                and set(map(type, chain.from_iterable(table))) <= {int})
+    except TypeError:  # a row without a length: the scan raises there, in order
+        ints = False
+    if ints:
+        values = set(chain.from_iterable(table))
+        if not values or (min(values) >= 0 and max(values) < bound):
+            return None
+    for a, row in enumerate(table):
+        if len(row) != cols:
+            return (a, len(row))
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+                return (a, b, v)
+    return None  # every cell is an int subclass other than bool
 
 
 def _first_mismatch(n_i: int, n_j: int, width: int, sides) -> Optional[tuple]:

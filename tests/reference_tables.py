@@ -15,12 +15,55 @@ import reference_semigroups
 from grl.errors import (
     AdditiveGroupError,
     BilinearityError,
+    CodomainError,
     DistributivityError,
     GradedAssociativityError,
     IdentityViolationError,
     NotAssociativeError,
+    OutOfRangeError,
 )
 from grl.semigroups import FiniteSemigroup
+
+
+def _bad_index(v, bound) -> bool:
+    return not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound
+
+
+def ring_index_error(table, n, what):
+    """First range fault of a ring's n x n index table, cell by cell, as
+    (error class, message, context); None if there is none."""
+    if len(table) != n:
+        return (OutOfRangeError, f"{what} has {len(table)} rows, expected {n}", ())
+    for a, row in enumerate(table):
+        if len(row) != n:
+            return (OutOfRangeError, f"{what} row {a} has length {len(row)}, expected {n}",
+                    (a,))
+        for b, v in enumerate(row):
+            if _bad_index(v, n):
+                return (OutOfRangeError,
+                        f"{what}[{a}][{b}] = {v!r} is not an index in [0, {n})", (a, b, v))
+    return None
+
+
+def product_index_error(R, s, t, raw):
+    """First codomain fault of the raw product table (s, t) of graded ring R,
+    cell by cell, as (error class, message, context); None if there is none."""
+    st = R.target(s, t)
+    rows, cols, out = (R.components[x].order for x in (s, t, st))
+    if len(raw) != rows:
+        return (CodomainError, f"product ({s}, {t}) has {len(raw)} rows, expected {rows}",
+                (s, t))
+    for a, row in enumerate(raw):
+        if len(row) != cols:
+            return (CodomainError,
+                    f"product ({s}, {t}) row {a} has length {len(row)}, expected {cols}",
+                    (s, t, a))
+        for b, v in enumerate(row):
+            if _bad_index(v, out):
+                return (CodomainError,
+                        f"product ({s}, {t})[{a}][{b}] = {v!r} not an index in R_{st}",
+                        (s, t, a, b, v))
+    return None
 
 
 def assoc_violation(t) -> tuple | None:

@@ -432,6 +432,15 @@ class TestRingConstructorFiles:
         code, out = run_cli("validate", str(path))
         assert code == 1 and "MAX_RING_ORDER = 1024" in out["message"]
 
+    @pytest.mark.parametrize("name,message", [
+        ("Q7", "unknown ring name: 'Q7'"),
+        ("zero1025", "ring name 'zero1025' is above MAX_RING_ORDER = 1024")])
+    def test_ring_name_errors_are_quoted_once(self, tmp_path, name, message):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"kind": "ring", "name": name}))
+        assert run_cli("validate", str(path)) == (
+            1, {"valid": False, "error": "KeyError", "message": message})
+
     @pytest.mark.parametrize("n", [2.0, True, "2", 0])
     def test_matrix_bn_n_must_be_an_integer(self, tmp_path, n):
         spec = tmp_path / "spec.json"

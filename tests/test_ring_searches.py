@@ -1,16 +1,17 @@
 """Ring searches against the plain-loop reference in reference_rings.py.
 
 ``check_tominaga`` and ``common_unit`` work on fixer bitmasks, and the ideal
-searches on principal left ideals cached per ring; the reports, first units
-and first failing subsets must be exactly those of the element-by-element
-scans.
+searches on principal left ideals cached per ring; ``check_tominaga`` grows
+the ANDs of the distinct masks and ``check_vnr_characterization`` decides
+each set of principal ideals once.  The reports, first units and first
+failing subsets must be exactly those of the element-by-element scans.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_rings as ref
-from grl import catalog
+from grl import catalog, rings
 from grl.constructions import good_grading, validate_degree_map
 from grl.corpus import default_manifest
 from grl.errors import NotAnIdealError
@@ -114,6 +115,9 @@ def test_arbitrary_tables_match_reference(data):
     assert outcome(idempotent_generator, T, I) == outcome(ref.idempotent_generator, T, I)
     bound = data.draw(st.integers(1, 3))
     assert check_tominaga(T, bound) == ref.check_tominaga(T, bound)
+    side = data.draw(st.sampled_from(["left", "right"]))
+    assert (outcome(check_vnr_characterization, T, min(bound, 2), side)
+            == outcome(ref.check_vnr_characterization, T, min(bound, 2), side))
 
 
 @pytest.mark.parametrize("T", [M2, opposite_ring(M2)], ids=["M2(Z2)", "M2(Z2)^op"])
@@ -128,6 +132,89 @@ def test_order_48_ring_matches_reference():
     T = product_ring(M2, cyclic_ring(3))
     assert check_tominaga(T) == ref.check_tominaga(T)
     assert check_vnr_characterization(T) == ref.check_vnr_characterization(T)
+
+
+# Left fixer masks {all}, {2, 3}, {3, 4}, {2, 4}, {all}: every pair has a
+# common left unit, the triple {1, 2, 3} has none.
+TRIPLE_FAILS = FiniteRing(
+    additive=cyclic_ring(5).additive,
+    mul=((0, 2, 3, 4, 4), (0, 2, 3, 4, 4), (0, 1, 3, 3, 4), (0, 1, 2, 4, 4), (0, 2, 2, 3, 4)))
+
+
+def test_first_tominaga_failure_of_size_three():
+    no_common_unit = {"s_unital": True, "common_units": False, "failing_subset": [1, 2, 3],
+                      "agree": False}
+    right = {"s_unital": False, "common_units": False, "failing_subset": [1], "agree": True}
+    assert check_tominaga(TRIPLE_FAILS, 3) == {
+        "check": "tominaga", "applicable": True, "bound": 3, "left": no_common_unit,
+        "right": right, "agree": False}
+    for bound in (1, 2):
+        assert check_tominaga(TRIPLE_FAILS, bound)["left"]["failing_subset"] is None
+    for bound in (1, 2, 3):
+        assert check_tominaga(TRIPLE_FAILS, bound) == ref.check_tominaga(TRIPLE_FAILS, bound)
+
+
+UNITAL_SIDE = {"s_unital": True, "common_units": True, "failing_subset": None, "agree": True}
+ALL_HAVE_COMMON_UNITS = {"check": "tominaga", "applicable": True, "bound": 3,
+                         "left": UNITAL_SIDE, "right": UNITAL_SIDE, "agree": True}
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``grl.rings.<name>`` from inside the module."""
+    calls = []
+    fn = getattr(rings, name)
+    monkeypatch.setattr(rings, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+class TestDistinctIdealScans:
+    """Each set of principal ideals is decided once, and an early failure
+    closes no ideal past it."""
+
+    def test_each_ideal_set_is_decided_once(self, monkeypatch):
+        T = product_ring(M2, cyclic_ring(3))
+        calls = count_calls(monkeypatch, "idempotent_generator")
+        report = check_vnr_characterization(T)
+        # 48 principal ideals in scan (ii); 10 distinct of them give
+        # 10 + 45 sets of at most two in scan (iii)
+        assert report["agree"] and report["finitely_generated_ideals_idempotent"]
+        assert len(calls) <= 48 + 55
+
+    def test_early_exit_closes_three_principal_ideals(self):
+        T = product_ring(M2, cyclic_ring(4))
+        report = check_vnr_characterization(T)
+        assert report["finitely_generated_failing"]["generators"] == [2]
+        assert len(T._principal) == 3
+
+    def test_m2_z4_reports(self):
+        # recorded with the per-tuple and per-subset scans
+        T = matrix_ring(cyclic_ring(4), 2)
+        for side, ideal in (("left", [0, 2, 32, 34]), ("right", [0, 2, 8, 10])):
+            assert check_vnr_characterization(T, 2, side) == {
+                "check": "vnr-characterization", "applicable": True, "side": side,
+                "bound": 2, "vnr": False, "vnr_failing": 2,
+                "principal_ideals_idempotent": False,
+                "principal_failing": {"generator": 2, "ideal": ideal},
+                "finitely_generated_ideals_idempotent": False,
+                "finitely_generated_failing": {"generators": [2], "ideal": ideal},
+                "agree": True}
+        assert check_tominaga(T) == ALL_HAVE_COMMON_UNITS
+
+    def test_m3_z2_reports(self, monkeypatch):
+        # 131,328 generator sets and about 22 million subsets, but only 16
+        # distinct principal left ideals and fixer masks per side
+        T = matrix_ring(cyclic_ring(2), 3)
+        calls = count_calls(monkeypatch, "idempotent_generator")
+        assert check_vnr_characterization(T) == {
+            "check": "vnr-characterization", "applicable": True, "side": "left",
+            "bound": 2, "vnr": True, "vnr_failing": None,
+            "principal_ideals_idempotent": True, "principal_failing": None,
+            "finitely_generated_ideals_idempotent": True,
+            "finitely_generated_failing": None, "agree": True}
+        assert len(calls) <= 512 + 16 + 120
+        assert len(set(T._principal.values())) == 16
+        assert len(set(T._fixers["left"])) == len(set(T._fixers["right"])) == 16
+        assert check_tominaga(T) == ALL_HAVE_COMMON_UNITS
 
 
 def test_common_unit_rejects_bad_input():

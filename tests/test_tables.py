@@ -208,6 +208,82 @@ class TestKernelMatchesReference:
         self.check_grading(data, self.draw_grading(data, corpus, "groupoid"))
 
 
+def corrupt_index_table(data, table, bound, row_count=False):
+    """The table as lists with one or two faults: a cell set to a bool, a
+    float, -1 or ``bound``, a row one longer or shorter (the same way for
+    both faults, so that they never cancel), or with ``row_count`` the last
+    row dropped."""
+    rows = [list(row) for row in table]
+    longer = data.draw(st.booleans())
+    kinds = ("bool", "float", "negative", "bound", "row") + ("rows",) * row_count
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "rows" and len(rows) > 1:
+            rows.pop()
+            continue
+        a = data.draw(st.integers(0, len(rows) - 1))
+        if kind in ("row", "rows"):
+            if longer:
+                rows[a].append(0)
+            elif rows[a]:
+                rows[a].pop()
+        elif rows[a]:
+            b = data.draw(st.integers(0, len(rows[a]) - 1))
+            rows[a][b] = {"bool": b % 2 == 0, "float": float(rows[a][b]),
+                          "negative": -1, "bound": bound}[kind]
+    return rows
+
+
+def first_error(validate, *args):
+    try:
+        validate(*args)
+    except ValidationError as err:
+        return (type(err), str(err), err.context)
+    return None
+
+
+class TestIndexTables:
+    """The whole-table index check reports the first fault of the cell scan."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_ring_tables(self, data):
+        T = data.draw(st.sampled_from(RINGS))
+        n = T.order
+        add, neg, mul = T.additive.add, T.additive.neg, T.mul
+        if data.draw(st.booleans()):
+            add = corrupt_index_table(data, add, n)
+            expected = ref.ring_index_error(add, n, "add")
+        else:
+            mul = corrupt_index_table(data, mul, n, row_count=True)
+            expected = ref.ring_index_error(mul, n, "mul")
+        assert first_error(validate_ring, add, neg, mul) == expected
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_product_tables(self, data, corpus):
+        graded = [e.graded for e in corpus.graded if e.graded.products]
+        R = data.draw(st.sampled_from(graded + sum(NONCOMMUTATIVE.values(), [])))
+        s, t = key = data.draw(st.sampled_from(sorted(R.products)))
+        products = dict(R.products)
+        products[key] = corrupt_index_table(
+            data, products[key], R.components[R.target(s, t)].order, row_count=True)
+        assert (first_error(validate_grading, R.base, R.components, products)
+                == ref.product_index_error(R, s, t, products[key]))
+
+    def test_edge_cases_follow_the_cell_scan(self):
+        class Index(int):
+            pass
+        assert tables.first_bad_index([[Index(0), 1], [1, Index(1)]], 2, 2, 2) is None
+        assert tables.first_bad_index([], 0, 5, 5) is None
+        assert tables.first_bad_index([[], []], 2, 0, 0) is None
+        assert tables.first_bad_index([[0, 1], [True, 0]], 2, 2, 2) == (1, 0, True)
+        # a bad cell before a row without a length is reported first
+        assert tables.first_bad_index([[True, 0], 5], 2, 2, 2) == (0, 0, True)
+        with pytest.raises(TypeError):
+            tables.first_bad_index([[0, 1], 5], 2, 2, 2)
+
+
 def cyclic_product(moduli):
     """Z_m1 x ... x Z_mk with mixed-radix indices, first coordinate most
     significant, and the coordinates of each index as a (order, k) array."""
