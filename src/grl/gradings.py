@@ -13,7 +13,7 @@ so verdicts and witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, wraps
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -53,9 +53,10 @@ ProductTable = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class GradedRing:
-    """``table`` serves ``products`` as int arrays and ``span`` the product
-    spans, each built once per instance.  Neither cache is a dataclass field,
-    so ``==``, ``hash`` and ``repr`` ignore them."""
+    """``table`` serves ``products`` as int arrays, ``span`` the product
+    spans and ``_verdicts`` the grading-class verdicts, each built once per
+    instance.  No cache is a dataclass field, so ``==``, ``hash`` and
+    ``repr`` ignore them."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
@@ -101,6 +102,11 @@ class GradedRing:
     @cached_property
     def _spans(self) -> dict[tuple[int, int], Subgroup]:
         """Product spans by grader pair, filled in as they are asked for."""
+        return {}
+
+    @cached_property
+    def _verdicts(self) -> dict[str, Verdict]:
+        """Grading-class verdicts by predicate name, filled in by ``_once_per_ring``."""
         return {}
 
     def base_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -325,6 +331,23 @@ def _triple_span(R: GradedRing, s: int, t: int) -> Subgroup:
 # grading classes
 
 
+def _once_per_ring(predicate):
+    """Compute a grading-class predicate once per graded ring and keep its
+    verdict in ``R._verdicts``.  The body is looked up as ``__wrapped__`` on
+    each miss, so a test can substitute it."""
+    name = predicate.__name__
+
+    @wraps(predicate)
+    def once(R: GradedRing) -> Verdict:
+        verdicts = R._verdicts
+        if name not in verdicts:
+            verdicts[name] = once.__wrapped__(R)
+        return verdicts[name]
+
+    return once
+
+
+@_once_per_ring
 def is_symmetric(R: GradedRing) -> Verdict:
     """Does span(R_s R_t R_s) fill R_s for every s and every inverse t of s?"""
     pairs = R.inverse_pairs()
@@ -335,6 +358,7 @@ def is_symmetric(R: GradedRing) -> Verdict:
     return Verdict(holds=True, vacuous=not pairs)
 
 
+@_once_per_ring
 def is_strong(R: GradedRing) -> Verdict:
     """Does span(R_s R_t) fill R_{st} for every defined pair?"""
     for (s, t) in R.base_pairs():
@@ -359,6 +383,7 @@ def _subring_is_s_unital(M: np.ndarray, members: Sequence[int]) -> bool:
     return bool((sub == idx).any(axis=0).all() and (sub == idx[:, None]).any(axis=1).all())
 
 
+@_once_per_ring
 def is_epsilon_strong(R: GradedRing) -> Verdict:
     """Symmetric, with every span(R_s R_t) for t inverse to s a unital ring.
 
@@ -404,6 +429,7 @@ def _per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
     return True, out, None
 
 
+@_once_per_ring
 def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
     """Symmetric, with every span(R_s R_t) for t inverse to s an s-unital ring.
 
@@ -427,6 +453,7 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
 # graded regularity
 
 
+@_once_per_ring
 def is_graded_vnr(R: GradedRing) -> Verdict:
     """For every grader s, r in R_s and inverse t of s: some y in R_t with r = r*y*r.
 
@@ -450,6 +477,7 @@ def is_graded_vnr(R: GradedRing) -> Verdict:
                    witness=GradedVnrWitness(assignments, None, vacuous))
 
 
+@_once_per_ring
 def base_components_vnr(R: GradedRing) -> Verdict:
     """Is the component ring at every idempotent grader von Neumann regular?"""
     for e in R.base_idempotents():
@@ -630,12 +658,10 @@ def check_corollaries(R: GradedRing) -> dict:
     """
     out: dict = {"check": "corollaries", "applicable": True}
     agree = True
-    # (graded_vnr, base_components_vnr), computed once even when both cases apply
-    regularity = cache(lambda: (is_graded_vnr(R).holds, base_components_vnr(R).holds))
 
     eps = is_epsilon_strong(R)
     if eps.holds:
-        lhs, rhs = regularity()
+        lhs, rhs = is_graded_vnr(R).holds, base_components_vnr(R).holds
         out["epsilon_strong_case"] = {"applicable": True, "graded_vnr": lhs,
                                       "base_components_vnr": rhs, "agree": lhs == rhs}
         agree = agree and lhs == rhs
@@ -652,7 +678,7 @@ def check_corollaries(R: GradedRing) -> dict:
                 "agree": near == components_s_unital}
         agree = agree and near == components_s_unital
         if components_s_unital:
-            lhs, rhs = regularity()
+            lhs, rhs = is_graded_vnr(R).holds, base_components_vnr(R).holds
             part["regularity"] = {"graded_vnr": lhs, "base_components_vnr": rhs,
                                   "agree": lhs == rhs}
             agree = agree and lhs == rhs

@@ -56,6 +56,15 @@ def semigroup_to_json(S: FiniteSemigroup) -> dict:
     return out
 
 
+def _field(data: dict, key: str):
+    """``data[key]`` for a required field; a missing one is a ``KeyError``
+    that names it."""
+    try:
+        return data[key]
+    except KeyError:
+        raise KeyError(f"missing field {key!r}") from None
+
+
 def _check_order(data: dict, table) -> None:
     """A declared "order" must be the number of rows of its table."""
     if "order" in data and (type(data["order"]) is not int or data["order"] != len(table)):
@@ -74,8 +83,9 @@ def _unique(pairs, what: str) -> dict:
 
 
 def semigroup_from_json(data: dict) -> FiniteSemigroup:
-    _check_order(data, data["table"])
-    return validate_semigroup(data["table"], labels=data.get("labels"))
+    table = _field(data, "table")
+    _check_order(data, table)
+    return validate_semigroup(table, labels=data.get("labels"))
 
 
 def groupoid_to_json(G: FiniteGroupoid) -> dict:
@@ -94,11 +104,11 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    objects = data["objects"]
-    morphisms = data["morphisms"]
-    dom = [m["dom"] for m in morphisms]
-    cod = [m["cod"] for m in morphisms]
-    inv = [m["inv"] for m in morphisms]
+    objects = _field(data, "objects")
+    morphisms = _field(data, "morphisms")
+    dom = [_field(m, "dom") for m in morphisms]
+    cod = [_field(m, "cod") for m in morphisms]
+    inv = [_field(m, "inv") for m in morphisms]
     compose = _unique((((g, h), gh) for g, h, gh in data.get("compose", [])), "compose")
     labels = [str(x) for x in objects]
     return validate_groupoid(len(objects), dom, cod, inv, compose,
@@ -115,7 +125,7 @@ def ring_to_json(T: FiniteRing) -> dict:
 
 def _size(spec: dict, least: int) -> int:
     """``spec["n"]``, which must be a JSON integer of at least ``least``."""
-    n = spec["n"]
+    n = _field(spec, "n")
     if type(n) is not int or n < least:
         raise OutOfRangeError(f"n must be an integer >= {least}, got {n!r}")
     return n
@@ -134,12 +144,13 @@ def ring_from_json(data) -> FiniteRing:
         if kind == "Zn":
             return cyclic_ring(_size(data, 1))
         if kind == "product":
-            return product_ring(*(ring_from_json(f) for f in data["factors"]))
+            return product_ring(*(ring_from_json(f) for f in _field(data, "factors")))
         if kind == "matrix":
-            return matrix_ring(ring_from_json(data["A"]), _size(data, 0))
+            return matrix_ring(ring_from_json(_field(data, "A")), _size(data, 0))
         raise OutOfRangeError(f"unknown ring constructor: {kind!r}")
-    _check_order(data, data["add"])
-    return validate_ring(data["add"], data["neg"], data["mul"])
+    add = _field(data, "add")
+    _check_order(data, add)
+    return validate_ring(add, _field(data, "neg"), _field(data, "mul"))
 
 
 def _group_to_json(g: FiniteAdditiveGroup) -> dict:
@@ -148,8 +159,9 @@ def _group_to_json(g: FiniteAdditiveGroup) -> dict:
 
 
 def _group_from_json(data: dict) -> FiniteAdditiveGroup:
-    _check_order(data, data["add"])
-    return validate_additive_group(data["add"], data["neg"])
+    add = _field(data, "add")
+    _check_order(data, add)
+    return validate_additive_group(add, _field(data, "neg"))
 
 
 def graded_to_json(R: GradedRing) -> dict:
@@ -170,27 +182,29 @@ def graded_to_json(R: GradedRing) -> dict:
 
 
 def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
-    base_spec = data["base"]
-    ref = base_spec["ref"]
+    base_spec = _field(data, "base")
+    ref = _field(base_spec, "ref")
     if isinstance(ref, str):
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         ref = json.loads(path.read_text())
-    if base_spec["kind"] == "semigroup":
+    base_kind = _field(base_spec, "kind")
+    if base_kind == "semigroup":
         base = semigroup_from_json(ref)
-    elif base_spec["kind"] == "groupoid":
+    elif base_kind == "groupoid":
         base = groupoid_from_json(ref)
     else:
-        raise OutOfRangeError(f"unknown base kind: {base_spec['kind']!r}")
+        raise OutOfRangeError(f"unknown base kind: {base_kind!r}")
     n = len(base.relations.table)
-    unknown = sorted(set(data["components"]) - {str(s) for s in range(n)})
+    given = _field(data, "components")
+    unknown = sorted(set(given) - {str(s) for s in range(n)})
     if unknown:
         raise OutOfRangeError(f"component key {unknown[0]!r} names no grader")
     trivial = {"order": 1, "add": [[0]], "neg": [0]}
-    components = [_group_from_json(data["components"].get(str(s), trivial))
+    components = [_group_from_json(given.get(str(s), trivial))
                   for s in range(n)]
-    products = _unique((((item["s"], item["t"]), item["table"])
+    products = _unique((((_field(item, "s"), _field(item, "t")), _field(item, "table"))
                         for item in data.get("products", [])), "product")
     return validate_grading(base, components, products)
 
@@ -266,19 +280,19 @@ def construction_from_json(spec: dict):
 
     kind = spec.get("construct")
     if kind == "semigroup_ring":
-        A = ring_from_json(spec["A"])
-        S = semigroup_from_spec(spec["S"])
+        A = ring_from_json(_field(spec, "A"))
+        S = semigroup_from_spec(_field(spec, "S"))
         return semigroup_ring(A, S), {"construction": kind, "A": A, "S": S}
     if kind == "matrix_bn":
-        A = ring_from_json(spec["A"])
+        A = ring_from_json(_field(spec, "A"))
         return matrix_bn_grading(A, _size(spec, 1)), {"construction": kind, "A": A}
     if kind == "good_grading":
-        A = ring_from_json(spec["A"])
-        base = semigroup_from_spec(spec["base"])
-        dm = validate_degree_map(base, spec["deg"])
+        A = ring_from_json(_field(spec, "A"))
+        base = semigroup_from_spec(_field(spec, "base"))
+        dm = validate_degree_map(base, _field(spec, "deg"))
         return good_grading(A, dm), {"construction": kind, "A": A}
     if kind == "groupoid_ring":
-        A = ring_from_json(spec["A"])
-        G = groupoid_from_spec(spec["G"])
+        A = ring_from_json(_field(spec, "A"))
+        G = groupoid_from_spec(_field(spec, "G"))
         return groupoid_ring(A, G), {"construction": kind, "A": A, "G": G}
     raise OutOfRangeError(f"unknown construction: {kind!r}")

@@ -197,18 +197,6 @@ def _raise_first_ring_violation(A: np.ndarray, M: np.ndarray) -> None:
             f"a*(b+c) != a*b + a*c at (a, b, c) = ({a}, {b}, {c})", right)
 
 
-def ring_from_ops(elems: Sequence, plus, neg, times) -> FiniteRing:
-    """Build index tables from callables over an explicit element list.
-
-    ``elems[0]`` must be the zero element.
-    """
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[plus(a, b)] for b in elems] for a in elems]
-    negt = [index[neg(a)] for a in elems]
-    mul = [[index[times(a, b)] for b in elems] for a in elems]
-    return validate_ring(add, negt, mul)
-
-
 # ---------------------------------------------------------------------------
 # named constructors
 
@@ -283,15 +271,11 @@ def cyclic_ring(n: int) -> FiniteRing:
 
 
 def field_f4() -> FiniteRing:
-    """The four-element field; elements 0, 1, a, a+1 with a^2 = a + 1."""
-    def times(x, y):
-        if x == 0 or y == 0:
-            return 0
-        # multiplicative group is cyclic of order 3 generated by a = 2
-        log = {1: 0, 2: 1, 3: 2}
-        exp = {0: 1, 1: 2, 2: 3}
-        return exp[(log[x] + log[y]) % 3]
-    return ring_from_ops([0, 1, 2, 3], lambda a, b: a ^ b, lambda a: a, times)
+    """The four-element field; elements 0, 1, a, a+1 with a^2 = a + 1.
+    Addition is XOR of the indices, so every element is its own negative."""
+    return validate_ring([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+                         [0, 1, 2, 3],
+                         [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
 
 
 def zero_multiplication_ring(n: int) -> FiniteRing:

@@ -7,9 +7,10 @@ principal ideals, and the breadth-first closure that ``additive_closure``
 replaces with coset growth.  They take the same arguments, scan in the same
 order and return the same values and report dicts.
 
-``multiples_ring``, ``product_ring`` and ``matrix_ring`` build their tables
-one element pair at a time through ``ring_from_ops`` and Python closures,
-where grl.rings computes whole tables with numpy index arithmetic.
+``multiples_ring``, ``product_ring``, ``matrix_ring`` and ``field_f4`` build
+their tables one element pair at a time through ``ring_from_ops`` and Python
+closures, where grl.rings computes whole tables with numpy index arithmetic
+or writes them out.
 """
 
 from __future__ import annotations
@@ -21,9 +22,33 @@ from grl.rings import (
     Subgroup,
     is_von_neumann_regular,
     opposite_ring,
-    ring_from_ops,
     s_unitality,
+    validate_ring,
 )
+
+
+def ring_from_ops(elems, plus, neg, times):
+    """Build index tables from callables over an explicit element list.
+
+    ``elems[0]`` must be the zero element.
+    """
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[plus(a, b)] for b in elems] for a in elems]
+    negt = [index[neg(a)] for a in elems]
+    mul = [[index[times(a, b)] for b in elems] for a in elems]
+    return validate_ring(add, negt, mul)
+
+
+def field_f4():
+    """The four-element field; elements 0, 1, a, a+1 with a^2 = a + 1."""
+    def times(x, y):
+        if x == 0 or y == 0:
+            return 0
+        # multiplicative group is cyclic of order 3 generated by a = 2
+        log = {1: 0, 2: 1, 3: 2}
+        exp = {0: 1, 1: 2, 2: 3}
+        return exp[(log[x] + log[y]) % 3]
+    return ring_from_ops([0, 1, 2, 3], lambda a, b: a ^ b, lambda a: a, times)
 
 
 def multiples_ring(k, n, zero_product=False):

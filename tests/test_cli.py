@@ -441,6 +441,20 @@ class TestRingConstructorFiles:
         assert run_cli("validate", str(path)) == (
             1, {"valid": False, "error": "KeyError", "message": message})
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": "ring"}, "add"),
+        ({"kind": "ring", "add": [[0]]}, "neg"),
+        ({"kind": "ring", "construct": "Zn"}, "n"),
+        ({"kind": "semigroup"}, "table"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": [{"dom": 0, "cod": 0}]}, "inv"),
+        ({"kind": "graded_ring", "base": {"kind": "semigroup"}}, "ref"),
+    ], ids=["add", "neg", "n", "table", "inv", "ref"])
+    def test_missing_fields_are_named(self, tmp_path, spec, field):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("validate", str(path)) == (
+            1, {"valid": False, "error": "KeyError", "message": f"missing field '{field}'"})
+
     @pytest.mark.parametrize("n", [2.0, True, "2", 0])
     def test_matrix_bn_n_must_be_an_integer(self, tmp_path, n):
         spec = tmp_path / "spec.json"

@@ -9,6 +9,7 @@ agree.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -27,8 +28,9 @@ from grl.corpus import default_manifest, generate_corpus
 from grl.errors import NotAnIdealError
 from grl.gradings import GradedRing, regrade_groupoid_to_semigroup
 from grl.groupoids import pair_groupoid
-from grl.rings import _power_group, cyclic_ring, field_f4, ring_from_ops
+from grl.rings import _power_group, cyclic_ring, field_f4
 from grl.semigroups import cyclic_group, enumerate_semigroups, trivial_semigroup
+from reference_rings import ring_from_ops
 from reference_semigroups import mul
 
 Z2 = cyclic_ring(2)
@@ -239,6 +241,61 @@ class TestSpanCache:
             once.span(s, t)
         again = regrade_groupoid_to_semigroup(R)
         assert "_spans" not in vars(again) and again == once
+
+
+PREDICATES = ("is_symmetric", "is_strong", "is_epsilon_strong",
+              "is_nearly_epsilon_strong", "is_graded_vnr", "base_components_vnr")
+
+
+class TestVerdictMemo:
+    """Each grading-class predicate runs its body once per ring object and
+    keeps the verdict in ``R._verdicts``; ``__wrapped__`` is the body."""
+
+    def test_memoised_verdicts_match_fresh_bodies(self, corpus):
+        rings = [e.graded for e in corpus.graded]
+        rings += [regrade_groupoid_to_semigroup(R) for R in rings if R.base_kind == "groupoid"]
+        for R in rings:
+            fresh = gr.validate_grading(R.base, R.components, R.products)
+            for name in PREDICATES:
+                fn = getattr(gr, name)
+                assert fn(R) is fn(R), name
+                assert fn(R) == fn.__wrapped__(fresh), name
+            assert R == fresh and repr(R) == repr(fresh)
+
+    def test_each_body_runs_once_per_ring(self, monkeypatch):
+        runs = Counter()
+        rings = []  # keeps every ring alive, so no id is reused
+        for name in PREDICATES:
+            fn = getattr(gr, name)
+
+            def counted(R, name=name, body=fn.__wrapped__):
+                rings.append(R)
+                runs[name, id(R)] += 1
+                return body(R)
+
+            monkeypatch.setattr(fn, "__wrapped__", counted)
+        corpus = generate_corpus(default_manifest())
+        summary = cli.run_suite(corpus, "all", cli.build_parser().parse_args(["corpus-run"]))
+        assert summary["n_disagree"] == 0
+        assert {name for name, _ in runs} == set(PREDICATES)
+        assert max(runs.values()) == 1
+
+    def test_witness_sides_do_not_read_the_memo(self, monkeypatch):
+        for name in ("is_epsilon_strong", "is_nearly_epsilon_strong"):
+            fn = getattr(gr, name)
+
+            def flipped(R, body=fn.__wrapped__):
+                verdict = body(R)
+                return replace(verdict, holds=not verdict.holds)
+
+            monkeypatch.setattr(fn, "__wrapped__", flipped)
+        corpus = generate_corpus(default_manifest())
+        summary = cli.run_suite(corpus, "eps-chars", cli.build_parser().parse_args(["corpus-run"]))
+        assert summary["n_disagree"] == summary["n_entries"] > 0
+        reports = [entry["report"] for entry in summary["entries"]]
+        for part in ("epsilon_strong", "nearly_epsilon_strong"):
+            assert all(r[part]["definition"] != r[part]["witness"] for r in reports), part
+            assert any(r[part]["witness"] for r in reports), part  # some verdicts held
 
 
 @pytest.mark.parametrize("name", sorted(catalog.GOOD_GRADING_SPECS))

@@ -29,7 +29,6 @@ from grl.rings import (
     multiples_ring,
     opposite_ring,
     product_ring,
-    ring_from_ops,
     Subgroup,
     zero_multiplication_ring,
 )
@@ -37,10 +36,10 @@ from grl.rings import (
 M2 = matrix_ring(cyclic_ring(2), 2)
 # [[x, y], [0, 0]] over Z2: left s-unital but not right s-unital, so a
 # search that mixes up the two sides changes its verdict here
-ROWS = ring_from_ops([(0, 0), (0, 1), (1, 0), (1, 1)],
-                     lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
-                     lambda p: p,
-                     lambda p, q: (p[0] * q[0], p[0] * q[1]))
+ROWS = ref.ring_from_ops([(0, 0), (0, 1), (1, 0), (1, 1)],
+                         lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2),
+                         lambda p: p,
+                         lambda p, q: (p[0] * q[0], p[0] * q[1]))
 POOL = {f"corpus:{name}": catalog.named_ring(name) for name in default_manifest().rings}
 POOL.update({
     "M2(Z2)": M2,

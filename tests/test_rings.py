@@ -90,11 +90,15 @@ def tables(T):
 
 class TestBuildersMatchReference:
     """The integer, product and matrix rings compute whole tables by index
-    arithmetic; each table must equal the per-pair closures' of
-    reference_rings, element order included."""
+    arithmetic and F4 writes them out; each table must equal the per-pair
+    closures' of reference_rings, element order included."""
 
     COEFFICIENTS = {"Z1": cyclic_ring(1), "Z2": Z2, "Z3": cyclic_ring(3), "Z4": Z4,
                     "F4": F4, "2Z8": EVEN8, "zero3": zero_multiplication_ring(3)}
+
+    def test_field_f4(self):
+        # the literal tables against the closures over the multiplicative group
+        assert tables(F4) == tables(ref.field_f4())
 
     @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -192,10 +196,10 @@ class TestUnitality:
         assert unity(product_ring(Z2, Z2)) == 3  # the pair (1, 1)
 
     def test_one_sided_unities(self):
-        from grl.rings import left_unity, right_unity, ring_from_ops
+        from grl.rings import left_unity, right_unity
         # 2x2 matrices with zero bottom row over F2: (a,b)*(c,d) = (ac, ad);
         # (1,0) and (1,1) are left unities, and there is no right unity
-        rows = ring_from_ops(
+        rows = ref.ring_from_ops(
             [(0, 0), (0, 1), (1, 0), (1, 1)],
             lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]),
             lambda x: x,

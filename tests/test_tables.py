@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_tables as ref
+from reference_rings import ring_from_ops
 from grl import catalog, tables
 from grl.constructions import groupoid_ring, semigroup_ring
 from grl.errors import (
@@ -30,7 +31,6 @@ from grl.groupoids import validate_groupoid
 from grl.rings import (
     cyclic_ring,
     matrix_ring,
-    ring_from_ops,
     validate_additive_group,
     validate_ring,
 )
