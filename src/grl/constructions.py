@@ -171,7 +171,10 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             cells[dm.degree(i, j)].append((i, j))
-    components = tuple(_power_group(A.additive, len(cs)) for cs in cells)
+    # one group per size: graders of equal size share one component object,
+    # and validate_grading checks each distinct component and table once
+    powers = {k: _power_group(A.additive, k) for k in {len(cs) for cs in cells}}
+    components = tuple(powers[len(cs)] for cs in cells)
     products = {(s, t): _matrix_product(A, cells[s], cells[t], cells[base.table[s][t]])
                 for s, t in product(base.elements(), repeat=2)
                 if any(j == k for (_, j) in cells[s] for (k, _) in cells[t])}

@@ -8,6 +8,7 @@ seeded.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from typing import Any, Callable, Optional
 
 from . import catalog
@@ -161,7 +162,12 @@ def default_manifest() -> CorpusManifest:
 
 
 def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
+    """Each named ring, semigroup and groupoid is built once per call and
+    shared by every entry that names it; nothing outlives the call."""
     m = manifest if manifest is not None else default_manifest()
+    named_ring = cache(catalog.named_ring)
+    named_semigroup = cache(catalog.named_semigroup)
+    named_groupoid = cache(catalog.named_groupoid)
     counts: dict[str, int] = {}
     work = {"order4_tables_scanned": 0}
 
@@ -183,47 +189,48 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
         counts["semigroups_sampled_order_4"] = len(samples)
     for name in m.named_semigroups:
         semigroups.append(CorpusEntry(
-            id=f"sg:{name}", kind="semigroup", structure=catalog.named_semigroup(name),
+            id=f"sg:{name}", kind="semigroup", structure=named_semigroup(name),
             meta={"source": "named", "name": name}))
     counts["semigroups_named"] = len(m.named_semigroups)
 
     rings = [CorpusEntry(id=f"ring:{name}", kind="ring",
-                         structure=catalog.named_ring(name),
+                         structure=named_ring(name),
                          meta={"name": name})
              for name in m.rings]
     counts["rings"] = len(rings)
 
     groupoids = [CorpusEntry(id=f"gpd:{name}", kind="groupoid",
-                             structure=catalog.named_groupoid(name),
+                             structure=named_groupoid(name),
                              meta={"name": name})
                  for name in m.groupoids]
     counts["groupoids"] = len(groupoids)
 
     graded: list[CorpusEntry] = []
     for a_name in m.semigroup_ring_coefficients:
-        A = catalog.named_ring(a_name)
+        A = named_ring(a_name)
         for s_name in m.semigroup_ring_bases:
-            S = catalog.named_semigroup(s_name)
+            S = named_semigroup(s_name)
             graded.append(CorpusEntry(
                 id=f"gr:sr:{a_name}:{s_name}", kind="graded_ring",
                 structure=semigroup_ring(A, S),
                 meta={"construction": "semigroup_ring", "A": a_name, "S": s_name}))
     for a_name, n in m.matrix_gradings:
-        A = catalog.named_ring(a_name)
+        A = named_ring(a_name)
         graded.append(CorpusEntry(
             id=f"gr:bn:{a_name}:{n}", kind="graded_ring",
             structure=matrix_bn_grading(A, n),
             meta={"construction": "matrix_bn", "A": a_name, "n": n}))
     for name in m.good_gradings:
-        A, base, deg = catalog.good_grading_spec(name)
-        gg = good_grading(A, validate_degree_map(base, deg))
+        a_name, base_name, deg = catalog.GOOD_GRADING_SPECS[name]
+        gg = good_grading(named_ring(a_name),
+                          validate_degree_map(named_semigroup(base_name), deg))
         graded.append(CorpusEntry(
             id=f"gr:good:{name}", kind="graded_ring", structure=gg,
             meta={"construction": "good_grading", "name": name,
-                  "A": catalog.GOOD_GRADING_SPECS[name][0]}))
+                  "A": a_name}))
     for a_name, g_name in m.groupoid_ring_pairs:
-        A = catalog.named_ring(a_name)
-        G = catalog.named_groupoid(g_name)
+        A = named_ring(a_name)
+        G = named_groupoid(g_name)
         graded.append(CorpusEntry(
             id=f"gr:gpd:{a_name}:{g_name}", kind="graded_ring",
             structure=groupoid_ring(A, G),

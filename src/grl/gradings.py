@@ -56,7 +56,9 @@ class GradedRing:
     """``table`` serves ``products`` as int arrays, ``span`` the product
     spans and ``_verdicts`` the grading-class verdicts, each built once per
     instance.  No cache is a dataclass field, so ``==``, ``hash`` and
-    ``repr`` ignore them."""
+    ``repr`` ignore them.  ``validate_grading`` stores equal product tables
+    as one object, and each table object gets one array, shared by every
+    pair that stores it and read-only for that reason."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
@@ -90,7 +92,12 @@ class GradedRing:
 
     @cached_property
     def _arrays(self) -> dict[tuple[int, int], np.ndarray]:
-        return {key: np.array(table, dtype=np.intp) for key, table in self.products.items()}
+        built: dict[int, np.ndarray] = {}
+        for table in self.products.values():
+            if id(table) not in built:
+                built[id(table)] = P = np.array(table, dtype=np.intp)
+                P.flags.writeable = False
+        return {key: built[id(table)] for key, table in self.products.items()}
 
     def span(self, s: int, t: int) -> Subgroup:
         """Additive span of the products R_s R_t inside R_{st}."""
@@ -140,9 +147,11 @@ def validate_grading(base: BaseLike,
     """Verify codomains, bilinearity and cross-component associativity.
 
     ``components`` must already be validated additive groups, one per base
-    element (semigroup elements / groupoid morphisms).  Valid tables are
-    accepted on the components' additive generators; otherwise the
-    exhaustive scans report the first violation.
+    element (semigroup elements / groupoid morphisms).  Equal product
+    tables are stored as one object.  Valid tables are accepted on the
+    components' additive generators, each distinct table and each distinct
+    triple of tables checked once; otherwise the exhaustive scans report the
+    first violation.
     """
     n = len(base.relations.table)
     if len(components) != n:
@@ -150,7 +159,11 @@ def validate_grading(base: BaseLike,
 
     draft = GradedRing(base=base, components=tuple(components), products={})
     prods: dict[tuple[int, int], ProductTable] = {}
+    distinct: dict[ProductTable, ProductTable] = {}
     for (s, t), raw in products.items():
+        if not (_is_index(s) and _is_index(t)):
+            raise OutOfRangeError(f"product key ({s!r}, {t!r}) is not a pair of integers",
+                                  (s, t))
         if not (0 <= s < n and 0 <= t < n):
             raise OutOfRangeError(f"product key ({s}, {t}) out of range", (s, t))
         st = draft.target(s, t)
@@ -170,7 +183,8 @@ def validate_grading(base: BaseLike,
                 raise CodomainError(
                     f"product ({s}, {t})[{a}][{b}] = {v!r} not an index in R_{st}",
                     (s, t, a, b, v))
-        prods[(s, t)] = tuple(tuple(row) for row in raw)
+        table = tuple(tuple(row) for row in raw)
+        prods[(s, t)] = distinct.setdefault(table, table)
 
     R = GradedRing(base=base, components=tuple(components), products=prods)
     add = [np.array(g.add, dtype=np.intp) for g in components]
@@ -179,10 +193,16 @@ def validate_grading(base: BaseLike,
     return R
 
 
+def _is_index(key) -> bool:
+    """Is a product key part an int (bools excluded), like a table cell?"""
+    return isinstance(key, int) and not isinstance(key, bool)
+
+
 def _associativity_triples(R: GradedRing):
     """Grader triples (s, t, u) with st and tu defined, in scan order."""
-    return ((s, t, u) for (s, t) in R.base_pairs() for u in R.graders()
-            if R.target(t, u) is not None)
+    target, graders = R.base.table, R.graders()  # None off G^(2) for a groupoid
+    return ((s, t, u) for (s, t) in R.base_pairs() for u in graders
+            if target[t][u] is not None)
 
 
 def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
@@ -190,19 +210,39 @@ def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
     checked on the components' generators, bi-additivity first, as the
     generator test for associativity is a proof only for bi-additive tables.
     A triple where neither (ab)c nor a(bc) has both of its tables stored
-    is zero on both sides and is skipped."""
-    T = {key: R.table(*key) for key in R.products}
+    is zero on both sides and is skipped.
+
+    Each check is a function of its tables and components alone, so it runs
+    once per distinct input: bi-additivity once per table array and
+    components of s, t and st, a triple once per components of s, t and u
+    and arrays of its two sides.  Arrays and components are told apart by
+    identity; ``validate_grading`` makes equal tables one object."""
+    T, target = R._arrays, R.base.table
+    comp = [id(g) for g in R.components]
     gens = [np.asarray(g.generators) for g in R.components]
+    checked = set()
     for (s, t), P in T.items():
-        if not biadditive(P, add[s], add[t], add[R.target(s, t)], gens[s], gens[t]):
-            return False
+        st = target[s][t]
+        key = (id(P), comp[s], comp[t], comp[st])
+        if key not in checked:
+            checked.add(key)
+            if not biadditive(P, add[s], add[t], add[st], gens[s], gens[t]):
+                return False
+    number = {key: id(P) for key, P in T.items()}.get
+    checked = set()
     for (s, t, u) in _associativity_triples(R):
-        st, tu = R.target(s, t), R.target(t, u)
-        left = (T[s, t], T[st, u]) if (s, t) in T and (st, u) in T else None
-        right = (T[t, u], T[s, tu]) if (t, u) in T and (s, tu) in T else None
-        if (left is not None or right is not None) and not agree_on_generators(
-                gens[s], gens[t], gens[u], left, right):
-            return False
+        st, tu = target[s][t], target[t][u]
+        ab, ab_c, bc, a_bc = number((s, t)), number((st, u)), number((t, u)), number((s, tu))
+        left = None if ab is None or ab_c is None else (ab, ab_c)
+        right = None if bc is None or a_bc is None else (bc, a_bc)
+        key = (comp[s], comp[t], comp[u], left, right)
+        if (left is not None or right is not None) and key not in checked:
+            checked.add(key)
+            if not agree_on_generators(
+                    gens[s], gens[t], gens[u],
+                    None if left is None else (T[s, t], T[st, u]),
+                    None if right is None else (T[t, u], T[s, tu])):
+                return False
     return True
 
 

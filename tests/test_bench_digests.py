@@ -1,10 +1,11 @@
-"""Every ``ring-ideals`` and ``large-gradings`` benchmark call gives the exit
-code and output digest recorded in ``bench/expected.json``.
+"""Every ``ring-ideals`` and ``large-gradings`` benchmark call, and the
+``corpus-all`` calls for manifest seeds 1, 2 and 3, give the exit code and
+output digest recorded in ``bench/expected.json``.
 
 The inputs, the argument lists and the digest come from ``bench/workload.py``,
 so a change that alters any of these reports fails here, not only in a
-benchmark run.  ``corpus-all`` is left out: one of its calls takes longer than
-this whole module.
+benchmark run.  The ``corpus-all`` call for the default manifest seed is
+checked by ``bench/test_bench.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from grl import cli  # noqa: E402
 
 WORKLOADS = ("ring-ideals", "large-gradings")
 EXPECTED = json.loads(workload.EXPECTED.read_text())
+CORPUS_SEEDS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +48,13 @@ def test_call_matches_recorded_digest(plans, name, key):
     result = workload.run_call(cli, plans[name][key])
     assert "error" not in result, result["error"]
     assert {"exit": result["exit"], "sha256": result["sha256"]} == EXPECTED[name][key]
+
+
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_corpus_run_matches_recorded_digest(tmp_path, seed):
+    assert seed in workload.CORPUS_SEEDS
+    key, argv = next((key, argv) for key, argv in workload.calls("corpus-all", tmp_path)
+                     if key.endswith(f" --seed {seed}"))
+    result = workload.run_call(cli, argv)
+    assert "error" not in result, result["error"]
+    assert {"exit": result["exit"], "sha256": result["sha256"]} == EXPECTED["corpus-all"][key]

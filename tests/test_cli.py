@@ -569,6 +569,23 @@ class TestInputFileRules:
         assert code == 1 and out["error"] == "OutOfRange" and out["context"] == [0, 0]
         assert out["message"] == "product entry (0, 0) appears twice"
 
+    @pytest.mark.parametrize("command", [["validate"], ["classify"]])
+    @pytest.mark.parametrize("key", [True, 1.0, "1", None],
+                             ids=["bool", "float", "string", "null"])
+    def test_grader_keys_must_be_integers(self, tmp_path, command, key):
+        # the group ring Z2[Z2], valid if true were read as grader 1
+        base = {"kind": "semigroup", "order": 2, "table": [[0, 1], [1, 0]]}
+        mul = [[0, 0], [0, 1]]
+        data = {"kind": "graded_ring", "base": {"kind": "semigroup", "ref": base},
+                "components": {"0": Z2_GROUP, "1": Z2_GROUP},
+                "products": [{"s": s, "t": t, "table": mul}
+                             for s, t in ((0, 0), (0, 1), (key, 0), (1, 1))]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(*command, str(path))
+        assert code == 1 and out["error"] == "OutOfRange" and out["context"] == [key, 0]
+        assert out["message"] == f"product key ({key!r}, 0) is not a pair of integers"
+
     def test_compose_entry_given_twice(self, tmp_path):
         data = {"kind": "groupoid", "objects": [0],
                 "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],

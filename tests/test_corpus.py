@@ -1,6 +1,7 @@
 import json
+from collections import Counter
 
-from grl import jsonio
+from grl import catalog, jsonio
 from grl.corpus import CorpusManifest, default_manifest, generate_corpus, write_corpus
 from grl.gradings import is_epsilon_strong, is_graded_vnr, is_nearly_epsilon_strong
 
@@ -23,6 +24,27 @@ class TestGeneration:
             assert a.structure.table == b.structure.table
         for a, b in zip(again.graded, corpus.graded):
             assert jsonio.graded_to_json(a.graded) == jsonio.graded_to_json(b.graded)
+
+    def test_each_named_structure_is_built_once(self, monkeypatch):
+        m = default_manifest()
+        good = [catalog.GOOD_GRADING_SPECS[name] for name in m.good_gradings]
+        names = {
+            "named_ring": {*m.rings, *m.semigroup_ring_coefficients,
+                           *(a for a, _ in m.matrix_gradings), *(a for a, _, _ in good),
+                           *(a for a, _ in m.groupoid_ring_pairs)},
+            "named_semigroup": {*m.named_semigroups, *m.semigroup_ring_bases,
+                                *(base for _, base, _ in good)},
+            "named_groupoid": {*m.groupoids, *(g for _, g in m.groupoid_ring_pairs)},
+        }
+        built = {builder: Counter() for builder in names}
+        for builder in names:
+            def counted(name, _builder=builder, _build=getattr(catalog, builder)):
+                built[_builder][name] += 1
+                return _build(name)
+            monkeypatch.setattr(catalog, builder, counted)
+        generate_corpus(m)
+        for builder, used in names.items():
+            assert built[builder] == Counter(used), builder
 
     def test_manifest_round_trip(self):
         m = default_manifest()

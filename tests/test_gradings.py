@@ -1,11 +1,14 @@
 import pytest
 
+from grl import catalog, gradings
 from grl.constructions import (
     bn_index,
+    good_grading,
     groupoid_ring,
     matrix_bn_grading,
     matrix_units_semigroup,
     semigroup_ring,
+    validate_degree_map,
 )
 from grl.errors import (
     BilinearityError,
@@ -43,10 +46,12 @@ from grl.semigroups import (
     monogenic_semigroup,
     validate_semigroup,
 )
+import reference_tables
 from reference_gradings import product
 from reference_semigroups import mul
 
 Z2 = cyclic_ring(2)
+Z3 = cyclic_ring(3)
 Z4 = cyclic_ring(4)
 Z6 = cyclic_ring(6)
 TRIVIAL_SG = validate_semigroup([[0]])
@@ -104,6 +109,80 @@ class TestValidation:
         products[(1, 1)] = Z2.mul  # (0,1) cannot follow (0,1)
         with pytest.raises(NonComposableProductError):
             validate_grading(G, R.components, products)
+
+
+def outcome(base, components, products):
+    try:
+        validate_grading(base, components, products)
+    except (BilinearityError, GradedAssociativityError) as err:
+        return (type(err), err.context)
+    return None
+
+
+class TestDistinctChecks:
+    """validate_grading runs each check once per distinct table, components
+    and triple of tables, and still finds every violation."""
+
+    @pytest.mark.parametrize("make,tables,checks", [
+        (lambda: semigroup_ring(Z2, catalog.named_semigroup("B2")), 1, (1, 1)),
+        (lambda: semigroup_ring(Z4, catalog.named_semigroup("monogenic22")), 1, (1, 1)),
+        (lambda: matrix_bn_grading(Z6, 3), 1, (1, 1)),
+        (lambda: groupoid_ring(Z2, catalog.named_groupoid("pair3")), 1, (1, 1)),
+        (lambda: good_grading(Z3, validate_degree_map(
+            catalog.named_semigroup("Z3"), [[0, 1, 2], [2, 0, 1], [1, 2, 0]])).graded,
+         3, (3, 9)),
+    ], ids=["Z2[B2]", "Z4[monogenic22]", "M3(Z6)/B3", "Z2[pair3]", "M3(Z3)/Z3"])
+    def test_each_distinct_check_runs_once(self, make, tables, checks, monkeypatch):
+        # in the first four every stored table is A's multiplication over A's
+        # additive group; the good grading has three tables over one A^3.  A
+        # check per pair and per triple runs 25/125, 4/8, 27/81, 27/81 and
+        # 9/27 times here
+        calls = {"biadditive": 0, "agree_on_generators": 0}
+        for name in calls:
+            def counted(*args, _name=name, _check=getattr(gradings, name)):
+                calls[_name] += 1
+                return _check(*args)
+            monkeypatch.setattr(gradings, name, counted)
+        R = make()
+        assert (calls["biadditive"], calls["agree_on_generators"]) == checks
+        assert len({id(table) for table in R.products.values()}) == tables
+
+    def test_equal_tables_are_one_object_and_one_array(self):
+        products = {key: [list(row) for row in Z2.mul] for key in GROUP_RING_Z2.products}
+        R = validate_grading(GROUP_RING_Z2.base, GROUP_RING_Z2.components, products)
+        assert len({id(table) for table in R.products.values()}) == 1
+        assert len({id(R.table(s, t)) for (s, t) in R.products}) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        P = BN_Z2.table(bn_index(3, 1, 2), bn_index(3, 2, 1))
+        with pytest.raises(ValueError):
+            P[1, 1] = 0
+        assert P[1, 1] == 1
+
+    def test_one_changed_table_among_shared_ones(self):
+        # Z2[chain3] with the table of (0, 1) zeroed: still bi-additive, and
+        # (0, 1, 0) is the one triple it breaks, (ab)c = 0 against a(bc) = 1;
+        # the other 26 triples share the tables of Z2
+        S = catalog.named_semigroup("chain3")
+        R = semigroup_ring(Z2, S)
+        products = dict(R.products)
+        products[(0, 1)] = [[0, 0], [0, 0]]
+        expected = reference_tables.grading_violation(S, R.components, products)
+        assert expected == (GradedAssociativityError, (0, 1, 0, 1, 1, 1))
+        assert outcome(S, R.components, products) == expected
+
+    def test_the_components_are_part_of_the_key(self):
+        # one table object for (1, 1) over Z4 and for (2, 2) over Z2xZ2, both
+        # into R_0 = Z4 of a null semigroup, where no triple has a side with
+        # both tables stored: Z4's product is bi-additive over Z4 only
+        null = validate_semigroup([[0] * 3] * 3)
+        components = [Z4.additive, Z4.additive, catalog.named_ring("Z2xZ2").additive]
+        assert components[2].order == components[1].order
+        products = {(1, 1): Z4.mul, (2, 2): Z4.mul}
+        expected = reference_tables.grading_violation(null, components, products)
+        assert expected[0] is BilinearityError and expected[1][:2] == (2, 2)
+        assert outcome(null, components, products) == expected
+        assert outcome(null, components, {(1, 1): Z4.mul}) is None
 
 
 class TestProductSubgroups:

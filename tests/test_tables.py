@@ -171,7 +171,7 @@ class TestKernelMatchesReference:
         for _ in range(data.draw(st.integers(1, 2))):
             key = data.draw(st.sampled_from(sorted(products)))
             out = R.component(R.target(*key)).order
-            kind = data.draw(st.sampled_from(("cell", "drop", "zero", "swap")))
+            kind = data.draw(st.sampled_from(("cell", "drop", "zero", "swap", "copy")))
             if kind == "cell":
                 products[key] = mutate_cells(data, products[key], out, max_cells=1)
             elif kind == "drop" and len(products) > 1:
@@ -185,6 +185,9 @@ class TestKernelMatchesReference:
                         and len(products[k][0]) == len(products[key][0])]
                 if same:
                     products[key] = products[data.draw(st.sampled_from(same))]
+            elif kind == "copy":
+                # an equal table as a new object: validation makes it one with the rest
+                products[key] = [list(row) for row in products[key]]
             if not products:
                 break
         with cell_budget(data.draw(st.sampled_from(BUDGETS))):
@@ -371,7 +374,9 @@ class TestGeneratorKernel:
     def test_random_bilinear_gradings(self, data):
         # every stored table is bi-additive, some pairs have none, and
         # components may be trivial: graded associativity is decided on
-        # generators, one-sided triples included
+        # generators, one-sided triples included.  With one group for every
+        # grader, pairs may share one table object, so that the checks of
+        # distinct tables and triples decide for many pairs at once
         S = data.draw(st.sampled_from([S for S in enumerate_semigroups(2)]
                                       + [cyclic_group(3)]))
         n = S.order
@@ -379,11 +384,13 @@ class TestGeneratorKernel:
         moduli = [data.draw(st.sampled_from(SMALL_MODULI))] * n if same else [
             data.draw(st.sampled_from(SMALL_MODULI)) for _ in range(n)]
         groups = [GROUPS[m] for m in moduli]
+        shared = draw_bilinear(data, *groups[:1] * 3) if same else None
         products = {}
         for s, t in product(range(n), repeat=2):
             if data.draw(st.integers(0, 3)):
-                products[(s, t)] = draw_bilinear(data, groups[s], groups[t],
-                                                 groups[S.table[s][t]])
+                products[(s, t)] = (shared if same and data.draw(st.booleans()) else
+                                    draw_bilinear(data, groups[s], groups[t],
+                                                  groups[S.table[s][t]]))
         if products and data.draw(st.booleans()):
             key = data.draw(st.sampled_from(sorted(products)))
             products[key] = mutate_cells(data, products[key],
