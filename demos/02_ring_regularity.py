@@ -32,7 +32,7 @@ def main():
     z4 = named_ring("Z4")
     w = is_von_neumann_regular(z4)
     print(f"mod-4 integers: element {w.failing} satisfies r*y*r in "
-          f"{sorted({z4.times(z4.times(w.failing, y), w.failing) for y in z4.elements()})},"
+          f"{sorted({z4.mul[z4.mul[w.failing][y]][w.failing] for y in z4.elements()})},"
           " never itself,")
     print(f"and its principal ideal {left_ideal(z4, [w.failing]).elements()} "
           "contains no idempotent generator.")

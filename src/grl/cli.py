@@ -14,7 +14,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -355,10 +355,11 @@ def _suite_tasks(corpus: Corpus, suite: str, opts):
             if e.graded.base_kind == "semigroup":
                 yield e.id, partial(check_corollaries, e.graded)
     elif suite == "semigroup-ring":
+        coefficients = cache(catalog.named_ring)  # each ring once per run
         for e in corpus.graded:
             if e.meta.get("construction") == "semigroup_ring":
                 yield e.id, partial(_check_semigroup_ring, e.graded,
-                                    catalog.named_ring(e.meta["A"]))
+                                    coefficients(e.meta["A"]))
     elif suite == "good-grading":
         for e in corpus.graded:
             if e.meta.get("construction") == "good_grading":

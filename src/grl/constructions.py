@@ -43,6 +43,7 @@ from .semigroups import (
     inverses,
     validate_semigroup,
 )
+from .tables import first_bad_index
 
 
 def semigroup_ring(A: FiniteRing, S: FiniteSemigroup) -> GradedRing:
@@ -111,13 +112,11 @@ def validate_degree_map(base: FiniteSemigroup, deg: Sequence[Sequence[int]]) -> 
     n = len(deg)
     if n < 1:
         raise NotGoodError("empty degree map")
-    for i, row in enumerate(deg):
-        if len(row) != n:
-            raise NotGoodError(f"degree row {i} has length {len(row)}, expected {n}", (i,))
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < base.order:
-                raise OutOfRangeError(f"deg[{i}][{j}] = {v!r} is not a base element",
-                                      (i, j, v))
+    match first_bad_index(deg, n, n, base.order):
+        case (i, length):
+            raise NotGoodError(f"degree row {i} has length {length}, expected {n}", (i,))
+        case (i, j, v):
+            raise OutOfRangeError(f"deg[{i}][{j}] = {v!r} is not a base element", (i, j, v))
     es = set(idempotents(base))
     for i in range(n):
         if deg[i][i] not in es:

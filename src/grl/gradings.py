@@ -36,6 +36,7 @@ from .rings import (
     idempotent_generator,
     is_s_unital,
     is_von_neumann_regular,
+    subring_unity,
 )
 from .semigroups import FiniteSemigroup, classify_semigroup
 from .tables import (
@@ -408,15 +409,6 @@ def is_strong(R: GradedRing) -> Verdict:
     return Verdict(holds=True)
 
 
-def _subring_unity(M: np.ndarray, members: Sequence[int]) -> Optional[int]:
-    """Two-sided unity of a subgroup viewed as a ring under the table M;
-    {0} is unital with u = 0."""
-    idx = np.asarray(members)
-    sub = M[np.ix_(idx, idx)]  # sub[i, j] = members[i] * members[j]
-    units = ((sub == idx) & (sub.T == idx)).all(axis=1)
-    return int(idx[units.argmax()]) if units.any() else None
-
-
 def _subring_is_s_unital(M: np.ndarray, members: Sequence[int]) -> bool:
     idx = np.asarray(members)
     sub = M[np.ix_(idx, idx)]
@@ -437,10 +429,10 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)
         ts = R.target(t, s)
-        eps = _subring_unity(R.table(st, st), R.span(s, t).elements())
+        eps = subring_unity(R.table(st, st), R.span(s, t).elements())
         if eps is None:
             return Verdict(holds=False, failing=(s, t))
-        eps_prime = _subring_unity(R.table(ts, ts), R.span(t, s).elements())
+        eps_prime = subring_unity(R.table(ts, ts), R.span(t, s).elements())
         if eps_prime is None:
             return Verdict(holds=False, failing=(t, s))
         uniform[(s, t)] = (eps, eps_prime)
@@ -563,7 +555,7 @@ def check_eps_characterizations(R: GradedRing) -> dict:
     if eps_def.holds:
         unit_components["checked"] = True
         for e in R.base_idempotents():
-            u = _subring_unity(R.table(e, e), R.component(e).elements())
+            u = subring_unity(R.table(e, e), R.component(e).elements())
             if u is None:
                 unit_components["holds"] = False
                 unit_components["failing"] = e

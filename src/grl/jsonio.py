@@ -76,10 +76,20 @@ def _unique(pairs, what: str) -> dict:
     """``(key, value)`` pairs as a dict; a key given twice is an error."""
     out = {}
     for key, value in pairs:
+        if any(isinstance(part, (list, dict)) for part in key):  # unhashable JSON
+            raise OutOfRangeError(f"{what} key {key!r} is not a pair of integers", key)
         if key in out:
             raise OutOfRangeError(f"{what} entry {key} appears twice", key)
         out[key] = value
     return out
+
+
+def _each(items, what: str, well_formed, shape: str):
+    """The entries of a JSON list, each of which must be ``shape``."""
+    for i, item in enumerate(items):
+        if not well_formed(item):
+            raise OutOfRangeError(f"{what} entry {i} is not {shape}", (i,))
+        yield item
 
 
 def semigroup_from_json(data: dict) -> FiniteSemigroup:
@@ -105,11 +115,14 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     objects = _field(data, "objects")
-    morphisms = _field(data, "morphisms")
+    morphisms = list(_each(_field(data, "morphisms"), "morphism",
+                           lambda m: isinstance(m, dict), "an object"))
     dom = [_field(m, "dom") for m in morphisms]
     cod = [_field(m, "cod") for m in morphisms]
     inv = [_field(m, "inv") for m in morphisms]
-    compose = _unique((((g, h), gh) for g, h, gh in data.get("compose", [])), "compose")
+    triples = _each(data.get("compose", []), "compose",
+                    lambda e: isinstance(e, list) and len(e) == 3, "a triple [g, h, gh]")
+    compose = _unique((((g, h), gh) for g, h, gh in triples), "compose")
     labels = [str(x) for x in objects]
     return validate_groupoid(len(objects), dom, cod, inv, compose,
                              object_labels=labels,
@@ -204,8 +217,10 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
     trivial = {"order": 1, "add": [[0]], "neg": [0]}
     components = [_group_from_json(given.get(str(s), trivial))
                   for s in range(n)]
+    items = _each(data.get("products", []), "product",
+                  lambda item: isinstance(item, dict), "an object")
     products = _unique((((_field(item, "s"), _field(item, "t")), _field(item, "table"))
-                        for item in data.get("products", [])), "product")
+                        for item in items), "product")
     return validate_grading(base, components, products)
 
 

@@ -41,12 +41,6 @@ class FiniteAdditiveGroup:
     add: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
 
-    def plus(self, x: int, y: int) -> int:
-        return self.add[x][y]
-
-    def negate(self, x: int) -> int:
-        return self.neg[x]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -62,9 +56,10 @@ class FiniteRing:
     """Additive group with an associative, bi-additive multiplication table.
 
     Searches that run many times over one ring keep what they derive from the
-    tables on the instance: the tables as arrays, fixer bitmasks and principal
-    left ideals.  These caches are not dataclass fields, so they take no part
-    in ``==``, ``hash`` or ``repr``, and every new instance starts empty.
+    tables on the instance: the tables as arrays, the idempotents, fixer
+    bitmasks and principal left ideals.  These caches are not dataclass
+    fields, so they take no part in ``==``, ``hash`` or ``repr``, and every
+    new instance starts empty.
     """
 
     additive: FiniteAdditiveGroup
@@ -73,15 +68,6 @@ class FiniteRing:
     @property
     def order(self) -> int:
         return self.additive.order
-
-    def plus(self, x: int, y: int) -> int:
-        return self.additive.add[x][y]
-
-    def negate(self, x: int) -> int:
-        return self.additive.neg[x]
-
-    def times(self, x: int, y: int) -> int:
-        return self.mul[x][y]
 
     def elements(self) -> range:
         return range(self.order)
@@ -101,6 +87,12 @@ class FiniteRing:
         idx = np.arange(self.order)
         return {"left": _column_masks(M == idx[None, :]),
                 "right": _column_masks((M == idx[:, None]).T)}
+
+    @cached_property
+    def _idempotents(self) -> frozenset[int]:
+        """Every u with u*u = u."""
+        squares = self._arrays[2].diagonal()
+        return frozenset(np.flatnonzero(squares == np.arange(self.order)).tolist())
 
     @cached_property
     def _principal(self) -> dict[int, frozenset[int]]:
@@ -342,34 +334,26 @@ class SUnitalityWitness:
         return self.is_left and self.is_right
 
     def first_left_failure(self) -> Optional[int]:
-        for x, u in enumerate(self.left_units):
-            if u is None:
-                return x
-        return None
+        return next((x for x, u in enumerate(self.left_units) if u is None), None)
 
     def first_right_failure(self) -> Optional[int]:
-        for x, u in enumerate(self.right_units):
-            if u is None:
-                return x
-        return None
+        return next((x for x, u in enumerate(self.right_units) if u is None), None)
 
 
 def s_unitality(T: FiniteRing) -> SUnitalityWitness:
-    """For each x, search u with u*x = x and v with x*v = x."""
-    left = []
-    right = []
-    for x in T.elements():
-        left.append(next((u for u in T.elements() if T.times(u, x) == x), None))
-        right.append(next((v for v in T.elements() if T.times(x, v) == x), None))
-    return SUnitalityWitness(left_units=tuple(left), right_units=tuple(right))
+    """For each x, the first u with u*x = x and the first v with x*v = x."""
+    M = T._arrays[2]
+    idx = np.arange(T.order)
+    hits = np.stack((M == idx, M.T == idx))  # [0, u, x]: u*x == x; [1, v, x]: x*v == x
+    first, found = hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist()
+    left, right = (tuple(u if ok else None for u, ok in zip(us, oks))
+                   for us, oks in zip(first, found))
+    return SUnitalityWitness(left_units=left, right_units=right)
 
 
-def is_left_s_unital(T: FiniteRing) -> bool:
-    return s_unitality(T).is_left
-
-
-def is_right_s_unital(T: FiniteRing) -> bool:
-    return s_unitality(T).is_right
+def _first(flags: np.ndarray) -> Optional[int]:
+    """Index of the first true flag, or None."""
+    return int(flags.argmax()) if flags.any() else None
 
 
 def is_s_unital(T: FiniteRing) -> bool:
@@ -377,19 +361,28 @@ def is_s_unital(T: FiniteRing) -> bool:
 
 
 def left_unity(T: FiniteRing) -> Optional[int]:
-    return next((u for u in T.elements()
-                 if all(T.times(u, r) == r for r in T.elements())), None)
+    """First u with u*r = r for every r, or None."""
+    return _first((T._arrays[2] == np.arange(T.order)).all(axis=1))
 
 
 def right_unity(T: FiniteRing) -> Optional[int]:
-    return next((u for u in T.elements()
-                 if all(T.times(r, u) == r for r in T.elements())), None)
+    """First u with r*u = r for every r, or None."""
+    return _first((T._arrays[2].T == np.arange(T.order)).all(axis=1))
 
 
 def unity(T: FiniteRing) -> Optional[int]:
     """Two-sided unity, or None.  Note the one-element zero ring is unital (u = 0)."""
-    return next((u for u in T.elements()
-                 if all(T.times(u, r) == r == T.times(r, u) for r in T.elements())), None)
+    return subring_unity(T._arrays[2], range(T.order))
+
+
+def subring_unity(M: np.ndarray, members: Sequence[int]) -> Optional[int]:
+    """First two-sided unity of a subgroup, ascending members, viewed as a
+    ring under the table M, or None.  This is grl's one unity search, so
+    {0} is unital with u = 0 wherever a unity is asked for."""
+    idx = np.asarray(members)
+    sub = M[np.ix_(idx, idx)]  # sub[i, j] = members[i] * members[j]
+    u = _first(((sub == idx) & (sub.T == idx)).all(axis=1))
+    return None if u is None else int(idx[u])
 
 
 def common_unit(T: FiniteRing, V: Iterable[int], side: str = "left") -> Optional[int]:
@@ -505,7 +498,7 @@ def idempotent_generator(T: FiniteRing, I: Subgroup) -> Optional[int]:
         raise NotAnIdealError("the given subgroup is not a left ideal",
                               tuple(I.elements()))
     for u in I.elements():
-        if T.times(u, u) == u and _principal_left_ideal(T, u) == I.members:
+        if u in T._idempotents and _principal_left_ideal(T, u) == I.members:
             return u
     return None
 
@@ -524,18 +517,19 @@ class RegularityWitness:
 
 
 def is_von_neumann_regular(T: FiniteRing) -> RegularityWitness:
-    ys: list[Optional[int]] = []
-    for r in T.elements():
-        y = next((y for y in T.elements() if T.times(T.times(r, y), r) == r), None)
-        ys.append(y)
-        if y is None:
-            ys.extend([None] * (T.order - len(ys)))
-            return RegularityWitness(holds=False, quasi_inverses=tuple(ys), failing=r)
-    return RegularityWitness(holds=True, quasi_inverses=tuple(ys), failing=None)
+    """The first quasi-inverse of each r before the first r that has none."""
+    M = T._arrays[2]
+    rs = np.arange(T.order)[:, None]
+    regular = M[M, rs] == rs  # [r, y]: (r*y)*r == r
+    failing = _first(~regular.any(axis=1))
+    ys = regular.argmax(axis=1).tolist()[:failing]
+    return RegularityWitness(holds=failing is None,
+                             quasi_inverses=tuple(ys) + (None,) * (T.order - len(ys)),
+                             failing=failing)
 
 
 def ring_idempotents(T: FiniteRing) -> tuple[int, ...]:
-    return tuple(u for u in T.elements() if T.times(u, u) == u)
+    return tuple(sorted(T._idempotents))
 
 
 def _subsets_up_to(n: int, k: int):

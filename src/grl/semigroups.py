@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NotAssociativeError, OutOfRangeError
-from .tables import associative_mask, first_assoc_violation, is_associative_flat
+from .tables import associative_mask, first_assoc_violation, first_bad_index, is_associative_flat
 
 SAMPLE_BATCH = 65_536  # order-4 tables a draw; their uint8 cells take 1 MiB
 
@@ -72,15 +72,13 @@ def validate_semigroup(table: Sequence[Sequence[int]],
     n = len(table)
     if n == 0:
         raise OutOfRangeError("empty table")
-    rows = []
-    for a, row in enumerate(table):
-        if len(row) != n:
-            raise OutOfRangeError(f"row {a} has length {len(row)}, expected {n}", (a,))
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise OutOfRangeError(f"table[{a}][{b}] = {v!r} is not an index in [0, {n})",
-                                      (a, b, v))
-        rows.append(tuple(row))
+    match first_bad_index(table, n, n, n):
+        case (a, length):
+            raise OutOfRangeError(f"row {a} has length {length}, expected {n}", (a,))
+        case (a, b, v):
+            raise OutOfRangeError(f"table[{a}][{b}] = {v!r} is not an index in [0, {n})",
+                                  (a, b, v))
+    rows = tuple(map(tuple, table))
     T = np.array(rows, dtype=np.intp)
     bad = first_assoc_violation(T, T, T, T)
     if bad is not None:
@@ -90,7 +88,7 @@ def validate_semigroup(table: Sequence[Sequence[int]],
         lab = tuple(str(x) for x in labels)
         if len(lab) != n:
             raise OutOfRangeError(f"expected {n} labels, got {len(lab)}")
-    return FiniteSemigroup(order=n, table=tuple(rows), labels=lab)
+    return FiniteSemigroup(order=n, table=rows, labels=lab)
 
 
 def idempotents(S: FiniteSemigroup) -> tuple[int, ...]:

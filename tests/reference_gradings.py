@@ -4,8 +4,9 @@ builders, for checking grl.gradings and grl.constructions against.
 These are the element-by-element scans that the graded predicates replace
 with indexing into ``GradedRing.table`` arrays.  Every product goes through
 ``product``, which reads the raw tuples, and every span through the
-breadth-first ``reference_rings.additive_closure``.  The functions take the
-same arguments, scan in the same order and return the same verdicts,
+breadth-first ``reference_rings.additive_closure``; the ring queries on
+component rings are those of ``reference_rings`` too.  The functions take
+the same arguments, scan in the same order and return the same verdicts,
 witnesses and report dicts.
 """
 
@@ -23,19 +24,18 @@ from grl.gradings import (
     regrade_groupoid_to_semigroup,
     validate_grading,
 )
-from grl.rings import (
-    TRIVIAL_GROUP,
-    FiniteAdditiveGroup,
-    FiniteRing,
-    Subgroup,
+from grl.rings import TRIVIAL_GROUP, FiniteAdditiveGroup, FiniteRing, Subgroup
+from grl.semigroups import classify_semigroup
+from reference_rings import (
+    additive_closure,
     idempotent_generator,
     is_left_ideal,
     is_s_unital,
     is_von_neumann_regular,
+    plus,
+    times,
     unity,
 )
-from grl.semigroups import classify_semigroup
-from reference_rings import additive_closure
 from reference_semigroups import mul
 
 
@@ -77,7 +77,7 @@ def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
         ring = component_ring(R, st)
         for u in ring.elements():
             for x in span.elements():
-                if ring.times(u, x) not in span or ring.times(x, u) not in span:
+                if times(ring, u, x) not in span or times(ring, x, u) not in span:
                     raise NotAnIdealError(
                         f"span of R_{s} R_{t} is not an ideal of R_{st}; "
                         "the grading is inconsistent", (s, t))
@@ -118,15 +118,15 @@ def is_strong(R: GradedRing) -> Verdict:
 
 def subring_unity(ring: FiniteRing, members: Sequence[int]) -> Optional[int]:
     return next((u for u in members
-                 if all(ring.times(u, x) == x == ring.times(x, u) for x in members)),
+                 if all(times(ring, u, x) == x == times(ring, x, u) for x in members)),
                 None)
 
 
 def subring_is_s_unital(ring: FiniteRing, members: Sequence[int]) -> bool:
     for x in members:
-        if not any(ring.times(u, x) == x for u in members):
+        if not any(times(ring, u, x) == x for u in members):
             return False
-        if not any(ring.times(x, v) == x for v in members):
+        if not any(times(ring, x, v) == x for v in members):
             return False
     return True
 
@@ -555,7 +555,7 @@ def good_grading(A: FiniteRing, degree_map) -> GoodGrading:
                         i = cells[s][ci][0]
                         l = cells[t][cj][1]
                         pos = cell_pos[st][(i, l)]
-                        out[pos] = A.plus(out[pos], A.times(dx[ci], dy[cj]))
+                        out[pos] = plus(A, out[pos], times(A, dx[ci], dy[cj]))
                     row.append(encode(st, out))
                 table.append(tuple(row))
             products[(s, t)] = tuple(table)

@@ -1,11 +1,17 @@
-"""Plain-loop reference for the ring searches, for checking grl.rings against.
+"""Plain-loop reference for the ring queries and searches, for checking
+grl.rings against.
 
-These are the element-by-element scans that ``common_unit``, ``left_ideal``,
-``idempotent_generator``, ``check_tominaga`` and
-``check_vnr_characterization`` replace with fixer bitmasks and cached
-principal ideals, and the breadth-first closure that ``additive_closure``
-replaces with coset growth.  They take the same arguments, scan in the same
-order and return the same values and report dicts.
+These are the element-by-element scans that grl.rings replaces: the ring
+queries (``s_unitality``, the unities, ``is_von_neumann_regular``,
+``ring_idempotents``), which grl answers from the ring's tables as numpy
+arrays; ``common_unit``, ``left_ideal``, ``idempotent_generator``,
+``is_left_ideal``, ``check_tominaga`` and ``check_vnr_characterization``,
+which grl answers with fixer bitmasks, cached principal ideals and array
+membership; and the breadth-first closure that ``additive_closure``
+replaces with coset growth.  Every element operation reads the raw tuples
+through ``plus``, ``negate`` and ``times``.  The functions take the same
+arguments, scan in the same order and return the same values, witnesses and
+report dicts, and they call no ring predicate of grl.
 
 ``multiples_ring``, ``product_ring``, ``matrix_ring`` and ``field_f4`` build
 their tables one element pair at a time through ``ring_from_ops`` and Python
@@ -19,36 +25,48 @@ from itertools import combinations, product
 
 from grl.errors import NotAnIdealError
 from grl.rings import (
+    RegularityWitness,
     Subgroup,
-    is_von_neumann_regular,
+    SUnitalityWitness,
     opposite_ring,
-    s_unitality,
     validate_ring,
 )
 
 
-def ring_from_ops(elems, plus, neg, times):
+def plus(T, x, y):
+    return T.additive.add[x][y]
+
+
+def negate(T, x):
+    return T.additive.neg[x]
+
+
+def times(T, x, y):
+    return T.mul[x][y]
+
+
+def ring_from_ops(elems, add_op, neg_op, mul_op):
     """Build index tables from callables over an explicit element list.
 
     ``elems[0]`` must be the zero element.
     """
     index = {e: i for i, e in enumerate(elems)}
-    add = [[index[plus(a, b)] for b in elems] for a in elems]
-    negt = [index[neg(a)] for a in elems]
-    mul = [[index[times(a, b)] for b in elems] for a in elems]
+    add = [[index[add_op(a, b)] for b in elems] for a in elems]
+    negt = [index[neg_op(a)] for a in elems]
+    mul = [[index[mul_op(a, b)] for b in elems] for a in elems]
     return validate_ring(add, negt, mul)
 
 
 def field_f4():
     """The four-element field; elements 0, 1, a, a+1 with a^2 = a + 1."""
-    def times(x, y):
+    def f4_times(x, y):
         if x == 0 or y == 0:
             return 0
         # multiplicative group is cyclic of order 3 generated by a = 2
         log = {1: 0, 2: 1, 3: 2}
         exp = {0: 1, 1: 2, 2: 3}
         return exp[(log[x] + log[y]) % 3]
-    return ring_from_ops([0, 1, 2, 3], lambda a, b: a ^ b, lambda a: a, times)
+    return ring_from_ops([0, 1, 2, 3], lambda a, b: a ^ b, lambda a: a, f4_times)
 
 
 def multiples_ring(k, n, zero_product=False):
@@ -64,9 +82,9 @@ def product_ring(*factors):
     """Componentwise operations; elements enumerated lexicographically."""
     return ring_from_ops(
         list(product(*(range(T.order) for T in factors))),
-        lambda a, b: tuple(T.plus(x, y) for T, x, y in zip(factors, a, b)),
-        lambda a: tuple(T.negate(x) for T, x in zip(factors, a)),
-        lambda a, b: tuple(T.times(x, y) for T, x, y in zip(factors, a, b)),
+        lambda a, b: tuple(plus(T, x, y) for T, x, y in zip(factors, a, b)),
+        lambda a: tuple(negate(T, x) for T, x in zip(factors, a)),
+        lambda a, b: tuple(times(T, x, y) for T, x, y in zip(factors, a, b)),
     )
 
 
@@ -75,28 +93,81 @@ def matrix_ops(T, k):
     their sum, negative and product as closures over tuples."""
     elems = list(product(range(T.order), repeat=k * k))
 
-    def plus(a, b):
-        return tuple(T.plus(x, y) for x, y in zip(a, b))
+    def matrix_plus(a, b):
+        return tuple(plus(T, x, y) for x, y in zip(a, b))
 
-    def neg(a):
-        return tuple(T.negate(x) for x in a)
+    def matrix_neg(a):
+        return tuple(negate(T, x) for x in a)
 
-    def times(a, b):
+    def matrix_times(a, b):
         out = []
         for i in range(k):
             for j in range(k):
                 acc = 0
                 for m in range(k):
-                    acc = T.plus(acc, T.times(a[i * k + m], b[m * k + j]))
+                    acc = plus(T, acc, times(T, a[i * k + m], b[m * k + j]))
                 out.append(acc)
         return tuple(out)
 
-    return elems, plus, neg, times
+    return elems, matrix_plus, matrix_neg, matrix_times
 
 
 def matrix_ring(T, k):
     """k-by-k matrices over T; elements enumerated row-major by entry, lexicographic."""
     return ring_from_ops(*matrix_ops(T, k))
+
+
+# ---------------------------------------------------------------------------
+# ring queries
+
+
+def s_unitality(T) -> SUnitalityWitness:
+    """For each x, search u with u*x = x and v with x*v = x."""
+    left = []
+    right = []
+    for x in T.elements():
+        left.append(next((u for u in T.elements() if times(T, u, x) == x), None))
+        right.append(next((v for v in T.elements() if times(T, x, v) == x), None))
+    return SUnitalityWitness(left_units=tuple(left), right_units=tuple(right))
+
+
+def is_s_unital(T) -> bool:
+    return s_unitality(T).holds
+
+
+def left_unity(T):
+    return next((u for u in T.elements()
+                 if all(times(T, u, r) == r for r in T.elements())), None)
+
+
+def right_unity(T):
+    return next((u for u in T.elements()
+                 if all(times(T, r, u) == r for r in T.elements())), None)
+
+
+def unity(T):
+    """Two-sided unity, or None.  Note the one-element zero ring is unital (u = 0)."""
+    return next((u for u in T.elements()
+                 if all(times(T, u, r) == r == times(T, r, u) for r in T.elements())), None)
+
+
+def is_von_neumann_regular(T) -> RegularityWitness:
+    ys = []
+    for r in T.elements():
+        y = next((y for y in T.elements() if times(T, times(T, r, y), r) == r), None)
+        ys.append(y)
+        if y is None:
+            ys.extend([None] * (T.order - len(ys)))
+            return RegularityWitness(holds=False, quasi_inverses=tuple(ys), failing=r)
+    return RegularityWitness(holds=True, quasi_inverses=tuple(ys), failing=None)
+
+
+def ring_idempotents(T) -> tuple:
+    return tuple(u for u in T.elements() if times(T, u, u) == u)
+
+
+# ---------------------------------------------------------------------------
+# subgroups, ideals and the searches
 
 
 def subsets_up_to(n: int, k: int):
@@ -133,10 +204,10 @@ def common_unit(T, V, side="left"):
     vs = sorted(set(V))
     if side == "left":
         return next((u for u in T.elements()
-                     if all(T.times(u, v) == v for v in vs)), None)
+                     if all(times(T, u, v) == v for v in vs)), None)
     if side == "right":
         return next((u for u in T.elements()
-                     if all(T.times(v, u) == v for v in vs)), None)
+                     if all(times(T, v, u) == v for v in vs)), None)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -145,7 +216,7 @@ def left_ideal(T, generators) -> Subgroup:
     seeds = set(gens)
     for t in T.elements():
         for c in gens:
-            seeds.add(T.times(t, c))
+            seeds.add(times(T, t, c))
     return additive_closure(T.additive, seeds)
 
 
@@ -153,10 +224,10 @@ def is_left_ideal(T, sub) -> bool:
     members = sub.members
     if 0 not in members:
         return False
-    if not all(T.plus(x, y) in members and T.negate(x) in members
+    if not all(plus(T, x, y) in members and negate(T, x) in members
                for x in members for y in members):
         return False
-    return all(T.times(t, x) in members for t in T.elements() for x in members)
+    return all(times(T, t, x) in members for t in T.elements() for x in members)
 
 
 def idempotent_generator(T, I):
@@ -164,7 +235,7 @@ def idempotent_generator(T, I):
         raise NotAnIdealError("the given subgroup is not a left ideal",
                               tuple(I.elements()))
     for u in I.elements():
-        if T.times(u, u) == u and left_ideal(T, [u]).members == I.members:
+        if times(T, u, u) == u and left_ideal(T, [u]).members == I.members:
             return u
     return None
 

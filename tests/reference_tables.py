@@ -20,6 +20,7 @@ from grl.errors import (
     GradedAssociativityError,
     IdentityViolationError,
     NotAssociativeError,
+    NotGoodError,
     OutOfRangeError,
 )
 from grl.semigroups import FiniteSemigroup
@@ -42,6 +43,35 @@ def ring_index_error(table, n, what):
             if _bad_index(v, n):
                 return (OutOfRangeError,
                         f"{what}[{a}][{b}] = {v!r} is not an index in [0, {n})", (a, b, v))
+    return None
+
+
+def semigroup_index_error(table):
+    """First range fault of a semigroup's square index table, cell by cell,
+    as (error class, message, context); None if there is none."""
+    n = len(table)
+    for a, row in enumerate(table):
+        if len(row) != n:
+            return (OutOfRangeError, f"row {a} has length {len(row)}, expected {n}", (a,))
+        for b, v in enumerate(row):
+            if _bad_index(v, n):
+                return (OutOfRangeError,
+                        f"table[{a}][{b}] = {v!r} is not an index in [0, {n})", (a, b, v))
+    return None
+
+
+def degree_index_error(deg, order):
+    """First range fault of a square degree map over a base of ``order``
+    elements, cell by cell, as (error class, message, context); None if
+    there is none."""
+    n = len(deg)
+    for i, row in enumerate(deg):
+        if len(row) != n:
+            return (NotGoodError, f"degree row {i} has length {len(row)}, expected {n}", (i,))
+        for j, v in enumerate(row):
+            if _bad_index(v, order):
+                return (OutOfRangeError, f"deg[{i}][{j}] = {v!r} is not a base element",
+                        (i, j, v))
     return None
 
 

@@ -595,3 +595,28 @@ class TestInputFileRules:
         code, out = run_cli("validate", str(path))
         assert code == 1 and out["error"] == "OutOfRange" and out["context"] == [0, 0]
         assert out["message"] == "compose entry (0, 0) appears twice"
+
+    @pytest.mark.parametrize("command", [["validate"], ["classify"]])
+    @pytest.mark.parametrize("data,context,message", [
+        (graded_file({"0": Z2_GROUP}, [{"s": [0], "t": 0, "table": [[0, 0], [0, 1]]}]),
+         [[0], 0], "product key ([0], 0) is not a pair of integers"),
+        (graded_file({"0": Z2_GROUP}, [{"s": 0, "t": {"a": 1}, "table": [[0, 0], [0, 1]]}]),
+         [0, {"a": 1}], "product key (0, {'a': 1}) is not a pair of integers"),
+        (graded_file({"0": Z2_GROUP}, [[0, 0, [[0, 0], [0, 1]]]]),
+         [0], "product entry 0 is not an object"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+          "compose": [[0, 0, 0], [0, 0]]},
+         [1], "compose entry 1 is not a triple [g, h, gh]"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+          "compose": [[[0], 0, 0]]},
+         [[0], 0], "compose key ([0], 0) is not a pair of integers"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": [[0, 0, 0]], "compose": [[0, 0, 0]]},
+         [0], "morphism entry 0 is not an object"),
+    ], ids=["product-key-list", "product-key-object", "product-item-list",
+            "compose-pair", "compose-key-list", "morphism-list"])
+    def test_malformed_entries_are_named(self, tmp_path, command, data, context, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(*command, str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["context"] == context and out["message"] == message

@@ -1,7 +1,8 @@
 import json
 from collections import Counter
+from types import SimpleNamespace
 
-from grl import catalog, jsonio
+from grl import catalog, cli, jsonio
 from grl.corpus import CorpusManifest, default_manifest, generate_corpus, write_corpus
 from grl.gradings import is_epsilon_strong, is_graded_vnr, is_nearly_epsilon_strong
 
@@ -45,6 +46,17 @@ class TestGeneration:
         generate_corpus(m)
         for builder, used in names.items():
             assert built[builder] == Counter(used), builder
+
+    def test_semigroup_ring_suite_builds_each_coefficient_once(self, corpus, monkeypatch):
+        built = Counter()
+        build = catalog.named_ring
+        monkeypatch.setattr(catalog, "named_ring",
+                            lambda name: built.update([name]) or build(name))
+        m = corpus.manifest
+        opts = SimpleNamespace(fg_ideal_bound=2, max_witnesses=100)
+        tasks = list(cli._suite_tasks(corpus, "semigroup-ring", opts))
+        assert len(tasks) == len(m.semigroup_ring_coefficients) * len(m.semigroup_ring_bases)
+        assert built == Counter(set(m.semigroup_ring_coefficients))
 
     def test_manifest_round_trip(self):
         m = default_manifest()

@@ -1,10 +1,13 @@
-"""Ring searches against the plain-loop reference in reference_rings.py.
+"""Ring queries and searches against the plain-loop reference in
+reference_rings.py.
 
-``check_tominaga`` and ``common_unit`` work on fixer bitmasks, and the ideal
-searches on principal left ideals cached per ring; ``check_tominaga`` grows
-the ANDs of the distinct masks and ``check_vnr_characterization`` decides
-each set of principal ideals once.  The reports, first units and first
-failing subsets must be exactly those of the element-by-element scans.
+The queries (s-unitality, the unities, regularity, idempotents) read the
+ring's tables as arrays.  ``check_tominaga`` and ``common_unit`` work on
+fixer bitmasks, and the ideal searches on principal left ideals cached per
+ring; ``check_tominaga`` grows the ANDs of the distinct masks and
+``check_vnr_characterization`` decides each set of principal ideals once.
+The reports, witnesses, first units and first failing subsets must be
+exactly those of the element-by-element scans.
 """
 
 import pytest
@@ -50,6 +53,42 @@ POOL.update({
     "zero3": zero_multiplication_ring(3),
 })
 POOL_NAMES = sorted(POOL)
+
+
+# The ring queries read the tables as arrays; every verdict and witness
+# must be that of the plain loops, as plain ints.
+QUERIES = ("s_unitality", "is_s_unital", "left_unity", "right_unity", "unity",
+           "is_von_neumann_regular", "ring_idempotents")
+QUERY_RINGS = {f"corpus:{name}": catalog.named_ring(name) for name in default_manifest().rings}
+QUERY_RINGS.update({f"{name}^op": opposite_ring(T) for name, T in list(QUERY_RINGS.items())})
+QUERY_RINGS.update({
+    "Z1": cyclic_ring(1),
+    "M2(Z3)": matrix_ring(cyclic_ring(3), 2),
+    "M2(Z2)xZ3": product_ring(M2, cyclic_ring(3)),
+    "M2(Z2)xZ4": product_ring(M2, cyclic_ring(4)),
+    "rows": ROWS,
+    "rows^op": opposite_ring(ROWS),
+})
+
+
+def assert_queries_match_reference(T):
+    for name in QUERIES:
+        assert getattr(rings, name)(T) == getattr(ref, name)(T), name
+    su, reg = rings.s_unitality(T), rings.is_von_neumann_regular(T)
+    witnesses = (*su.left_units, *su.right_units, *reg.quasi_inverses, reg.failing,
+                 rings.unity(T), rings.left_unity(T), rings.right_unity(T),
+                 *rings.ring_idempotents(T))
+    assert all(w is None or type(w) is int for w in witnesses)
+    assert type(reg.holds) is bool and type(rings.is_s_unital(T)) is bool
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_RINGS))
+def test_ring_queries_match_reference(name):
+    T = QUERY_RINGS[name]
+    assert_queries_match_reference(T)
+    for I in {left_ideal(T, [c]) for c in T.elements()}:
+        u = idempotent_generator(T, I)
+        assert u == ref.idempotent_generator(T, I) and (u is None or type(u) is int)
 
 
 def outcome(fn, *args):
@@ -106,6 +145,7 @@ def test_arbitrary_tables_match_reference(data):
     mul = tuple(tuple(row) for row in data.draw(st.lists(cells, min_size=n, max_size=n)))
     Zn = cyclic_ring(n)
     T = FiniteRing(additive=Zn.additive, mul=mul)
+    assert_queries_match_reference(T)
     vs = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
     for side in ("left", "right"):
         assert common_unit(T, vs, side) == ref.common_unit(T, vs, side)

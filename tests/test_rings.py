@@ -52,10 +52,10 @@ EVEN8 = multiples_ring(2, 8)  # {0, 2, 4, 6} inside the integers mod 8
 
 class TestValidation:
     def test_cyclic_ring_valid(self):
-        assert Z4.order == 4 and Z4.times(3, 3) == 1
+        assert Z4.order == 4 and Z4.mul[3][3] == 1
 
     def test_zero_multiplication_valid(self):
-        assert all(ZERO2.times(x, y) == 0 for x in ZERO2.elements()
+        assert all(ZERO2.mul[x][y] == 0 for x in ZERO2.elements()
                    for y in ZERO2.elements())
 
     def test_distributivity_violation(self):
@@ -76,7 +76,7 @@ class TestValidation:
             validate_ring([[0, 1], [1, 0]], [0, 1], [[0, 0], [0, 9]])
 
     def test_field_f4_table(self):
-        assert F4.times(2, 2) == 3 and F4.times(2, 3) == 1 and F4.times(3, 3) == 2
+        assert F4.mul[2][2] == 3 and F4.mul[2][3] == 1 and F4.mul[3][3] == 2
 
     def test_matrix_ring_m2_z2(self):
         m = matrix_ring(Z2, 2)
@@ -187,7 +187,7 @@ class TestUnitality:
 
     def test_even_subring_not_s_unital(self):
         # the products T*2 = {0, 4} miss 2
-        assert {EVEN8.times(t, 1) for t in EVEN8.elements()} == {0, 2}
+        assert {EVEN8.mul[t][1] for t in EVEN8.elements()} == {0, 2}
         assert not is_s_unital(EVEN8)
 
     def test_unity_values(self):
@@ -220,7 +220,7 @@ class TestUnitality:
         u = unity(F4)
         for vs in ([1], [2, 3], [1, 2, 3]):
             got = common_unit(F4, vs)
-            assert got is not None and all(F4.times(got, v) == v for v in vs)
+            assert got is not None and all(F4.mul[got][v] == v for v in vs)
         assert common_unit(ZERO2, [1]) is None
 
 
@@ -241,7 +241,7 @@ class TestIdeals:
         for T in (Z2, Z4, Z6, F4, product_ring(Z2, Z2)):
             for c in T.elements():
                 via_products = additive_closure(
-                    T.additive, [T.times(t, c) for t in T.elements()])
+                    T.additive, [T.mul[t][c] for t in T.elements()])
                 assert left_ideal(T, [c]).members == via_products.members
 
     def test_left_ideal_keeps_generator_without_units(self):
@@ -276,7 +276,7 @@ class TestRegularity:
         w = is_von_neumann_regular(Z6)
         assert w.holds
         for r, y in enumerate(w.quasi_inverses):
-            assert Z6.times(Z6.times(r, y), r) == r
+            assert Z6.mul[Z6.mul[r][y]][r] == r
 
     def test_z4_failing_element(self):
         w = is_von_neumann_regular(Z4)
@@ -323,7 +323,7 @@ class TestVnrCharacterization:
     def test_opposite_ring_reverses_products(self):
         m = matrix_ring(Z2, 2)
         op = opposite_ring(m)
-        assert all(op.times(a, b) == m.times(b, a)
+        assert all(op.mul[a][b] == m.mul[b][a]
                    for a in m.elements() for b in m.elements())
 
 
@@ -345,7 +345,7 @@ class TestTominaga:
             u = common_unit(T, vs, side)
             assert u is not None
             for v in vs:
-                assert (T.times(u, v) if side == "left" else T.times(v, u)) == v
+                assert (T.mul[u][v] if side == "left" else T.mul[v][u]) == v
 
 
 def plain_span(group, gens):

@@ -19,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 import reference_tables as ref
 from reference_rings import ring_from_ops
 from grl import catalog, tables
-from grl.constructions import groupoid_ring, semigroup_ring
+from grl.constructions import groupoid_ring, semigroup_ring, validate_degree_map
 from grl.errors import (
     BilinearityError,
     IdentityViolationError,
     NotAssociativeError,
+    NotGoodError,
+    OutOfRangeError,
     ValidationError,
 )
 from grl.gradings import validate_grading
@@ -273,6 +275,63 @@ class TestIndexTables:
             data, products[key], R.components[R.target(s, t)].order, row_count=True)
         assert (first_error(validate_grading, R.base, R.components, products)
                 == ref.product_index_error(R, s, t, products[key]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_semigroup_tables(self, data):
+        table = data.draw(st.sampled_from(SEMIGROUP_TABLES))
+        table = corrupt_index_table(data, table, len(table))
+        assert first_error(validate_semigroup, table) == ref.semigroup_index_error(table)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_degree_maps(self, data):
+        _, base_name, deg = catalog.GOOD_GRADING_SPECS[
+            data.draw(st.sampled_from(sorted(catalog.GOOD_GRADING_SPECS)))]
+        base = catalog.named_semigroup(base_name)
+        deg = corrupt_index_table(data, deg, base.order)
+        assert (first_error(validate_degree_map, base, deg)
+                == ref.degree_index_error(deg, base.order))
+
+    # B2 = {0, e11, e12, e21, e22}, with deg(i, j) = e_ij; messages as the
+    # validators' own cell loops printed them
+    B2_TABLE = [[0, 0, 0, 0, 0], [0, 1, 2, 0, 0], [0, 0, 0, 1, 2], [0, 3, 4, 0, 0],
+                [0, 0, 0, 3, 4]]
+
+    @pytest.mark.parametrize("cell,value,expected", [
+        ((1, 2), True, (OutOfRangeError, "table[1][2] = True is not an index in [0, 5)",
+                        (1, 2, True))),
+        ((1, 2), 2.0, (OutOfRangeError, "table[1][2] = 2.0 is not an index in [0, 5)",
+                       (1, 2, 2.0))),
+        ((2, 0), -1, (OutOfRangeError, "table[2][0] = -1 is not an index in [0, 5)",
+                      (2, 0, -1))),
+        ((3, 4), 5, (OutOfRangeError, "table[3][4] = 5 is not an index in [0, 5)", (3, 4, 5))),
+        (2, None, (OutOfRangeError, "row 2 has length 4, expected 5", (2,))),
+    ], ids=["bool", "float", "negative", "bound", "short-row"])
+    def test_pinned_semigroup_messages(self, cell, value, expected):
+        table = [list(row) for row in self.B2_TABLE]
+        if value is None:
+            table[cell].pop()
+        else:
+            table[cell[0]][cell[1]] = value
+        assert first_error(validate_semigroup, table) == expected
+
+    @pytest.mark.parametrize("cell,value,expected", [
+        ((0, 1), True, (OutOfRangeError, "deg[0][1] = True is not a base element",
+                        (0, 1, True))),
+        ((1, 0), 3.0, (OutOfRangeError, "deg[1][0] = 3.0 is not a base element",
+                       (1, 0, 3.0))),
+        ((1, 1), -1, (OutOfRangeError, "deg[1][1] = -1 is not a base element", (1, 1, -1))),
+        ((0, 0), 5, (OutOfRangeError, "deg[0][0] = 5 is not a base element", (0, 0, 5))),
+        (1, None, (NotGoodError, "degree row 1 has length 1, expected 2", (1,))),
+    ], ids=["bool", "float", "negative", "bound", "short-row"])
+    def test_pinned_degree_map_messages(self, cell, value, expected):
+        deg = [[1, 2], [3, 4]]
+        if value is None:
+            deg[cell].pop()
+        else:
+            deg[cell[0]][cell[1]] = value
+        assert first_error(validate_degree_map, catalog.named_semigroup("B2"), deg) == expected
 
     def test_edge_cases_follow_the_cell_scan(self):
         class Index(int):
