@@ -626,15 +626,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # ``reads`` names the options the command uses besides ``pretty``; a bad
-    # GRL_* value behind any other option is never looked at
+# Smallest accepted value of the bounded options: a generator bound below 1
+# would make scan (iii) of vnr-char vacuously true, and a negative witness
+# cap would empty every witness list.
+_MINIMUM = {"max_witnesses": 0, "fg_ideal_bound": 1}
+
+
+def _bad_option(args) -> Optional[ValueError]:
+    """The first option the command reads whose GRL_* default is not valid,
+    then the first below its minimum; None if all are good.  ``reads`` names
+    the options the command uses besides ``pretty``; a bad value behind any
+    other option is never looked at."""
     bad_env = next((v for v in map(partial(getattr, args), ("pretty", *args.reads))
                     if isinstance(v, ValueError)), None)
     if bad_env is not None:
+        return bad_env
+    for name in args.reads:
+        low, value = _MINIMUM.get(name), getattr(args, name)
+        if low is not None and value < low:
+            flag = name.replace("_", "-")
+            return ValueError(f"--{flag} (or GRL_{name.upper()}) must be at least {low}, "
+                              f"got {value}")
+    return None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    bad = _bad_option(args)
+    if bad is not None:
         args.pretty = args.pretty is True  # a bad GRL_PRETTY reports compactly
-    code = args.func(args) if bad_env is None else _input_error(bad_env, args)
+    code = args.func(args) if bad is None else _input_error(bad, args)
     if argv is None:
         sys.exit(code)
     return code

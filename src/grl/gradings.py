@@ -55,11 +55,12 @@ ProductTable = tuple[tuple[int, ...], ...]
 @dataclass(frozen=True)
 class GradedRing:
     """``table`` serves ``products`` as int arrays, ``span`` the product
-    spans and ``_verdicts`` the grading-class verdicts, each built once per
-    instance.  No cache is a dataclass field, so ``==``, ``hash`` and
-    ``repr`` ignore them.  ``validate_grading`` stores equal product tables
-    as one object, and each table object gets one array, shared by every
-    pair that stores it and read-only for that reason."""
+    spans, ``component_ring`` the component rings and ``_verdicts`` the
+    grading-class verdicts, each built once per instance.  No cache is a
+    dataclass field, so ``==``, ``hash`` and ``repr`` ignore them.
+    ``validate_grading`` stores equal product tables as one object, and each
+    table object gets one array, shared by every pair that stores it and
+    read-only for that reason."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
@@ -131,11 +132,21 @@ class GradedRing:
         return self.base.relations.idempotents
 
     def component_ring(self, e: int) -> FiniteRing:
-        """The component at an idempotent grader, as a ring in its own right."""
-        if self.target(e, e) != e:
-            raise ValueError(f"grader {e} is not idempotent")
-        return FiniteRing(additive=self.components[e],
-                          mul=tuple(map(tuple, self.table(e, e).tolist())))
+        """The component at an idempotent grader, as a ring in its own right.
+
+        One ring object per grader and graded ring, so what the ring queries
+        cache on it (arrays, idempotents, principal ideals) is built once."""
+        if e not in self._component_rings:
+            if self.target(e, e) != e:
+                raise ValueError(f"grader {e} is not idempotent")
+            self._component_rings[e] = FiniteRing(
+                additive=self.components[e], mul=tuple(map(tuple, self.table(e, e).tolist())))
+        return self._component_rings[e]
+
+    @cached_property
+    def _component_rings(self) -> dict[int, FiniteRing]:
+        """Component rings by idempotent grader, filled in as they are asked for."""
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +614,13 @@ def check_theorem_main(R: GradedRing) -> dict:
 
 def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) -> dict:
     """Under the two theorem hypotheses, every subgroup R_t * r must be a left
-    ideal of the component at ts generated by an idempotent found by scan."""
+    ideal of the component at ts generated by an idempotent found by scan.
+
+    Many r give the same subgroup, so within one call each distinct image
+    of column r is spanned once, and each distinct (ts, subgroup) is decided
+    once, ideal guard included, its generator reused for every later r.  A
+    subgroup that fails ends the scan, so the first failing r is reported.
+    """
     near = is_nearly_epsilon_strong(R)
     bvnr = base_components_vnr(R)
     if not (near.holds and bvnr.holds):
@@ -614,24 +631,33 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
                 "base_components_vnr": bvnr.holds}
     witnesses = []
     checked = 0
+    spans: dict[tuple[int, bytes], Subgroup] = {}
+    generators: dict[tuple[int, frozenset[int]], int] = {}
     for (s, t) in R.inverse_pairs():
         ts = R.target(t, s)
-        ring_ts = R.component_ring(ts)
+        group_ts, ring_ts = R.component(ts), R.component_ring(ts)
         table_ts = R.table(t, s)
         for r in R.component(s).elements():
-            I = _span(R.component(ts), table_ts[:, r])  # R_t r
-            try:
-                u = idempotent_generator(ring_ts, I)
-            except NotAnIdealError:
-                return {"check": "lemma-technical", "applicable": True, "holds": False,
-                        "agree": False,
-                        "failing": {"s": s, "t": t, "r": r, "reason": "not a left ideal"}}
+            image = _image(table_ts[:, r], group_ts.order)  # spans R_t r
+            I = spans.get((ts, image.tobytes()))
+            if I is None:
+                I = spans[ts, image.tobytes()] = additive_closure(group_ts, image.tolist())
+            u = generators.get((ts, I.members))
             if u is None:
-                return {"check": "lemma-technical", "applicable": True, "holds": False,
-                        "agree": False,
-                        "failing": {"s": s, "t": t, "r": r,
-                                    "reason": "no idempotent generator",
-                                    "ideal": list(I.elements())}}
+                try:
+                    u = idempotent_generator(ring_ts, I)
+                except NotAnIdealError:
+                    return {"check": "lemma-technical", "applicable": True, "holds": False,
+                            "agree": False,
+                            "failing": {"s": s, "t": t, "r": r,
+                                        "reason": "not a left ideal"}}
+                if u is None:
+                    return {"check": "lemma-technical", "applicable": True, "holds": False,
+                            "agree": False,
+                            "failing": {"s": s, "t": t, "r": r,
+                                        "reason": "no idempotent generator",
+                                        "ideal": list(I.elements())}}
+                generators[ts, I.members] = u
             checked += 1
             if max_witnesses is None or len(witnesses) < max_witnesses:
                 witnesses.append({"s": s, "t": t, "r": r, "idempotent": u,

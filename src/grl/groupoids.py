@@ -22,7 +22,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .semigroups import FiniteSemigroup, TableRelations, classify_semigroup, validate_semigroup
-from .tables import first_assoc_violation
+from .tables import first_assoc_violation, first_bad_index
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,20 @@ def validate_groupoid(n_objects: int,
         raise OutOfRangeError("need at least one object and one morphism")
     if len(cod) != m or len(inv) != m:
         raise OutOfRangeError("dom, cod and inv must have equal lengths")
+    # each vector and each compose entry is checked as a one-row table
     for name, seq, bound in (("dom", dom, n_objects), ("cod", cod, n_objects),
                              ("inv", inv, m)):
-        for g, v in enumerate(seq):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
-                raise OutOfRangeError(f"{name}[{g}] = {v!r} is not an index in [0, {bound})",
-                                      (g, v))
+        bad = first_bad_index((seq,), 1, m, bound)
+        if bad is not None:
+            _, g, v = bad
+            raise OutOfRangeError(f"{name}[{g}] = {v!r} is not an index in [0, {bound})",
+                                  (g, v))
 
     table: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
     for (g, h), gh in compose.items():
-        for v, bound in ((g, m), (h, m), (gh, m)):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
-                raise OutOfRangeError(f"compose entry ({g}, {h}) -> {gh} out of range",
-                                      (g, h, gh))
+        if first_bad_index(((g, h, gh),), 1, 3, m) is not None:
+            raise OutOfRangeError(f"compose entry ({g}, {h}) -> {gh} out of range",
+                                  (g, h, gh))
         if dom[g] != cod[h]:
             raise NotComposableClosedError(
                 f"compose defined at non-composable pair ({g}, {h})", (g, h))

@@ -127,10 +127,10 @@ def validate_additive_group(add: Sequence[Sequence[int]],
     if n == 0:
         raise OutOfRangeError("empty addition table")
     _check_index_table(add, n, "add")
-    if len(neg) != n:
-        raise OutOfRangeError(f"neg has length {len(neg)}, expected {n}")
-    for x, v in enumerate(neg):
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+    match first_bad_index((neg,), 1, n, n):  # neg as a one-row table
+        case (_, length):
+            raise OutOfRangeError(f"neg has length {length}, expected {n}")
+        case (_, x, v):
             raise OutOfRangeError(f"neg[{x}] = {v!r} is not an index in [0, {n})", (x, v))
     A = np.asarray(add, dtype=np.int64)
     if not np.array_equal(A, A.T):
@@ -599,6 +599,11 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
     (i) brute-force r = r*y*r for every r; (ii) every principal one-sided
     ideal is generated by an idempotent; (iii) every ideal on at most
     ``max_generators`` generators is generated by an idempotent.
+
+    Scan (ii) decides each distinct principal ideal once, ideal guard
+    included, and stops at the first c whose ideal fails; scan (iii) decides
+    each set of principal ideals once.  Neither reads the other's record,
+    and (i) reads neither.
     """
     su = s_unitality(T)
     if not su.holds:
@@ -614,12 +619,16 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
 
     principal = True
     principal_failing = None
+    decided: set[frozenset[int]] = set()
     for c in work.elements():
         I = left_ideal(work, [c])
+        if I.members in decided:
+            continue
         if idempotent_generator(work, I) is None:
             principal = False
             principal_failing = {"generator": c, "ideal": list(I.elements())}
             break
+        decided.add(I.members)
 
     fg = _first_non_idempotent_ideal(work, max_generators)
     finitely_generated = fg is None

@@ -380,6 +380,49 @@ class TestEnvironmentErrors:
         assert code == 0 and out["seed"] == 5
 
 
+class TestOptionBounds:
+    """A generator bound below 1 would make vnr-char's scan (iii) vacuously
+    true and report a false disagreement, and a negative witness cap would
+    empty every witness list; both exit 1 instead."""
+
+    BOUND = "--fg-ideal-bound (or GRL_FG_IDEAL_BOUND) must be at least 1, got {}"
+    CAP = "--max-witnesses (or GRL_MAX_WITNESSES) must be at least 0, got {}"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bound_below_one_on_the_command_line(self, files, value):
+        code, out = run_cli("check", "vnr-char", str(files / "Z4.json"),
+                            "--fg-ideal-bound", value)
+        assert code == 1 and out == {"error": "ValueError",
+                                     "message": self.BOUND.format(value)}
+
+    def test_bound_below_one_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("GRL_FG_IDEAL_BOUND", "0")
+        code, out = run_cli("corpus-run", "--suite", "none")
+        assert code == 1 and out == {"error": "ValueError", "message": self.BOUND.format(0)}
+
+    def test_negative_witness_cap(self, files, monkeypatch):
+        code, out = run_cli("classify", str(files / "Z4.json"), "--max-witnesses", "-1")
+        assert code == 1 and out == {"error": "ValueError", "message": self.CAP.format(-1)}
+        monkeypatch.setenv("GRL_MAX_WITNESSES", "-2")
+        code, out = run_cli("corpus-run", "--suite", "none")
+        assert code == 1 and out == {"error": "ValueError", "message": self.CAP.format(-2)}
+
+    def test_smallest_values_are_accepted(self, files, monkeypatch):
+        code, out = run_cli("check", "vnr-char", str(files / "Z4.json"),
+                            "--fg-ideal-bound", "1", "--max-witnesses", "0")
+        assert code == 0 and out["bound"] == 1 and out["agree"]
+        # a command that does not read the option never looks at it
+        monkeypatch.setenv("GRL_FG_IDEAL_BOUND", "0")
+        monkeypatch.setenv("GRL_MAX_WITNESSES", "-1")
+        code, out = run_cli("validate", str(files / "Z4.json"))
+        assert code == 0 and out == {"valid": True, "kind": "ring"}
+
+    def test_bound_is_checked_after_a_non_integer_value(self, monkeypatch):
+        monkeypatch.setenv("GRL_MAX_WITNESSES", "abc")
+        code, out = run_cli("corpus-run", "--suite", "none", "--fg-ideal-bound", "0")
+        assert code == 1 and "GRL_MAX_WITNESSES" in out["message"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_grl(self):
         src = Path(cli.__file__).resolve().parents[1]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_gradings as ref
-from grl import catalog, cli, gradings as gr
+from grl import catalog, cli, gradings as gr, rings
 from grl.constructions import (
     good_grading,
     groupoid_ring,
@@ -62,6 +62,16 @@ def not_an_ideal_grading() -> GradedRing:
                       products={(0, 0): F4.mul, (0, 1): proj,
                                 (1, 0): tuple(zip(*proj)),
                                 (1, 1): ((0, 0), (0, 1))})
+
+
+def late_failure_grading() -> GradedRing:
+    """F4[Z2] built past validate_grading, with R_1 * r for r = 2 and 3
+    changed to span {0, 1}: no ideal of R_0 = F4.  The technical lemma meets
+    the passing ideals {0} and F4 again and again before r = 2 of (1, 1)."""
+    late = tuple(row[:2] + (b & 1, b & 1) for b, row in enumerate(F4.mul))
+    return GradedRing(base=cyclic_group(2), components=(F4.additive, F4.additive),
+                      products={(0, 0): F4.mul, (0, 1): F4.mul, (1, 0): F4.mul,
+                                (1, 1): late})
 
 
 def left_ideal_span_grading() -> GradedRing:
@@ -160,7 +170,8 @@ def test_arbitrary_tables_match_reference(data):
     assert_matches_reference(GradedRing(base=base, components=components, products=products))
 
 
-@pytest.mark.parametrize("make", [not_an_ideal_grading, left_ideal_span_grading])
+@pytest.mark.parametrize("make", [not_an_ideal_grading, left_ideal_span_grading,
+                                  late_failure_grading])
 def test_inconsistent_gradings_match_reference(make):
     assert_matches_reference(make())
 
@@ -176,6 +187,53 @@ def test_lemma_reports_a_span_that_is_not_a_left_ideal():
     assert rep == {"check": "lemma-technical", "applicable": True, "holds": False,
                    "agree": False,
                    "failing": {"s": 1, "t": 1, "r": 1, "reason": "not a left ideal"}}
+
+
+def test_lemma_reports_the_first_r_whose_span_fails(monkeypatch):
+    # r = 3 of (1, 1) fails too, but r = 2 comes first; {0} and F4 are
+    # decided once each, before it
+    R = late_failure_grading()
+    guards = []
+    is_left_ideal = rings.is_left_ideal
+    monkeypatch.setattr(rings, "is_left_ideal",
+                        lambda T, I: guards.append(I.elements()) or is_left_ideal(T, I))
+    rep = gr.check_lemma_technical(R)
+    assert rep == {"check": "lemma-technical", "applicable": True, "holds": False,
+                   "agree": False,
+                   "failing": {"s": 1, "t": 1, "r": 2, "reason": "not a left ideal"}}
+    assert guards == [(0,), (0, 1, 2, 3), (0, 1)]
+    assert rep == ref.check_lemma_technical(R)
+
+
+def large_grading(name: str) -> GradedRing:
+    ring_name, base_name, deg = LARGE_GRADING_SPECS[name]
+    dm = validate_degree_map(catalog.named_semigroup(base_name), deg)
+    return good_grading(catalog.named_ring(ring_name), dm).graded
+
+
+class TestLemmaAtWorkloadSize:
+    """The technical lemma decides each distinct ideal once per call, so
+    each ideal it accepts passes the left ideal guard once."""
+
+    @pytest.mark.parametrize("name", ["M2(Z3)/trivial", "M3(Z3)/Z3"])
+    def test_reports_match_reference(self, name):
+        R = large_grading(name)
+        for cap in (None, 2):
+            assert gr.check_lemma_technical(R, cap) == ref.check_lemma_technical(R, cap)
+
+    @pytest.mark.parametrize("name,triples,ideals", [("M2(Z3)/trivial", 81, 6),
+                                                      ("M3(Z3)/Z3", 81, 8)])
+    def test_each_ideal_is_guarded_once(self, monkeypatch, name, triples, ideals):
+        R = large_grading(name)
+        guards = []
+        is_left_ideal = rings.is_left_ideal
+        monkeypatch.setattr(rings, "is_left_ideal",
+                            lambda T, I: guards.append(I) or is_left_ideal(T, I))
+        rep = gr.check_lemma_technical(R)
+        assert rep["holds"] and rep["triples_checked"] == triples
+        assert len(guards) == len(set(guards)) == ideals
+        assert gr.check_lemma_technical(R, 0)["witnesses"] == []
+        assert len(guards) == 2 * ideals  # a new call decides afresh
 
 
 def test_table_is_built_once_and_rejects_pairs_off_the_base():

@@ -4,10 +4,11 @@ reference_rings.py.
 The queries (s-unitality, the unities, regularity, idempotents) read the
 ring's tables as arrays.  ``check_tominaga`` and ``common_unit`` work on
 fixer bitmasks, and the ideal searches on principal left ideals cached per
-ring; ``check_tominaga`` grows the ANDs of the distinct masks and
-``check_vnr_characterization`` decides each set of principal ideals once.
-The reports, witnesses, first units and first failing subsets must be
-exactly those of the element-by-element scans.
+ring; ``check_tominaga`` grows the ANDs of the distinct masks.
+``check_vnr_characterization`` decides each distinct principal ideal once
+in its principal scan, and each set of principal ideals once in its
+finitely generated scan.  The reports, witnesses, first units and first
+failing subsets must be exactly those of the element-by-element scans.
 """
 
 import pytest
@@ -167,10 +168,22 @@ def test_common_unit_on_every_small_subset(T):
     assert common_unit(T, []) == ref.common_unit(T, []) == 0
 
 
+# The rings of the ring-ideals benchmark: M2(Z2)xZ3 is regular, so every
+# scan runs to its end; M2(Z2)xZ4 is not.
+def assert_vnr_characterization_matches_reference(T):
+    for side in ("left", "right"):
+        assert (check_vnr_characterization(T, 2, side)
+                == ref.check_vnr_characterization(T, 2, side)), side
+
+
 def test_order_48_ring_matches_reference():
     T = product_ring(M2, cyclic_ring(3))
     assert check_tominaga(T) == ref.check_tominaga(T)
-    assert check_vnr_characterization(T) == ref.check_vnr_characterization(T)
+    assert_vnr_characterization_matches_reference(T)
+
+
+def test_order_64_ring_matches_reference():
+    assert_vnr_characterization_matches_reference(product_ring(M2, cyclic_ring(4)))
 
 
 # Left fixer masks {all}, {2, 3}, {3, 4}, {2, 4}, {all}: every pair has a
@@ -214,10 +227,20 @@ class TestDistinctIdealScans:
         T = product_ring(M2, cyclic_ring(3))
         calls = count_calls(monkeypatch, "idempotent_generator")
         report = check_vnr_characterization(T)
-        # 48 principal ideals in scan (ii); 10 distinct of them give
-        # 10 + 45 sets of at most two in scan (iii)
+        # 48 generators give 10 distinct principal ideals in scan (ii), and
+        # those 10 + 45 sets of at most two in scan (iii)
         assert report["agree"] and report["finitely_generated_ideals_idempotent"]
-        assert len(calls) <= 48 + 55
+        assert len(calls) == 10 + 55
+
+    def test_principal_scan_decides_each_ideal_once(self, monkeypatch):
+        T = product_ring(M2, cyclic_ring(3))
+        monkeypatch.setattr(rings, "_first_non_idempotent_ideal", lambda T, k: None)
+        calls = count_calls(monkeypatch, "idempotent_generator")
+        guards = count_calls(monkeypatch, "is_left_ideal")
+        assert check_vnr_characterization(T)["principal_ideals_idempotent"]
+        ideals = [I for _, I in calls]
+        assert len(ideals) == len(set(ideals)) == 10
+        assert [I for _, I in guards] == ideals
 
     def test_early_exit_closes_three_principal_ideals(self):
         T = product_ring(M2, cyclic_ring(4))
@@ -250,7 +273,7 @@ class TestDistinctIdealScans:
             "principal_ideals_idempotent": True, "principal_failing": None,
             "finitely_generated_ideals_idempotent": True,
             "finitely_generated_failing": None, "agree": True}
-        assert len(calls) <= 512 + 16 + 120
+        assert len(calls) == 16 + 16 + 120
         assert len(set(T._principal.values())) == 16
         assert len(set(T._fixers["left"])) == len(set(T._fixers["right"])) == 16
         assert check_tominaga(T) == ALL_HAVE_COMMON_UNITS
@@ -267,17 +290,21 @@ def test_common_unit_rejects_bad_input():
 class TestCacheScope:
     """Cached masks and ideals belong to one ring object and never leak."""
 
-    def test_component_rings_are_fresh_and_equal(self):
+    def test_component_ring_is_one_object_per_graded_ring(self):
         coefficients, base, deg = catalog.good_grading_spec("M2_Z2_trivial")
         graded = good_grading(coefficients, validate_degree_map(base, deg)).graded
         e = graded.base_idempotents()[0]
-        A, B = graded.component_ring(e), graded.component_ring(e)
-        assert A is not B
+        A = graded.component_ring(e)
+        assert graded.component_ring(e) is A
         for c in A.elements():
             left_ideal(A, [c])
         check_tominaga(A, 1)
-        assert "_principal" not in vars(B) and "_fixers" not in vars(B)
+        # another graded ring with the same tables builds its own, uncached
+        again = good_grading(coefficients, validate_degree_map(base, deg)).graded
+        B = again.component_ring(e)
+        assert B is not A and "_principal" not in vars(B) and "_fixers" not in vars(B)
         assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+        assert graded == again and "_component_rings" not in repr(graded)
 
     def test_opposite_ring_sees_its_own_ideals(self):
         T = matrix_ring(cyclic_ring(2), 2)

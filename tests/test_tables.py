@@ -333,6 +333,61 @@ class TestIndexTables:
             deg[cell[0]][cell[1]] = value
         assert first_error(validate_degree_map, catalog.named_semigroup("B2"), deg) == expected
 
+    # The neg vector, the groupoid vectors and each compose entry are checked
+    # as one-row tables; messages as their own cell loops printed them
+    @pytest.mark.parametrize("index,value,expected", [
+        (1, True, (OutOfRangeError, "neg[1] = True is not an index in [0, 4)", (1, True))),
+        (2, 2.0, (OutOfRangeError, "neg[2] = 2.0 is not an index in [0, 4)", (2, 2.0))),
+        (3, -1, (OutOfRangeError, "neg[3] = -1 is not an index in [0, 4)", (3, -1))),
+        (0, 4, (OutOfRangeError, "neg[0] = 4 is not an index in [0, 4)", (0, 4))),
+        (None, None, (OutOfRangeError, "neg has length 3, expected 4", ())),
+    ], ids=["bool", "float", "negative", "bound", "short-vector"])
+    def test_pinned_neg_messages(self, index, value, expected):
+        Z4 = cyclic_ring(4).additive
+        neg = list(Z4.neg)
+        if value is None:
+            neg.pop()
+        else:
+            neg[index] = value
+        assert first_error(validate_additive_group, Z4.add, neg) == expected
+
+    # the pair groupoid on objects {0, 1}: morphism 2i + j runs j -> i
+    PAIR2 = {"dom": [0, 1, 0, 1], "cod": [0, 0, 1, 1], "inv": [0, 2, 1, 3]}
+    PAIR2_COMPOSE = {(0, 0): 0, (0, 1): 1, (1, 2): 0, (1, 3): 1, (2, 0): 2, (2, 1): 3,
+                     (3, 2): 2, (3, 3): 3}
+
+    @pytest.mark.parametrize("name,bound", [("dom", 2), ("cod", 2), ("inv", 4)])
+    @pytest.mark.parametrize("index,value", [(1, True), (2, 1.0), (3, -1), (0, "bound"),
+                                             (None, None)],
+                             ids=["bool", "float", "negative", "bound", "short-vector"])
+    def test_pinned_groupoid_vector_messages(self, name, bound, index, value):
+        vectors = {key: list(seq) for key, seq in self.PAIR2.items()}
+        if value is None:
+            vectors[name].pop()
+            expected = (OutOfRangeError, "dom, cod and inv must have equal lengths", ())
+        else:
+            value = bound if value == "bound" else value
+            vectors[name][index] = value
+            expected = (OutOfRangeError,
+                        f"{name}[{index}] = {value!r} is not an index in [0, {bound})",
+                        (index, value))
+        assert first_error(validate_groupoid, 2, vectors["dom"], vectors["cod"],
+                           vectors["inv"], self.PAIR2_COMPOSE) == expected
+
+    @pytest.mark.parametrize("key,value,text", [
+        ((1, 3), True, "(1, 3) -> True"), ((1, 3), 1.0, "(1, 3) -> 1.0"),
+        ((1, 3), -1, "(1, 3) -> -1"), ((1, 3), 4, "(1, 3) -> 4"),
+        ((2, 4), 1, "(2, 4) -> 1"), ((True, 0), 0, "(True, 0) -> 0"),
+        ((0, 2.0), 1, "(0, 2.0) -> 1"), ((-1, 1), 0, "(-1, 1) -> 0"),
+    ], ids=["bool", "float", "negative", "bound", "key-bound", "key-bool", "key-float",
+            "key-negative"])
+    def test_pinned_compose_messages(self, key, value, text):
+        compose = {**self.PAIR2_COMPOSE, key: value}
+        assert first_error(validate_groupoid, 2, *self.PAIR2.values(), compose) == (
+            OutOfRangeError, f"compose entry {text} out of range", (*key, value))
+        assert first_error(validate_groupoid, 2, *self.PAIR2.values(),
+                           self.PAIR2_COMPOSE) is None
+
     def test_edge_cases_follow_the_cell_scan(self):
         class Index(int):
             pass
