@@ -569,23 +569,48 @@ def cmd_corpus_run(args) -> int:
     return 2 if summary["n_disagree"] else 0
 
 
+# The options whose defaults come from GRL_* variables.  They are read on
+# every parse, not when the parser is built, so one parser serves a process
+# whose environment changes between calls.
+_ENV_DEFAULTS = {
+    "pretty": partial(_env_flag, "GRL_PRETTY"),
+    "max_witnesses": partial(_env_int, "GRL_MAX_WITNESSES", 100),
+    "fg_ideal_bound": partial(_env_int, "GRL_FG_IDEAL_BOUND", 2),
+    "seed": partial(_env_int, "GRL_SEED", None),
+    "jobs": partial(_env_int, "GRL_JOBS", 1),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Fills each option of ``_ENV_DEFAULTS`` that the command line left at
+    None from its variable.  None is never a parsed value: the options take
+    integers, and ``--pretty`` stores True."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for name, default in _ENV_DEFAULTS.items():
+            if getattr(namespace, name, False) is None:
+                setattr(namespace, name, default())
+        return namespace, extras
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one parser of the process, built on first use."""
+    parser = _Parser(
         prog="grl",
         description="Classify finite semigroups, groupoids, rings and graded "
                     "rings, and cross-check the structure theorems they satisfy.")
     parser.add_argument("--version", action="version", version=f"grl {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
 
     def add_common(p):
-        p.add_argument("--pretty", action="store_true",
-                       default=_env_flag("GRL_PRETTY"),
+        p.add_argument("--pretty", action="store_true", default=None,
                        help="indent JSON output")
         p.add_argument("--max-witnesses", type=int, metavar="N",
-                       default=_env_int("GRL_MAX_WITNESSES", 100),
                        help="cap inlined witness collections (default 100)")
         p.add_argument("--fg-ideal-bound", type=int, metavar="K",
-                       default=_env_int("GRL_FG_IDEAL_BOUND", 2),
                        help="generator bound for finitely generated ideal checks")
 
     p = sub.add_parser("validate", help="validate a structure file")
@@ -616,10 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest JSON (defaults to the built-in corpus)")
     p.add_argument("--out", help="directory for summary.json and per-entry reports")
     p.add_argument("--dump", help="directory to materialize the corpus structure files")
-    p.add_argument("--seed", type=int, default=_env_int("GRL_SEED", None),
-                   help="override the manifest seed")
-    p.add_argument("--jobs", type=int, default=_env_int("GRL_JOBS", 1),
-                   help="worker threads for corpus suites")
+    p.add_argument("--seed", type=int, help="override the manifest seed")
+    p.add_argument("--jobs", type=int, help="worker threads for corpus suites")
     add_common(p)
     p.set_defaults(func=cmd_corpus_run,
                    reads=("seed", "jobs", "max_witnesses", "fg_ideal_bound"))

@@ -3,7 +3,9 @@
 The total ring is never materialized: a grading is stored as one finite
 additive component per base element plus bilinear product tables between
 components.  Absent product tables mean the zero map; for a groupoid base,
-tables for non-composable pairs must be absent.
+tables for non-composable pairs must be absent.  Product tables, like the
+components' tables, are read-only intp arrays; the builders hand over the
+arrays they compute, and ``validate_grading`` stores equal tables as one.
 
 Every predicate here quantifies over homogeneous elements only, which is all
 the decision procedures need.  Witness searches scan ascending element order,
@@ -40,31 +42,47 @@ from .rings import (
 )
 from .semigroups import FiniteSemigroup, classify_semigroup
 from .tables import (
+    ComparedByTables,
     agree_on_generators,
     biadditive,
     first_assoc_violation,
     first_bad_index,
     first_biadditivity_violation,
     first_nonzero,
+    frozen,
 )
 
 BaseLike = Union[FiniteSemigroup, FiniteGroupoid]
-ProductTable = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GradedRing:
-    """``table`` serves ``products`` as int arrays, ``span`` the product
-    spans, ``component_ring`` the component rings and ``_verdicts`` the
-    grading-class verdicts, each built once per instance.  No cache is a
-    dataclass field, so ``==``, ``hash`` and ``repr`` ignore them.
-    ``validate_grading`` stores equal product tables as one object, and each
-    table object gets one array, shared by every pair that stores it and
-    read-only for that reason."""
+@dataclass(frozen=True, eq=False)
+class GradedRing(ComparedByTables):
+    """Every product table is a read-only intp array, whatever the
+    constructor is given; ``validate_grading`` stores equal tables as one
+    array, shared by every pair that stores it.  ``==`` and ``hash`` compare
+    the base, the components and the product tables' bytes.
+
+    ``span`` serves the product spans, ``component_ring`` the component
+    rings and ``_verdicts`` the grading-class verdicts, each built once per
+    instance.  No cache is a dataclass field, so ``==``, ``hash``, ``repr``
+    and pickling ignore them."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
-    products: dict[tuple[int, int], ProductTable]
+    products: dict[tuple[int, int], np.ndarray]
+
+    def __post_init__(self):
+        arrays: dict[int, np.ndarray] = {}  # one array per table object
+        for table in self.products.values():
+            if id(table) not in arrays:
+                arrays[id(table)] = frozen(table)
+        object.__setattr__(self, "products", {key: arrays[id(table)]
+                                              for key, table in self.products.items()})
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.base, self.components,
+                tuple(sorted((key, P.shape, P.tobytes()) for key, P in self.products.items())))
 
     @property
     def base_kind(self) -> str:
@@ -88,18 +106,9 @@ class GradedRing:
         """Product table R_s x R_t -> R_{st} as an int array, zeros if absent."""
         if self.target(s, t) is None:
             raise ValueError(f"graders {s} and {t} are not composable")
-        stored = self._arrays.get((s, t))
+        stored = self.products.get((s, t))
         return stored if stored is not None else np.zeros(
             (self.components[s].order, self.components[t].order), dtype=np.intp)
-
-    @cached_property
-    def _arrays(self) -> dict[tuple[int, int], np.ndarray]:
-        built: dict[int, np.ndarray] = {}
-        for table in self.products.values():
-            if id(table) not in built:
-                built[id(table)] = P = np.array(table, dtype=np.intp)
-                P.flags.writeable = False
-        return {key: built[id(table)] for key, table in self.products.items()}
 
     def span(self, s: int, t: int) -> Subgroup:
         """Additive span of the products R_s R_t inside R_{st}."""
@@ -139,8 +148,8 @@ class GradedRing:
         if e not in self._component_rings:
             if self.target(e, e) != e:
                 raise ValueError(f"grader {e} is not idempotent")
-            self._component_rings[e] = FiniteRing(
-                additive=self.components[e], mul=tuple(map(tuple, self.table(e, e).tolist())))
+            self._component_rings[e] = FiniteRing(additive=self.components[e],
+                                                  mul=self.table(e, e))
         return self._component_rings[e]
 
     @cached_property
@@ -159,8 +168,9 @@ def validate_grading(base: BaseLike,
     """Verify codomains, bilinearity and cross-component associativity.
 
     ``components`` must already be validated additive groups, one per base
-    element (semigroup elements / groupoid morphisms).  Equal product
-    tables are stored as one object.  Valid tables are accepted on the
+    element (semigroup elements / groupoid morphisms).  Product tables may
+    be nested sequences or int arrays; equal tables are stored as one
+    read-only array.  Valid tables are accepted on the
     components' additive generators, each distinct table and each distinct
     triple of tables checked once; otherwise the exhaustive scans report the
     first violation.
@@ -170,8 +180,11 @@ def validate_grading(base: BaseLike,
         raise OutOfRangeError(f"expected {n} components, got {len(components)}")
 
     draft = GradedRing(base=base, components=tuple(components), products={})
-    prods: dict[tuple[int, int], ProductTable] = {}
-    distinct: dict[ProductTable, ProductTable] = {}
+    prods: dict[tuple[int, int], np.ndarray] = {}
+    distinct: dict[tuple, np.ndarray] = {}  # by shape and bytes
+    # by id of the given table and the orders it must fit; the given table
+    # is kept, so that its id is not reused while the loop runs
+    stored: dict[tuple, tuple[object, np.ndarray]] = {}
     for (s, t), raw in products.items():
         if not (_is_index(s) and _is_index(t)):
             raise OutOfRangeError(f"product key ({s!r}, {t!r}) is not a pair of integers",
@@ -183,23 +196,26 @@ def validate_grading(base: BaseLike,
             raise NonComposableProductError(
                 f"product table present for non-composable pair ({s}, {t})", (s, t))
         rows, cols = components[s].order, components[t].order
-        match first_bad_index(raw, rows, cols, components[st].order):
-            case (length,):
-                raise CodomainError(f"product ({s}, {t}) has {length} rows, expected {rows}",
-                                    (s, t))
-            case (a, length):
-                raise CodomainError(
-                    f"product ({s}, {t}) row {a} has length {length}, expected {cols}",
-                    (s, t, a))
-            case (a, b, v):
-                raise CodomainError(
-                    f"product ({s}, {t})[{a}][{b}] = {v!r} not an index in R_{st}",
-                    (s, t, a, b, v))
-        table = tuple(tuple(row) for row in raw)
-        prods[(s, t)] = distinct.setdefault(table, table)
+        fit = (id(raw), rows, cols, components[st].order)
+        if fit not in stored:
+            match first_bad_index(raw, *fit[1:]):
+                case (length,):
+                    raise CodomainError(
+                        f"product ({s}, {t}) has {length} rows, expected {rows}", (s, t))
+                case (a, length):
+                    raise CodomainError(
+                        f"product ({s}, {t}) row {a} has length {length}, expected {cols}",
+                        (s, t, a))
+                case (a, b, v):
+                    raise CodomainError(
+                        f"product ({s}, {t})[{a}][{b}] = {v!r} not an index in R_{st}",
+                        (s, t, a, b, v))
+            table = frozen(raw)
+            stored[fit] = raw, distinct.setdefault((table.shape, table.tobytes()), table)
+        prods[(s, t)] = stored[fit][1]
 
     R = GradedRing(base=base, components=tuple(components), products=prods)
-    add = [np.array(g.add, dtype=np.intp) for g in components]
+    add = [g.add for g in components]
     if not _holds_on_generators(R, add):
         _raise_first_graded_violation(R, add)
     return R
@@ -229,7 +245,7 @@ def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
     components of s, t and st, a triple once per components of s, t and u
     and arrays of its two sides.  Arrays and components are told apart by
     identity; ``validate_grading`` makes equal tables one object."""
-    T, target = R._arrays, R.base.table
+    T, target = R.products, R.base.table
     comp = [id(g) for g in R.components]
     gens = [np.asarray(g.generators) for g in R.components]
     checked = set()
@@ -850,7 +866,7 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
 
 
 def _normalized_products(R: GradedRing) -> dict:
-    return {key: table for key, table in R.products.items() if R.table(*key).any()}
+    return {key: table for key, table in R.products.items() if table.any()}
 
 
 def structurally_equal(R1: GradedRing, R2: GradedRing) -> bool:
@@ -870,6 +886,7 @@ def structurally_equal(R1: GradedRing, R2: GradedRing) -> bool:
     if len(R1.components) != len(R2.components):
         return False
     for c1, c2 in zip(R1.components, R2.components):
-        if (c1.add, c1.neg) != (c2.add, c2.neg):
+        if not (np.array_equal(c1.add, c2.add) and np.array_equal(c1.neg, c2.neg)):
             return False
-    return _normalized_products(R1) == _normalized_products(R2)
+    p1, p2 = _normalized_products(R1), _normalized_products(R2)
+    return p1.keys() == p2.keys() and all(np.array_equal(p1[key], p2[key]) for key in p1)

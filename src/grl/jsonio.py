@@ -131,9 +131,8 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
 
 def ring_to_json(T: FiniteRing) -> dict:
     return {"kind": "ring", "order": T.order,
-            "add": [list(row) for row in T.additive.add],
-            "neg": list(T.additive.neg),
-            "mul": [list(row) for row in T.mul]}
+            "add": T.additive.add.tolist(), "neg": T.additive.neg.tolist(),
+            "mul": T.mul.tolist()}
 
 
 def _size(spec: dict, least: int) -> int:
@@ -167,8 +166,7 @@ def ring_from_json(data) -> FiniteRing:
 
 
 def _group_to_json(g: FiniteAdditiveGroup) -> dict:
-    return {"order": g.order, "add": [list(row) for row in g.add],
-            "neg": list(g.neg)}
+    return {"order": g.order, "add": g.add.tolist(), "neg": g.neg.tolist()}
 
 
 def _group_from_json(data: dict) -> FiniteAdditiveGroup:
@@ -187,9 +185,8 @@ def graded_to_json(R: GradedRing) -> dict:
     products = []
     for (s, t) in sorted(R.products):
         table = R.products[(s, t)]
-        if all(v == 0 for row in table for v in row):
-            continue
-        products.append({"s": s, "t": t, "table": [list(row) for row in table]})
+        if table.any():
+            products.append({"s": s, "t": t, "table": table.tolist()})
     return {"kind": "graded_ring", "base": base,
             "components": components, "products": products}
 

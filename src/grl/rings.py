@@ -1,8 +1,12 @@
 """Finite additive groups and finite, possibly non-unital, rings.
 
 Everything is given by dense index tables over elements 0..order-1 with the
-additive zero fixed at index 0.  All searches scan ascending and return the
-first hit, so every witness is reproducible.
+additive zero fixed at index 0.  Each table is stored once, as a read-only
+intp array (``tables.frozen``): the builders compute whole tables with numpy
+index arithmetic and pass them on as they are, and every query indexes the
+stored arrays.  Lists appear only in the members and witnesses a search
+returns.  All searches scan ascending and return the first hit, so every
+witness is reproducible.
 """
 
 from __future__ import annotations
@@ -24,22 +28,31 @@ from .errors import (
     OutOfRangeError,
 )
 from .tables import (
+    ComparedByTables,
     agree_on_generators,
     associative_through,
     biadditive,
     first_assoc_violation,
     first_bad_index,
     first_biadditivity_violation,
+    frozen,
 )
 
 
-@dataclass(frozen=True)
-class FiniteAdditiveGroup:
-    """Finite abelian group; ``add[x][y]`` is x+y, ``neg[x]`` is -x, zero is 0."""
+@dataclass(frozen=True, eq=False)
+class FiniteAdditiveGroup(ComparedByTables):
+    """Finite abelian group; ``add[x, y]`` is x+y, ``neg[x]`` is -x, zero is 0.
+
+    Both tables are read-only intp arrays, whatever the constructor is given.
+    ``==`` and ``hash`` compare the tables' bytes."""
 
     order: int
-    add: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
+    add: np.ndarray
+    neg: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "add", frozen(self.add))
+        object.__setattr__(self, "neg", frozen(self.neg))
 
     def elements(self) -> range:
         return range(self.order)
@@ -50,20 +63,28 @@ class FiniteAdditiveGroup:
         earlier ones; (0,) for the trivial group.  Not a dataclass field."""
         return tuple(_grow(self.add, {0}, range(1, self.order))) or (0,)
 
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.order, self.add.shape, self.add.tobytes(), self.neg.tobytes())
 
-@dataclass(frozen=True)
-class FiniteRing:
+
+@dataclass(frozen=True, eq=False)
+class FiniteRing(ComparedByTables):
     """Additive group with an associative, bi-additive multiplication table.
 
-    Searches that run many times over one ring keep what they derive from the
-    tables on the instance: the tables as arrays, the idempotents, fixer
-    bitmasks and principal left ideals.  These caches are not dataclass
-    fields, so they take no part in ``==``, ``hash`` or ``repr``, and every
-    new instance starts empty.
+    ``mul`` is a read-only intp array, like the group's tables; ``==`` and
+    ``hash`` compare the tables' bytes.  Searches that run many times over
+    one ring keep what they derive from the tables on the instance: the
+    idempotents, fixer bitmasks and principal left ideals.  These caches are
+    not dataclass fields, so they take no part in ``==``, ``hash``, ``repr``
+    or pickling, and every new instance starts empty.
     """
 
     additive: FiniteAdditiveGroup
-    mul: tuple[tuple[int, ...], ...]
+    mul: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mul", frozen(self.mul))
 
     @property
     def order(self) -> int:
@@ -73,17 +94,14 @@ class FiniteRing:
         return range(self.order)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``add``, ``neg`` and ``mul`` as int64 arrays."""
-        return (np.asarray(self.additive.add, dtype=np.int64),
-                np.asarray(self.additive.neg, dtype=np.int64),
-                np.asarray(self.mul, dtype=np.int64))
+    def _key(self) -> tuple:
+        return (self.additive, self.mul.shape, self.mul.tobytes())
 
     @cached_property
     def _fixers(self) -> dict[str, tuple[int, ...]]:
         """Per side, ``cols[v]`` is the bitmask of every u with u*v = v
         ("left") or v*u = v ("right"); bit u stands for element u."""
-        M = self._arrays[2]
+        M = self.mul
         idx = np.arange(self.order)
         return {"left": _column_masks(M == idx[None, :]),
                 "right": _column_masks((M == idx[:, None]).T)}
@@ -91,7 +109,7 @@ class FiniteRing:
     @cached_property
     def _idempotents(self) -> frozenset[int]:
         """Every u with u*u = u."""
-        squares = self._arrays[2].diagonal()
+        squares = self.mul.diagonal()
         return frozenset(np.flatnonzero(squares == np.arange(self.order)).tolist())
 
     @cached_property
@@ -106,7 +124,7 @@ def _column_masks(fixes: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-TRIVIAL_GROUP = FiniteAdditiveGroup(order=1, add=((0,),), neg=(0,))
+TRIVIAL_GROUP = FiniteAdditiveGroup(order=1, add=[[0]], neg=[0])
 
 
 def _check_index_table(table: Sequence[Sequence[int]], n: int, what: str) -> None:
@@ -122,17 +140,19 @@ def _check_index_table(table: Sequence[Sequence[int]], n: int, what: str) -> Non
 
 def validate_additive_group(add: Sequence[Sequence[int]],
                             neg: Sequence[int]) -> FiniteAdditiveGroup:
-    """Abelian-group axioms: commutative, 0 neutral, neg inverse, associative."""
+    """Abelian-group axioms: commutative, 0 neutral, neg inverse, associative.
+    The tables may be nested sequences or int arrays."""
     n = len(add)
     if n == 0:
         raise OutOfRangeError("empty addition table")
     _check_index_table(add, n, "add")
-    match first_bad_index((neg,), 1, n, n):  # neg as a one-row table
+    # neg as a one-row table
+    match first_bad_index(neg[None] if isinstance(neg, np.ndarray) else (neg,), 1, n, n):
         case (_, length):
             raise OutOfRangeError(f"neg has length {length}, expected {n}")
         case (_, x, v):
             raise OutOfRangeError(f"neg[{x}] = {v!r} is not an index in [0, {n})", (x, v))
-    A = np.asarray(add, dtype=np.int64)
+    A, N = frozen(add), frozen(neg)
     if not np.array_equal(A, A.T):
         x, y = np.argwhere(A != A.T)[0]
         raise AdditiveGroupError(f"addition is not commutative at ({x}, {y})",
@@ -140,12 +160,10 @@ def validate_additive_group(add: Sequence[Sequence[int]],
     if not np.array_equal(A[0], np.arange(n)):
         x = int(np.argwhere(A[0] != np.arange(n))[0][0])
         raise AdditiveGroupError(f"index 0 is not an additive zero: 0+{x} != {x}", (x,))
-    N = np.asarray(neg, dtype=np.int64)
-    if not np.array_equal(A[np.arange(n), N], np.zeros(n, dtype=np.int64)):
+    if A[np.arange(n), N].any():
         x = int(np.argwhere(A[np.arange(n), N] != 0)[0][0])
         raise AdditiveGroupError(f"x + neg[x] != 0 at x = {x}", (x,))
-    grp = FiniteAdditiveGroup(order=n, add=tuple(tuple(row) for row in add),
-                              neg=tuple(neg))
+    grp = FiniteAdditiveGroup(order=n, add=A, neg=N)
     # Every element is 0, a greedy generator, or g + m for a generator g and
     # an element m met before it (see _grow), so Light's test on the
     # generators is a proof.  Rows that are not permutations, as no group's
@@ -160,16 +178,16 @@ def validate_additive_group(add: Sequence[Sequence[int]],
 
 def validate_ring(add: Sequence[Sequence[int]], neg: Sequence[int],
                   mul: Sequence[Sequence[int]]) -> FiniteRing:
-    """Additive axioms plus multiplicative associativity and two-sided distributivity."""
+    """Additive axioms plus multiplicative associativity and two-sided distributivity.
+    The tables may be nested sequences or int arrays."""
     grp = validate_additive_group(add, neg)
     n = grp.order
     _check_index_table(mul, n, "mul")
-    A = np.asarray(add, dtype=np.int64)
-    M = np.asarray(mul, dtype=np.int64)
+    A, M = grp.add, frozen(mul)
     g = np.asarray(grp.generators)
     if not (biadditive(M, A, A, A, g, g) and agree_on_generators(g, g, g, (M, M), (M, M))):
         _raise_first_ring_violation(A, M)
-    return FiniteRing(additive=grp, mul=tuple(tuple(row) for row in mul))
+    return FiniteRing(additive=grp, mul=M)
 
 
 def _raise_first_ring_violation(A: np.ndarray, M: np.ndarray) -> None:
@@ -221,21 +239,18 @@ def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
         return TRIVIAL_GROUP
     # G.order >= 2, so the power capped at the bound's bit length still passes it
     _check_order(G.order ** min(k, MAX_RING_ORDER.bit_length()), f"{G.order}^{k}")
-    add, neg = np.array(G.add), np.array(G.neg)
-    return FiniteAdditiveGroup(order=G.order ** k,
-                               add=tuple(map(tuple, _entrywise([add] * k).tolist())),
-                               neg=tuple(_entrywise([neg] * k).tolist()))
+    return FiniteAdditiveGroup(order=G.order ** k, add=_entrywise([G.add] * k),
+                               neg=_entrywise([G.neg] * k))
 
 
-def _matrix_product(A: FiniteRing, left: _Cells, right: _Cells,
-                    out: _Cells) -> tuple[tuple[int, ...], ...]:
+def _matrix_product(A: FiniteRing, left: _Cells, right: _Cells, out: _Cells) -> np.ndarray:
     """Product table of the matrices over A supported on the (i, j) cells
     ``left`` times those on ``right``, read on the cells ``out``.  A matrix is
     the tuple of its entries in cell order, indexed lexicographically."""
     shape = (A.order ** len(left), A.order ** len(right))
     if A.order == 1 or not (left and right):  # every product is the zero matrix
-        return ((0,) * shape[1],) * shape[0]
-    add, _, mul = A._arrays
+        return np.zeros(shape, dtype=np.intp)
+    add, mul = A.additive.add, A.mul
     x = np.unravel_index(np.arange(shape[0]), (A.order,) * len(left))
     y = np.unravel_index(np.arange(shape[1]), (A.order,) * len(right))
     entries = []
@@ -245,7 +260,7 @@ def _matrix_product(A: FiniteRing, left: _Cells, right: _Cells,
             if row == i and (j, l) in right:
                 acc = add[acc, mul[x[p][:, None], y[right.index((j, l))]]]
         entries.append(acc)
-    return tuple(map(tuple, np.ravel_multi_index(entries, (A.order,) * len(out)).tolist()))
+    return np.ravel_multi_index(entries, (A.order,) * len(out))
 
 
 def _integers(m: int, c: int) -> FiniteRing:
@@ -253,8 +268,7 @@ def _integers(m: int, c: int) -> FiniteRing:
     _check_order(m, str(m))
     x = np.arange(m)
     c %= max(m, 1)  # so that c*x*y stays far inside int64
-    return validate_ring(((x[:, None] + x) % m).tolist(), (-x % m).tolist(),
-                         (c * x[:, None] * x % m).tolist())
+    return validate_ring((x[:, None] + x) % m, -x % m, c * x[:, None] * x % m)
 
 
 def cyclic_ring(n: int) -> FiniteRing:
@@ -290,8 +304,8 @@ def product_ring(*factors: FiniteRing) -> FiniteRing:
     if not factors:
         raise ValueError("need at least one factor")
     _check_order(prod(T.order for T in factors), "*".join(str(T.order) for T in factors))
-    tables = zip(*(T._arrays for T in factors))  # the adds, the negs, the muls
-    return validate_ring(*(_entrywise(t).tolist() for t in tables))
+    tables = zip(*((T.additive.add, T.additive.neg, T.mul) for T in factors))
+    return validate_ring(*(_entrywise(t) for t in tables))
 
 
 def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:
@@ -307,7 +321,7 @@ def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:
 
 def opposite_ring(T: FiniteRing) -> FiniteRing:
     """Same additive group, multiplication reversed."""
-    return FiniteRing(additive=T.additive, mul=tuple(zip(*T.mul)))
+    return FiniteRing(additive=T.additive, mul=T.mul.T)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +356,7 @@ class SUnitalityWitness:
 
 def s_unitality(T: FiniteRing) -> SUnitalityWitness:
     """For each x, the first u with u*x = x and the first v with x*v = x."""
-    M = T._arrays[2]
+    M = T.mul
     idx = np.arange(T.order)
     hits = np.stack((M == idx, M.T == idx))  # [0, u, x]: u*x == x; [1, v, x]: x*v == x
     first, found = hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist()
@@ -362,17 +376,17 @@ def is_s_unital(T: FiniteRing) -> bool:
 
 def left_unity(T: FiniteRing) -> Optional[int]:
     """First u with u*r = r for every r, or None."""
-    return _first((T._arrays[2] == np.arange(T.order)).all(axis=1))
+    return _first((T.mul == np.arange(T.order)).all(axis=1))
 
 
 def right_unity(T: FiniteRing) -> Optional[int]:
     """First u with r*u = r for every r, or None."""
-    return _first((T._arrays[2].T == np.arange(T.order)).all(axis=1))
+    return _first((T.mul.T == np.arange(T.order)).all(axis=1))
 
 
 def unity(T: FiniteRing) -> Optional[int]:
     """Two-sided unity, or None.  Note the one-element zero ring is unital (u = 0)."""
-    return subring_unity(T._arrays[2], range(T.order))
+    return subring_unity(T.mul, range(T.order))
 
 
 def subring_unity(M: np.ndarray, members: Sequence[int]) -> Optional[int]:
@@ -438,7 +452,7 @@ def _grow(add, members: set[int], seeds: Iterable[int]) -> list[int]:
         if g in members:
             continue
         enlarged.append(g)
-        row = add[g]
+        row = add[g].tolist()  # plain ints: a numpy call per coset step costs more
         coset = [row[h] for h in members]
         while coset[0] not in members:
             members.update(coset)
@@ -457,8 +471,7 @@ def _principal_left_ideal(T: FiniteRing, c: int) -> frozenset[int]:
     """Members of the left ideal generated by c, computed once per ring."""
     members = T._principal.get(c)
     if members is None:
-        mul = T.mul
-        seeds = {c, *(mul[t][c] for t in T.elements())}
+        seeds = {c, *T.mul[:, c].tolist()}
         members = T._principal[c] = additive_closure(T.additive, seeds).members
     return members
 
@@ -484,7 +497,7 @@ def right_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
 
 def is_left_ideal(T: FiniteRing, sub: Subgroup) -> bool:
     """Additive subgroup closed under left multiplication by every element of T."""
-    add, neg, mul = T._arrays
+    add, neg, mul = T.additive.add, T.additive.neg, T.mul
     idx = np.fromiter(sub.members, dtype=np.int64, count=len(sub.members))
     inside = np.zeros(T.order, dtype=bool)
     inside[idx] = True
@@ -518,7 +531,7 @@ class RegularityWitness:
 
 def is_von_neumann_regular(T: FiniteRing) -> RegularityWitness:
     """The first quasi-inverse of each r before the first r that has none."""
-    M = T._arrays[2]
+    M = T.mul
     rs = np.arange(T.order)[:, None]
     regular = M[M, rs] == rs  # [r, y]: (r*y)*r == r
     failing = _first(~regular.any(axis=1))

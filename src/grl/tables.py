@@ -1,8 +1,10 @@
 """The table axioms, associativity and bi-additivity, checked on integer arrays.
 
 Every validator in grl calls this module; nothing else checks a table axiom.
-A product table P has ``P[a, b]`` = index of a*b.  Tables over additive
-groups are first accepted on generators: ``biadditive``,
+A product table P has ``P[a, b]`` = index of a*b.  ``frozen`` gives the
+read-only intp array in which grl stores every ring and grading table, and
+``ComparedByTables`` compares the structures that store them by value.
+Tables over additive groups are first accepted on generators: ``biadditive``,
 ``agree_on_generators`` and ``associative_through`` are complete proofs that
 answer yes or no.  Only when they answer no do the validators run the
 ``first_*`` scans, which return the lexicographically first violating tuple,
@@ -18,6 +20,7 @@ one lookup settles every b for a pair (a, c).
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import cache
 from itertools import chain, product
 from typing import Optional, Sequence
@@ -27,6 +30,36 @@ import numpy as np
 CELL_BUDGET = 8192  # cells per compared slab; 64 KiB per int64 array
 
 
+def frozen(table) -> np.ndarray:
+    """``table`` as a read-only intp array, the one form grl stores a table
+    in.  A read-only intp array is returned as it is; anything else is
+    copied, so the caller's own array is never frozen under it."""
+    if isinstance(table, np.ndarray) and table.dtype == np.intp and not table.flags.writeable:
+        return table
+    out = np.array(table, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+class ComparedByTables:
+    """Base of the frozen dataclasses that store tables.  ``==`` and ``hash``
+    go through the subclass's ``_key``, built from the tables' shapes and
+    bytes, so equal tables built on different paths compare equal.  Pickling
+    rebuilds through the constructor from the fields alone, so a copy stores
+    read-only tables and starts with empty caches."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def first_bad_index(table: Sequence[Sequence[int]], rows: int, cols: int,
                     bound: int) -> Optional[tuple]:
     """None if ``table`` has ``rows`` rows of ``cols`` ints (bools excluded)
@@ -34,9 +67,23 @@ def first_bad_index(table: Sequence[Sequence[int]], rows: int, cols: int,
     before its cells: ``(len(table),)`` for the row count, ``(a, len(row))``
     for a row length, ``(a, b, v)`` for a cell.
 
-    The whole table is checked at once, by the set of its cell types and of
-    its values; only a table that fails that is scanned cell by cell.
+    A 2-D integer array is checked by its shape and its least and greatest
+    cell, and a faulty cell is reported as a plain int.  Any other array is
+    checked as its ``tolist()``, so bool and float cells are refused as they
+    are in lists.  A list is checked at once by the set of its cell types and
+    of its values; only a list that fails that is scanned cell by cell.
     """
+    if isinstance(table, np.ndarray):
+        if table.ndim != 2 or table.dtype.kind not in "iu":
+            return first_bad_index(table.tolist(), rows, cols, bound)
+        if len(table) != rows:
+            return (len(table),)
+        if rows and table.shape[1] != cols:
+            return (0, table.shape[1])
+        if table.size == 0 or (table.min() >= 0 and table.max() < bound):
+            return None
+        a, b = np.argwhere((table < 0) | (table >= bound))[0].tolist()
+        return (a, b, int(table[a, b]))
     if len(table) != rows:
         return (len(table),)
     try:

@@ -3,7 +3,8 @@ builders, for checking grl.gradings and grl.constructions against.
 
 These are the element-by-element scans that the graded predicates replace
 with indexing into ``GradedRing.table`` arrays.  Every product goes through
-``product``, which reads the raw tuples, and every span through the
+``product``, which reads the product tables as nested lists of Python ints
+made once per graded ring, and every span through the
 breadth-first ``reference_rings.additive_closure``; the ring queries on
 component rings are those of ``reference_rings`` too.  The functions take
 the same arguments, scan in the same order and return the same verdicts,
@@ -32,18 +33,25 @@ from reference_rings import (
     is_left_ideal,
     is_s_unital,
     is_von_neumann_regular,
+    once_per_object,
     plus,
+    tables,
     times,
     unity,
 )
 from reference_semigroups import mul
 
 
+def product_lists(R: GradedRing) -> dict:
+    """The stored product tables as nested lists of Python ints."""
+    return {key: P.tolist() for key, P in R.products.items()}
+
+
 def product(R: GradedRing, s: int, t: int, a: int, b: int) -> int:
     """Index of the product of a in R_s with b in R_t, inside R_{st}."""
     if R.target(s, t) is None:
         raise ValueError(f"graders {s} and {t} are not composable")
-    table = R.products.get((s, t))
+    table = once_per_object(R, product_lists).get((s, t))
     return table[a][b] if table is not None else 0
 
 
@@ -499,12 +507,13 @@ def power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
             x = x * G.order + d
         return x
 
+    G_add, G_neg = tables(G)
     add = []
     neg = []
     for x in range(size):
         dx = decode(x)
-        neg.append(encode([G.neg[d] for d in dx]))
-        add.append(tuple(encode([G.add[a][b] for a, b in zip(dx, decode(y))])
+        neg.append(encode([G_neg[d] for d in dx]))
+        add.append(tuple(encode([G_add[a][b] for a, b in zip(dx, decode(y))])
                          for y in range(size)))
     return FiniteAdditiveGroup(order=size, add=tuple(add), neg=tuple(neg))
 

@@ -8,10 +8,12 @@ arrays; ``common_unit``, ``left_ideal``, ``idempotent_generator``,
 ``is_left_ideal``, ``check_tominaga`` and ``check_vnr_characterization``,
 which grl answers with fixer bitmasks, cached principal ideals and array
 membership; and the breadth-first closure that ``additive_closure``
-replaces with coset growth.  Every element operation reads the raw tuples
-through ``plus``, ``negate`` and ``times``.  The functions take the same
-arguments, scan in the same order and return the same values, witnesses and
-report dicts, and they call no ring predicate of grl.
+replaces with coset growth.  Every element operation reads the tables
+through ``plus``, ``negate`` and ``times`` (``is_left_ideal``, the hottest
+loop, reads them directly), as nested lists of Python ints made once per
+structure from grl's arrays.  The functions take the same arguments, scan
+in the same order and return the same values, witnesses and report dicts,
+and they call no ring predicate of grl.
 
 ``multiples_ring``, ``product_ring``, ``matrix_ring`` and ``field_f4`` build
 their tables one element pair at a time through ``ring_from_ops`` and Python
@@ -21,6 +23,7 @@ or writes them out.
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations, product
 
 from grl.errors import NotAnIdealError
@@ -33,16 +36,42 @@ from grl.rings import (
 )
 
 
+_LISTS: dict[int, object] = {}  # by id of a live structure
+
+
+def once_per_object(obj, make):
+    """``make(obj)``, made on the first call for ``obj`` and kept until
+    ``obj`` is collected."""
+    key = id(obj)
+    got = _LISTS.get(key)
+    if got is None:
+        got = _LISTS[key] = make(obj)
+        weakref.finalize(obj, _LISTS.pop, key, None)
+    return got
+
+
+def tables(group):
+    """``(add, neg)`` of an additive group as nested lists of Python ints."""
+    return once_per_object(group, lambda g: (g.add.tolist(), g.neg.tolist()))
+
+
+def ring_tables(T):
+    """``(add, neg, mul)`` of a ring as nested lists of Python ints."""
+    return once_per_object(T, lambda ring: (*tables(ring.additive), ring.mul.tolist()))
+
+
+# one dict lookup per element operation once the lists exist
+
 def plus(T, x, y):
-    return T.additive.add[x][y]
+    return (_LISTS.get(id(T)) or ring_tables(T))[0][x][y]
 
 
 def negate(T, x):
-    return T.additive.neg[x]
+    return (_LISTS.get(id(T)) or ring_tables(T))[1][x]
 
 
 def times(T, x, y):
-    return T.mul[x][y]
+    return (_LISTS.get(id(T)) or ring_tables(T))[2][x][y]
 
 
 def ring_from_ops(elems, add_op, neg_op, mul_op):
@@ -177,8 +206,7 @@ def subsets_up_to(n: int, k: int):
 
 def additive_closure(group, seeds) -> Subgroup:
     """Smallest subset containing the seeds and 0, closed under add and neg."""
-    add = group.add
-    neg = group.neg
+    add, neg = tables(group)
     members = {0}
     work = [0]
     for s in sorted(set(seeds)):
@@ -221,13 +249,14 @@ def left_ideal(T, generators) -> Subgroup:
 
 
 def is_left_ideal(T, sub) -> bool:
+    add, neg, mul = ring_tables(T)  # the hottest loops read the lists directly
     members = sub.members
     if 0 not in members:
         return False
-    if not all(plus(T, x, y) in members and negate(T, x) in members
+    if not all(add[x][y] in members and neg[x] in members
                for x in members for y in members):
         return False
-    return all(times(T, t, x) in members for t in T.elements() for x in members)
+    return all(mul[t][x] in members for t in T.elements() for x in members)
 
 
 def idempotent_generator(T, I):

@@ -183,9 +183,16 @@ def groupoid_identities(n_objects, dom, cod, table):
     return tuple(identity)
 
 
+def as_lists(table):
+    """A table, list or array, as nested lists of Python ints, so that the
+    loops here never index an array cell by cell."""
+    return np.asarray(table).tolist()
+
+
 def biadditivity_violation(table, add_left, add_right, add_out):
     """First (a, a', b) breaking (a+a')b = ab + a'b, else first (a, b, b')
     breaking a(b+b') = ab + ab', else None."""
+    table, add_left, add_right, add_out = map(as_lists, (table, add_left, add_right, add_out))
     rows, cols = len(add_left), len(add_right)
     for a in range(rows):
         for a2 in range(rows):
@@ -210,10 +217,11 @@ def grading_violation(base, components, products):
     """Bi-additivity of every table, then graded associativity of every triple."""
     is_semigroup = isinstance(base, FiniteSemigroup)
     n = len(components)
+    add = [as_lists(g.add) for g in components]
+    products = {key: as_lists(table) for key, table in products.items()}
     for (s, t), table in sorted(products.items()):
         st = _target(base, s, t)
-        bad = biadditivity_violation(table, components[s].add, components[t].add,
-                                     components[st].add)
+        bad = biadditivity_violation(table, add[s], add[t], add[st])
         if bad is not None:
             return (BilinearityError, (s, t, *bad))
 

@@ -204,6 +204,23 @@ class TestCorpusRun:
         args = cli.build_parser().parse_args(["classify", "x.json"])
         assert args.max_witnesses == 3
 
+    def test_one_parser_reads_the_environment_on_every_parse(self, monkeypatch):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        for name in ("GRL_SEED", "GRL_JOBS", "GRL_PRETTY", "GRL_MAX_WITNESSES",
+                     "GRL_FG_IDEAL_BOUND"):
+            monkeypatch.delenv(name, raising=False)
+        args = parser.parse_args(["corpus-run"])
+        assert (args.seed, args.jobs, args.pretty, args.max_witnesses,
+                args.fg_ideal_bound) == (None, 1, False, 100, 2)
+        monkeypatch.setenv("GRL_SEED", "0")
+        monkeypatch.setenv("GRL_PRETTY", "yes")
+        monkeypatch.setenv("GRL_FG_IDEAL_BOUND", "3")
+        args = parser.parse_args(["corpus-run"])
+        assert (args.seed, args.pretty, args.fg_ideal_bound) == (0, True, 3)
+        args = parser.parse_args(["corpus-run", "--seed", "5", "--fg-ideal-bound", "1"])
+        assert (args.seed, args.fg_ideal_bound) == (5, 1)
+
     def test_manifest_file(self, tmp_path):
         manifest = {"order4_sample_count": 0, "exhaustive_semigroups_max_order": 2}
         path = tmp_path / "manifest.json"
@@ -538,7 +555,8 @@ class TestJsonRoundTrips:
         path = tmp_path / "z6.json"
         path.write_text(jsonio.dumps_canonical(jsonio.ring_to_json(T)))
         _, back = jsonio.load_structure(path)
-        assert back.mul == T.mul and back.additive.add == T.additive.add
+        assert (back.mul.tolist() == T.mul.tolist()
+                and back.additive.add.tolist() == T.additive.add.tolist())
 
 
 Z2_GROUP = {"order": 2, "add": [[0, 1], [1, 0]], "neg": [0, 1]}

@@ -68,7 +68,7 @@ def late_failure_grading() -> GradedRing:
     """F4[Z2] built past validate_grading, with R_1 * r for r = 2 and 3
     changed to span {0, 1}: no ideal of R_0 = F4.  The technical lemma meets
     the passing ideals {0} and F4 again and again before r = 2 of (1, 1)."""
-    late = tuple(row[:2] + (b & 1, b & 1) for b, row in enumerate(F4.mul))
+    late = tuple(tuple(row[:2]) + (b & 1, b & 1) for b, row in enumerate(F4.mul.tolist()))
     return GradedRing(base=cyclic_group(2), components=(F4.additive, F4.additive),
                       products={(0, 0): F4.mul, (0, 1): F4.mul, (1, 0): F4.mul,
                                 (1, 1): late})
@@ -362,7 +362,7 @@ def test_good_grading_tables_match_reference(name):
     dm = validate_degree_map(base, deg)
     new, old = good_grading(A, dm), ref.good_grading(A, dm)
     assert new.graded.components == old.graded.components
-    assert new.graded.products == old.graded.products
+    assert ref.product_lists(new.graded) == ref.product_lists(old.graded)
     assert new.cells == old.cells
 
 
@@ -373,7 +373,7 @@ def test_large_good_grading_tables_match_reference(name):
     dm = validate_degree_map(catalog.named_semigroup(base_name), deg)
     new, old = good_grading(A, dm), ref.good_grading(A, dm)
     assert new.graded.components == old.graded.components
-    assert new.graded.products == old.graded.products
+    assert ref.product_lists(new.graded) == ref.product_lists(old.graded)
 
 
 @pytest.mark.parametrize("ring_name", ["Z2", "Z3", "Z4", "F4", "Z2xZ2"])

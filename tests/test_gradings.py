@@ -84,7 +84,7 @@ class TestValidation:
 
     def test_corrupted_product_breaks_associativity(self):
         R = semigroup_ring(Z2, left_zero_semigroup(2))
-        products = {k: [list(row) for row in v] for k, v in R.products.items()}
+        products = {k: v.tolist() for k, v in R.products.items()}
         products[(0, 0)][1][1] = 0
         with pytest.raises(GradedAssociativityError):
             validate_grading(R.base, R.components, products)
@@ -148,10 +148,17 @@ class TestDistinctChecks:
         assert len({id(table) for table in R.products.values()}) == tables
 
     def test_equal_tables_are_one_object_and_one_array(self):
-        products = {key: [list(row) for row in Z2.mul] for key in GROUP_RING_Z2.products}
+        products = {key: Z2.mul.tolist() for key in GROUP_RING_Z2.products}
         R = validate_grading(GROUP_RING_Z2.base, GROUP_RING_Z2.components, products)
         assert len({id(table) for table in R.products.values()}) == 1
         assert len({id(R.table(s, t)) for (s, t) in R.products}) == 1
+
+    def test_one_table_object_is_checked_against_each_pair_it_fills(self):
+        # Z4's multiplication fits R_0 R_0 -> R_0 = Z4, not R_1 R_1 -> R_0
+        # with R_1 = Z2: the same object passes for (0, 0) and fails for (1, 1)
+        components = [Z4.additive, Z2.additive]
+        with pytest.raises(CodomainError, match=r"product \(1, 1\) has 4 rows, expected 2"):
+            validate_grading(cyclic_group(2), components, {(0, 0): Z4.mul, (1, 1): Z4.mul})
 
     def test_shared_arrays_are_read_only(self):
         P = BN_Z2.table(bn_index(3, 1, 2), bn_index(3, 2, 1))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_tables as ref
 from reference_rings import ring_from_ops
@@ -88,7 +89,7 @@ def outcome(validate, *args):
 
 
 def mutate_cells(data, table, values, max_cells=3):
-    rows = [list(row) for row in table]
+    rows = np.asarray(table).tolist()
     for _ in range(data.draw(st.integers(1, max_cells))):
         a = data.draw(st.integers(0, len(rows) - 1))
         b = data.draw(st.integers(0, len(rows[a]) - 1))
@@ -112,7 +113,7 @@ class TestKernelMatchesReference:
     def test_rings(self, data):
         T = data.draw(st.sampled_from(RINGS))
         n = T.order
-        add, neg, mul = [list(row) for row in T.additive.add], list(T.additive.neg), T.mul
+        add, neg, mul = T.additive.add.tolist(), T.additive.neg.tolist(), T.mul.tolist()
         kind = data.draw(st.sampled_from(("mul", "mul", "add", "add-symmetric")))
         if kind == "mul":
             mul = mutate_cells(data, mul, n)
@@ -189,7 +190,7 @@ class TestKernelMatchesReference:
                     products[key] = products[data.draw(st.sampled_from(same))]
             elif kind == "copy":
                 # an equal table as a new object: validation makes it one with the rest
-                products[key] = [list(row) for row in products[key]]
+                products[key] = np.asarray(products[key]).tolist()
             if not products:
                 break
         with cell_budget(data.draw(st.sampled_from(BUDGETS))):
@@ -218,7 +219,7 @@ def corrupt_index_table(data, table, bound, row_count=False):
     float, -1 or ``bound``, a row one longer or shorter (the same way for
     both faults, so that they never cancel), or with ``row_count`` the last
     row dropped."""
-    rows = [list(row) for row in table]
+    rows = np.asarray(table).tolist()
     longer = data.draw(st.booleans())
     kinds = ("bool", "float", "negative", "bound", "row") + ("rows",) * row_count
     for _ in range(data.draw(st.integers(1, 2))):
@@ -245,6 +246,45 @@ def first_error(validate, *args):
     except ValidationError as err:
         return (type(err), str(err), err.context)
     return None
+
+
+class TestArrayIndexCheck:
+    """An int array is checked by its shape and range in one step; it must
+    report what the cell scan reports on its ``tolist()``, with plain ints."""
+
+    INT_DTYPES = (np.intp, np.int8, np.int32, np.uint8, np.uint64)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_int_arrays_report_like_their_lists(self, data):
+        rows, cols, bound = (data.draw(st.integers(0, 4)) for _ in range(3))
+        # mostly the expected shape, sometimes a row or column more or less
+        shape = tuple(max(0, n + data.draw(st.sampled_from((0, 0, 0, -1, 1))))
+                      for n in (rows, cols))
+        dtype = data.draw(st.sampled_from(self.INT_DTYPES))
+        low = 0 if np.dtype(dtype).kind == "u" else -2
+        table = data.draw(hnp.arrays(dtype, shape, elements=st.integers(low, bound + 1)))
+        got = tables.first_bad_index(table, rows, cols, bound)
+        assert got == tables.first_bad_index(table.tolist(), rows, cols, bound)
+        assert got is None or all(type(v) is int for v in got)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bool_and_float_arrays_are_refused(self, data):
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        dtype = data.draw(st.sampled_from((np.bool_, np.float64)))
+        table = data.draw(hnp.arrays(dtype, (rows, cols), elements=st.integers(0, 1)))
+        got = tables.first_bad_index(table, rows, cols, 2)
+        assert got == tables.first_bad_index(table.tolist(), rows, cols, 2) == (
+            0, 0, table.tolist()[0][0])
+
+    def test_validators_refuse_bool_and_float_arrays(self):
+        Z2 = cyclic_ring(2)
+        for cells in (Z2.mul.astype(bool), Z2.mul.astype(float)):
+            with pytest.raises(OutOfRangeError, match=r"mul\[0\]\[0\] = (False|0\.0) is not"):
+                validate_ring(Z2.additive.add, Z2.additive.neg, cells)
+        with pytest.raises(OutOfRangeError, match=r"neg\[0\] = 0\.0 is not"):
+            validate_additive_group(Z2.additive.add, Z2.additive.neg.astype(float))
 
 
 class TestIndexTables:
@@ -344,7 +384,7 @@ class TestIndexTables:
     ], ids=["bool", "float", "negative", "bound", "short-vector"])
     def test_pinned_neg_messages(self, index, value, expected):
         Z4 = cyclic_ring(4).additive
-        neg = list(Z4.neg)
+        neg = Z4.neg.tolist()
         if value is None:
             neg.pop()
         else:
@@ -475,7 +515,7 @@ class TestGeneratorKernel:
         # the generator test for associativity decides many of these alone
         group = GROUPS[data.draw(st.sampled_from(GROUP_MODULI))]
         G = group[0]
-        add, neg = [list(row) for row in G.add], list(G.neg)
+        add, neg = G.add.tolist(), G.neg.tolist()
         mul = draw_bilinear(data, group, group, group)
         if data.draw(st.booleans()):
             mul = mutate_cells(data, mul, G.order)
@@ -531,8 +571,8 @@ class TestGeneratorKernel:
         # generator test for distributivity fails, and the scan reports the
         # first triple (2, 3, 3), in which 1 does not occur
         Z4 = cyclic_ring(4)
-        add, neg = [list(row) for row in Z4.additive.add], list(Z4.additive.neg)
-        mul = [list(row) for row in Z4.mul]
+        add, neg = Z4.additive.add.tolist(), Z4.additive.neg.tolist()
+        mul = Z4.mul.tolist()
         mul[3][3] = 0
         assert Z4.additive.generators == (1,)
         assert outcome(validate_ring, add, neg, mul) == (NotAssociativeError, (2, 3, 3))
@@ -586,12 +626,12 @@ class TestAdditiveAssociativity:
             if v == G.add[x][y]:
                 continue
             for symmetric in (False, True):
-                add = [list(row) for row in G.add]
+                add = G.add.tolist()
                 add[x][y] = v
                 if symmetric:
                     add[y][x] = v
-                got = outcome(validate_additive_group, add, list(G.neg))
-                assert got == ref.additive_group_violation(add, list(G.neg))
+                got = outcome(validate_additive_group, add, G.neg.tolist())
+                assert got == ref.additive_group_violation(add, G.neg.tolist())
                 seen.add(len(got[1]))
         assert seen == {1, 2, 3}  # zero or inverse, commutativity, associativity
 
