@@ -41,7 +41,7 @@ def main():
         cls = classify_semigroup(S)
         if cls.is_regular and not cls.is_inverse and shown < 3:
             witness = next(s for s in S.elements() if len(cls.inverse_sets[s]) != 1)
-            print(f"  table {S.table}  (element {witness} has "
+            print(f"  table {S.table.tolist()}  (element {witness} has "
                   f"{len(cls.inverse_sets[witness])} inverses)")
             shown += 1
 

@@ -134,7 +134,7 @@ def validate_degree_map(base: FiniteSemigroup, deg: Sequence[Sequence[int]]) -> 
                     (i + 1, j + 1, deg[i][j], deg[j][i]))
     D = np.array(deg, dtype=np.intp)
     # [i, j, k]: deg(i,j)*deg(j,k) != deg(i,k)
-    incompatible = np.argwhere(base.relations.table[D[:, :, None], D[None]] != D[:, None, :])
+    incompatible = np.argwhere(base.table[D[:, :, None], D[None]] != D[:, None, :])
     if incompatible.size:
         i, j, k = incompatible[0].tolist()
         raise IncompatibleDegreesError(
@@ -174,7 +174,8 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     # and validate_grading checks each distinct component and table once
     powers = {k: _power_group(A.additive, k) for k in {len(cs) for cs in cells}}
     components = tuple(powers[len(cs)] for cs in cells)
-    products = {(s, t): _matrix_product(A, cells[s], cells[t], cells[base.table[s][t]])
+    target = base.relations.targets
+    products = {(s, t): _matrix_product(A, cells[s], cells[t], cells[target[s][t]])
                 for s, t in product(base.elements(), repeat=2)
                 if any(j == k for (_, j) in cells[s] for (k, _) in cells[t])}
     graded = validate_grading(base, components, products)

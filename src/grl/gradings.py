@@ -79,11 +79,6 @@ class GradedRing(ComparedByTables):
         object.__setattr__(self, "products", {key: arrays[id(table)]
                                               for key, table in self.products.items()})
 
-    @cached_property
-    def _key(self) -> tuple:
-        return (self.base, self.components,
-                tuple(sorted((key, P.shape, P.tobytes()) for key, P in self.products.items())))
-
     @property
     def base_kind(self) -> str:
         return "semigroup" if isinstance(self.base, FiniteSemigroup) else "groupoid"
@@ -99,8 +94,8 @@ class GradedRing(ComparedByTables):
         return self.components[s]
 
     def target(self, s: int, t: int) -> Optional[int]:
-        """Index of the component receiving R_s * R_t, or None off G^(2)."""
-        return self.base.table[s][t]  # a groupoid's table holds None off G^(2)
+        """Index of the component receiving R_s * R_t, an int, or None off G^(2)."""
+        return self.base.relations.targets[s][t]
 
     def table(self, s: int, t: int) -> np.ndarray:
         """Product table R_s x R_t -> R_{st} as an int array, zeros if absent."""
@@ -175,11 +170,11 @@ def validate_grading(base: BaseLike,
     triple of tables checked once; otherwise the exhaustive scans report the
     first violation.
     """
-    n = len(base.relations.table)
+    n = len(base.table)
     if len(components) != n:
         raise OutOfRangeError(f"expected {n} components, got {len(components)}")
 
-    draft = GradedRing(base=base, components=tuple(components), products={})
+    target = base.relations.targets
     prods: dict[tuple[int, int], np.ndarray] = {}
     distinct: dict[tuple, np.ndarray] = {}  # by shape and bytes
     # by id of the given table and the orders it must fit; the given table
@@ -191,7 +186,7 @@ def validate_grading(base: BaseLike,
                                   (s, t))
         if not (0 <= s < n and 0 <= t < n):
             raise OutOfRangeError(f"product key ({s}, {t}) out of range", (s, t))
-        st = draft.target(s, t)
+        st = target[s][t]
         if st is None:
             raise NonComposableProductError(
                 f"product table present for non-composable pair ({s}, {t})", (s, t))
@@ -228,7 +223,7 @@ def _is_index(key) -> bool:
 
 def _associativity_triples(R: GradedRing):
     """Grader triples (s, t, u) with st and tu defined, in scan order."""
-    target, graders = R.base.table, R.graders()  # None off G^(2) for a groupoid
+    target, graders = R.base.relations.targets, R.graders()
     return ((s, t, u) for (s, t) in R.base_pairs() for u in graders
             if target[t][u] is not None)
 
@@ -245,7 +240,7 @@ def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
     components of s, t and st, a triple once per components of s, t and u
     and arrays of its two sides.  Arrays and components are told apart by
     identity; ``validate_grading`` makes equal tables one object."""
-    T, target = R.products, R.base.table
+    T, target = R.products, R.base.relations.targets
     comp = [id(g) for g in R.components]
     gens = [np.asarray(g.generators) for g in R.components]
     checked = set()
@@ -876,13 +871,11 @@ def structurally_equal(R1: GradedRing, R2: GradedRing) -> bool:
     """
     if R1.base_kind != R2.base_kind:
         return False
-    if R1.base_kind == "semigroup":
-        if R1.base.table != R2.base.table:
-            return False
-    else:
-        b1, b2 = R1.base, R2.base
-        if (b1.dom, b1.cod, b1.inv, b1.table) != (b2.dom, b2.cod, b2.inv, b2.table):
-            return False
+    b1, b2 = R1.base, R2.base
+    if not np.array_equal(b1.table, b2.table):
+        return False
+    if R1.base_kind == "groupoid" and (b1.dom, b1.cod, b1.inv) != (b2.dom, b2.cod, b2.inv):
+        return False
     if len(R1.components) != len(R2.components):
         return False
     for c1, c2 in zip(R1.components, R2.components):

@@ -3,7 +3,9 @@
 A morphism g runs dom(g) -> cod(g); the pair (g, h) is composable exactly
 when dom(g) = cod(h), and compose(g, h) means "g after h".  Objects and
 morphisms keep separate id spaces; the identity morphism of each object is
-derived (and checked) during validation.
+derived (and checked) during validation.  ``table[g, h]`` is compose(g, h)
+in a read-only intp array, and n_morphisms, the "undefined" index, off G^(2);
+``relations.targets`` has it as plain ints with None there.
 """
 
 from __future__ import annotations
@@ -21,18 +23,24 @@ from .errors import (
     NotComposableClosedError,
     OutOfRangeError,
 )
-from .semigroups import FiniteSemigroup, TableRelations, classify_semigroup, validate_semigroup
-from .tables import first_assoc_violation, first_bad_index
+from .semigroups import (
+    FiniteSemigroup,
+    TableRelations,
+    checked_labels,
+    classify_semigroup,
+    validate_semigroup,
+)
+from .tables import ComparedByTables, first_assoc_violation, first_bad_index
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+@dataclass(frozen=True, eq=False)
+class FiniteGroupoid(ComparedByTables):
     n_objects: int
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     inv: tuple[int, ...]
     identity: tuple[int, ...]  # identity morphism per object
-    table: tuple[tuple[Optional[int], ...], ...]  # compose(g, h), None off G^(2)
+    table: np.ndarray  # compose(g, h), n_morphisms off G^(2)
     object_labels: Optional[tuple[str, ...]] = None
     morphism_labels: Optional[tuple[str, ...]] = None
 
@@ -47,7 +55,7 @@ class FiniteGroupoid:
         return self.dom[g] == self.cod[h]
 
     def compose(self, g: int, h: int) -> int:
-        gh = self.table[g][h]
+        gh = self.relations.targets[g][h]
         if gh is None:
             raise ValueError(f"morphisms {g} and {h} are not composable")
         return gh
@@ -60,9 +68,7 @@ class FiniteGroupoid:
 
     @cached_property
     def relations(self) -> TableRelations:
-        """Over the composition table, with n_morphisms where it is undefined."""
-        m = self.n_morphisms
-        return TableRelations([[m if gh is None else gh for gh in row] for row in self.table])
+        return TableRelations(self.table)
 
 
 def validate_groupoid(n_objects: int,
@@ -87,7 +93,8 @@ def validate_groupoid(n_objects: int,
             raise OutOfRangeError(f"{name}[{g}] = {v!r} is not an index in [0, {bound})",
                                   (g, v))
 
-    table: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
+    # the composition table with m where composition is undefined
+    T = np.full((m, m), m, dtype=np.intp)
     for (g, h), gh in compose.items():
         if first_bad_index(((g, h, gh),), 1, 3, m) is not None:
             raise OutOfRangeError(f"compose entry ({g}, {h}) -> {gh} out of range",
@@ -95,24 +102,22 @@ def validate_groupoid(n_objects: int,
         if dom[g] != cod[h]:
             raise NotComposableClosedError(
                 f"compose defined at non-composable pair ({g}, {h})", (g, h))
-        table[g][h] = gh
-    for g in range(m):
-        for h in range(m):
-            if dom[g] == cod[h]:
-                gh = table[g][h]
-                if gh is None:
-                    raise NotComposableClosedError(
-                        f"composable pair ({g}, {h}) has no composite", (g, h))
-                if dom[gh] != dom[h] or cod[gh] != cod[g]:
-                    raise NotComposableClosedError(
-                        f"composite of ({g}, {h}) has wrong domain or codomain",
-                        (g, h, gh))
+        T[g, h] = gh
+    # [g, h]: (g, h) is composable but its composite is missing (m, whose
+    # dom and cod read -1) or has the wrong domain or codomain
+    D, C = np.array(dom), np.array(cod)
+    D_of, C_of = np.append(D, -1)[T], np.append(C, -1)[T]
+    bad = np.argwhere((D[:, None] == C) & ((D_of != D) | (C_of != C[:, None])))
+    if bad.size:
+        g, h = bad[0].tolist()
+        if T[g, h] == m:
+            raise NotComposableClosedError(f"composable pair ({g}, {h}) has no composite", (g, h))
+        raise NotComposableClosedError(
+            f"composite of ({g}, {h}) has wrong domain or codomain", (g, h, int(T[g, h])))
 
-    # the composition table with m where composition is undefined
-    T = np.array([[m if gh is None else gh for gh in row] for row in table], dtype=np.intp)
     # loops_at[i]: the object i is a loop at, or -1; units: i g = g and g i = g
     # wherever defined
-    idx, loops_at = np.arange(m), np.where(np.array(dom) == cod, dom, -1)
+    idx, loops_at = np.arange(m), np.where(D == C, D, -1)
     units = ((T == idx) | (T == m)).all(axis=1) & ((T.T == idx) | (T.T == m)).all(axis=1)
     identity: list[int] = []
     for e in range(n_objects):
@@ -126,7 +131,7 @@ def validate_groupoid(n_objects: int,
         if dom[g] != cod[gi] or cod[g] != dom[gi]:
             raise InverseViolationError(
                 f"inv[{g}] = {gi} does not reverse domain and codomain", (g, gi))
-        if table[g][gi] != identity[cod[g]] or table[gi][g] != identity[dom[g]]:
+        if T[g, gi] != identity[cod[g]] or T[gi, g] != identity[dom[g]]:
             raise InverseViolationError(
                 f"morphism {g} composed with inv[{g}] = {gi} is not an identity", (g, gi))
 
@@ -137,16 +142,13 @@ def validate_groupoid(n_objects: int,
     bad = first_assoc_violation(ext, ext, ext, ext)
     if bad is not None:
         raise NotAssociativeError(f"(g h) k != g (h k) at (g, h, k) = {bad}", bad)
-    if morphism_labels is not None and len(morphism_labels) != m:
-        raise OutOfRangeError(f"expected {m} morphism labels, got {len(morphism_labels)}")
-
     return FiniteGroupoid(
         n_objects=n_objects,
         dom=tuple(dom), cod=tuple(cod), inv=tuple(inv),
         identity=tuple(identity),
-        table=tuple(tuple(row) for row in table),
-        object_labels=tuple(str(x) for x in object_labels) if object_labels else None,
-        morphism_labels=tuple(str(x) for x in morphism_labels) if morphism_labels else None,
+        table=T,
+        object_labels=checked_labels(object_labels, n_objects, "object labels"),
+        morphism_labels=checked_labels(morphism_labels, m, "morphism labels"),
     )
 
 
@@ -176,7 +178,7 @@ def group_groupoid(S: FiniteSemigroup) -> FiniteGroupoid:
     if not classify_semigroup(S).is_group:
         raise ValueError("group_groupoid needs a group table")
     inv = [v[0] for v in S.relations.inverse_sets]  # a group: V(a) = {a^-1}
-    compose = {(a, b): S.table[a][b] for a in S.elements() for b in S.elements()}
+    compose = {(a, b): S.relations.targets[a][b] for a, b in S.relations.pairs}
     return validate_groupoid(1, [0] * S.order, [0] * S.order, inv, compose,
                              morphism_labels=[S.label(a) for a in S.elements()])
 
@@ -187,11 +189,8 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     dom = list(G1.dom) + [d + po for d in G2.dom]
     cod = list(G1.cod) + [c + po for c in G2.cod]
     inv = list(G1.inv) + [i + pm for i in G2.inv]
-    compose = {}
-    for (g, h) in G1.composable_pairs():
-        compose[(g, h)] = G1.compose(g, h)
-    for (g, h) in G2.composable_pairs():
-        compose[(g + pm, h + pm)] = G2.compose(g, h) + pm
+    compose = {(g, h): G1.compose(g, h) for g, h in G1.composable_pairs()}
+    compose.update(((g + pm, h + pm), G2.compose(g, h) + pm) for g, h in G2.composable_pairs())
     labels = ([G1.morphism_label(g) for g in G1.morphisms()] +
               [G2.morphism_label(g) + "'" for g in G2.morphisms()])
     return validate_groupoid(G1.n_objects + G2.n_objects, dom, cod, inv, compose,
@@ -210,7 +209,7 @@ def to_inverse_semigroup(G: FiniteGroupoid) -> tuple[FiniteSemigroup, tuple[int,
     """
     m = G.n_morphisms
     table = np.zeros((m + 1, m + 1), dtype=np.intp)
-    table[1:, 1:] = (G.relations.table + 1) % (m + 1)  # undefined m -> zero 0
+    table[1:, 1:] = (G.table + 1) % (m + 1)  # undefined m -> zero 0
     labels = ["0"] + [G.morphism_label(g) for g in G.morphisms()]
-    S = validate_semigroup(table.tolist(), labels=labels)
+    S = validate_semigroup(table, labels=labels)
     return S, tuple(g + 1 for g in range(m))

@@ -50,7 +50,7 @@ def dumps_canonical(obj) -> str:
 
 def semigroup_to_json(S: FiniteSemigroup) -> dict:
     out = {"kind": "semigroup", "order": S.order,
-           "table": [list(row) for row in S.table]}
+           "table": S.table.tolist()}
     if S.labels is not None:
         out["labels"] = list(S.labels)
     return out
@@ -101,9 +101,7 @@ def semigroup_from_json(data: dict) -> FiniteSemigroup:
 def groupoid_to_json(G: FiniteGroupoid) -> dict:
     morphisms = [{"dom": G.dom[g], "cod": G.cod[g], "inv": G.inv[g]}
                  for g in G.morphisms()]
-    compose = [[g, h, G.table[g][h]]
-               for g in G.morphisms() for h in G.morphisms()
-               if G.table[g][h] is not None]
+    compose = [[g, h, G.compose(g, h)] for g, h in G.composable_pairs()]
     out = {"kind": "groupoid",
            "objects": list(G.object_labels) if G.object_labels
            else list(range(G.n_objects)),
@@ -123,9 +121,8 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     triples = _each(data.get("compose", []), "compose",
                     lambda e: isinstance(e, list) and len(e) == 3, "a triple [g, h, gh]")
     compose = _unique((((g, h), gh) for g, h, gh in triples), "compose")
-    labels = [str(x) for x in objects]
     return validate_groupoid(len(objects), dom, cod, inv, compose,
-                             object_labels=labels,
+                             object_labels=objects,
                              morphism_labels=data.get("morphism_labels"))
 
 
@@ -206,7 +203,7 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
         base = groupoid_from_json(ref)
     else:
         raise OutOfRangeError(f"unknown base kind: {base_kind!r}")
-    n = len(base.relations.table)
+    n = len(base.table)
     given = _field(data, "components")
     unknown = sorted(set(given) - {str(s) for s in range(n)})
     if unknown:

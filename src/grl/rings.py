@@ -50,10 +50,6 @@ class FiniteAdditiveGroup(ComparedByTables):
     add: np.ndarray
     neg: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "add", frozen(self.add))
-        object.__setattr__(self, "neg", frozen(self.neg))
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -62,10 +58,6 @@ class FiniteAdditiveGroup(ComparedByTables):
         """Greedy generators: the ascending elements outside the span of the
         earlier ones; (0,) for the trivial group.  Not a dataclass field."""
         return tuple(_grow(self.add, {0}, range(1, self.order))) or (0,)
-
-    @cached_property
-    def _key(self) -> tuple:
-        return (self.order, self.add.shape, self.add.tobytes(), self.neg.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,19 +75,12 @@ class FiniteRing(ComparedByTables):
     additive: FiniteAdditiveGroup
     mul: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "mul", frozen(self.mul))
-
     @property
     def order(self) -> int:
         return self.additive.order
 
     def elements(self) -> range:
         return range(self.order)
-
-    @cached_property
-    def _key(self) -> tuple:
-        return (self.additive, self.mul.shape, self.mul.tobytes())
 
     @cached_property
     def _fixers(self) -> dict[str, tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """Finite semigroups as dense Cayley tables.
 
-Elements are the indices 0..order-1; ``table[a][b]`` is the product a*b.
-Labels are presentation-only and never affect any verdict.
+Elements are the indices 0..order-1; ``table[a, b]`` is the product a*b, in
+a read-only intp array.  Labels are presentation-only and never affect any
+verdict.
 """
 
 from __future__ import annotations
@@ -14,15 +15,22 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NotAssociativeError, OutOfRangeError
-from .tables import associative_mask, first_assoc_violation, first_bad_index, is_associative_flat
+from .tables import (
+    ComparedByTables,
+    associative_mask,
+    first_assoc_violation,
+    first_bad_index,
+    frozen,
+    is_associative_flat,
+)
 
 SAMPLE_BATCH = 65_536  # order-4 tables a draw; their uint8 cells take 1 MiB
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
+@dataclass(frozen=True, eq=False)
+class FiniteSemigroup(ComparedByTables):
     order: int
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     labels: Optional[tuple[str, ...]] = None
 
     def elements(self) -> range:
@@ -39,15 +47,17 @@ class FiniteSemigroup:
 class TableRelations:
     """Everything the semigroup queries read, derived at once from one table.
 
-    ``table[s, t]`` is s*t, or n, the "undefined" index, off a groupoid's
+    ``P[s, t]`` is s*t, or n, the "undefined" index, off a groupoid's
     composable pairs.  It absorbs, like an adjoined zero, and is left out of
-    every relation.  Each base keeps one in ``relations``, which is not a
-    dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
+    every relation.  ``targets`` is P in plain ints, None for n: the one such
+    view, for Python loops, which read tuples several times faster than
+    arrays.  Each base keeps one in ``relations``, which is not a dataclass
+    field, so ``==``, ``hash`` and ``repr`` ignore it.
     """
 
-    def __init__(self, table) -> None:
-        P = self.table = np.asarray(table, dtype=np.intp)
+    def __init__(self, P: np.ndarray) -> None:
         n = len(P)
+        self.targets = tuple(tuple(None if st == n else st for st in row) for row in P.tolist())
         idx = np.arange(n)
         padded = np.full((n + 1, n + 1), n, dtype=np.intp)
         padded[:n, :n] = P
@@ -78,17 +88,25 @@ def validate_semigroup(table: Sequence[Sequence[int]],
         case (a, b, v):
             raise OutOfRangeError(f"table[{a}][{b}] = {v!r} is not an index in [0, {n})",
                                   (a, b, v))
-    rows = tuple(map(tuple, table))
-    T = np.array(rows, dtype=np.intp)
+    T = frozen(table)
     bad = first_assoc_violation(T, T, T, T)
     if bad is not None:
         raise NotAssociativeError(f"(a*b)*c != a*(b*c) at (a, b, c) = {bad}", bad)
-    lab = None
-    if labels is not None:
-        lab = tuple(str(x) for x in labels)
-        if len(lab) != n:
-            raise OutOfRangeError(f"expected {n} labels, got {len(lab)}")
-    return FiniteSemigroup(order=n, table=rows, labels=lab)
+    return FiniteSemigroup(order=n, table=T, labels=checked_labels(labels, n, "labels"))
+
+
+def checked_labels(labels: Optional[Sequence[str]], count: int,
+                   what: str) -> Optional[tuple[str, ...]]:
+    """``labels`` as a tuple of ``count`` strings; None stays None.  A string
+    is refused, as it would be read one character a label."""
+    if labels is None:
+        return None
+    if isinstance(labels, str):
+        raise OutOfRangeError(f"{what} must be a list, not the string {labels!r}")
+    lab = tuple(str(x) for x in labels)
+    if len(lab) != count:
+        raise OutOfRangeError(f"expected {count} {what}, got {len(lab)}")
+    return lab
 
 
 def idempotents(S: FiniteSemigroup) -> tuple[int, ...]:
@@ -186,8 +204,7 @@ def enumerate_semigroups(order: int) -> Iterator[FiniteSemigroup]:
     """
     for flat in product(range(order), repeat=order * order):
         if is_associative_flat(flat, order):
-            table = tuple(flat[i * order:(i + 1) * order] for i in range(order))
-            yield FiniteSemigroup(order=order, table=table)
+            yield FiniteSemigroup(order=order, table=np.reshape(flat, (order, order)))
 
 
 def draw_order4_tables(bits: np.random.PCG64, count: int) -> np.ndarray:
@@ -223,8 +240,7 @@ def sample_semigroups(order: int, count: int, seed: int,
     while len(found) < count:
         tabs = draw_order4_tables(bits, SAMPLE_BATCH)
         kept = np.flatnonzero(associative_mask(tabs))[:count - len(found)]
-        found.extend(FiniteSemigroup(order=4, table=tuple(tuple(row) for row in t))
-                     for t in tabs[kept].tolist())
+        found.extend(FiniteSemigroup(order=4, table=t) for t in tabs[kept])
         if kept.size:
             scanned = drawn + int(kept[-1]) + 1
         drawn += len(tabs)
@@ -239,4 +255,4 @@ def isomorphic_under(S1: FiniteSemigroup, S2: FiniteSemigroup,
     if S1.order != S2.order or sorted(perm) != list(range(S1.order)):
         return False
     p = np.asarray(perm)
-    return bool((p[S1.relations.table] == S2.relations.table[np.ix_(p, p)]).all())
+    return bool((p[S1.table] == S2.table[np.ix_(p, p)]).all())

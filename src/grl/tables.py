@@ -2,7 +2,7 @@
 
 Every validator in grl calls this module; nothing else checks a table axiom.
 A product table P has ``P[a, b]`` = index of a*b.  ``frozen`` gives the
-read-only intp array in which grl stores every ring and grading table, and
+read-only intp array in which grl stores every table, and
 ``ComparedByTables`` compares the structures that store them by value.
 Tables over additive groups are first accepted on generators: ``biadditive``,
 ``agree_on_generators`` and ``associative_through`` are complete proofs that
@@ -21,7 +21,7 @@ one lookup settles every b for a pair (a, c).
 from __future__ import annotations
 
 from dataclasses import fields
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, product
 from typing import Optional, Sequence
 
@@ -42,11 +42,21 @@ def frozen(table) -> np.ndarray:
 
 
 class ComparedByTables:
-    """Base of the frozen dataclasses that store tables.  ``==`` and ``hash``
-    go through the subclass's ``_key``, built from the tables' shapes and
-    bytes, so equal tables built on different paths compare equal.  Pickling
-    rebuilds through the constructor from the fields alone, so a copy stores
+    """Base of the frozen dataclasses that store tables.  A field annotated
+    ``np.ndarray`` is stored ``frozen``.  ``==`` and ``hash`` compare the
+    fields, arrays (also those in a dict field) by shape and bytes, so equal
+    tables built on different paths compare equal.  Pickling rebuilds
+    through the constructor from the fields alone, so a copy stores
     read-only tables and starts with empty caches."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("np.ndarray", np.ndarray):
+                object.__setattr__(self, f.name, frozen(getattr(self, f.name)))
+
+    @cached_property
+    def _key(self) -> tuple:
+        return tuple(_by_value(getattr(self, f.name)) for f in fields(self))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -58,6 +68,15 @@ class ComparedByTables:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _by_value(value):
+    """A field value in a hashable form that compares arrays by value."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return tuple(sorted((key, _by_value(v)) for key, v in value.items()))
+    return value
 
 
 def first_bad_index(table: Sequence[Sequence[int]], rows: int, cols: int,

@@ -2,21 +2,29 @@
 ``GradedRing``, for checking grl.semigroups and grl.gradings against.
 
 These are the element-by-element scans that the base relations replace
-with arrays derived once per base.  Products go through ``mul``
-and ``FiniteGroupoid.compose``, which read the raw tuples; each function scans
-in the same order and returns the same values as the array version.
+with arrays derived once per base.  Every product goes through ``mul``,
+which reads the base's stored table as nested lists, taken once per base;
+each function scans in the same order and returns the same values as the
+array version.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 from grl.gradings import GradedRing
 from grl.semigroups import FiniteSemigroup, SemigroupClassification
 
 
-def mul(S: FiniteSemigroup, a: int, b: int) -> int:
-    return S.table[a][b]
+@cache
+def _rows(base) -> list[list[int]]:
+    return base.table.tolist()
+
+
+def mul(S, a: int, b: int) -> int:
+    """a*b in a semigroup; for a groupoid, n_morphisms off G^(2)."""
+    return _rows(S)[a][b]
 
 
 def idempotents(S: FiniteSemigroup) -> tuple[int, ...]:
@@ -77,7 +85,7 @@ def target(R: GradedRing, s: int, t: int) -> Optional[int]:
     if R.base_kind == "semigroup":
         return mul(R.base, s, t)
     if R.base.composable(s, t):
-        return R.base.compose(s, t)
+        return mul(R.base, s, t)
     return None
 
 
@@ -97,4 +105,4 @@ def base_idempotents(R: GradedRing) -> tuple[int, ...]:
     if R.base_kind == "semigroup":
         return idempotents(R.base)
     return tuple(g for g in R.base.morphisms()
-                 if R.base.composable(g, g) and R.base.compose(g, g) == g)
+                 if R.base.composable(g, g) and mul(R.base, g, g) == g)

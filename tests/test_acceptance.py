@@ -63,7 +63,7 @@ def test_criterion_01_weak_vs_full_inverse_equivalence():
             q_all = all(len(weak_inverses(S, s)) > 0 for s in S.elements())
             v_all = all(len(inverses(S, s)) > 0 for s in S.elements())
             if q_all != v_all:
-                exceptions.append(S.table)
+                exceptions.append(S.table.tolist())
     elapsed = time.perf_counter() - started
     ok = not exceptions and checked == 1 + 8 + 113 and elapsed < 10
     announce(1, "weak-inverse vs inverse nonemptiness over all tables of order <= 3",

@@ -39,12 +39,13 @@ def relabel(S: FiniteSemigroup, q) -> FiniteSemigroup:
 
 
 def assert_semigroup_matches_reference(S: FiniteSemigroup) -> None:
-    assert sg.idempotents(S) == ref.idempotents(S), S.table
-    assert sg.identity_element(S) == ref.identity_element(S), S.table
+    table = S.table.tolist()
+    assert sg.idempotents(S) == ref.idempotents(S), table
+    assert sg.identity_element(S) == ref.identity_element(S), table
     for s in S.elements():
-        assert sg.weak_inverses(S, s) == ref.weak_inverses(S, s), (S.table, s)
-        assert sg.inverses(S, s) == ref.inverses(S, s), (S.table, s)
-    assert sg.classify_semigroup(S) == ref.classify_semigroup(S), S.table
+        assert sg.weak_inverses(S, s) == ref.weak_inverses(S, s), (table, s)
+        assert sg.inverses(S, s) == ref.inverses(S, s), (table, s)
+    assert sg.classify_semigroup(S) == ref.classify_semigroup(S), table
 
 
 def test_semigroup_queries_match_reference():
@@ -66,8 +67,9 @@ def test_pool_covers_every_verdict():
     assert {(False, False, False), (True, False, False), (True, True, False),
             (True, True, True)} <= verdicts
     # one-sided identities: left zero (x y = x) and right zero (x y = y) tables
-    assert {(0, 0), (1, 1)} in [set(S.table) for S in SMALL_SEMIGROUPS]
-    assert {(0, 1)} in [set(S.table) for S in SMALL_SEMIGROUPS]
+    row_sets = [set(map(tuple, S.table.tolist())) for S in SMALL_SEMIGROUPS]
+    assert {(0, 0), (1, 1)} in row_sets
+    assert {(0, 1)} in row_sets
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -79,7 +81,7 @@ def test_isomorphic_under_matches_reference(order):
             assert sg.isomorphic_under(S, S2, q)
             for p in perms:
                 assert sg.isomorphic_under(S, S2, p) == ref.isomorphic_under(S, S2, p), \
-                    (S.table, q, p)
+                    (S.table.tolist(), q, p)
 
 
 def test_isomorphic_under_rejects_non_bijections():
@@ -126,6 +128,6 @@ def test_groupoid_inverse_pairs_are_the_inverse_morphisms(corpus):
             undefined = [(g, h) for g in range(m) for h in range(m)
                          if not R.base.composable(g, h)]
             assert all(R.target(g, h) is None for g, h in undefined)
-            assert np.array_equal(R.base.relations.table == m,
-                                  np.array([[R.base.table[g][h] is None for h in range(m)]
-                                            for g in range(m)]))
+            assert np.array_equal(R.base.table == m,
+                                  np.array([[R.base.relations.targets[g][h] is None
+                                             for h in range(m)] for g in range(m)]))

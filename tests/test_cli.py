@@ -1,4 +1,5 @@
 import io
+import hashlib
 import json
 import contextlib
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grl import cli, jsonio, semigroups
@@ -156,6 +158,16 @@ class TestConstruct:
         assert out1.read_bytes() == out2.read_bytes()
         code, out = run_cli("validate", str(out1))
         assert code == 0 and out["kind"] == "graded_ring"
+
+    def test_groupoid_ring_bytes_are_unchanged(self, tmp_path):
+        # sha256 of the file written when groupoid tables were tuples with None
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"construct": "groupoid_ring", "A": "Z2",
+                                    "G": "pair2+group_Z2"}))
+        out = tmp_path / "out.json"
+        assert run_cli("construct", str(spec), str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "dc3da4ccd4adf5b0a47cf6797ba8f651a5e6f98bdc12729f5f54befbf7b72ce1")
 
     def test_bad_degree_map_fails_with_named_error(self, files):
         code, out = run_cli("construct", str(files / "bad_deg.json"),
@@ -547,8 +559,8 @@ class TestJsonRoundTrips:
         path.write_text(jsonio.dumps_canonical(jsonio.groupoid_to_json(G)))
         kind, back = jsonio.load_structure(path)
         assert kind == "groupoid"
-        assert (back.dom, back.cod, back.inv, back.table) == \
-            (G.dom, G.cod, G.inv, G.table)
+        assert (back.dom, back.cod, back.inv) == (G.dom, G.cod, G.inv)
+        assert np.array_equal(back.table, G.table)
 
     def test_ring_round_trip(self, tmp_path):
         T = cyclic_ring(6)
@@ -602,6 +614,21 @@ class TestInputFileRules:
         code, out = run_cli(*command, str(path))
         assert code == 1 and out["error"] == "OutOfRange"
         assert out["message"] == "expected 2 morphism labels, got 1"
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "semigroup", "table": [[0, 1], [1, 0]], "labels": "ab"},
+        {"kind": "groupoid", "objects": [0],
+         "morphisms": [{"dom": 0, "cod": 0, "inv": 0}, {"dom": 0, "cod": 0, "inv": 1}],
+         "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], "morphism_labels": "ea"},
+        {"kind": "groupoid", "objects": "a", "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+         "compose": [[0, 0, 0]]},
+    ], ids=["labels", "morphism_labels", "objects"])
+    def test_labels_given_as_a_string_are_refused(self, tmp_path, data):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert "labels must be a list, not the string" in out["message"]
 
     @pytest.mark.parametrize("command", [["validate"], ["classify"], ["construct"]])
     @pytest.mark.parametrize("data", [[1, 2], "Z2"], ids=["list", "string"])

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from grl.constructions import (
@@ -62,7 +63,7 @@ class TestMatrixUnitsSemigroup:
         assert classify_semigroup(B).is_inverse
 
     def test_b1_is_the_two_element_semilattice(self):
-        assert matrix_units_semigroup(1).table == chain_semilattice(2).table
+        assert np.array_equal(matrix_units_semigroup(1).table, chain_semilattice(2).table)
 
     def test_b3_listing(self):
         B = matrix_units_semigroup(3)

@@ -2,6 +2,8 @@ import json
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
+
 from grl import catalog, cli, jsonio
 from grl.corpus import CorpusManifest, default_manifest, generate_corpus, write_corpus
 from grl.gradings import is_epsilon_strong, is_graded_vnr, is_nearly_epsilon_strong
@@ -22,7 +24,7 @@ class TestGeneration:
         assert [e.id for e in again.all_entries()] == \
             [e.id for e in corpus.all_entries()]
         for a, b in zip(again.semigroups, corpus.semigroups):
-            assert a.structure.table == b.structure.table
+            assert np.array_equal(a.structure.table, b.structure.table)
         for a, b in zip(again.graded, corpus.graded):
             assert jsonio.graded_to_json(a.graded) == jsonio.graded_to_json(b.graded)
 
@@ -68,9 +70,9 @@ class TestGeneration:
                                       "order4_sample_count": 2})
         a = generate_corpus(m)
         b = generate_corpus(m)
-        sampled_a = [e.structure.table for e in a.semigroups
+        sampled_a = [e.structure.table.tolist() for e in a.semigroups
                      if e.meta.get("source") == "sampled"]
-        sampled_b = [e.structure.table for e in b.semigroups
+        sampled_b = [e.structure.table.tolist() for e in b.semigroups
                      if e.meta.get("source") == "sampled"]
         assert sampled_a == sampled_b and len(sampled_a) == 2
 

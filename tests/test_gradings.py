@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from grl import catalog, gradings
@@ -455,7 +456,7 @@ class TestGroupoidGradings:
     def test_regrade_trivial_groupoid(self):
         R = groupoid_ring(Z2, pair_groupoid(1))
         regraded = regrade_groupoid_to_semigroup(R)
-        assert regraded.base.table == chain_semilattice(2).table
+        assert np.array_equal(regraded.base.table, chain_semilattice(2).table)
         assert regraded.component(0).order == 1
 
     def test_regrade_pair_groupoid_matches_matrix_units(self):

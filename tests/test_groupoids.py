@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from grl.constructions import bn_index, matrix_units_semigroup
@@ -42,20 +43,20 @@ class TestValidation:
 
     def test_inverse_set_to_identity_map_fails(self):
         G = pair_groupoid(2)
-        compose = {(g, h): G.table[g][h] for (g, h) in G.composable_pairs()}
+        compose = {(g, h): G.compose(g, h) for (g, h) in G.composable_pairs()}
         with pytest.raises(InverseViolationError):
             validate_groupoid(2, G.dom, G.cod, list(range(4)), compose)
 
     def test_missing_composite(self):
         G = pair_groupoid(2)
-        compose = {(g, h): G.table[g][h] for (g, h) in G.composable_pairs()}
+        compose = {(g, h): G.compose(g, h) for (g, h) in G.composable_pairs()}
         del compose[(1, 2)]
         with pytest.raises(NotComposableClosedError):
             validate_groupoid(2, G.dom, G.cod, G.inv, compose)
 
     def test_extra_composite_at_non_composable_pair(self):
         G = pair_groupoid(2)
-        compose = {(g, h): G.table[g][h] for (g, h) in G.composable_pairs()}
+        compose = {(g, h): G.compose(g, h) for (g, h) in G.composable_pairs()}
         compose[(1, 1)] = 0  # (0,1) cannot follow (0,1)
         with pytest.raises(NotComposableClosedError):
             validate_groupoid(2, G.dom, G.cod, G.inv, compose)
@@ -74,6 +75,29 @@ class TestValidation:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             validate_groupoid(1, [0, 5], [0, 0], [0, 1], {})
+
+    @pytest.mark.parametrize("labels", [["a", "b", "c"], []])
+    def test_object_labels_must_number_the_objects(self, labels):
+        with pytest.raises(OutOfRangeError, match=f"expected 1 object labels, got {len(labels)}"):
+            validate_groupoid(1, [0], [0], [0], {(0, 0): 0}, object_labels=labels)
+        G = validate_groupoid(1, [0], [0], [0], {(0, 0): 0}, object_labels=["a"])
+        assert G.object_labels == ("a",)
+
+    @pytest.mark.parametrize("field", ["object_labels", "morphism_labels"])
+    def test_a_string_is_not_a_list_of_labels(self, field):
+        with pytest.raises(OutOfRangeError, match="labels must be a list"):
+            validate_groupoid(1, [0], [0], [0], {(0, 0): 0}, **{field: "a"})
+
+    def test_compose_is_a_plain_int_and_refuses_non_composable_pairs(self):
+        G = disjoint_union(pair_groupoid(2), group_groupoid(cyclic_group(2)))
+        pairs = set(G.composable_pairs())
+        for g in G.morphisms():
+            for h in G.morphisms():
+                if (g, h) in pairs:
+                    assert type(G.compose(g, h)) is int
+                else:
+                    with pytest.raises(ValueError, match="not composable"):
+                        G.compose(g, h)
 
 
 class TestAdjoinedZeroSemigroup:
@@ -96,7 +120,7 @@ class TestAdjoinedZeroSemigroup:
 
     def test_trivial_groupoid_gives_two_element_semilattice(self):
         S, _ = to_inverse_semigroup(pair_groupoid(1))
-        assert S.table == chain_semilattice(2).table
+        assert np.array_equal(S.table, chain_semilattice(2).table)
 
     def test_inverse_sets_in_adjoined_semigroup(self):
         G = pair_groupoid(2)

@@ -54,6 +54,16 @@ class TestValidation:
         with pytest.raises(OutOfRangeError):
             validate_semigroup([[0, 0], [1]])
 
+    def test_labels_must_number_the_elements(self):
+        assert validate_semigroup([[0, 1], [1, 0]], labels=["e", "a"]).labels == ("e", "a")
+        with pytest.raises(OutOfRangeError, match="expected 2 labels, got 3"):
+            validate_semigroup([[0, 1], [1, 0]], labels=["e", "a", "b"])
+
+    def test_a_string_is_not_a_list_of_labels(self):
+        # it would be read one character a label, as ("a", "b")
+        with pytest.raises(OutOfRangeError, match="labels must be a list"):
+            validate_semigroup([[0, 1], [1, 0]], labels="ab")
+
 
 class TestElementSets:
     def test_idempotents_left_zero(self):
@@ -122,20 +132,20 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_semigroups(order)) == count
 
     def test_enumeration_is_lexicographic(self):
-        tables = [S.table for S in enumerate_semigroups(2)]
+        tables = [S.table.tolist() for S in enumerate_semigroups(2)]
         assert tables == sorted(tables)
 
     def test_sampling_is_deterministic_and_valid(self):
         a = sample_semigroups(4, 3, seed=11)
         b = sample_semigroups(4, 3, seed=11)
-        assert [s.table for s in a] == [s.table for s in b]
+        assert [s.table.tolist() for s in a] == [s.table.tolist() for s in b]
         for s in a:
-            validate_semigroup([list(row) for row in s.table])
+            validate_semigroup(s.table.tolist())
 
     def test_sampling_respects_seed(self):
         a = sample_semigroups(4, 2, seed=1)
         b = sample_semigroups(4, 2, seed=2)
-        assert [s.table for s in a] != [s.table for s in b]
+        assert [s.table.tolist() for s in a] != [s.table.tolist() for s in b]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 20250810])
     def test_raw_word_draws_match_generator_integers(self, seed):
@@ -148,9 +158,9 @@ class TestEnumeration:
             assert np.array_equal(got, want)
 
     def test_sampling_does_not_depend_on_the_batch(self, monkeypatch):
-        want = [S.table for S in sample_semigroups(4, 4, 20250810)]
+        want = [S.table.tolist() for S in sample_semigroups(4, 4, 20250810)]
         monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 8192)
-        assert [S.table for S in sample_semigroups(4, 4, 20250810)] == want
+        assert [S.table.tolist() for S in sample_semigroups(4, 4, 20250810)] == want
 
     @pytest.mark.parametrize("batch", [8192, 65_536])
     def test_tables_scanned_is_the_stream_position(self, monkeypatch, batch):
@@ -160,7 +170,7 @@ class TestEnumeration:
         scanned = work["order4_tables_scanned"]
         bits = np.random.PCG64(20250810)
         bits.advance(8 * (scanned - 1))  # a table takes 8 raw words
-        assert draw_order4_tables(bits, 1)[0].tolist() == [list(row) for row in last.table]
+        assert draw_order4_tables(bits, 1)[0].tolist() == last.table.tolist()
 
     def test_nothing_scanned_for_no_samples(self):
         work = {}

@@ -1,8 +1,12 @@
-"""Every ring and grading table is stored once, as a read-only intp array.
+"""Every table is stored once, as a read-only intp array: the Cayley table
+of a semigroup, the composition table of a groupoid and every ring and
+grading table.
 
 Builders, validators, direct construction, JSON loading and unpickling all
 give that form, and ``==``, ``hash`` and ``repr`` compare tables by value:
-equal tables built on different paths make equal structures.
+equal tables built on different paths make equal structures.  Python loops
+read the bases' plain-int ``targets`` view, so no numpy scalar leaks out of
+``GradedRing.target`` or ``FiniteGroupoid.compose``.
 """
 
 import json
@@ -19,6 +23,7 @@ from grl.gradings import (
     structurally_equal,
     validate_grading,
 )
+from grl.groupoids import FiniteGroupoid, to_inverse_semigroup
 from grl.rings import (
     FiniteAdditiveGroup,
     FiniteRing,
@@ -28,6 +33,7 @@ from grl.rings import (
     opposite_ring,
     product_ring,
 )
+from grl.semigroups import enumerate_semigroups, sample_semigroups
 
 MANIFEST = default_manifest()
 RING_NAMES = sorted(set(MANIFEST.rings) | set(MANIFEST.semigroup_ring_coefficients)
@@ -127,3 +133,87 @@ def test_unequal_tables_make_unequal_structures():
     flat = FiniteAdditiveGroup(order=4, add=Z4.additive.add.reshape(2, 8),
                                neg=Z4.additive.neg)
     assert flat != Z4.additive
+
+
+def assert_base_stored(base) -> None:
+    """The base's table is stored; a groupoid's holds n_morphisms exactly
+    off its composable pairs, and only there."""
+    assert_stored(base.table)
+    if isinstance(base, FiniteGroupoid):
+        m = base.n_morphisms
+        composable = np.equal.outer(base.dom, base.cod)  # [g, h]: dom g = cod h
+        assert set(base.composable_pairs()) == set(zip(*np.nonzero(composable)))
+        assert np.array_equal(base.table == m, ~composable)
+
+
+def assert_base_round_trips(base) -> None:
+    """Pickling keeps the value; JSON keeps the table, and a second trip the
+    value.  (A groupoid file names its objects, so the first JSON copy of an
+    unlabelled groupoid gains object labels.)"""
+    to_json, from_json = ((jsonio.groupoid_to_json, jsonio.groupoid_from_json)
+                          if isinstance(base, FiniteGroupoid)
+                          else (jsonio.semigroup_to_json, jsonio.semigroup_from_json))
+    back = json_round_trip(to_json, from_json, base)
+    assert_base_stored(back)
+    assert np.array_equal(back.table, base.table)
+    assert_same_value(json_round_trip(to_json, from_json, back), back)
+    base.relations  # a cache that must not travel
+    copy = pickle.loads(pickle.dumps(base))
+    assert "relations" in vars(base) and "relations" not in vars(copy)
+    assert_base_stored(copy)
+    assert_same_value(copy, base)
+
+
+@pytest.mark.parametrize("name", sorted(catalog._SEMIGROUPS))
+def test_catalog_semigroups_store_read_only_intp_arrays(name):
+    S = catalog.named_semigroup(name)
+    assert_base_stored(S)
+    assert_base_round_trips(S)
+    assert_same_value(catalog.named_semigroup(name), S)
+
+
+@pytest.mark.parametrize("name", MANIFEST.groupoids)
+def test_catalog_groupoids_store_read_only_intp_arrays(name):
+    G = catalog.named_groupoid(name)
+    assert_base_stored(G)
+    assert_base_round_trips(G)
+    assert_same_value(catalog.named_groupoid(name), G)
+    S, _ = to_inverse_semigroup(G)
+    assert_base_stored(S)
+    assert_base_round_trips(S)
+
+
+@pytest.mark.parametrize("make", [lambda: list(enumerate_semigroups(1)),
+                                  lambda: list(enumerate_semigroups(2)),
+                                  lambda: list(enumerate_semigroups(3)),
+                                  lambda: sample_semigroups(4, 4, 20250810)],
+                         ids=["enumerated1", "enumerated2", "enumerated3", "sampled"])
+def test_enumerated_and_sampled_semigroups_store_read_only_intp_arrays(make):
+    semigroups, again = make(), make()
+    assert len({S.table.tobytes() for S in semigroups}) == len(semigroups)
+    for S, T in zip(semigroups, again):
+        assert_base_stored(S)
+        assert_same_value(T, S)
+        assert_base_round_trips(S)
+
+
+def test_regraded_bases_store_read_only_intp_arrays(corpus):
+    for entry in corpus.graded:
+        R = entry.graded
+        assert_base_stored(R.base)
+        if R.base_kind == "groupoid":
+            regraded = regrade_groupoid_to_semigroup(R)
+            assert_base_stored(regraded.base)
+            assert_same_value(regraded.base, to_inverse_semigroup(R.base)[0])
+
+
+def test_targets_are_plain_ints_or_none(corpus):
+    graded = [entry.graded for entry in corpus.graded]
+    graded += [regrade_groupoid_to_semigroup(R) for R in graded if R.base_kind == "groupoid"]
+    for R in graded:
+        n = len(R.base.table)
+        for s in R.graders():
+            for t in R.graders():
+                st = R.target(s, t)
+                assert (st is None) == (R.base.table[s, t] == n)
+                assert st is None or (type(st) is int and st == R.base.table[s, t])
