@@ -35,7 +35,7 @@ from .rings import (
     validate_additive_group,
     validate_ring,
 )
-from .semigroups import FiniteSemigroup, validate_semigroup
+from .semigroups import FiniteSemigroup, label_tuple, validate_semigroup
 
 Structure = Union[FiniteSemigroup, FiniteGroupoid, FiniteRing, GradedRing]
 
@@ -112,7 +112,7 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    objects = _field(data, "objects")
+    objects = label_tuple(_field(data, "objects"), "object labels")
     morphisms = list(_each(_field(data, "morphisms"), "morphism",
                            lambda m: isinstance(m, dict), "an object"))
     dom = [_field(m, "dom") for m in morphisms]

@@ -465,6 +465,15 @@ class TestModuleEntryPoint:
         assert summary["suite"] == "none" and summary["n_entries"] == 0
 
 
+    def test_import_starts_no_thread(self):
+        # the sampler's helper thread exists only during a sampling call
+        code = "import threading, grl.cli; print(threading.active_count())"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.stdout.strip() == "1"
+
+
 class TestRingConstructorFiles:
     """README's ring constructor files are rings, not construction specs."""
 
@@ -629,6 +638,20 @@ class TestInputFileRules:
         code, out = run_cli("validate", str(path))
         assert code == 1 and out["error"] == "OutOfRange"
         assert "labels must be a list, not the string" in out["message"]
+
+    @pytest.mark.parametrize("data,field", [
+        ({"kind": "semigroup", "table": [[0]], "labels": 5}, "labels"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+          "compose": [[0, 0, 0]], "morphism_labels": 5}, "morphism labels"),
+        ({"kind": "groupoid", "objects": 5, "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+          "compose": [[0, 0, 0]]}, "object labels"),
+    ], ids=["labels", "morphism_labels", "objects"])
+    def test_labels_given_as_a_number_are_refused(self, tmp_path, data, field):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"] == f"{field} must be a list, not 5"
 
     @pytest.mark.parametrize("command", [["validate"], ["classify"], ["construct"]])
     @pytest.mark.parametrize("data", [[1, 2], "Z2"], ids=["list", "string"])

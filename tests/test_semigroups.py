@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,8 +186,61 @@ class TestEnumeration:
             sample_semigroups(order, 1, seed=0)
 
     @pytest.mark.parametrize("count", [0, -1])
-    def test_sampling_nothing(self, count):
+    def test_sampling_nothing(self, monkeypatch, count):
+        # builds no stream and starts no helper thread
+        def refused(*args, **kwargs):
+            raise AssertionError("a stream or a thread was started")
+
+        monkeypatch.setattr(semigroups, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(np.random, "PCG64", refused)
+        before = threading.active_count()
         assert sample_semigroups(4, count, seed=0) == []
+        assert threading.active_count() == before
+
+
+class TestSamplerThread:
+    """The helper thread that draws the next batch while one is screened."""
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        sample_semigroups(4, 1, seed=1)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_failing_screen(self, monkeypatch):
+        batches = []
+
+        def failing_on_the_third(tabs):
+            batches.append(len(tabs))
+            if len(batches) == 3:
+                raise RuntimeError("screen failed")
+            return np.zeros(len(tabs), dtype=bool)
+
+        monkeypatch.setattr(semigroups, "associative_mask", failing_on_the_third)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="screen failed"):
+            sample_semigroups(4, 1, seed=1)
+        assert threading.active_count() == before and len(batches) == 3
+
+    def test_small_batches_with_frequent_switches(self, monkeypatch):
+        # 1,306 handoffs with the GIL switched every microsecond; the stream
+        # must still be read in order
+        monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 4096)
+        work, result = {}, []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.extend(sample_semigroups(4, 4, 2, work)), daemon=True)
+            start = time.perf_counter()
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), f"still sampling after {time.perf_counter() - start:.0f} s"
+        got = ["".join(str(v) for row in S.table.tolist() for v in row) for S in result]
+        assert got == ["0020012322220020", "0123212221223122",
+                       "0323332323233323", "0123112322233323"]
+        assert work == {"order4_tables_scanned": 5_349_300}
 
 
 ALL_ORDER3 = list(enumerate_semigroups(3))
