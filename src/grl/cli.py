@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, catalog, jsonio
 from .constructions import (
@@ -218,7 +218,7 @@ def classify_structure(kind: str, structure, limit: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# theorem checks on single inputs
+# theorem checks: one table drives `grl check` and the corpus suites
 
 
 def _check_q_vs_v(S: FiniteSemigroup) -> dict:
@@ -267,122 +267,6 @@ def _check_groupoid_entry(G: FiniteGroupoid, name: str) -> dict:
     return report
 
 
-THEOREMS = ("main", "inverse", "groupoid", "switch", "vnr-char", "tominaga",
-            "lemma-technical", "good-grading", "semigroup-ring", "q-vs-v")
-
-
-def run_theorem_check(theorem: str, loaded, opts) -> dict:
-    """Dispatch one named cross-check against a loaded structure.
-
-    ``loaded`` is (kind, object, meta) where meta carries construction data
-    when the input was a construction spec.
-    """
-    kind, structure, meta = loaded
-
-    def not_applicable(reason):
-        return {"check": theorem, "applicable": False, "reason": reason}
-
-    if theorem == "q-vs-v":
-        if kind != "semigroup":
-            return not_applicable("needs a semigroup file")
-        return _check_q_vs_v(structure)
-    if theorem == "vnr-char":
-        if kind != "ring":
-            return not_applicable("needs a ring file")
-        return check_vnr_characterization(structure, max_generators=opts.fg_ideal_bound)
-    if theorem == "tominaga":
-        if kind != "ring":
-            return not_applicable("needs a ring file")
-        return check_tominaga(structure)
-    if theorem == "good-grading":
-        if not isinstance(structure, GoodGrading):
-            return not_applicable("needs a good_grading construction spec")
-        return check_good_grading_prop(structure)
-    if theorem == "semigroup-ring":
-        if meta.get("construction") != "semigroup_ring":
-            return not_applicable("needs a semigroup_ring construction spec")
-        return _check_semigroup_ring(structure, meta["A"])
-
-    graded = structure.graded if isinstance(structure, GoodGrading) else structure
-    if not isinstance(graded, GradedRing):
-        return not_applicable("needs a graded ring")
-    if theorem == "main":
-        return check_theorem_main(graded)
-    if theorem == "inverse":
-        return check_theorem_inverse_semigroup(graded)
-    if theorem == "groupoid":
-        return check_theorem_groupoid(graded)
-    if theorem == "switch":
-        return check_prop_switch(graded)
-    if theorem == "lemma-technical":
-        return check_lemma_technical(graded, max_witnesses=opts.max_witnesses)
-    return not_applicable(f"unknown theorem {theorem!r}")
-
-
-# ---------------------------------------------------------------------------
-# corpus suites: each yields (entry id, zero-argument task)
-
-
-def _suite_tasks(corpus: Corpus, suite: str, opts):
-    fg = opts.fg_ideal_bound
-    mw = opts.max_witnesses
-    if suite == "q-vs-v":
-        for e in corpus.semigroups:
-            yield e.id, partial(_check_q_vs_v, e.structure)
-    elif suite == "vnr-char":
-        for e in corpus.rings:
-            yield e.id, partial(check_vnr_characterization, e.structure,
-                                max_generators=fg)
-    elif suite == "tominaga":
-        for e in corpus.rings:
-            yield e.id, partial(check_tominaga, e.structure)
-    elif suite == "main":
-        for e in corpus.graded:
-            if e.graded.base_kind == "semigroup":
-                yield e.id, partial(check_theorem_main, e.graded)
-    elif suite == "inverse":
-        for e in corpus.graded:
-            if e.graded.base_kind == "semigroup":
-                yield e.id, partial(check_theorem_inverse_semigroup, e.graded)
-    elif suite == "lemma-technical":
-        for e in corpus.graded:
-            yield e.id, partial(check_lemma_technical, e.graded, max_witnesses=mw)
-    elif suite == "eps-chars":
-        for e in corpus.graded:
-            yield e.id, partial(check_eps_characterizations, e.graded)
-    elif suite == "corollaries":
-        for e in corpus.graded:
-            if e.graded.base_kind == "semigroup":
-                yield e.id, partial(check_corollaries, e.graded)
-    elif suite == "semigroup-ring":
-        coefficients = cache(catalog.named_ring)  # each ring once per run
-        for e in corpus.graded:
-            if e.meta.get("construction") == "semigroup_ring":
-                yield e.id, partial(_check_semigroup_ring, e.graded,
-                                    coefficients(e.meta["A"]))
-    elif suite == "good-grading":
-        for e in corpus.graded:
-            if e.meta.get("construction") == "good_grading":
-                yield e.id, partial(check_good_grading_prop, e.structure)
-    elif suite == "matrix-bn":
-        for e in corpus.graded:
-            if e.meta.get("construction") == "matrix_bn":
-                yield e.id, partial(_check_matrix_bn, e.graded)
-    elif suite == "switch":
-        for e in corpus.graded:
-            if e.graded.base_kind == "groupoid":
-                yield e.id, partial(check_prop_switch, e.graded)
-    elif suite == "groupoid":
-        for e in corpus.groupoids:
-            yield e.id, partial(_check_groupoid_entry, e.structure,
-                                e.meta.get("name", ""))
-        for e in corpus.graded:
-            if e.graded.base_kind == "groupoid":
-                yield e.id, partial(check_theorem_groupoid, e.graded)
-    else:
-        raise KeyError(f"unknown suite {suite!r}")
-
-
 def _check_matrix_bn(graded: GradedRing) -> dict:
     eps = is_epsilon_strong(graded).holds
     main = check_theorem_main(graded)
@@ -391,9 +275,101 @@ def _check_matrix_bn(graded: GradedRing) -> dict:
             "agree": eps and main["agree"]}
 
 
-SUITE_NAMES = ("q-vs-v", "vnr-char", "tominaga", "main", "inverse",
-               "lemma-technical", "eps-chars", "corollaries", "semigroup-ring",
-               "good-grading", "matrix-bn", "switch", "groupoid")
+class _Check(NamedTuple):
+    """One input a named check runs on.  ``takes`` is a structure kind
+    (semigroup, ring, groupoid, graded_ring) or a construction (semigroup_ring,
+    matrix_bn, good_grading); ``base`` is the base kind of the graded rings
+    the check's corpus suite keeps, None for all; ``run(subject, meta, opts)``
+    makes the report, with the options the check reads."""
+
+    takes: str
+    base: Optional[str]
+    run: Callable[..., dict]
+
+
+# Every check, in the order `corpus-run --suite all` runs them.  `grl check
+# NAME` and `corpus-run --suite NAME` run the same rows.  Each ``run`` looks
+# its check function up in this module when called, so a wrapper set on the
+# module's name is the function called.
+CHECKS: dict[str, tuple[_Check, ...]] = {
+    "q-vs-v": (_Check("semigroup", None, lambda S, meta, opts: _check_q_vs_v(S)),),
+    "vnr-char": (_Check("ring", None, lambda T, meta, opts: check_vnr_characterization(
+        T, max_generators=opts.fg_ideal_bound)),),
+    "tominaga": (_Check("ring", None, lambda T, meta, opts: check_tominaga(T)),),
+    "main": (_Check("graded_ring", "semigroup",
+                    lambda R, meta, opts: check_theorem_main(R)),),
+    "inverse": (_Check("graded_ring", "semigroup",
+                       lambda R, meta, opts: check_theorem_inverse_semigroup(R)),),
+    "lemma-technical": (_Check("graded_ring", None, lambda R, meta, opts:
+                               check_lemma_technical(R, max_witnesses=opts.max_witnesses)),),
+    "eps-chars": (_Check("graded_ring", None,
+                         lambda R, meta, opts: check_eps_characterizations(R)),),
+    "corollaries": (_Check("graded_ring", "semigroup",
+                           lambda R, meta, opts: check_corollaries(R)),),
+    "semigroup-ring": (_Check("semigroup_ring", None,
+                              lambda R, meta, opts: _check_semigroup_ring(R, meta["A"])),),
+    "good-grading": (_Check("good_grading", None,
+                            lambda gg, meta, opts: check_good_grading_prop(gg)),),
+    "matrix-bn": (_Check("matrix_bn", None, lambda R, meta, opts: _check_matrix_bn(R)),),
+    "switch": (_Check("graded_ring", "groupoid",
+                      lambda R, meta, opts: check_prop_switch(R)),),
+    "groupoid": (_Check("groupoid", None, lambda G, meta, opts: _check_groupoid_entry(
+                     G, meta.get("name", ""))),
+                 _Check("graded_ring", "groupoid",
+                        lambda R, meta, opts: check_theorem_groupoid(R))),
+}
+THEOREMS = tuple(CHECKS)
+
+_NEEDS = {"semigroup": "a semigroup file", "ring": "a ring file",
+          "groupoid": "a groupoid file", "graded_ring": "a graded ring"}
+
+
+def _graded(structure):
+    """A good grading's graded ring; any other structure as it is."""
+    return structure.graded if isinstance(structure, GoodGrading) else structure
+
+
+def _subject(takes: str, kind: str, structure, meta: dict):
+    """What a row that takes ``takes`` runs on, or None if it does not take
+    this input.  A construction row gets the structure the construction
+    built; a kind row sees a good grading as its graded ring."""
+    if takes == meta.get("construction"):
+        return structure
+    return _graded(structure) if takes == kind else None
+
+
+def run_theorem_check(theorem: str, loaded, opts) -> dict:
+    """Run a named check on its first row that takes the loaded input.
+
+    ``loaded`` is (kind, object, meta) where meta carries construction data
+    when the input was a construction spec.  An input that no row takes is
+    skipped, with the reason the check's last row gives.
+    """
+    kind, structure, meta = loaded
+    for check in CHECKS[theorem]:
+        subject = _subject(check.takes, kind, structure, meta)
+        if subject is not None:
+            return check.run(subject, meta, opts)
+    takes = CHECKS[theorem][-1].takes
+    needs = _NEEDS.get(takes, f"a {takes} construction spec")
+    return {"check": theorem, "applicable": False, "reason": f"needs {needs}"}
+
+
+def _suite_tasks(corpus: Corpus, suite: str, opts):
+    """(entry id, zero-argument task) for each corpus entry that a row of the
+    check takes, where the row's base kind keeps it."""
+    coefficients = cache(catalog.named_ring)  # each ring once per call
+    entries = {"semigroup": corpus.semigroups, "ring": corpus.rings,
+               "groupoid": corpus.groupoids}
+    for check in CHECKS[suite]:
+        for e in entries.get(check.takes, corpus.graded):
+            subject = _subject(check.takes, e.kind, e.structure, e.meta)
+            if subject is None or check.base and subject.base_kind != check.base:
+                continue
+            meta = e.meta
+            if check.takes == "semigroup_ring":  # the ring itself, as in a spec's meta
+                meta = {**meta, "A": coefficients(meta["A"])}
+            yield e.id, partial(check.run, subject, meta, opts)
 
 
 def _entry_status(report: dict) -> str:
@@ -406,7 +382,7 @@ def run_suite(corpus: Corpus, suite: str, opts, jobs: int = 1) -> dict:
     if suite == "none":
         names: tuple[str, ...] = ()
     elif suite == "all":
-        names = SUITE_NAMES
+        names = THEOREMS
     else:
         names = (suite,)
     tasks = [(name, entry_id, task)
@@ -492,9 +468,7 @@ def cmd_classify(args) -> int:
         kind, structure, _ = _load_any(args.path)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
-    if isinstance(structure, GoodGrading):
-        structure = structure.graded
-    report = classify_structure(kind, structure, args.max_witnesses)
+    report = classify_structure(kind, _graded(structure), args.max_witnesses)
     report["subject"] = args.path
     report["tool_version"] = __version__
     report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
@@ -524,13 +498,11 @@ def cmd_construct(args) -> int:
         structure, _ = jsonio.construction_from_json(spec)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
-    if isinstance(structure, GoodGrading):
-        structure = structure.graded
     out = Path(args.out)
     try:
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(structure)))
+        out.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(_graded(structure))))
     except OSError as err:
         return _input_error(err, args)
     _print_json({"written": str(out)}, args.pretty)
@@ -637,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus-run", help="run a suite across the corpus")
     p.add_argument("--suite", default="all",
-                   choices=sorted(SUITE_NAMES) + ["all", "none"])
+                   choices=sorted(THEOREMS) + ["all", "none"])
     p.add_argument("--manifest", help="manifest JSON (defaults to the built-in corpus)")
     p.add_argument("--out", help="directory for summary.json and per-entry reports")
     p.add_argument("--dump", help="directory to materialize the corpus structure files")

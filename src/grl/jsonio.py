@@ -84,6 +84,14 @@ def _unique(pairs, what: str) -> dict:
     return out
 
 
+def _list(data: dict, key: str, required: bool = True) -> list:
+    """``data[key]``, which must be a JSON list; an absent optional one is empty."""
+    value = _field(data, key) if required else data.get(key, [])
+    if not isinstance(value, list):
+        raise OutOfRangeError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _each(items, what: str, well_formed, shape: str):
     """The entries of a JSON list, each of which must be ``shape``."""
     for i, item in enumerate(items):
@@ -113,12 +121,12 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     objects = label_tuple(_field(data, "objects"), "object labels")
-    morphisms = list(_each(_field(data, "morphisms"), "morphism",
+    morphisms = list(_each(_list(data, "morphisms"), "morphism",
                            lambda m: isinstance(m, dict), "an object"))
     dom = [_field(m, "dom") for m in morphisms]
     cod = [_field(m, "cod") for m in morphisms]
     inv = [_field(m, "inv") for m in morphisms]
-    triples = _each(data.get("compose", []), "compose",
+    triples = _each(_list(data, "compose", required=False), "compose",
                     lambda e: isinstance(e, list) and len(e) == 3, "a triple [g, h, gh]")
     compose = _unique((((g, h), gh) for g, h, gh in triples), "compose")
     return validate_groupoid(len(objects), dom, cod, inv, compose,
@@ -205,13 +213,15 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
         raise OutOfRangeError(f"unknown base kind: {base_kind!r}")
     n = len(base.table)
     given = _field(data, "components")
+    if not isinstance(given, dict):
+        raise OutOfRangeError(f"components must be a JSON object, got {type(given).__name__}")
     unknown = sorted(set(given) - {str(s) for s in range(n)})
     if unknown:
         raise OutOfRangeError(f"component key {unknown[0]!r} names no grader")
     trivial = {"order": 1, "add": [[0]], "neg": [0]}
     components = [_group_from_json(given.get(str(s), trivial))
                   for s in range(n)]
-    items = _each(data.get("products", []), "product",
+    items = _each(_list(data, "products", required=False), "product",
                   lambda item: isinstance(item, dict), "an object")
     products = _unique((((_field(item, "s"), _field(item, "t")), _field(item, "table"))
                         for item in items), "product")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,87 @@ class TestCheck:
         assert code == 2
 
 
+SEMIGROUP_BASE = "needs a semigroup base"
+GROUPOID_BASE = "needs a groupoid-graded ring"
+GRADED = ("semigroup-graded", "groupoid-graded", "semigroup_ring", "matrix_bn",
+          "good_grading", "groupoid_ring")
+
+# theorem: (reason when grl refuses the input, the check that runs otherwise,
+# {input kind it runs on: the reason in its report, None if applicable}).
+# Every run exits 0: no check disagrees on these inputs.
+CHECK_PINS = {
+    "q-vs-v": ("needs a semigroup file", "q-vs-v", {"semigroup": None}),
+    "vnr-char": ("needs a ring file", "vnr-characterization", {"ring": None}),
+    "tominaga": ("needs a ring file", "tominaga", {"ring": None}),
+    "main": ("needs a graded ring", "theorem-main", {
+        **dict.fromkeys(GRADED), "groupoid-graded": SEMIGROUP_BASE,
+        "groupoid_ring": SEMIGROUP_BASE}),
+    "inverse": ("needs a graded ring", "theorem-inverse", {
+        **dict.fromkeys(GRADED), "semigroup-graded": "base is not an inverse semigroup",
+        "groupoid-graded": SEMIGROUP_BASE, "groupoid_ring": SEMIGROUP_BASE}),
+    "lemma-technical": ("needs a graded ring", "lemma-technical", {
+        **dict.fromkeys(GRADED), "good_grading": "hypotheses fail: needs nearly "
+        "epsilon-strong grading with regular idempotent components"}),
+    "eps-chars": ("needs a graded ring", "eps-characterizations", dict.fromkeys(GRADED)),
+    "corollaries": ("needs a graded ring", "corollaries", dict.fromkeys(GRADED)),
+    "semigroup-ring": ("needs a semigroup_ring construction spec", "semigroup-ring",
+                       {"semigroup_ring": None}),
+    "good-grading": ("needs a good_grading construction spec", "good-grading",
+                     {"good_grading": None}),
+    "matrix-bn": ("needs a matrix_bn construction spec", "matrix-bn", {"matrix_bn": None}),
+    "switch": ("needs a graded ring", "prop-switch", {
+        **dict.fromkeys(GRADED, GROUPOID_BASE), "groupoid-graded": None,
+        "groupoid_ring": None}),
+    # a groupoid file runs the adjoined-zero-semigroup check of the groupoid
+    # suite; the name-based pair-groupoid match needs a corpus entry
+    "groupoid": ("needs a graded ring", "theorem-groupoid", {
+        **dict.fromkeys(GRADED, GROUPOID_BASE), "groupoid-graded": None,
+        "groupoid_ring": None}),
+}
+
+
+@pytest.fixture
+def check_inputs(files):
+    from grl.constructions import groupoid_ring, semigroup_ring
+    from grl.groupoids import pair_groupoid
+
+    written = {
+        "groupoid.json": jsonio.groupoid_to_json(pair_groupoid(2)),
+        "sg_graded.json": jsonio.graded_to_json(
+            semigroup_ring(cyclic_ring(2), left_zero_semigroup(2))),
+        "gpd_graded.json": jsonio.graded_to_json(
+            groupoid_ring(cyclic_ring(2), pair_groupoid(2))),
+        "gpd_spec.json": {"construct": "groupoid_ring", "A": "Z2", "G": "pair2"},
+    }
+    for name, data in written.items():
+        (files / name).write_text(json.dumps(data))
+    names = {"semigroup": "L2", "ring": "Z4", "groupoid": "groupoid",
+             "semigroup-graded": "sg_graded", "groupoid-graded": "gpd_graded",
+             "semigroup_ring": "sr_spec", "matrix_bn": "bn_spec",
+             "good_grading": "good_spec", "groupoid_ring": "gpd_spec"}
+    return {kind: files / f"{name}.json" for kind, name in names.items()}
+
+
+@pytest.mark.parametrize("kind", ["semigroup", "ring", "groupoid", *GRADED])
+@pytest.mark.parametrize("theorem", CHECK_PINS)
+def test_check_on_every_input_kind(check_inputs, theorem, kind):
+    refused, ran, runs_on = CHECK_PINS[theorem]
+    code, out = run_cli("check", theorem, str(check_inputs[kind]))
+    if theorem == "groupoid" and kind == "groupoid":
+        expected = (0, True, "adjoined-zero-semigroup", None)
+    elif kind in runs_on:
+        expected = (0, runs_on[kind] is None, ran, runs_on[kind])
+    else:
+        expected = (0, False, theorem, refused)
+    assert (code, out["applicable"], out["check"], out.get("reason")) == expected
+
+
+def test_readme_names_every_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Theorems for `grl check`:(.*?)\.\s", readme, re.DOTALL)
+    assert tuple(re.findall(r"`([^`]+)`", sentence.group(1))) == cli.THEOREMS
+
+
 class TestConstruct:
     def test_output_validates_and_is_deterministic(self, files):
         out1 = files / "bn1.json"
@@ -261,6 +343,36 @@ class TestCorpusRun:
         path.write_text(json.dumps({"order4_sample_count": 0}))
         code, summary = run_cli("corpus-run", "--suite", "none", "--manifest", str(path))
         assert code == 0 and summary["seed"] == 0
+
+
+@pytest.fixture(scope="module")
+def dumped_corpus(tmp_path_factory):
+    """The default corpus as files, and the entries of its `--suite all` run."""
+    directory = tmp_path_factory.mktemp("corpus")
+    code, summary = run_cli("corpus-run", "--suite", "all", "--dump", str(directory))
+    assert code == 0
+    return directory, summary["entries"]
+
+
+# Construction suites read the construction's data (meta), which a structure
+# file does not carry, so `grl check` refuses their dumped files.
+CONSTRUCTION_SUITES = ("semigroup-ring", "good-grading", "matrix-bn")
+
+
+@pytest.mark.parametrize("suite", [s for s in cli.THEOREMS if s not in CONSTRUCTION_SUITES])
+def test_check_on_a_dumped_entry_gives_its_suite_report(dumped_corpus, suite):
+    directory, entries = dumped_corpus
+    # the pair-groupoid match is found by name; a file has none
+    compared = [e for e in entries if e["suite"] == suite
+                and not re.fullmatch(r"gpd:pair\d+", e["id"])]
+    assert compared
+    for entry in compared:
+        path = directory / (entry["id"].replace(":", "_").replace("+", "-") + ".json")
+        code, report = run_cli("check", suite, str(path))
+        for key in ("subject", "tool_version", "timings"):
+            report.pop(key)
+        assert report == entry["report"], entry["id"]
+        assert code == {"agree": 0, "skipped": 0, "disagree": 2}[entry["status"]]
 
 
 class TestOutputPathErrors:
@@ -662,6 +774,24 @@ class TestInputFileRules:
         code, out = run_cli(*command, str(path), *extra)
         assert code == 1 and out["error"] == "OutOfRange"
         assert out["message"].startswith("expected a JSON object")
+
+    @pytest.mark.parametrize("command", [["validate"], ["check", "main"]])
+    @pytest.mark.parametrize("data,message", [
+        (graded_file([], []), "components must be a JSON object, got list"),
+        (graded_file({}, {}), "products must be a JSON list, got dict"),
+        (graded_file({"0": Z2_GROUP}, {"0": {"s": 0, "t": 0, "table": [[0, 0], [0, 1]]}}),
+         "products must be a JSON list, got dict"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": 5, "compose": [[0, 0, 0]]},
+         "morphisms must be a JSON list, got int"),
+        ({"kind": "groupoid", "objects": [0], "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
+          "compose": {"0": [0, 0, 0]}}, "compose must be a JSON list, got dict"),
+    ], ids=["components-list", "products-empty-object", "products-object", "morphisms-int",
+            "compose-object"])
+    def test_containers_of_the_wrong_type_are_named(self, tmp_path, command, data, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(*command, str(path))
+        assert code == 1 and out["error"] == "OutOfRange" and out["message"] == message
 
     def test_component_key_naming_no_grader(self, tmp_path):
         path = tmp_path / "f.json"
