@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-witnesses", type=int, metavar="N",
                        help="cap inlined witness collections (default 100)")
         p.add_argument("--fg-ideal-bound", type=int, metavar="K",
-                       help="generator bound for finitely generated ideal checks")
+                       help="generator bound for finitely generated ideal checks (default 2)")
 
     p = sub.add_parser("validate", help="validate a structure file")
     p.add_argument("path")

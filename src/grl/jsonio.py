@@ -92,6 +92,13 @@ def _list(data: dict, key: str, required: bool = True) -> list:
     return value
 
 
+def _object(value, what: str) -> dict:
+    """``value``, which must be a JSON object; ``what`` names it in the error."""
+    if not isinstance(value, dict):
+        raise OutOfRangeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _each(items, what: str, well_formed, shape: str):
     """The entries of a JSON list, each of which must be ``shape``."""
     for i, item in enumerate(items):
@@ -197,13 +204,14 @@ def graded_to_json(R: GradedRing) -> dict:
 
 
 def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
-    base_spec = _field(data, "base")
+    base_spec = _object(_field(data, "base"), "base")
     ref = _field(base_spec, "ref")
     if isinstance(ref, str):
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         ref = json.loads(path.read_text())
+    ref = _object(ref, "base ref")
     base_kind = _field(base_spec, "kind")
     if base_kind == "semigroup":
         base = semigroup_from_json(ref)
@@ -212,14 +220,12 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
     else:
         raise OutOfRangeError(f"unknown base kind: {base_kind!r}")
     n = len(base.table)
-    given = _field(data, "components")
-    if not isinstance(given, dict):
-        raise OutOfRangeError(f"components must be a JSON object, got {type(given).__name__}")
+    given = _object(_field(data, "components"), "components")
     unknown = sorted(set(given) - {str(s) for s in range(n)})
     if unknown:
         raise OutOfRangeError(f"component key {unknown[0]!r} names no grader")
     trivial = {"order": 1, "add": [[0]], "neg": [0]}
-    components = [_group_from_json(given.get(str(s), trivial))
+    components = [_group_from_json(_object(given.get(str(s), trivial), f"component {str(s)!r}"))
                   for s in range(n)]
     items = _each(_list(data, "products", required=False), "product",
                   lambda item: isinstance(item, dict), "an object")

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import prod
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -530,46 +530,85 @@ def ring_idempotents(T: FiniteRing) -> tuple[int, ...]:
     return tuple(sorted(T._idempotents))
 
 
-def _subsets_up_to(n: int, k: int):
-    for size in range(1, k + 1):
-        yield from combinations(range(n), size)
-
-
 def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int
                                 ) -> Optional[tuple[tuple[int, ...], Subgroup]]:
-    """First generator set in ``_subsets_up_to`` order whose left ideal has no
-    idempotent generator, with that ideal; None if there is none.
+    """First generator set, by size and then in ``combinations`` order, of at
+    most ``max_generators`` elements whose left ideal has no idempotent
+    generator, with that ideal; None if there is none.  If the first failing
+    set's ideal is not a left ideal, its ``NotAnIdealError`` is raised.
 
     The ideal of a set is the sum of its generators' principal ideals, so
-    its verdict depends only on the set of those ideals, and each such set is
-    decided once.  The ideals get ids as their generators are met, so a scan
-    that stops early closes only the principal ideals it reached.
+    each distinct sum gets an id and is decided once.  Singletons are scanned
+    one by one, so a scan that stops early closes only the principal ideals
+    it reached.  No set of three or more can fail first, on any table: an
+    ideal that passes is the principal ideal of its idempotent generator u,
+    so once every pair passes, the ideal of {a, b, c} is that of {u, c}, and
+    so on up (the argument of Goodearl, Thm 1.1).  Pairs are not visited one
+    by one: for the first c of each principal id, the ids of later
+    generators whose sum with it fails form one bitmask.
     """
-    ids: dict[frozenset[int], int] = {}
-    of: list[Optional[int]] = [None] * T.order
-    good: set[frozenset[int]] = set()
+    if max_generators < 1:
+        return None
+    n, add = T.order, T.additive.add
+    index: dict[frozenset[int], int] = {}
+    ideals: list[Subgroup] = []
+    verdicts: list = []  # per id: True, False (no idempotent generator) or the error
 
-    def ideal_id(c: int) -> int:
-        i = of[c]
+    def ideal_id(members: frozenset[int]) -> int:
+        i = index.get(members)
         if i is None:
-            i = of[c] = ids.setdefault(_principal_left_ideal(T, c), len(ids))
+            i = index[members] = len(ideals)
+            ideals.append(Subgroup(ambient_order=n, members=members))
+            try:
+                verdicts.append(idempotent_generator(T, ideals[i]) is not None)
+            except NotAnIdealError as err:
+                verdicts.append(err)
         return i
 
-    for gens in _subsets_up_to(T.order, max_generators):
-        key = frozenset(map(ideal_id, gens))
-        if key in good:
-            continue
-        I = left_ideal(T, gens)
-        if idempotent_generator(T, I) is None:
-            return gens, I
-        good.add(key)
+    def fails(i: int) -> bool:
+        return verdicts[i] is not True
+
+    def found(gens: tuple[int, ...], i: int) -> tuple[tuple[int, ...], Subgroup]:
+        if isinstance(verdicts[i], NotAnIdealError):
+            raise verdicts[i]
+        return gens, ideals[i]
+
+    ids = []
+    for c in range(n):
+        i = ideal_id(_principal_left_ideal(T, c))
+        if fails(i):
+            return found((c,), i)
+        ids.append(i)
+    if max_generators < 2:
+        return None
+
+    sums: dict[tuple[int, int], int] = {}
+
+    def plus(i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        k = sums.get(key)
+        if k is None:
+            members = set(ideals[i].members)
+            grown = _grow(add, members, ideals[j].members)
+            k = sums[key] = ideal_id(frozenset(members)) if grown else i
+        return k
+
+    later = list(accumulate(reversed([1 << i for i in ids]), or_, initial=0))[::-1]
+    partners: dict[int, int] = {}  # principal id -> ids whose sum with it fails
+    for c in range(n - 1):
+        i = ids[c]
+        if i not in partners:  # the first c of id i, whose later ids cover every later c's
+            partners[i] = sum(1 << j for j in set(ids[c + 1:]) if fails(plus(i, j)))
+        if later[c + 1] & partners[i]:
+            d = next(d for d in range(c + 1, n) if partners[i] >> ids[d] & 1)
+            return found((c, d), plus(i, ids[d]))
     return None
 
 
 def _first_subset_without_common_unit(cols: Sequence[int], max_subset: int
                                       ) -> Optional[list[int]]:
-    """First subset of at most ``max_subset`` elements in ``_subsets_up_to``
-    order whose fixer masks ``cols[v]`` AND to 0, or None.
+    """First subset of at most ``max_subset`` elements, by size and then in
+    ``combinations`` order, whose fixer masks ``cols[v]`` AND to 0, or None.
 
     Only the distinct masks matter.  ``level`` holds every AND of at most
     ``size`` of them, so the first level that holds 0 gives the size of the
@@ -600,8 +639,11 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
 
     Scan (ii) decides each distinct principal ideal once, ideal guard
     included, and stops at the first c whose ideal fails; scan (iii) decides
-    each set of principal ideals once.  Neither reads the other's record,
-    and (i) reads neither.
+    each distinct sum ideal once and finds its first failing generator set
+    from bitmasks of ideal ids, not by visiting the sets.  No set of more
+    than two generators can fail first, so any bound finishes in the time of
+    bound 2, at most linear in bound x order.  Neither reads the other's
+    record, and (i) reads neither.
     """
     su = s_unitality(T)
     if not su.holds:

@@ -139,6 +139,17 @@ class TestCheck:
         code, out = run_cli("check", "vnr-char", str(files / "Z4.json"))
         assert code == 0 and out["agree"] and out["vnr"] is False
 
+    def test_vnr_char_bound_past_the_order(self, tmp_path):
+        # a bound of a million finishes, and reads as the bound 48 = order
+        path = tmp_path / "M2Z2xZ3.json"
+        path.write_text(json.dumps({"kind": "ring", "construct": "product", "factors": [
+            {"construct": "matrix", "A": "Z2", "n": 2}, "Z3"]}))
+        code, huge = run_cli("check", "vnr-char", str(path), "--fg-ideal-bound", "1000000")
+        assert code == 0 and huge.pop("timings") and huge["bound"] == 1000000
+        code, order = run_cli("check", "vnr-char", str(path), "--fg-ideal-bound", "48")
+        assert code == 0 and order.pop("timings") and {**huge, "bound": 48} == order
+        assert order["agree"] and order["finitely_generated_ideals_idempotent"]
+
     def test_skipped_when_not_applicable(self, files):
         code, out = run_cli("check", "inverse", str(files / "L2.json"))
         assert code == 0 and out["applicable"] is False
@@ -785,8 +796,13 @@ class TestInputFileRules:
          "morphisms must be a JSON list, got int"),
         ({"kind": "groupoid", "objects": [0], "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
           "compose": {"0": [0, 0, 0]}}, "compose must be a JSON list, got dict"),
+        ({"kind": "graded_ring", "base": [1], "components": {}, "products": []},
+         "base must be a JSON object, got list"),
+        ({"kind": "graded_ring", "base": {"kind": "semigroup", "ref": 5}, "components": {},
+          "products": []}, "base ref must be a JSON object, got int"),
+        (graded_file({"0": 5}, []), "component '0' must be a JSON object, got int"),
     ], ids=["components-list", "products-empty-object", "products-object", "morphisms-int",
-            "compose-object"])
+            "compose-object", "base-list", "base-ref-int", "component-int"])
     def test_containers_of_the_wrong_type_are_named(self, tmp_path, command, data, message):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(data))

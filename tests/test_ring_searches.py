@@ -6,8 +6,8 @@ ring's tables as arrays.  ``check_tominaga`` and ``common_unit`` work on
 fixer bitmasks, and the ideal searches on principal left ideals cached per
 ring; ``check_tominaga`` grows the ANDs of the distinct masks.
 ``check_vnr_characterization`` decides each distinct principal ideal once
-in its principal scan, and each set of principal ideals once in its
-finitely generated scan.  The reports, witnesses, first units and first
+in its principal scan, and each distinct sum of principal ideals once in
+its finitely generated scan.  The reports, witnesses, first units and first
 failing subsets must be exactly those of the element-by-element scans.
 """
 
@@ -114,6 +114,17 @@ def test_vnr_characterization_matches_reference(name, bound, side):
             == ref.check_vnr_characterization(T, bound, side))
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_vnr_characterization_matches_reference_at_every_bound(name, bound):
+    # scan (iii) finds its first failing set from masks of sum ideals, and
+    # must give the set-by-set scan's report at every bound, on both sides
+    T = POOL[name]
+    for side in ("left", "right"):
+        assert (check_vnr_characterization(T, bound, side)
+                == ref.check_vnr_characterization(T, bound, side)), side
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(st.sampled_from(POOL_NAMES), st.data())
 def test_ideal_searches_match_reference(name, data):
@@ -156,8 +167,8 @@ def test_arbitrary_tables_match_reference(data):
     bound = data.draw(st.integers(1, 3))
     assert check_tominaga(T, bound) == ref.check_tominaga(T, bound)
     side = data.draw(st.sampled_from(["left", "right"]))
-    assert (outcome(check_vnr_characterization, T, min(bound, 2), side)
-            == outcome(ref.check_vnr_characterization, T, min(bound, 2), side))
+    assert (outcome(check_vnr_characterization, T, bound, side)
+            == outcome(ref.check_vnr_characterization, T, bound, side))
 
 
 @pytest.mark.parametrize("T", [M2, opposite_ring(M2)], ids=["M2(Z2)", "M2(Z2)^op"])
@@ -220,17 +231,17 @@ def count_calls(monkeypatch, name):
 
 
 class TestDistinctIdealScans:
-    """Each set of principal ideals is decided once, and an early failure
-    closes no ideal past it."""
+    """Each distinct ideal is decided once, and an early failure closes no
+    ideal past it."""
 
     def test_each_ideal_set_is_decided_once(self, monkeypatch):
         T = product_ring(M2, cyclic_ring(3))
         calls = count_calls(monkeypatch, "idempotent_generator")
         report = check_vnr_characterization(T)
         # 48 generators give 10 distinct principal ideals in scan (ii), and
-        # those 10 + 45 sets of at most two in scan (iii)
+        # the same 10 in scan (iii): in a regular ring their sums add none
         assert report["agree"] and report["finitely_generated_ideals_idempotent"]
-        assert len(calls) == 10 + 55
+        assert len(calls) == 10 + 10
 
     def test_principal_scan_decides_each_ideal_once(self, monkeypatch):
         T = product_ring(M2, cyclic_ring(3))
@@ -273,10 +284,47 @@ class TestDistinctIdealScans:
             "principal_ideals_idempotent": True, "principal_failing": None,
             "finitely_generated_ideals_idempotent": True,
             "finitely_generated_failing": None, "agree": True}
-        assert len(calls) == 16 + 16 + 120
+        assert len(calls) == 16 + 16
         assert len(set(T._principal.values())) == 16
         assert len(set(T._fixers["left"])) == len(set(T._fixers["right"])) == 16
         assert check_tominaga(T) == ALL_HAVE_COMMON_UNITS
+
+
+# Tables over Z2^2 and Z2^3, not rings, whose first failing generator set is
+# a pair: each principal ideal is generated by an idempotent, and the sum of
+# two is not.  In the first the sum is the whole table, which no idempotent
+# generates; in the second the sum {0, 2, 4, 6} is not a left ideal.
+PAIR_FAILS = FiniteRing(
+    additive=product_ring(cyclic_ring(2), cyclic_ring(2)).additive,
+    mul=((0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 2, 3), (0, 1, 2, 3)))
+PAIR_IS_NOT_AN_IDEAL = FiniteRing(
+    additive=product_ring(cyclic_ring(2), cyclic_ring(2), cyclic_ring(2)).additive,
+    mul=((0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 3), (0, 0, 2, 2, 0, 0, 2, 2),
+         (0, 1, 2, 3, 0, 1, 2, 3), (0, 0, 0, 0, 4, 4, 4, 4), (0, 1, 0, 1, 4, 5, 4, 5),
+         (0, 0, 2, 2, 4, 4, 6, 6), (0, 1, 2, 3, 4, 5, 7, 7)))
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_first_failing_set_is_a_pair(bound):
+    report = check_vnr_characterization(PAIR_FAILS, bound)
+    assert report["principal_ideals_idempotent"] and not report["agree"]
+    assert report["finitely_generated_failing"] == {"generators": [1, 2], "ideal": [0, 1, 2, 3]}
+    assert report == ref.check_vnr_characterization(PAIR_FAILS, bound)
+    assert check_vnr_characterization(PAIR_FAILS, 1)["finitely_generated_ideals_idempotent"]
+    raised = outcome(check_vnr_characterization, PAIR_IS_NOT_AN_IDEAL, bound)
+    assert raised == ("NotAnIdealError", (0, 2, 4, 6))
+    assert raised == outcome(ref.check_vnr_characterization, PAIR_IS_NOT_AN_IDEAL, bound)
+    at_one = check_vnr_characterization(PAIR_IS_NOT_AN_IDEAL, 1)
+    assert at_one["finitely_generated_ideals_idempotent"]
+
+
+def test_m3_z2_at_bound_three_gives_the_bound_two_report():
+    # about 22 million sets of at most three generators, but no set of three
+    # can fail first, so the scan ends with the pairs of the 16 principal ids
+    T = matrix_ring(cyclic_ring(2), 3)
+    report = check_vnr_characterization(T, 3)
+    assert report["bound"] == 3
+    assert {**report, "bound": 2} == check_vnr_characterization(T, 2)
 
 
 def test_common_unit_rejects_bad_input():
