@@ -588,24 +588,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a structure file")
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(func=cmd_validate, reads=())
+    p.set_defaults(reads=())
 
     p = sub.add_parser("classify", help="compute every applicable verdict")
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(func=cmd_classify, reads=("max_witnesses",))
+    p.set_defaults(reads=("max_witnesses",))
 
     p = sub.add_parser("check", help="run one theorem cross-check")
     p.add_argument("theorem", choices=THEOREMS)
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(func=cmd_check, reads=("max_witnesses", "fg_ideal_bound"))
+    p.set_defaults(reads=("max_witnesses", "fg_ideal_bound"))
 
     p = sub.add_parser("construct", help="build a structure from a spec file")
     p.add_argument("spec")
     p.add_argument("out")
     add_common(p)
-    p.set_defaults(func=cmd_construct, reads=())
+    p.set_defaults(reads=())
 
     p = sub.add_parser("corpus-run", help="run a suite across the corpus")
     p.add_argument("--suite", default="all",
@@ -616,8 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the manifest seed")
     p.add_argument("--jobs", type=int, help="worker threads for corpus suites")
     add_common(p)
-    p.set_defaults(func=cmd_corpus_run,
-                   reads=("seed", "jobs", "max_witnesses", "fg_ideal_bound"))
+    p.set_defaults(reads=("seed", "jobs", "max_witnesses", "fg_ideal_bound"))
     return parser
 
 
@@ -650,7 +649,10 @@ def main(argv=None) -> int:
     bad = _bad_option(args)
     if bad is not None:
         args.pretty = args.pretty is True  # a bad GRL_PRETTY reports compactly
-    code = args.func(args) if bad is None else _input_error(bad, args)
+    # the command function is looked up at each call, not kept in the cached
+    # parser, so a wrapper set on this module's cmd_* name is the one run
+    run = globals()["cmd_" + args.command.replace("-", "_")]
+    code = run(args) if bad is None else _input_error(bad, args)
     if argv is None:
         sys.exit(code)
     return code

@@ -206,14 +206,28 @@ def _check_order(order: int, size: str) -> None:
         raise ValueError(f"order {size} is above MAX_RING_ORDER = {MAX_RING_ORDER}")
 
 
-def _entrywise(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply ``tables[i]`` to entry i of lexicographic tuples with entry i in
-    ``range(len(tables[i]))``: unary (1-D) or binary (2-D) maps on tuple indices.
-    An entry with one value is always 0, so it is left out of the arithmetic."""
-    tables = [t for t in tables if len(t) > 1] or tables[:1]
-    shape = tuple(len(t) for t in tables)
-    x = np.unravel_index(np.arange(np.prod(shape)), shape)
-    return np.ravel_multi_index([t[np.ix_(*[d] * t.ndim)] for t, d in zip(tables, x)], shape)
+def _tuple_table(operands: Sequence[Sequence[int]],
+                 entries: Sequence[tuple[int, np.ndarray, Sequence[int]]]) -> np.ndarray:
+    """Table of a map on lexicographic tuples, one output entry at a time.
+
+    ``operands[o]`` lists the coordinate sizes of operand o: one operand
+    gives a 1-D table, two a 2-D one, and a cell holds the lexicographic
+    index of the output tuple.  Output entry (size, small, axes)
+    takes ``size`` values and is ``small`` read at the input coordinates
+    ``axes``, numbered across the operands and ascending.  Each small table,
+    times its entry's stride, is broadcast over the whole table, so no index
+    array the size of the table is built.  A coordinate with one value is
+    always 0 and gets no axis, which keeps many order-1 entries within
+    numpy's 64 dimensions."""
+    sizes = [n for op in operands for n in op]
+    kept = [a for a, n in enumerate(sizes) if n > 1]
+    out = np.zeros([sizes[a] for a in kept], dtype=np.intp)
+    stride = 1
+    for size, small, axes in reversed(entries):
+        if small.any():
+            out += stride * small.reshape([sizes[a] if a in axes else 1 for a in kept])
+        stride *= size
+    return out.reshape([prod(op) for op in operands])
 
 
 def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
@@ -224,28 +238,34 @@ def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
         return TRIVIAL_GROUP
     # G.order >= 2, so the power capped at the bound's bit length still passes it
     _check_order(G.order ** min(k, MAX_RING_ORDER.bit_length()), f"{G.order}^{k}")
-    return FiniteAdditiveGroup(order=G.order ** k, add=_entrywise([G.add] * k),
-                               neg=_entrywise([G.neg] * k))
+    n = G.order
+    return FiniteAdditiveGroup(
+        order=n ** k,
+        add=_tuple_table(((n,) * k,) * 2, [(n, G.add, (i, k + i)) for i in range(k)]),
+        neg=_tuple_table(((n,) * k,), [(n, G.neg, (i,)) for i in range(k)]))
 
 
 def _matrix_product(A: FiniteRing, left: _Cells, right: _Cells, out: _Cells) -> np.ndarray:
     """Product table of the matrices over A supported on the (i, j) cells
-    ``left`` times those on ``right``, read on the cells ``out``.  A matrix is
-    the tuple of its entries in cell order, indexed lexicographically."""
-    shape = (A.order ** len(left), A.order ** len(right))
-    if A.order == 1 or not (left and right):  # every product is the zero matrix
-        return np.zeros(shape, dtype=np.intp)
-    add, mul = A.additive.add, A.mul
-    x = np.unravel_index(np.arange(shape[0]), (A.order,) * len(left))
-    y = np.unravel_index(np.arange(shape[1]), (A.order,) * len(right))
+    ``left`` times those on ``right``, read on the cells ``out``, each list in
+    row-major order.  A matrix is the tuple of its entries in cell order,
+    indexed lexicographically.
+
+    Entry (i, l) is the sum of x_ij y_jl over the j with (i, j) in ``left``
+    and (j, l) in ``right``: with k terms, a table of q^(2k) cells over
+    those entries of x and y, built by broadcasting one term at a time."""
+    q, add, mul = A.order, A.additive.add, A.mul
+    place = {cell: p for p, cell in enumerate(right)}
     entries = []
     for i, l in out:
-        acc = np.zeros(shape, dtype=np.intp)
-        for p, (row, j) in enumerate(left):
-            if row == i and (j, l) in right:
-                acc = add[acc, mul[x[p][:, None], y[right.index((j, l))]]]
-        entries.append(acc)
-    return np.ravel_multi_index(entries, (A.order,) * len(out))
+        terms = [(p, len(left) + place[j, l]) for p, (row, j) in enumerate(left)
+                 if row == i and (j, l) in place]
+        k = len(terms)
+        small = np.zeros((), dtype=np.intp)
+        for t in range(k):  # mul on axes t (x) and k + t (y) of 2k
+            small = add[small, mul.reshape([q if a in (t, k + t) else 1 for a in range(2 * k)])]
+        entries.append((q, small, [p for p, _ in terms] + [r for _, r in terms]))
+    return _tuple_table(((q,) * len(left), (q,) * len(right)), entries)
 
 
 def _integers(m: int, c: int) -> FiniteRing:
@@ -289,8 +309,14 @@ def product_ring(*factors: FiniteRing) -> FiniteRing:
     if not factors:
         raise ValueError("need at least one factor")
     _check_order(prod(T.order for T in factors), "*".join(str(T.order) for T in factors))
-    tables = zip(*((T.additive.add, T.additive.neg, T.mul) for T in factors))
-    return validate_ring(*(_entrywise(t) for t in tables))
+    # entry i of a sum, negative or product is that of entry i of the operands
+    sizes, m = [T.order for T in factors], len(factors)
+    return validate_ring(
+        _tuple_table((sizes,) * 2, [(T.order, T.additive.add, (i, m + i))
+                                    for i, T in enumerate(factors)]),
+        _tuple_table((sizes,), [(T.order, T.additive.neg, (i,)) for i, T in enumerate(factors)]),
+        _tuple_table((sizes,) * 2, [(T.order, T.mul, (i, m + i))
+                                    for i, T in enumerate(factors)]))
 
 
 def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:

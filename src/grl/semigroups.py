@@ -208,8 +208,11 @@ def enumerate_semigroups(order: int) -> Iterator[FiniteSemigroup]:
     Walks the order^(order^2) candidate tables lazily with itertools.product
     and yields those that pass ``is_associative_flat``.  No isomorphism
     reduction is performed, so order 3 (19683 candidates) is the practical
-    limit: order 4 has 4^16, about 4.3e9, and takes hours.
+    limit: order 4 has 4^16, about 4.3e9, and takes hours.  An order below 1
+    yields nothing: a semigroup has at least one element.
     """
+    if order < 1:
+        return
     for flat in product(range(order), repeat=order * order):
         if is_associative_flat(flat, order):
             yield FiniteSemigroup(order=order, table=np.reshape(flat, (order, order)))

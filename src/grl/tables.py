@@ -173,21 +173,26 @@ def associative_through(T, gens) -> bool:
 
 
 def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
-    """Is P bi-additive?  Checks (x+a)b = xb + ab for x in the array
-    ``gens_left`` and every a, b, and a(y+b) = ay + ab for y in the array
-    ``gens_right`` and every a, b.
+    """Is P bi-additive?  Checks the right law a(y+b) = ay + ab in full, for
+    y in the array ``gens_right`` and every a, b, and the left law
+    (x+a)b = xb + ab only on generator columns, for x in the array
+    ``gens_left``, every a and b in ``gens_right``.
 
-    The x for which the first law holds for every a, b are closed under
+    The y for which the right law holds for every a, b are closed under
     addition, so in a finite group they are the whole group once they
-    include a generating set; likewise on the right.  Generator pairs alone
-    prove nothing: on Z4 they never reach 3*b.
+    include a generating set: then every map b -> ab is additive.  So
+    (x+a)b - xb - ab is additive in b, and it vanishes once it does on
+    generators b.  The x for which the left law holds for every a, b are
+    closed under addition too.  Generator pairs alone prove nothing: on Z4
+    they never reach 3*b.
     """
     g, h = gens_left, gens_right
     rows, cols = P.shape
-    return (_first_mismatch(len(g), rows, cols, lambda i, a: (
-                P[add_left[g[i], a]], add_out[P[g[i]], P[a]])) is None
-            and _first_mismatch(rows, len(h), cols, lambda a, j: (
-                P[a[:, None], add_right[h[j]]], add_out[P[a, h[j]][:, None], P[a]])) is None)
+    Ph = P[:, h]  # the generator columns
+    return (_first_mismatch(rows, len(h), cols, lambda a, j: (
+                P[a[:, None], add_right[h[j]]], add_out[P[a, h[j]][:, None], P[a]])) is None
+            and _first_mismatch(len(g), rows, len(h), lambda i, a: (
+                Ph[add_left[g[i], a]], add_out[Ph[g[i]], Ph[a]])) is None)
 
 
 def agree_on_generators(gens_a, gens_b, gens_c, left, right) -> bool:

@@ -326,6 +326,16 @@ class TestCorpusRun:
         args = parser.parse_args(["corpus-run", "--seed", "5", "--fg-ideal-bound", "1"])
         assert (args.seed, args.fg_ideal_bound) == (5, 1)
 
+    def test_command_is_looked_up_on_the_module_at_each_call(self, files, monkeypatch):
+        # the parser is built once per process; a cmd_* wrapper set after the
+        # first call must still be the function that runs
+        code, out = run_cli("check", "q-vs-v", str(files / "L2.json"))
+        assert code == 0 and out["agree"]
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.theorem) or 7)
+        assert run_cli("check", "q-vs-v", str(files / "L2.json")) == (7, None)
+        assert seen == ["q-vs-v"]
+
     def test_manifest_file(self, tmp_path):
         manifest = {"order4_sample_count": 0, "exhaustive_semigroups_max_order": 2}
         path = tmp_path / "manifest.json"

@@ -51,6 +51,8 @@ LARGE_GRADING_SPECS = {
     "M2(Z9)/Z2": ("Z9", "Z2", ((0, 1), (1, 0))),
     "M2(Z3)/trivial": ("Z3", "trivial", ((0, 0), (0, 0))),
     "M3(Z3)/Z3": ("Z3", "Z3", ((0, 1, 2), (2, 0, 1), (1, 2, 0))),
+    # components of orders 32 and 16; entry (1, 1) of R_1 R_1 is x12 y21 + x13 y31
+    "M3(Z2)/Z2": ("Z2", "Z2", ((0, 1, 1), (1, 0, 0), (1, 0, 0))),
 }
 
 

@@ -135,6 +135,11 @@ class TestEnumeration:
     def test_associative_table_counts(self, order, count):
         assert sum(1 for _ in enumerate_semigroups(order)) == count
 
+    @pytest.mark.parametrize("order", [0, -1, -5])
+    def test_no_semigroup_below_order_one(self, order):
+        # order 0 would otherwise give one empty table, which validation refuses
+        assert list(enumerate_semigroups(order)) == []
+
     def test_enumeration_is_lexicographic(self):
         tables = [S.table.tolist() for S in enumerate_semigroups(2)]
         assert tables == sorted(tables)

@@ -20,7 +20,12 @@ from hypothesis.extra import numpy as hnp
 import reference_tables as ref
 from reference_rings import ring_from_ops
 from grl import catalog, tables
-from grl.constructions import groupoid_ring, semigroup_ring, validate_degree_map
+from grl.constructions import (
+    good_grading,
+    groupoid_ring,
+    semigroup_ring,
+    validate_degree_map,
+)
 from grl.errors import (
     BilinearityError,
     IdentityViolationError,
@@ -507,6 +512,40 @@ class TestGeneratorKernel:
             P = mutate_cells(data, P, K.order)
         expected = ref.biadditivity_violation(P, G.add, H.add, K.add) is None
         assert generator_check(P, G, H, K) == expected
+
+    @pytest.mark.parametrize("name", ["Z4", "F4", "M2(Z2)", "M3(Z2)/Z2 R0*R1"])
+    def test_single_cell_and_row_changes_match_reference(self, name):
+        # The right law is checked in full and the left law on generator
+        # columns only; the proof must accept exactly the tables the full
+        # scan accepts, one changed cell at a time.  A changed cell breaks the
+        # right law, so each row is also copied onto every other: rows stay
+        # additive, and only the reduced left law can refuse the table.  The
+        # graded product runs from R_0 (order 32) to R_1 (order 16), with
+        # sums of several terms.
+        if name.startswith("M3"):
+            deg = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+            R = good_grading(cyclic_ring(2),
+                             validate_degree_map(cyclic_group(2), deg)).graded
+            G, H, K, P = R.component(0), R.component(1), R.component(1), R.products[0, 1]
+            assert (G.order, H.order) == (32, 16)
+        else:
+            T = matrix_ring(cyclic_ring(2), 2) if name == "M2(Z2)" else catalog.named_ring(name)
+            G = H = K = T.additive
+            P = T.mul
+        assert generator_check(P, G, H, K)
+        table = P.tolist()
+        for a, b in product(range(G.order), range(H.order)):
+            for v in range(K.order):
+                if v != P[a, b]:
+                    table[a][b] = v
+                    expected = ref.biadditivity_violation(table, G.add, H.add, K.add) is None
+                    assert generator_check(table, G, H, K) == expected, (a, b, v)
+            table[a][b] = int(P[a, b])
+        for a, a2 in product(range(G.order), repeat=2):
+            table[a] = P[a2].tolist()
+            expected = ref.biadditivity_violation(table, G.add, H.add, K.add) is None
+            assert generator_check(table, G, H, K) == expected, (a, a2)
+            table[a] = P[a].tolist()
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
