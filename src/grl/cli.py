@@ -378,7 +378,17 @@ def _entry_status(report: dict) -> str:
     return "agree" if report.get("agree", False) else "disagree"
 
 
+def _timed(task) -> tuple[dict, float]:
+    """The task's report and the seconds it took."""
+    started = time.perf_counter()
+    report = task()
+    return report, time.perf_counter() - started
+
+
 def run_suite(corpus: Corpus, suite: str, opts, jobs: int = 1) -> dict:
+    """Run each check of ``suite`` on every corpus entry it takes.  Under
+    ``timings``, ``suites`` gives the seconds each suite's tasks took,
+    summed over its tasks."""
     if suite == "none":
         names: tuple[str, ...] = ()
     elif suite == "all":
@@ -390,12 +400,15 @@ def run_suite(corpus: Corpus, suite: str, opts, jobs: int = 1) -> dict:
              for (entry_id, task) in _suite_tasks(corpus, name, opts)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda t: t[2](), tasks))
+            runs = list(pool.map(lambda t: _timed(t[2]), tasks))
     else:
-        reports = [task() for (_, _, task) in tasks]
+        runs = [_timed(task) for (_, _, task) in tasks]
+    seconds = dict.fromkeys(names, 0.0)
+    for (name, _, _), (_, took) in zip(tasks, runs):
+        seconds[name] += took
     entries = [{"suite": name, "id": entry_id, "status": _entry_status(report),
                 "report": report}
-               for (name, entry_id, _), report in zip(tasks, reports)]
+               for (name, entry_id, _), (report, _) in zip(tasks, runs)]
     return {
         "tool_version": __version__,
         "suite": suite,
@@ -406,6 +419,7 @@ def run_suite(corpus: Corpus, suite: str, opts, jobs: int = 1) -> dict:
         "n_disagree": sum(1 for e in entries if e["status"] == "disagree"),
         "n_skipped": sum(1 for e in entries if e["status"] == "skipped"),
         "entries": entries,
+        "timings": {"suites": {name: round(took, 6) for name, took in seconds.items()}},
     }
 
 
@@ -526,6 +540,7 @@ def cmd_corpus_run(args) -> int:
         except OSError as err:
             return _input_error(err, args)
     summary = run_suite(corpus, args.suite, args, jobs=args.jobs)
+    timings = summary.pop("timings")  # summary.json stays the same from run to run
     if args.out:
         out = Path(args.out)
         try:
@@ -536,7 +551,8 @@ def cmd_corpus_run(args) -> int:
             _write_atomic(out / "summary.json", jsonio.dumps_canonical(summary))
         except OSError as err:
             return _input_error(err, args)
-    summary["timings"] = {"seconds": round(time.perf_counter() - started, 6), **corpus.work}
+    summary["timings"] = {"seconds": round(time.perf_counter() - started, 6), **timings,
+                          **corpus.work}
     _print_json(summary, args.pretty)
     return 2 if summary["n_disagree"] else 0
 

@@ -8,6 +8,7 @@ additive group; the total ring is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from typing import Sequence
 
@@ -33,6 +34,7 @@ from .rings import (
     FiniteRing,
     _matrix_product,
     _power_group,
+    _term_pattern,
     is_von_neumann_regular,
     unity,
 )
@@ -174,10 +176,13 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
     # and validate_grading checks each distinct component and table once
     powers = {k: _power_group(A.additive, k) for k in {len(cs) for cs in cells}}
     components = tuple(powers[len(cs)] for cs in cells)
+    # one table per term pattern: pairs with equal patterns share one array,
+    # which validate_grading then stores and proves once
+    build = cache(partial(_matrix_product, A))
     target = base.relations.targets
-    products = {(s, t): _matrix_product(A, cells[s], cells[t], cells[target[s][t]])
-                for s, t in product(base.elements(), repeat=2)
-                if any(j == k for (_, j) in cells[s] for (k, _) in cells[t])}
+    patterns = {(s, t): _term_pattern(cells[s], cells[t], cells[target[s][t]])
+                for s, t in product(base.elements(), repeat=2)}
+    products = {st: build(pattern) for st, pattern in patterns.items() if any(pattern[2])}
     graded = validate_grading(base, components, products)
     return GoodGrading(graded=graded, degree_map=dm, coefficients=A,
                        cells=tuple(tuple(cs) for cs in cells))

@@ -631,6 +631,8 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
     of column r is spanned once, and each distinct (ts, subgroup) is decided
     once, ideal guard included, its generator reused for every later r.  A
     subgroup that fails ends the scan, so the first failing r is reported.
+    The images of all columns are found in one gather per pair, row r of
+    ``hit`` marking the image of column r.
     """
     near = is_nearly_epsilon_strong(R)
     bvnr = base_components_vnr(R)
@@ -648,11 +650,14 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
         ts = R.target(t, s)
         group_ts, ring_ts = R.component(ts), R.component_ring(ts)
         table_ts = R.table(t, s)
+        hit = np.zeros((table_ts.shape[1], group_ts.order), dtype=bool)
+        hit[np.arange(len(hit))[:, None], table_ts.T] = True
+        images = np.packbits(hit, axis=1)
         for r in R.component(s).elements():
-            image = _image(table_ts[:, r], group_ts.order)  # spans R_t r
-            I = spans.get((ts, image.tobytes()))
+            key = ts, images[r].tobytes()  # the image of column r, which spans R_t r
+            I = spans.get(key)
             if I is None:
-                I = spans[ts, image.tobytes()] = additive_closure(group_ts, image.tolist())
+                I = spans[key] = additive_closure(group_ts, np.flatnonzero(hit[r]).tolist())
             u = generators.get((ts, I.members))
             if u is None:
                 try:

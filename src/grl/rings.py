@@ -245,27 +245,38 @@ def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
         neg=_tuple_table(((n,) * k,), [(n, G.neg, (i,)) for i in range(k)]))
 
 
-def _matrix_product(A: FiniteRing, left: _Cells, right: _Cells, out: _Cells) -> np.ndarray:
-    """Product table of the matrices over A supported on the (i, j) cells
-    ``left`` times those on ``right``, read on the cells ``out``, each list in
-    row-major order.  A matrix is the tuple of its entries in cell order,
-    indexed lexicographically.
+_Pattern = tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]
 
-    Entry (i, l) is the sum of x_ij y_jl over the j with (i, j) in ``left``
-    and (j, l) in ``right``: with k terms, a table of q^(2k) cells over
-    those entries of x and y, built by broadcasting one term at a time."""
-    q, add, mul = A.order, A.additive.add, A.mul
+
+def _term_pattern(left: _Cells, right: _Cells, out: _Cells) -> _Pattern:
+    """What the product of matrices supported on the (i, j) cells ``left``
+    and ``right``, read on the cells ``out``, depends on: the two list
+    lengths and, for each output cell (i, l), the (left, right) positions
+    of its terms x_ij y_jl.  Each list is in row-major order."""
     place = {cell: p for p, cell in enumerate(right)}
+    return len(left), len(right), tuple(
+        tuple((p, place[j, l]) for p, (row, j) in enumerate(left)
+              if row == i and (j, l) in place)
+        for i, l in out)
+
+
+def _matrix_product(A: FiniteRing, pattern: _Pattern) -> np.ndarray:
+    """Product table over A of a ``_term_pattern``.  A matrix is the tuple
+    of its entries in cell order, indexed lexicographically.
+
+    Output entry e is the sum of its terms x_p y_r: with k terms, a table
+    of q^(2k) cells over those entries of x and y, built by broadcasting
+    one term at a time."""
+    q, add, mul = A.order, A.additive.add, A.mul
+    n_left, n_right, terms = pattern
     entries = []
-    for i, l in out:
-        terms = [(p, len(left) + place[j, l]) for p, (row, j) in enumerate(left)
-                 if row == i and (j, l) in place]
-        k = len(terms)
+    for pairs in terms:
+        k = len(pairs)
         small = np.zeros((), dtype=np.intp)
         for t in range(k):  # mul on axes t (x) and k + t (y) of 2k
             small = add[small, mul.reshape([q if a in (t, k + t) else 1 for a in range(2 * k)])]
-        entries.append((q, small, [p for p, _ in terms] + [r for _, r in terms]))
-    return _tuple_table(((q,) * len(left), (q,) * len(right)), entries)
+        entries.append((q, small, [p for p, _ in pairs] + [n_left + r for _, r in pairs]))
+    return _tuple_table(((q,) * n_left, (q,) * n_right), entries)
 
 
 def _integers(m: int, c: int) -> FiniteRing:
@@ -327,7 +338,7 @@ def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:
         k = 0  # the zero matrix is the only element
     G = _power_group(T.additive, k * k)  # checks the order first
     cells = [(i, j) for i in range(k) for j in range(k)]
-    return validate_ring(G.add, G.neg, _matrix_product(T, cells, cells, cells))
+    return validate_ring(G.add, G.neg, _matrix_product(T, _term_pattern(cells, cells, cells)))
 
 
 def opposite_ring(T: FiniteRing) -> FiniteRing:
@@ -440,6 +451,11 @@ class Subgroup:
     members: frozenset[int]
 
     def elements(self) -> tuple[int, ...]:
+        return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[int, ...]:
+        """The members in ascending order, sorted once per subgroup."""
         return tuple(sorted(self.members))
 
     def __contains__(self, x: int) -> bool:

@@ -6,11 +6,14 @@ read-only intp array in which grl stores every table, and
 ``ComparedByTables`` compares the structures that store them by value.
 Tables over additive groups are first accepted on generators: ``biadditive``,
 ``agree_on_generators`` and ``associative_through`` are complete proofs that
-answer yes or no.  Only when they answer no do the validators run the
-``first_*`` scans, which return the lexicographically first violating tuple,
-so error contexts do not depend on table size or on the generators.
-Comparisons run in slabs of at most ``CELL_BUDGET`` cells and never build
-the whole cube of triples, so memory stays flat as tables grow.
+answer yes or no.  ``biadditive`` and ``associative_through`` compare whole
+generator planes, both sides of a law for one generator and every pair of
+elements, each side one gather.  Only when a proof answers no do the
+validators run the ``first_*`` scans, which return the lexicographically
+first violating tuple, so error contexts do not depend on table size or on
+the generators; they alone compare (i, j)-pair slabs.  Planes and slabs run
+in at most ``CELL_BUDGET`` cells and never build the whole cube of triples,
+so memory stays flat as tables grow.
 ``is_associative_flat`` is the one plain loop: it tests a single tiny
 candidate table, as exhaustive enumeration produces them.
 ``associative_mask`` filters batches of tables of order at most 4 by
@@ -27,7 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-CELL_BUDGET = 8192  # cells per compared slab; 64 KiB per int64 array
+# cells per run: whole generator planes, as many as fit, or row blocks of a
+# larger plane in the proofs, and (i, j)-pair slabs in the first_* scans;
+# 64 KiB per int64 array
+CELL_BUDGET = 8192
 
 
 def frozen(table) -> np.ndarray:
@@ -159,6 +165,25 @@ def first_biadditivity_violation(P, add_left, add_right, add_out) -> tuple:
     return left, right
 
 
+def _holds_on_planes(planes: int, rows: int, width: int, sides) -> bool:
+    """Do two sides agree on every cell of ``planes`` planes of ``rows`` x
+    ``width`` cells?  ``sides(p, r)`` maps a slice of planes and a slice of
+    rows to two equal-shape arrays holding both sides on those cells.  Each
+    run holds at most ``CELL_BUDGET`` cells: whole planes, as many as fit,
+    or row blocks of one plane that does not fit."""
+    cells = rows * width
+    if cells <= CELL_BUDGET:
+        per_run, per_block = max(1, CELL_BUDGET // max(1, cells)), rows
+    else:
+        per_run, per_block = 1, max(1, CELL_BUDGET // width)
+    for p in range(0, planes, per_run):
+        for r in range(0, rows, per_block):
+            lhs, rhs = sides(slice(p, p + per_run), slice(r, r + per_block))
+            if (lhs != rhs).any():
+                return False
+    return True
+
+
 def associative_through(T, gens) -> bool:
     """Does (xg)y = x(gy) hold for g in the array ``gens`` and every x, y?
 
@@ -166,10 +191,12 @@ def associative_through(T, gens) -> bool:
     closed under the product, since (x(gh))y = ((xg)h)y = (xg)(hy) =
     x(g(hy)) = x((gh)y).  So once every element is a product of the given
     g, passing proves T associative in n^2 steps per g instead of n^3.
+    The plane of g holds both sides for every x, y: (xg)y gathers the rows
+    xg of T, and x(gy) the columns gy.
     """
     n = len(T)
-    return _first_mismatch(len(gens), n, n, lambda i, x: (
-        T[T[x, gens[i]]], T[x[:, None], T[gens[i]]])) is None
+    return _holds_on_planes(len(gens), n, n, lambda p, r: (
+        T.take(T[r, gens[p]], axis=0), T[r].take(T[gens[p]], axis=1)))
 
 
 def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
@@ -185,14 +212,20 @@ def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
     generators b.  The x for which the left law holds for every a, b are
     closed under addition too.  Generator pairs alone prove nothing: on Z4
     they never reach 3*b.
+
+    Each law runs on whole generator planes, every a and b at once for a
+    generator: a(y+b) and (x+a)b gather columns and rows of P, and the sums
+    are one ``take`` on the flattened ``add_out``.
     """
     g, h = gens_left, gens_right
-    rows, cols = P.shape
+    w = add_out.shape[1]
     Ph = P[:, h]  # the generator columns
-    return (_first_mismatch(rows, len(h), cols, lambda a, j: (
-                P[a[:, None], add_right[h[j]]], add_out[P[a, h[j]][:, None], P[a]])) is None
-            and _first_mismatch(len(g), rows, len(h), lambda i, a: (
-                Ph[add_left[g[i], a]], add_out[Ph[g[i]], Ph[a]])) is None)
+    return (_holds_on_planes(len(h), *P.shape, lambda p, r: (
+                P[r].take(add_right[h[p]], axis=1),                     # a(y+b)
+                add_out.take(P[r, h[p], None] * w + P[r, None, :])))    # ay + ab
+            and _holds_on_planes(len(g), len(P), len(h), lambda p, r: (
+                Ph.take(add_left[g[p], r].T, axis=0),                   # (x+a)b
+                add_out.take(Ph[None, g[p]] * w + Ph[r, None]))))       # xb + ab
 
 
 def agree_on_generators(gens_a, gens_b, gens_c, left, right) -> bool:

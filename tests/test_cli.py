@@ -286,6 +286,27 @@ class TestCorpusRun:
         written = json.loads((out / "summary.json").read_text())
         assert written["n_entries"] == summary["n_entries"]
 
+    @pytest.mark.parametrize("suite, jobs", [("none", "1"), ("vnr-char", "1"),
+                                             ("all", "1"), ("switch", "4")])
+    def test_timings_give_the_seconds_of_each_suite_that_ran(self, tmp_path, monkeypatch,
+                                                             suite, jobs):
+        if jobs == "1":  # a clock that ticks one second a reading: a task takes 1 s
+            monkeypatch.setattr(cli.time, "perf_counter", iter(range(10**6)).__next__)
+        out = tmp_path / "reports"
+        code, summary = run_cli("corpus-run", "--suite", suite, "--jobs", jobs,
+                                "--out", str(out))
+        assert code == 0
+        timings = summary.pop("timings")
+        ran = {"none": set(), "all": set(cli.THEOREMS)}.get(suite, {suite})
+        assert set(timings["suites"]) == ran
+        if jobs == "1":
+            tasks = {name: sum(e["suite"] == name for e in summary["entries"]) for name in ran}
+            assert timings["suites"] == tasks
+        else:
+            assert all(seconds >= 0 for seconds in timings["suites"].values())
+        # summary.json has no timings, so it is the same from run to run
+        assert json.loads((out / "summary.json").read_text()) == summary
+
     def test_jobs_do_not_change_the_summary(self):
         _, serial = run_cli("corpus-run", "--suite", "switch")
         _, parallel = run_cli("corpus-run", "--suite", "switch", "--jobs", "4")

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from grl import catalog, constructions, rings
 from grl.constructions import (
     bn_index,
     check_good_grading_prop,
@@ -36,6 +37,7 @@ from grl.semigroups import (
     left_zero_semigroup,
     validate_semigroup,
 )
+import reference_gradings
 from reference_semigroups import mul
 
 Z2 = cyclic_ring(2)
@@ -208,6 +210,72 @@ class TestGoodGrading:
         with pytest.raises(ValueError, match=r"order 6\^4 is above MAX_RING_ORDER = 1024"):
             good_grading(Z6, dm)
         assert good_grading(Z4, dm).graded.component(0).order == 256
+
+
+# (ring, base, degree map): the named good gradings, the workload gradings,
+# trivial gradings with one 256- and one 512-element component, and a Z3
+# grading of M2 whose pairs (0, 1) and (2, 0) have one term at the same
+# positions but operands of lengths (2, 1) and (1, 2)
+SHARED_TABLE_SPECS = {
+    **catalog.GOOD_GRADING_SPECS,
+    "M2(Z9)/Z2": ("Z9", "Z2", ((0, 1), (1, 0))),
+    "M2(Z3)/trivial": ("Z3", "trivial", ((0, 0), (0, 0))),
+    "M3(Z3)/Z3": ("Z3", "Z3", ((0, 1, 2), (2, 0, 1), (1, 2, 0))),
+    "M3(Z2)/Z2": ("Z2", "Z2", ((0, 1, 1), (1, 0, 0), (1, 0, 0))),
+    "M2(Z4)/trivial": ("Z4", "trivial", ((0, 0), (0, 0))),
+    "M3(Z2)/trivial": ("Z2", "trivial", ((0, 0, 0),) * 3),
+    "M2(Z2)/Z3": ("Z2", "Z3", ((0, 1), (2, 0))),
+}
+
+
+def counted_good_grading(monkeypatch, name):
+    """The good grading of a ``SHARED_TABLE_SPECS`` entry and the term
+    patterns it built a table for, in build order."""
+    ring_name, base_name, deg = SHARED_TABLE_SPECS[name]
+    built = []
+    build = constructions._matrix_product
+    monkeypatch.setattr(constructions, "_matrix_product",
+                        lambda A, pattern: built.append(pattern) or build(A, pattern))
+    dm = validate_degree_map(catalog.named_semigroup(base_name), deg)
+    return good_grading(catalog.named_ring(ring_name), dm), built
+
+
+class TestSharedProductTables:
+    """good_grading builds one table per term pattern within a call."""
+
+    @pytest.mark.parametrize("name, tables, pairs", [("M3(Z3)/Z3", 3, 9),
+                                                     ("M2(Z9)/Z2", 2, 4)])
+    def test_one_build_per_term_pattern(self, monkeypatch, name, tables, pairs):
+        gg, built = counted_good_grading(monkeypatch, name)
+        assert len(built) == len(set(built)) == tables
+        assert len(gg.graded.products) == pairs
+        assert len({id(P) for P in gg.graded.products.values()}) == tables
+
+    @pytest.mark.parametrize("name", sorted(SHARED_TABLE_SPECS))
+    def test_each_table_is_the_table_of_its_own_cells(self, monkeypatch, name):
+        gg, built = counted_good_grading(monkeypatch, name)
+        target, cells = gg.degree_map.base.relations.targets, gg.cells
+        arrays = {}
+        for (s, t), P in gg.graded.products.items():
+            pattern = rings._term_pattern(cells[s], cells[t], cells[target[s][t]])
+            own = rings._matrix_product(gg.coefficients, pattern)
+            assert (P.shape, P.tobytes()) == (own.shape, own.tobytes()), (s, t)
+            # pairs share one array exactly when their patterns are equal
+            assert arrays.setdefault(pattern, P) is P
+        assert len(built) == len(arrays)
+
+    def test_equal_term_positions_with_other_lengths_get_their_own_table(
+            self, monkeypatch):
+        gg, built = counted_good_grading(monkeypatch, "M2(Z2)/Z3")
+        left, right = (rings._term_pattern(*(gg.cells[x] for x in key))
+                       for key in ((0, 1, 1), (2, 0, 2)))
+        assert left[2] == right[2] == (((0, 0),),) and left[:2] == (2, 1) != right[:2]
+        assert left in built and right in built
+        P, Q = gg.graded.products[0, 1], gg.graded.products[2, 0]
+        assert (P.shape, Q.shape) == ((4, 2), (2, 4))
+        reference = reference_gradings.good_grading(gg.coefficients, gg.degree_map).graded
+        assert (reference_gradings.product_lists(gg.graded)
+                == reference_gradings.product_lists(reference))
 
 
 class TestGroupoidRing:

@@ -73,6 +73,11 @@ NONCOMMUTATIVE = {
 GROUPOIDS = [catalog.named_groupoid(name) for name in
              ("group_Z3", "group_Z5", "pair2+group_Z4", "group_Z4+pair3")]
 BUDGETS = (1, 5, 64, tables.CELL_BUDGET)
+# Runs of the generator proofs: 16 and 100 split planes of 256 or 512 cells
+# into row blocks, with a shorter last block at 100; 600 puts two 256-cell
+# planes or four 128-cell planes in a run, with a shorter last run; the
+# default holds every plane of these tables in one run.
+RUN_BUDGETS = (16, 100, 600, tables.CELL_BUDGET)
 
 
 @contextlib.contextmanager
@@ -521,7 +526,10 @@ class TestGeneratorKernel:
         # right law, so each row is also copied onto every other: rows stay
         # additive, and only the reduced left law can refuse the table.  The
         # graded product runs from R_0 (order 32) to R_1 (order 16), with
-        # sums of several terms.
+        # sums of several terms.  A ring's products are also put through
+        # Light's test with every element as g, which then decides
+        # associativity in full.  Each table is proved under every budget of
+        # RUN_BUDGETS, so that the mutants fall in first, middle and last runs.
         if name.startswith("M3"):
             deg = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
             R = good_grading(cyclic_ring(2),
@@ -532,19 +540,31 @@ class TestGeneratorKernel:
             T = matrix_ring(cyclic_ring(2), 2) if name == "M2(Z2)" else catalog.named_ring(name)
             G = H = K = T.additive
             P = T.mul
+        every = np.arange(G.order) if G is H is K else None
+
+        def agrees(table):
+            additive = ref.biadditivity_violation(table, G.add, H.add, K.add) is None
+            associative = every is None or ref.assoc_violation(table) is None
+            for budget in RUN_BUDGETS:
+                with cell_budget(budget):
+                    if generator_check(table, G, H, K) != additive or (
+                            every is not None and tables.associative_through(
+                                np.array(table), every) != associative):
+                        return False
+            return True
+
         assert generator_check(P, G, H, K)
         table = P.tolist()
+        assert agrees(table)
         for a, b in product(range(G.order), range(H.order)):
             for v in range(K.order):
                 if v != P[a, b]:
                     table[a][b] = v
-                    expected = ref.biadditivity_violation(table, G.add, H.add, K.add) is None
-                    assert generator_check(table, G, H, K) == expected, (a, b, v)
+                    assert agrees(table), (a, b, v)
             table[a][b] = int(P[a, b])
         for a, a2 in product(range(G.order), repeat=2):
             table[a] = P[a2].tolist()
-            expected = ref.biadditivity_violation(table, G.add, H.add, K.add) is None
-            assert generator_check(table, G, H, K) == expected, (a, a2)
+            assert agrees(table), (a, a2)
             table[a] = P[a].tolist()
 
     @settings(max_examples=300, derandomize=True, deadline=None)
