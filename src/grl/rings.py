@@ -28,6 +28,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .tables import (
+    CELL_BUDGET,
     ComparedByTables,
     agree_on_generators,
     associative_through,
@@ -67,9 +68,10 @@ class FiniteRing(ComparedByTables):
     ``mul`` is a read-only intp array, like the group's tables; ``==`` and
     ``hash`` compare the tables' bytes.  Searches that run many times over
     one ring keep what they derive from the tables on the instance: the
-    idempotents, fixer bitmasks and principal left ideals.  These caches are
-    not dataclass fields, so they take no part in ``==``, ``hash``, ``repr``
-    or pickling, and every new instance starts empty.
+    idempotents, fixer bitmasks, the packed seed set of each principal left
+    ideal, and the principal left ideals by generator and by seed set.
+    These caches are not dataclass fields, so they take no part in ``==``,
+    ``hash``, ``repr`` or pickling, and every new instance starts empty.
     """
 
     additive: FiniteAdditiveGroup
@@ -98,8 +100,29 @@ class FiniteRing(ComparedByTables):
         return frozenset(np.flatnonzero(squares == np.arange(self.order)).tolist())
 
     @cached_property
+    def _seed_keys(self) -> np.ndarray:
+        """Row c packs the bits of c's seed set {0, c} ∪ Tc, whose additive
+        closure is c's principal left ideal, so generators with equal rows
+        share an ideal.  One scatter of ``mul`` in row blocks of at most
+        ``CELL_BUDGET`` cells; the n x n bools are packed to n x n/8 bytes."""
+        n = self.order
+        rows = np.arange(n) * n
+        seeds = np.zeros(n * n, dtype=bool)  # cell c*n + x: x is in c's seed set
+        step = max(1, CELL_BUDGET // n)
+        for t in range(0, n, step):
+            seeds[(self.mul[t:t + step] + rows).ravel()] = True  # t*c for each c
+        seeds[rows] = seeds[rows + np.arange(n)] = True  # 0 and c
+        return np.packbits(seeds.reshape(n, n), axis=1)
+
+    @cached_property
     def _principal(self) -> dict[int, frozenset[int]]:
         """Principal left ideals by generator, filled in as they are asked for."""
+        return {}
+
+    @cached_property
+    def _closures(self) -> dict[bytes, frozenset[int]]:
+        """Principal left ideals by the bytes of a ``_seed_keys`` row, each
+        closed once, filled in as they are asked for."""
         return {}
 
 
@@ -396,16 +419,6 @@ def is_s_unital(T: FiniteRing) -> bool:
     return s_unitality(T).holds
 
 
-def left_unity(T: FiniteRing) -> Optional[int]:
-    """First u with u*r = r for every r, or None."""
-    return _first((T.mul == np.arange(T.order)).all(axis=1))
-
-
-def right_unity(T: FiniteRing) -> Optional[int]:
-    """First u with r*u = r for every r, or None."""
-    return _first((T.mul.T == np.arange(T.order)).all(axis=1))
-
-
 def unity(T: FiniteRing) -> Optional[int]:
     """Two-sided unity, or None.  Note the one-element zero ring is unital (u = 0)."""
     return subring_unity(T.mul, range(T.order))
@@ -495,11 +508,16 @@ def additive_closure(group: FiniteAdditiveGroup, seeds: Iterable[int]) -> Subgro
 
 
 def _principal_left_ideal(T: FiniteRing, c: int) -> frozenset[int]:
-    """Members of the left ideal generated by c, computed once per ring."""
+    """Members of the left ideal generated by c, closed once per distinct
+    seed set {0, c} ∪ Tc of the ring."""
     members = T._principal.get(c)
     if members is None:
-        seeds = {c, *T.mul[:, c].tolist()}
-        members = T._principal[c] = additive_closure(T.additive, seeds).members
+        key = T._seed_keys[c].tobytes()
+        members = T._closures.get(key)
+        if members is None:
+            seeds = {c, *T.mul[:, c].tolist()}
+            members = T._closures[key] = additive_closure(T.additive, seeds).members
+        T._principal[c] = members
     return members
 
 
@@ -516,10 +534,6 @@ def left_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
         _grow(T.additive.add, members, chain.from_iterable(rest))
         first = frozenset(members)
     return Subgroup(ambient_order=T.order, members=first)
-
-
-def right_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
-    return left_ideal(opposite_ring(T), generators)
 
 
 def is_left_ideal(T: FiniteRing, sub: Subgroup) -> bool:

@@ -2,7 +2,7 @@
 grl.rings against.
 
 These are the element-by-element scans that grl.rings replaces: the ring
-queries (``s_unitality``, the unities, ``is_von_neumann_regular``,
+queries (``s_unitality``, ``unity``, ``is_von_neumann_regular``,
 ``ring_idempotents``), which grl answers from the ring's tables as numpy
 arrays; ``common_unit``, ``left_ideal``, ``idempotent_generator``,
 ``is_left_ideal``, ``check_tominaga`` and ``check_vnr_characterization``,
@@ -162,16 +162,6 @@ def s_unitality(T) -> SUnitalityWitness:
 
 def is_s_unital(T) -> bool:
     return s_unitality(T).holds
-
-
-def left_unity(T):
-    return next((u for u in T.elements()
-                 if all(times(T, u, r) == r for r in T.elements())), None)
-
-
-def right_unity(T):
-    return next((u for u in T.elements()
-                 if all(times(T, r, u) == r for r in T.elements())), None)
 
 
 def unity(T):

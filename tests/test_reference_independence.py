@@ -13,8 +13,7 @@ import pytest
 
 TESTS = Path(__file__).parent
 RING_PREDICATES = {"s_unitality", "is_s_unital", "is_von_neumann_regular", "unity",
-                   "left_unity", "right_unity", "ring_idempotents", "idempotent_generator",
-                   "is_left_ideal"}
+                   "ring_idempotents", "idempotent_generator", "is_left_ideal"}
 
 
 def grl_names(source: str) -> set[str]:
@@ -63,7 +62,7 @@ def test_reference_gradings_takes_the_ring_queries_from_reference_rings():
     "from grl import rings as r\nr.idempotent_generator(T, I)",
     "import grl\ngrl.rings.ring_idempotents(T)",
     "import grl.rings\ngrl.rings.is_von_neumann_regular(T)",
-    "import grl.rings as r\nr.left_unity(T)",
+    "import grl.rings as r\nr.is_s_unital(T)",
 ])
 def test_the_guard_sees_each_import_form(source):
     assert grl_names(source) & RING_PREDICATES

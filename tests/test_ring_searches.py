@@ -1,16 +1,20 @@
 """Ring queries and searches against the plain-loop reference in
 reference_rings.py.
 
-The queries (s-unitality, the unities, regularity, idempotents) read the
+The queries (s-unitality, the unity, regularity, idempotents) read the
 ring's tables as arrays.  ``check_tominaga`` and ``common_unit`` work on
 fixer bitmasks, and the ideal searches on principal left ideals cached per
-ring; ``check_tominaga`` grows the ANDs of the distinct masks.
+ring, each closed once per distinct seed set {0, c} ∪ Tc; ``check_tominaga``
+grows the ANDs of the distinct masks.
 ``check_vnr_characterization`` decides each distinct principal ideal once
 in its principal scan, and each distinct sum of principal ideals once in
 its finitely generated scan.  The reports, witnesses, first units and first
 failing subsets must be exactly those of the element-by-element scans.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,8 +62,8 @@ POOL_NAMES = sorted(POOL)
 
 # The ring queries read the tables as arrays; every verdict and witness
 # must be that of the plain loops, as plain ints.
-QUERIES = ("s_unitality", "is_s_unital", "left_unity", "right_unity", "unity",
-           "is_von_neumann_regular", "ring_idempotents")
+QUERIES = ("s_unitality", "is_s_unital", "unity", "is_von_neumann_regular",
+           "ring_idempotents")
 QUERY_RINGS = {f"corpus:{name}": catalog.named_ring(name) for name in default_manifest().rings}
 QUERY_RINGS.update({f"{name}^op": opposite_ring(T) for name, T in list(QUERY_RINGS.items())})
 QUERY_RINGS.update({
@@ -77,8 +81,7 @@ def assert_queries_match_reference(T):
         assert getattr(rings, name)(T) == getattr(ref, name)(T), name
     su, reg = rings.s_unitality(T), rings.is_von_neumann_regular(T)
     witnesses = (*su.left_units, *su.right_units, *reg.quasi_inverses, reg.failing,
-                 rings.unity(T), rings.left_unity(T), rings.right_unity(T),
-                 *rings.ring_idempotents(T))
+                 rings.unity(T), *rings.ring_idempotents(T))
     assert all(w is None or type(w) is int for w in witnesses)
     assert type(reg.holds) is bool and type(rings.is_s_unital(T)) is bool
 
@@ -253,6 +256,19 @@ class TestDistinctIdealScans:
         assert len(ideals) == len(set(ideals)) == 10
         assert [I for _, I in guards] == ideals
 
+    @pytest.mark.parametrize("build, closures", [
+        (lambda: matrix_ring(cyclic_ring(2), 3), 16),
+        (lambda: product_ring(M2, cyclic_ring(3)), 10),
+    ], ids=["M3(Z2)", "M2(Z2)xZ3"])
+    def test_each_seed_set_is_closed_once(self, monkeypatch, build, closures):
+        # in a unital ring the seed set {0, c} ∪ Tc is c's ideal, so the 512
+        # and 48 generators close only their distinct principal ideals
+        T = build()
+        calls = count_calls(monkeypatch, "additive_closure")
+        assert check_vnr_characterization(T)["agree"]
+        assert len(T._principal) == T.order
+        assert len(calls) == len(T._closures) == len(set(T._principal.values())) == closures
+
     def test_early_exit_closes_three_principal_ideals(self):
         T = product_ring(M2, cyclic_ring(4))
         report = check_vnr_characterization(T)
@@ -302,6 +318,31 @@ PAIR_IS_NOT_AN_IDEAL = FiniteRing(
     mul=((0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 3), (0, 0, 2, 2, 0, 0, 2, 2),
          (0, 1, 2, 3, 0, 1, 2, 3), (0, 0, 0, 0, 4, 4, 4, 4), (0, 1, 0, 1, 4, 5, 4, 5),
          (0, 0, 2, 2, 4, 4, 6, 6), (0, 1, 2, 3, 4, 5, 7, 7)))
+
+
+# Tables over Z4 on which a seed set {0, c} ∪ Tc is not closed under +.  In
+# the zero ring the seed set of 1 is {0, 1} and its ideal is all of Z4.  The
+# second is not a ring: 1 and 3 share the seed set {0, 1, 3}, so the four
+# generators close three seed sets.
+UNCLOSED_SEEDS = {
+    "zero4": (lambda: zero_multiplication_ring(4), 4),
+    "shared": (lambda: FiniteRing(additive=cyclic_ring(4).additive,
+                                  mul=((0, 0, 0, 1), (0, 3, 2, 0), (0, 0, 0, 1), (0, 3, 2, 0))),
+               3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCLOSED_SEEDS))
+def test_unclosed_seed_sets_match_reference(monkeypatch, name):
+    build, closures = UNCLOSED_SEEDS[name]
+    T = build()
+    calls = count_calls(monkeypatch, "additive_closure")
+    for c in T.elements():
+        I = left_ideal(T, [c])
+        assert I == ref.left_ideal(T, [c]), c
+        assert outcome(idempotent_generator, T, I) == outcome(ref.idempotent_generator, T, I)
+    assert left_ideal(T, [1]).elements() == (0, 1, 2, 3)
+    assert len(calls) == len(np.unique(T._seed_keys, axis=0)) == closures
 
 
 @pytest.mark.parametrize("bound", [2, 3])
@@ -365,6 +406,22 @@ class TestCacheScope:
             assert left_ideal(op, [c]) == ref.left_ideal(op, [c])
         assert check_tominaga(op) == ref.check_tominaga(op)
         assert left_ideal(T, [1]) != left_ideal(op, [1])
+
+    def test_seed_sets_belong_to_one_ring(self):
+        caches = {"_seed_keys", "_closures", "_principal"}
+        T = matrix_ring(cyclic_ring(2), 2)
+        assert not caches & set(vars(T))
+        for c in T.elements():
+            left_ideal(T, [c])
+        assert caches <= set(vars(T))
+        copy = pickle.loads(pickle.dumps(T))
+        assert copy == T and not caches & set(vars(copy))
+        op = opposite_ring(T)
+        assert not caches & set(vars(op))
+        for c in op.elements():
+            assert left_ideal(op, [c]) == ref.left_ideal(op, [c])
+        assert not np.array_equal(op._seed_keys, T._seed_keys)
+        assert op._closures != T._closures
 
     def test_equal_rings_stay_equal_once_cached(self):
         a = FiniteRing(additive=FiniteAdditiveGroup(order=2, add=((0, 1), (1, 0)),
