@@ -18,7 +18,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from . import __version__, catalog, jsonio
+from . import __version__, jsonio
 from .constructions import (
     GoodGrading,
     bn_index,
@@ -358,7 +358,6 @@ def run_theorem_check(theorem: str, loaded, opts) -> dict:
 def _suite_tasks(corpus: Corpus, suite: str, opts):
     """(entry id, zero-argument task) for each corpus entry that a row of the
     check takes, where the row's base kind keeps it."""
-    coefficients = cache(catalog.named_ring)  # each ring once per call
     entries = {"semigroup": corpus.semigroups, "ring": corpus.rings,
                "groupoid": corpus.groupoids}
     for check in CHECKS[suite]:
@@ -366,10 +365,7 @@ def _suite_tasks(corpus: Corpus, suite: str, opts):
             subject = _subject(check.takes, e.kind, e.structure, e.meta)
             if subject is None or check.base and subject.base_kind != check.base:
                 continue
-            meta = e.meta
-            if check.takes == "semigroup_ring":  # the ring itself, as in a spec's meta
-                meta = {**meta, "A": coefficients(meta["A"])}
-            yield e.id, partial(check.run, subject, meta, opts)
+            yield e.id, partial(check.run, subject, e.meta, opts)
 
 
 def _entry_status(report: dict) -> str:

@@ -213,28 +213,27 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
             graded.append(CorpusEntry(
                 id=f"gr:sr:{a_name}:{s_name}", kind="graded_ring",
                 structure=semigroup_ring(A, S),
-                meta={"construction": "semigroup_ring", "A": a_name, "S": s_name}))
+                meta={"construction": "semigroup_ring", "A": A, "S": S}))
     for a_name, n in m.matrix_gradings:
         A = named_ring(a_name)
         graded.append(CorpusEntry(
             id=f"gr:bn:{a_name}:{n}", kind="graded_ring",
             structure=matrix_bn_grading(A, n),
-            meta={"construction": "matrix_bn", "A": a_name, "n": n}))
+            meta={"construction": "matrix_bn", "A": A, "n": n}))
     for name in m.good_gradings:
         a_name, base_name, deg = catalog.GOOD_GRADING_SPECS[name]
-        gg = good_grading(named_ring(a_name),
-                          validate_degree_map(named_semigroup(base_name), deg))
+        A = named_ring(a_name)
+        gg = good_grading(A, validate_degree_map(named_semigroup(base_name), deg))
         graded.append(CorpusEntry(
             id=f"gr:good:{name}", kind="graded_ring", structure=gg,
-            meta={"construction": "good_grading", "name": name,
-                  "A": a_name}))
+            meta={"construction": "good_grading", "name": name, "A": A}))
     for a_name, g_name in m.groupoid_ring_pairs:
         A = named_ring(a_name)
         G = named_groupoid(g_name)
         graded.append(CorpusEntry(
             id=f"gr:gpd:{a_name}:{g_name}", kind="graded_ring",
             structure=groupoid_ring(A, G),
-            meta={"construction": "groupoid_ring", "A": a_name, "G": g_name}))
+            meta={"construction": "groupoid_ring", "A": A, "G": G}))
     counts["graded_rings"] = len(graded)
 
     return Corpus(manifest=m, semigroups=semigroups, rings=rings,

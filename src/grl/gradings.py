@@ -15,7 +15,7 @@ so verdicts and witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -55,6 +55,25 @@ from .tables import (
 BaseLike = Union[FiniteSemigroup, FiniteGroupoid]
 
 
+def _once_per_ring(fn):
+    """Compute ``fn(R, *args)`` once per graded ring and arguments, and keep
+    the result in the dict ``R._memo``, keyed by ``fn``'s name and the
+    arguments.  The memo is no dataclass field, so ``==``, ``hash``,
+    ``repr`` and pickling ignore it.  The body is looked up as
+    ``__wrapped__`` on each miss, so a test can substitute it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def once(R, *args):
+        memo = R.__dict__.setdefault("_memo", {})
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = once.__wrapped__(R, *args)
+        return memo[key]
+
+    return once
+
+
 @dataclass(frozen=True, eq=False)
 class GradedRing(ComparedByTables):
     """Every product table is a read-only intp array, whatever the
@@ -63,9 +82,8 @@ class GradedRing(ComparedByTables):
     the base, the components and the product tables' bytes.
 
     ``span`` serves the product spans, ``component_ring`` the component
-    rings and ``_verdicts`` the grading-class verdicts, each built once per
-    instance.  No cache is a dataclass field, so ``==``, ``hash``, ``repr``
-    and pickling ignore them."""
+    rings and the grading-class predicates their verdicts, each built once
+    per instance and kept in ``_memo`` by ``_once_per_ring``."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
@@ -105,22 +123,11 @@ class GradedRing(ComparedByTables):
         return stored if stored is not None else np.zeros(
             (self.components[s].order, self.components[t].order), dtype=np.intp)
 
+    @_once_per_ring
     def span(self, s: int, t: int) -> Subgroup:
         """Additive span of the products R_s R_t inside R_{st}."""
-        if (s, t) not in self._spans:
-            P = self.table(s, t)  # raises ValueError off G^(2)
-            self._spans[s, t] = _span(self.components[self.target(s, t)], P)
-        return self._spans[s, t]
-
-    @cached_property
-    def _spans(self) -> dict[tuple[int, int], Subgroup]:
-        """Product spans by grader pair, filled in as they are asked for."""
-        return {}
-
-    @cached_property
-    def _verdicts(self) -> dict[str, Verdict]:
-        """Grading-class verdicts by predicate name, filled in by ``_once_per_ring``."""
-        return {}
+        P = self.table(s, t)  # raises ValueError off G^(2)
+        return _span(self.components[self.target(s, t)], P)
 
     def base_pairs(self) -> tuple[tuple[int, int], ...]:
         """All grader pairs with a defined target, row by row."""
@@ -135,22 +142,15 @@ class GradedRing(ComparedByTables):
         """Idempotent graders: E(S), or the identity morphisms of a groupoid."""
         return self.base.relations.idempotents
 
+    @_once_per_ring
     def component_ring(self, e: int) -> FiniteRing:
         """The component at an idempotent grader, as a ring in its own right.
 
         One ring object per grader and graded ring, so what the ring queries
         cache on it (arrays, idempotents, principal ideals) is built once."""
-        if e not in self._component_rings:
-            if self.target(e, e) != e:
-                raise ValueError(f"grader {e} is not idempotent")
-            self._component_rings[e] = FiniteRing(additive=self.components[e],
-                                                  mul=self.table(e, e))
-        return self._component_rings[e]
-
-    @cached_property
-    def _component_rings(self) -> dict[int, FiniteRing]:
-        """Component rings by idempotent grader, filled in as they are asked for."""
-        return {}
+        if self.target(e, e) != e:
+            raise ValueError(f"grader {e} is not idempotent")
+        return FiniteRing(additive=self.components[e], mul=self.table(e, e))
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +361,6 @@ def _span(group: FiniteAdditiveGroup, P: np.ndarray) -> Subgroup:
     return additive_closure(group, _image(P, group.order).tolist())
 
 
-def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
-    """Additive span of the products R_s R_t inside R_{st}.
-
-    When t is an inverse of s the span is additionally verified to be a
-    two-sided ideal of the component ring at st; a failure there indicates a
-    corrupted grading and raises ``NotAnIdealError`` with context (s, t).
-    """
-    span = R.span(s, t)
-    if (s, t) in set(R.inverse_pairs()):
-        st = R.target(s, t)
-        M = R.table(st, st)
-        idx = np.array(span.elements())
-        inside = np.zeros(len(M), dtype=bool)
-        inside[idx] = True
-        if not (inside[M[:, idx]].all() and inside[M[idx, :]].all()):
-            raise NotAnIdealError(
-                f"span of R_{s} R_{t} is not an ideal of R_{st}; "
-                "the grading is inconsistent", (s, t))
-    return span
-
-
 def _triple_span(R: GradedRing, s: int, t: int) -> Subgroup:
     """Additive span of R_s R_t R_s inside R_s (for t an inverse of s): the
     products x*c with x in the image of R_s R_t and c in R_s."""
@@ -392,22 +371,6 @@ def _triple_span(R: GradedRing, s: int, t: int) -> Subgroup:
 
 # ---------------------------------------------------------------------------
 # grading classes
-
-
-def _once_per_ring(predicate):
-    """Compute a grading-class predicate once per graded ring and keep its
-    verdict in ``R._verdicts``.  The body is looked up as ``__wrapped__`` on
-    each miss, so a test can substitute it."""
-    name = predicate.__name__
-
-    @wraps(predicate)
-    def once(R: GradedRing) -> Verdict:
-        verdicts = R._verdicts
-        if name not in verdicts:
-            verdicts[name] = once.__wrapped__(R)
-        return verdicts[name]
-
-    return once
 
 
 @_once_per_ring

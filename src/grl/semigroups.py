@@ -132,10 +132,6 @@ def inverses(S: FiniteSemigroup, s: int) -> tuple[int, ...]:
     return S.relations.inverse_sets[s]
 
 
-def identity_element(S: FiniteSemigroup) -> Optional[int]:
-    return S.relations.identity
-
-
 @dataclass(frozen=True)
 class SemigroupClassification:
     idempotents: tuple[int, ...]

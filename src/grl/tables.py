@@ -11,9 +11,10 @@ generator planes, both sides of a law for one generator and every pair of
 elements, each side one gather.  Only when a proof answers no do the
 validators run the ``first_*`` scans, which return the lexicographically
 first violating tuple, so error contexts do not depend on table size or on
-the generators; they alone compare (i, j)-pair slabs.  Planes and slabs run
-in at most ``CELL_BUDGET`` cells and never build the whole cube of triples,
-so memory stays flat as tables grow.
+the generators; their planes are the first element of a tuple.  Proofs and
+scans share one loop, ``_first_on_planes``, which runs whole planes, or row
+blocks of a larger plane, in at most ``CELL_BUDGET`` cells and never builds
+the whole cube of triples, so memory stays flat as tables grow.
 ``is_associative_flat`` is the one plain loop: it tests a single tiny
 candidate table, as exhaustive enumeration produces them.
 ``associative_mask`` filters batches of tables of order at most 4 by
@@ -30,9 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# cells per run: whole generator planes, as many as fit, or row blocks of a
-# larger plane in the proofs, and (i, j)-pair slabs in the first_* scans;
-# 64 KiB per int64 array
+# cells per run of _first_on_planes: whole planes, as many as fit, or row
+# blocks of a larger plane; 64 KiB per int64 array
 CELL_BUDGET = 8192
 
 
@@ -129,48 +129,17 @@ def first_bad_index(table: Sequence[Sequence[int]], rows: int, cols: int,
     return None  # every cell is an int subclass other than bool
 
 
-def _first_mismatch(n_i: int, n_j: int, width: int, sides) -> Optional[tuple]:
-    """First (i, j, k) where the sides differ, scanning (i, j) row-major.
+def _first_on_planes(planes: int, rows: int, width: int, sides) -> Optional[tuple]:
+    """First (plane, row, column) where two sides differ on ``planes`` planes
+    of ``rows`` x ``width`` cells, in that order, or None if they agree.
 
-    ``sides(i, j)`` maps equal-length index vectors to two (len(i), width)
-    arrays whose entry [r, k] belongs to (i[r], j[r], k).
+    ``sides(p, r)`` maps a slice of planes and a slice of rows to two arrays
+    of shape (planes, rows, width), or broadcasting to it, that hold both
+    sides on those cells.  Each run holds at most ``CELL_BUDGET`` cells:
+    whole planes, as many as fit, or row blocks of one plane that does not
+    fit.  Runs go in plane order, then row order, and the first cell of a run
+    is found in C order, so the result is the lexicographically first.
     """
-    step = max(1, CELL_BUDGET // max(1, width))
-    for start in range(0, n_i * n_j, step):
-        i, j = np.divmod(np.arange(start, min(start + step, n_i * n_j)), n_j)
-        lhs, rhs = sides(i, j)
-        differ = lhs != rhs
-        if differ.any():
-            r, k = divmod(int(np.flatnonzero(differ)[0]), width)
-            return (int(i[r]), int(j[r]), k)
-    return None
-
-
-def first_assoc_violation(p_ab, p_ab_c, p_bc, p_a_bc) -> Optional[tuple[int, int, int]]:
-    """First (a, b, c) where (ab)c = p_ab_c[p_ab[a, b], c] differs from
-    a(bc) = p_a_bc[a, p_bc[b, c]].  For one table T: (T, T, T, T)."""
-    return _first_mismatch(*p_ab.shape, p_bc.shape[1], lambda a, b: (
-        p_ab_c[p_ab[a, b]], p_a_bc[a[:, None], p_bc[b]]))
-
-
-def first_biadditivity_violation(P, add_left, add_right, add_out) -> tuple:
-    """(first (a, a', b) with (a+a')b != ab + a'b, first (a, b, b') with
-    a(b+b') != ab + ab'), each None if its law holds.  A ring's two-sided
-    distributivity is (M, A, A, A)."""
-    rows, cols = P.shape
-    left = _first_mismatch(rows, rows, cols, lambda a, a2: (
-        P[add_left[a, a2]], add_out[P[a], P[a2]]))
-    right = _first_mismatch(rows, cols, cols, lambda a, b: (
-        P[a[:, None], add_right[b]], add_out[P[a, b][:, None], P[a]]))
-    return left, right
-
-
-def _holds_on_planes(planes: int, rows: int, width: int, sides) -> bool:
-    """Do two sides agree on every cell of ``planes`` planes of ``rows`` x
-    ``width`` cells?  ``sides(p, r)`` maps a slice of planes and a slice of
-    rows to two equal-shape arrays holding both sides on those cells.  Each
-    run holds at most ``CELL_BUDGET`` cells: whole planes, as many as fit,
-    or row blocks of one plane that does not fit."""
     cells = rows * width
     if cells <= CELL_BUDGET:
         per_run, per_block = max(1, CELL_BUDGET // max(1, cells)), rows
@@ -179,9 +148,30 @@ def _holds_on_planes(planes: int, rows: int, width: int, sides) -> bool:
     for p in range(0, planes, per_run):
         for r in range(0, rows, per_block):
             lhs, rhs = sides(slice(p, p + per_run), slice(r, r + per_block))
-            if (lhs != rhs).any():
-                return False
-    return True
+            differ = lhs != rhs
+            if differ.any():
+                q, s, k = np.unravel_index(differ.argmax(), differ.shape)
+                return (p + int(q), r + int(s), int(k))
+    return None
+
+
+def first_assoc_violation(p_ab, p_ab_c, p_bc, p_a_bc) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) where (ab)c = p_ab_c[p_ab[a, b], c] differs from
+    a(bc) = p_a_bc[a, p_bc[b, c]].  For one table T: (T, T, T, T)."""
+    return _first_on_planes(*p_ab.shape, p_bc.shape[1], lambda a, b: (
+        p_ab_c[p_ab[a, b]], p_a_bc[a][:, p_bc[b]]))
+
+
+def first_biadditivity_violation(P, add_left, add_right, add_out) -> tuple:
+    """(first (a, a', b) with (a+a')b != ab + a'b, first (a, b, b') with
+    a(b+b') != ab + ab'), each None if its law holds.  A ring's two-sided
+    distributivity is (M, A, A, A)."""
+    rows, cols = P.shape
+    left = _first_on_planes(rows, rows, cols, lambda a, a2: (
+        P[add_left[a, a2]], add_out[P[a, None], P[None, a2]]))
+    right = _first_on_planes(rows, cols, cols, lambda a, b: (
+        P[a][:, add_right[b]], add_out[P[a, b, None], P[a, None]]))
+    return left, right
 
 
 def associative_through(T, gens) -> bool:
@@ -195,8 +185,9 @@ def associative_through(T, gens) -> bool:
     xg of T, and x(gy) the columns gy.
     """
     n = len(T)
-    return _holds_on_planes(len(gens), n, n, lambda p, r: (
-        T.take(T[r, gens[p]], axis=0), T[r].take(T[gens[p]], axis=1)))
+    return _first_on_planes(len(gens), n, n, lambda p, r: (
+        T.take(T[r, gens[p]], axis=0).swapaxes(0, 1),           # (xg)y
+        T[r].take(T[gens[p]], axis=1).swapaxes(0, 1))) is None  # x(gy)
 
 
 def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
@@ -220,12 +211,12 @@ def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
     g, h = gens_left, gens_right
     w = add_out.shape[1]
     Ph = P[:, h]  # the generator columns
-    return (_holds_on_planes(len(h), *P.shape, lambda p, r: (
-                P[r].take(add_right[h[p]], axis=1),                     # a(y+b)
-                add_out.take(P[r, h[p], None] * w + P[r, None, :])))    # ay + ab
-            and _holds_on_planes(len(g), len(P), len(h), lambda p, r: (
-                Ph.take(add_left[g[p], r].T, axis=0),                   # (x+a)b
-                add_out.take(Ph[None, g[p]] * w + Ph[r, None]))))       # xb + ab
+    right = _first_on_planes(len(h), *P.shape, lambda p, r: (
+        P[r].take(add_right[h[p]], axis=1).swapaxes(0, 1),                   # a(y+b)
+        add_out.take(P[r, h[p], None] * w + P[r, None, :]).swapaxes(0, 1)))  # ay + ab
+    return right is None and _first_on_planes(len(g), len(P), len(h), lambda p, r: (
+        Ph.take(add_left[g[p], r], axis=0),                                  # (x+a)b
+        add_out.take(Ph[g[p], None] * w + Ph[None, r]))) is None             # xb + ab
 
 
 def agree_on_generators(gens_a, gens_b, gens_c, left, right) -> bool:
@@ -244,8 +235,8 @@ def agree_on_generators(gens_a, gens_b, gens_c, left, right) -> bool:
 def first_nonzero(P, rows) -> Optional[tuple[int, int]]:
     """First (x, k) with P[x, k] != 0, x running over ``rows`` in order: graded
     associativity where one side is the zero map, on the image feeding the other."""
-    found = _first_mismatch(len(rows), 1, P.shape[1], lambda r, _: (P[rows[r]], 0))
-    return None if found is None else (int(rows[found[0]]), found[2])
+    found = _first_on_planes(1, len(rows), P.shape[1], lambda _, r: (P[None, rows[r]], 0))
+    return None if found is None else (int(rows[found[1]]), found[2])
 
 
 def is_associative_flat(flat, n: int) -> bool:

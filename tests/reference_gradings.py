@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from grl.constructions import GoodGrading
-from grl.errors import NotAnIdealError
 from grl.gradings import (
     EpsilonWitness,
     GradedRing,
@@ -76,20 +75,6 @@ def product_span(R: GradedRing, s: int, t: int) -> Subgroup:
     seeds = {product(R, s, t, a, b)
              for a in R.component(s).elements() for b in R.component(t).elements()}
     return additive_closure(R.component(st), seeds)
-
-
-def product_subgroup(R: GradedRing, s: int, t: int) -> Subgroup:
-    span = product_span(R, s, t)
-    if (s, t) in set(R.inverse_pairs()):
-        st = R.target(s, t)
-        ring = component_ring(R, st)
-        for u in ring.elements():
-            for x in span.elements():
-                if times(ring, u, x) not in span or times(ring, x, u) not in span:
-                    raise NotAnIdealError(
-                        f"span of R_{s} R_{t} is not an ideal of R_{st}; "
-                        "the grading is inconsistent", (s, t))
-    return span
 
 
 def triple_span(R: GradedRing, s: int, t: int) -> Subgroup:

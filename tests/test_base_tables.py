@@ -41,7 +41,7 @@ def relabel(S: FiniteSemigroup, q) -> FiniteSemigroup:
 def assert_semigroup_matches_reference(S: FiniteSemigroup) -> None:
     table = S.table.tolist()
     assert sg.idempotents(S) == ref.idempotents(S), table
-    assert sg.identity_element(S) == ref.identity_element(S), table
+    assert S.relations.identity == ref.identity_element(S), table
     for s in S.elements():
         assert sg.weak_inverses(S, s) == ref.weak_inverses(S, s), (table, s)
         assert sg.inverses(S, s) == ref.inverses(S, s), (table, s)

@@ -16,10 +16,8 @@ from grl.errors import (
     CodomainError,
     GradedAssociativityError,
     NonComposableProductError,
-    NotAnIdealError,
 )
 from grl.gradings import (
-    GradedRing,
     base_components_vnr,
     check_corollaries,
     check_eps_characterizations,
@@ -33,13 +31,12 @@ from grl.gradings import (
     is_nearly_epsilon_strong,
     is_strong,
     is_symmetric,
-    product_subgroup,
     regrade_groupoid_to_semigroup,
     structurally_equal,
     validate_grading,
 )
 from grl.groupoids import group_groupoid, pair_groupoid
-from grl.rings import TRIVIAL_GROUP, cyclic_ring, field_f4, zero_multiplication_ring
+from grl.rings import TRIVIAL_GROUP, cyclic_ring, zero_multiplication_ring
 from grl.semigroups import (
     chain_semilattice,
     cyclic_group,
@@ -196,27 +193,17 @@ class TestDistinctChecks:
 class TestProductSubgroups:
     def test_matrix_units_product(self):
         e12, e21, e11 = bn_index(3, 1, 2), bn_index(3, 2, 1), bn_index(3, 1, 1)
-        span = product_subgroup(BN_Z2, e12, e21)
+        span = BN_Z2.span(e12, e21)
         assert span.elements() == (0, 1)
         assert BN_Z2.target(e12, e21) == e11
 
     def test_zero_multiplication_product(self):
         R = zero_mult_trivial_grading(4)
-        assert product_subgroup(R, 0, 0).elements() == (0,)
+        assert R.span(0, 0).elements() == (0,)
 
     def test_group_ring_product(self):
-        span = product_subgroup(GROUP_RING_Z2, 1, 1)
+        span = GROUP_RING_Z2.span(1, 1)
         assert span.elements() == (0, 1)
-
-    def test_span_that_is_not_an_ideal_raises(self):
-        # R_1 R_1 spans {0, 1} inside R_0 = F4, which is no ideal of the field;
-        # GradedRing is built directly, past validate_grading
-        F4 = field_f4()
-        R = GradedRing(base=cyclic_group(2), components=(F4.additive, Z2.additive),
-                       products={(0, 0): F4.mul, (1, 1): ((0, 0), (0, 1))})
-        with pytest.raises(NotAnIdealError) as exc:
-            product_subgroup(R, 1, 1)
-        assert exc.value.context == (1, 1)
 
 
 class TestGradingClasses:

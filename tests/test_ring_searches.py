@@ -393,7 +393,7 @@ class TestCacheScope:
         B = again.component_ring(e)
         assert B is not A and "_principal" not in vars(B) and "_fixers" not in vars(B)
         assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
-        assert graded == again and "_component_rings" not in repr(graded)
+        assert graded == again and "_memo" not in repr(graded)
 
     def test_opposite_ring_sees_its_own_ideals(self):
         T = matrix_ring(cyclic_ring(2), 2)

@@ -15,7 +15,6 @@ from grl.semigroups import (
     draw_order4_tables,
     enumerate_semigroups,
     idempotents,
-    identity_element,
     inverses,
     isomorphic_under,
     left_zero_semigroup,
@@ -125,8 +124,8 @@ class TestClassification:
         assert cls.idempotents == (0, 1, 2)
 
     def test_identity_element(self):
-        assert identity_element(Z2) == 0
-        assert identity_element(L2) is None
+        assert Z2.relations.identity == 0
+        assert L2.relations.identity is None
 
 
 class TestEnumeration:

@@ -107,7 +107,7 @@ def test_default_manifest_gradings_store_read_only_intp_arrays(corpus):
         for table in graded_tables(copy):
             assert_stored(table)
         assert_same_value(copy, R)
-        assert "_verdicts" in vars(R) and "_verdicts" not in vars(copy)
+        assert "_memo" in vars(R) and "_memo" not in vars(copy)
         # a table that several pairs share stays one array
         assert (len({id(P) for P in copy.products.values()})
                 == len({id(P) for P in R.products.values()}))

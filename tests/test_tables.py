@@ -1,7 +1,7 @@
 """grl.tables against the plain-loop reference in reference_tables.py.
 
 Mutated tables must fail with the same error class and context tuple as the
-reference, whatever slab size the kernel scans in.
+reference, whatever run size the kernel scans in.
 """
 
 import contextlib
@@ -82,12 +82,23 @@ RUN_BUDGETS = (16, 100, 600, tables.CELL_BUDGET)
 
 @contextlib.contextmanager
 def cell_budget(cells):
-    saved = tables.CELL_BUDGET
-    tables.CELL_BUDGET = cells
+    """Run with ``tables.CELL_BUDGET`` set to ``cells``, and fail any run of
+    the law runner that holds more cells than that, or than one row where a
+    row is wider."""
+    saved, runner = tables.CELL_BUDGET, tables._first_on_planes
+
+    def checked(planes, rows, width, sides):
+        def run(p, r):
+            lhs, rhs = sides(p, r)
+            assert np.broadcast(lhs, rhs).size <= max(cells, width)
+            return lhs, rhs
+        return runner(planes, rows, width, run)
+
+    tables.CELL_BUDGET, tables._first_on_planes = cells, checked
     try:
         yield
     finally:
-        tables.CELL_BUDGET = saved
+        tables.CELL_BUDGET, tables._first_on_planes = saved, runner
 
 
 def outcome(validate, *args):
