@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__, jsonio
 from .constructions import (
-    GoodGrading,
     bn_index,
     check_good_grading_prop,
     matrix_units_semigroup,
@@ -67,29 +66,6 @@ from .semigroups import (
     isomorphic_under,
     weak_inverses,
 )
-
-
-def _env_int(name: str, default: Optional[int]):
-    """An option's default from the environment.  A value that is not an
-    integer becomes a ValueError default, which ``main`` reports only when the
-    chosen command reads that option and the command line does not set it."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _env_flag(name: str):
-    """A switch's default from the environment: 1/true/yes/on or 0/false/no/off
-    in any case.  Any other value becomes a ValueError default, as in ``_env_int``."""
-    raw = os.environ.get(name, "")
-    if raw.lower() in ("", "0", "false", "no", "off", "1", "true", "yes", "on"):
-        return raw.lower() in ("1", "true", "yes", "on")
-    return ValueError(f"environment variable {name} must be one of "
-                      f"1/true/yes/on or 0/false/no/off, got {raw!r}")
 
 
 def _print_json(data: dict, pretty: bool) -> None:
@@ -280,7 +256,9 @@ class _Check(NamedTuple):
     (semigroup, ring, groupoid, graded_ring) or a construction (semigroup_ring,
     matrix_bn, good_grading); ``base`` is the base kind of the graded rings
     the check's corpus suite keeps, None for all; ``run(subject, meta, opts)``
-    makes the report, with the options the check reads."""
+    makes the report, with the options the check reads.  A construction's
+    subject is its graded ring; what else the construction made (its
+    coefficient ring, or a good grading under ``"grading"``) is in ``meta``."""
 
     takes: str
     base: Optional[str]
@@ -308,8 +286,8 @@ CHECKS: dict[str, tuple[_Check, ...]] = {
                            lambda R, meta, opts: check_corollaries(R)),),
     "semigroup-ring": (_Check("semigroup_ring", None,
                               lambda R, meta, opts: _check_semigroup_ring(R, meta["A"])),),
-    "good-grading": (_Check("good_grading", None,
-                            lambda gg, meta, opts: check_good_grading_prop(gg)),),
+    "good-grading": (_Check("good_grading", None, lambda R, meta, opts:
+                            check_good_grading_prop(meta["grading"])),),
     "matrix-bn": (_Check("matrix_bn", None, lambda R, meta, opts: _check_matrix_bn(R)),),
     "switch": (_Check("graded_ring", "groupoid",
                       lambda R, meta, opts: check_prop_switch(R)),),
@@ -324,18 +302,10 @@ _NEEDS = {"semigroup": "a semigroup file", "ring": "a ring file",
           "groupoid": "a groupoid file", "graded_ring": "a graded ring"}
 
 
-def _graded(structure):
-    """A good grading's graded ring; any other structure as it is."""
-    return structure.graded if isinstance(structure, GoodGrading) else structure
-
-
 def _subject(takes: str, kind: str, structure, meta: dict):
     """What a row that takes ``takes`` runs on, or None if it does not take
-    this input.  A construction row gets the structure the construction
-    built; a kind row sees a good grading as its graded ring."""
-    if takes == meta.get("construction"):
-        return structure
-    return _graded(structure) if takes == kind else None
+    this input."""
+    return structure if takes in (kind, meta.get("construction")) else None
 
 
 def run_theorem_check(theorem: str, loaded, opts) -> dict:
@@ -478,7 +448,7 @@ def cmd_classify(args) -> int:
         kind, structure, _ = _load_any(args.path)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
-    report = classify_structure(kind, _graded(structure), args.max_witnesses)
+    report = classify_structure(kind, structure, args.max_witnesses)
     report["subject"] = args.path
     report["tool_version"] = __version__
     report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
@@ -512,7 +482,7 @@ def cmd_construct(args) -> int:
     try:
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(_graded(structure))))
+        out.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(structure)))
     except OSError as err:
         return _input_error(err, args)
     _print_json({"written": str(out)}, args.pretty)
@@ -553,48 +523,21 @@ def cmd_corpus_run(args) -> int:
     return 2 if summary["n_disagree"] else 0
 
 
-# The options whose defaults come from GRL_* variables.  They are read on
-# every parse, not when the parser is built, so one parser serves a process
-# whose environment changes between calls.
-_ENV_DEFAULTS = {
-    "pretty": partial(_env_flag, "GRL_PRETTY"),
-    "max_witnesses": partial(_env_int, "GRL_MAX_WITNESSES", 100),
-    "fg_ideal_bound": partial(_env_int, "GRL_FG_IDEAL_BOUND", 2),
-    "seed": partial(_env_int, "GRL_SEED", None),
-    "jobs": partial(_env_int, "GRL_JOBS", 1),
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    """Fills each option of ``_ENV_DEFAULTS`` that the command line left at
-    None from its variable.  None is never a parsed value: the options take
-    integers, and ``--pretty`` stores True."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        for name, default in _ENV_DEFAULTS.items():
-            if getattr(namespace, name, False) is None:
-                setattr(namespace, name, default())
-        return namespace, extras
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="grl",
         description="Classify finite semigroups, groupoids, rings and graded "
                     "rings, and cross-check the structure theorems they satisfy.")
     parser.add_argument("--version", action="version", version=f"grl {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--pretty", action="store_true", default=None,
-                       help="indent JSON output")
-        p.add_argument("--max-witnesses", type=int, metavar="N",
+        p.add_argument("--pretty", action="store_true", help="indent JSON output")
+        p.add_argument("--max-witnesses", type=int, default=100, metavar="N",
                        help="cap inlined witness collections (default 100)")
-        p.add_argument("--fg-ideal-bound", type=int, metavar="K",
+        p.add_argument("--fg-ideal-bound", type=int, default=2, metavar="K",
                        help="generator bound for finitely generated ideal checks (default 2)")
 
     p = sub.add_parser("validate", help="validate a structure file")
@@ -626,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for summary.json and per-entry reports")
     p.add_argument("--dump", help="directory to materialize the corpus structure files")
     p.add_argument("--seed", type=int, help="override the manifest seed")
-    p.add_argument("--jobs", type=int, help="worker threads for corpus suites")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads for corpus suites (default 1)")
     add_common(p)
     p.set_defaults(reads=("seed", "jobs", "max_witnesses", "fg_ideal_bound"))
     return parser
@@ -639,28 +583,20 @@ _MINIMUM = {"max_witnesses": 0, "fg_ideal_bound": 1}
 
 
 def _bad_option(args) -> Optional[ValueError]:
-    """The first option the command reads whose GRL_* default is not valid,
-    then the first below its minimum; None if all are good.  ``reads`` names
-    the options the command uses besides ``pretty``; a bad value behind any
-    other option is never looked at."""
-    bad_env = next((v for v in map(partial(getattr, args), ("pretty", *args.reads))
-                    if isinstance(v, ValueError)), None)
-    if bad_env is not None:
-        return bad_env
+    """The first option the command reads that is below its minimum; None if
+    all are good.  ``reads`` names the options the command uses besides
+    ``pretty``; a value given to any other option is never looked at."""
     for name in args.reads:
         low, value = _MINIMUM.get(name), getattr(args, name)
         if low is not None and value < low:
             flag = name.replace("_", "-")
-            return ValueError(f"--{flag} (or GRL_{name.upper()}) must be at least {low}, "
-                              f"got {value}")
+            return ValueError(f"--{flag} must be at least {low}, got {value}")
     return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     bad = _bad_option(args)
-    if bad is not None:
-        args.pretty = args.pretty is True  # a bad GRL_PRETTY reports compactly
     # the command function is looked up at each call, not kept in the cached
     # parser, so a wrapper set on this module's cmd_* name is the one run
     run = globals()["cmd_" + args.command.replace("-", "_")]

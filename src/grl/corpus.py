@@ -13,7 +13,6 @@ from typing import Any, Callable, Optional
 
 from . import catalog
 from .constructions import (
-    GoodGrading,
     good_grading,
     groupoid_ring,
     matrix_bn_grading,
@@ -134,8 +133,6 @@ class CorpusEntry:
 
     @property
     def graded(self) -> GradedRing:
-        if isinstance(self.structure, GoodGrading):
-            return self.structure.graded
         if isinstance(self.structure, GradedRing):
             return self.structure
         raise TypeError(f"entry {self.id} is not a graded ring")
@@ -225,8 +222,8 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
         A = named_ring(a_name)
         gg = good_grading(A, validate_degree_map(named_semigroup(base_name), deg))
         graded.append(CorpusEntry(
-            id=f"gr:good:{name}", kind="graded_ring", structure=gg,
-            meta={"construction": "good_grading", "name": name, "A": A}))
+            id=f"gr:good:{name}", kind="graded_ring", structure=gg.graded,
+            meta={"construction": "good_grading", "name": name, "A": A, "grading": gg}))
     for a_name, g_name in m.groupoid_ring_pairs:
         A = named_ring(a_name)
         G = named_groupoid(g_name)
@@ -255,9 +252,6 @@ def write_corpus(corpus: Corpus, directory) -> list[str]:
     for entry in corpus.all_entries():
         name = entry.id.replace(":", "_").replace("+", "-") + ".json"
         path = out / name
-        structure = entry.structure
-        if isinstance(structure, GoodGrading):
-            structure = structure.graded
-        path.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(structure)))
+        path.write_text(jsonio.dumps_canonical(jsonio.structure_to_json(entry.structure)))
         written.append(str(path))
     return written

@@ -292,8 +292,9 @@ def groupoid_from_spec(spec) -> FiniteGroupoid:
 def construction_from_json(spec: dict):
     """Build the structure described by a construction spec.
 
-    Returns (object, meta); the object is a GradedRing except for
-    good_grading, which returns its richer wrapper.
+    Returns (graded ring, meta).  The meta names the construction and holds
+    its parts; for good_grading it also holds the GoodGrading under
+    ``"grading"``.
     """
     from .constructions import (
         good_grading,
@@ -315,7 +316,8 @@ def construction_from_json(spec: dict):
         A = ring_from_json(_field(spec, "A"))
         base = semigroup_from_spec(_field(spec, "base"))
         dm = validate_degree_map(base, _field(spec, "deg"))
-        return good_grading(A, dm), {"construction": kind, "A": A}
+        gg = good_grading(A, dm)
+        return gg.graded, {"construction": kind, "A": A, "grading": gg}
     if kind == "groupoid_ring":
         A = ring_from_json(_field(spec, "A"))
         G = groupoid_from_spec(_field(spec, "G"))

@@ -325,25 +325,12 @@ class TestCorpusRun:
         small.pop("timings")
         assert big == small
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("GRL_MAX_WITNESSES", "3")
-        args = cli.build_parser().parse_args(["classify", "x.json"])
-        assert args.max_witnesses == 3
-
-    def test_one_parser_reads_the_environment_on_every_parse(self, monkeypatch):
+    def test_one_parser_with_the_defaults_of_its_options(self):
         parser = cli.build_parser()
         assert cli.build_parser() is parser
-        for name in ("GRL_SEED", "GRL_JOBS", "GRL_PRETTY", "GRL_MAX_WITNESSES",
-                     "GRL_FG_IDEAL_BOUND"):
-            monkeypatch.delenv(name, raising=False)
         args = parser.parse_args(["corpus-run"])
         assert (args.seed, args.jobs, args.pretty, args.max_witnesses,
                 args.fg_ideal_bound) == (None, 1, False, 100, 2)
-        monkeypatch.setenv("GRL_SEED", "0")
-        monkeypatch.setenv("GRL_PRETTY", "yes")
-        monkeypatch.setenv("GRL_FG_IDEAL_BOUND", "3")
-        args = parser.parse_args(["corpus-run"])
-        assert (args.seed, args.pretty, args.fg_ideal_bound) == (0, True, 3)
         args = parser.parse_args(["corpus-run", "--seed", "5", "--fg-ideal-bound", "1"])
         assert (args.seed, args.fg_ideal_bound) == (5, 1)
 
@@ -379,11 +366,11 @@ class TestCorpusRun:
                                 "--manifest", str(path))
         assert code == 0 and summary["n_entries"] == 0
 
-    def test_seed_zero_from_env_is_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRL_SEED", "0")
+    def test_seed_zero_is_used(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"order4_sample_count": 0}))
-        code, summary = run_cli("corpus-run", "--suite", "none", "--manifest", str(path))
+        code, summary = run_cli("corpus-run", "--suite", "none", "--manifest", str(path),
+                                "--seed", "0")
         assert code == 0 and summary["seed"] == 0
 
 
@@ -506,61 +493,36 @@ class TestManifestErrors:
         assert out["error"] == "ValueError" and "named_semigroups" in out["message"]
 
 
-class TestEnvironmentErrors:
-    @pytest.mark.parametrize("name", ["GRL_SEED", "GRL_JOBS", "GRL_MAX_WITNESSES",
-                                      "GRL_FG_IDEAL_BOUND"])
-    def test_non_integer_value(self, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
-        code, out = run_cli("corpus-run", "--suite", "none")
-        assert code == 1 and set(out) == {"error", "message"}
-        assert out["error"] == "ValueError" and name in out["message"]
+class TestSettings:
+    """Every setting comes from the command line; the environment has no say."""
 
-    def test_only_commands_that_read_the_option_report_it(self, files, tmp_path,
-                                                          monkeypatch):
-        for name in ("GRL_SEED", "GRL_JOBS", "GRL_MAX_WITNESSES", "GRL_FG_IDEAL_BOUND"):
-            monkeypatch.setenv(name, "abc")
-        code, out = run_cli("validate", str(files / "Z4.json"))
-        assert code == 0 and out == {"valid": True, "kind": "ring"}
-        code, out = run_cli("construct", str(files / "bn_spec.json"),
-                            str(tmp_path / "bn.json"))
-        assert code == 0 and "written" in out
-        code, out = run_cli("classify", str(files / "Z4.json"))
-        assert code == 1 and "GRL_MAX_WITNESSES" in out["message"]
-        monkeypatch.delenv("GRL_MAX_WITNESSES")
-        code, out = run_cli("classify", str(files / "Z4.json"))
-        assert code == 0 and out["kind"] == "ring"
-        code, out = run_cli("check", "tominaga", str(files / "Z4.json"))
-        assert code == 1 and "GRL_FG_IDEAL_BOUND" in out["message"]
-
-    @pytest.mark.parametrize("value,indented", [("False", False), ("OFF", False),
-                                                 ("no", False), ("0", False),
-                                                 ("TRUE", True), ("On", True),
-                                                 ("yes", True), ("1", True)])
-    def test_pretty_values(self, files, monkeypatch, capsys, value, indented):
-        monkeypatch.setenv("GRL_PRETTY", value)
+    def test_pretty_indents_and_the_default_is_one_compact_line(self, files, capsys):
         assert cli.main(["validate", str(files / "Z4.json")]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out) == {"valid": True, "kind": "ring"}
-        assert ("\n  " in out) is indented
-
-    def test_bad_pretty_value(self, files, monkeypatch, capsys):
-        monkeypatch.setenv("GRL_PRETTY", "maybe")
-        assert cli.main(["validate", str(files / "Z4.json")]) == 1
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1  # printed compactly
-        report = json.loads(out)
-        assert set(report) == {"error", "message"}
-        assert report["error"] == "ValueError" and "GRL_PRETTY" in report["message"]
+        assert capsys.readouterr().out == '{"kind":"ring","valid":true}\n'
         assert cli.main(["validate", "--pretty", str(files / "Z4.json")]) == 0
-        assert json.loads(capsys.readouterr().out) == {"valid": True, "kind": "ring"}
+        assert capsys.readouterr().out == '{\n  "kind": "ring",\n  "valid": true\n}\n'
 
-    def test_flag_overrides_a_bad_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRL_SEED", "abc")
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"order4_sample_count": 0}))
-        code, out = run_cli("corpus-run", "--suite", "none", "--manifest", str(path),
-                            "--seed", "5")
-        assert code == 0 and out["seed"] == 5
+    def test_grl_variables_change_no_output(self, files, monkeypatch, capsys):
+        # timings are the only bytes that differ from run to run
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)
+
+        def printed():
+            runs = []
+            for argv in (["corpus-run", "--suite", "none"],
+                         ["classify", str(files / "Z4.json")]):
+                code = cli.main(argv)
+                runs.append((code, capsys.readouterr().out))
+            return runs
+
+        settings = {"GRL_SEED": "0", "GRL_PRETTY": "maybe", "GRL_MAX_WITNESSES": "-1",
+                    "GRL_FG_IDEAL_BOUND": "abc", "GRL_JOBS": "2"}
+        for name in settings:
+            monkeypatch.delenv(name, raising=False)
+        unset = printed()
+        assert [code for code, _ in unset] == [0, 0]
+        for name, value in settings.items():
+            monkeypatch.setenv(name, value)
+        assert printed() == unset
 
 
 class TestOptionBounds:
@@ -568,8 +530,8 @@ class TestOptionBounds:
     true and report a false disagreement, and a negative witness cap would
     empty every witness list; both exit 1 instead."""
 
-    BOUND = "--fg-ideal-bound (or GRL_FG_IDEAL_BOUND) must be at least 1, got {}"
-    CAP = "--max-witnesses (or GRL_MAX_WITNESSES) must be at least 0, got {}"
+    BOUND = "--fg-ideal-bound must be at least 1, got {}"
+    CAP = "--max-witnesses must be at least 0, got {}"
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bound_below_one_on_the_command_line(self, files, value):
@@ -578,32 +540,19 @@ class TestOptionBounds:
         assert code == 1 and out == {"error": "ValueError",
                                      "message": self.BOUND.format(value)}
 
-    def test_bound_below_one_from_the_environment(self, monkeypatch):
-        monkeypatch.setenv("GRL_FG_IDEAL_BOUND", "0")
-        code, out = run_cli("corpus-run", "--suite", "none")
-        assert code == 1 and out == {"error": "ValueError", "message": self.BOUND.format(0)}
-
-    def test_negative_witness_cap(self, files, monkeypatch):
+    def test_negative_witness_cap(self, files):
         code, out = run_cli("classify", str(files / "Z4.json"), "--max-witnesses", "-1")
         assert code == 1 and out == {"error": "ValueError", "message": self.CAP.format(-1)}
-        monkeypatch.setenv("GRL_MAX_WITNESSES", "-2")
-        code, out = run_cli("corpus-run", "--suite", "none")
-        assert code == 1 and out == {"error": "ValueError", "message": self.CAP.format(-2)}
 
-    def test_smallest_values_are_accepted(self, files, monkeypatch):
+    def test_smallest_values_are_accepted(self, files):
         code, out = run_cli("check", "vnr-char", str(files / "Z4.json"),
                             "--fg-ideal-bound", "1", "--max-witnesses", "0")
         assert code == 0 and out["bound"] == 1 and out["agree"]
-        # a command that does not read the option never looks at it
-        monkeypatch.setenv("GRL_FG_IDEAL_BOUND", "0")
-        monkeypatch.setenv("GRL_MAX_WITNESSES", "-1")
-        code, out = run_cli("validate", str(files / "Z4.json"))
-        assert code == 0 and out == {"valid": True, "kind": "ring"}
 
-    def test_bound_is_checked_after_a_non_integer_value(self, monkeypatch):
-        monkeypatch.setenv("GRL_MAX_WITNESSES", "abc")
-        code, out = run_cli("corpus-run", "--suite", "none", "--fg-ideal-bound", "0")
-        assert code == 1 and "GRL_MAX_WITNESSES" in out["message"]
+    def test_validate_reads_neither_option(self, files):
+        code, out = run_cli("validate", str(files / "Z4.json"),
+                            "--fg-ideal-bound", "0", "--max-witnesses", "-1")
+        assert code == 0 and out == {"valid": True, "kind": "ring"}
 
 
 class TestModuleEntryPoint:
@@ -611,7 +560,6 @@ class TestModuleEntryPoint:
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        env.pop("GRL_SEED", None)
         proc = subprocess.run([sys.executable, "-m", "grl", "corpus-run", "--suite", "none"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

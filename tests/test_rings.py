@@ -391,8 +391,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("spec", LARGE_GRADING_SPECS)
     def test_large_grading_components(self, spec):
-        good, _ = construction_from_json(spec)
-        for group in good.graded.components:
+        graded, _ = construction_from_json(spec)
+        for group in graded.components:
             self.check(group)
 
     def test_cyclic_and_power_groups(self):
@@ -427,4 +427,4 @@ def closure_groups():
     components."""
     return [TRIVIAL_GROUP, *catalog_groups(),
             *(g for spec in LARGE_GRADING_SPECS
-              for g in construction_from_json(spec)[0].graded.components)]
+              for g in construction_from_json(spec)[0].components)]
