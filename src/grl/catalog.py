@@ -1,9 +1,19 @@
-"""Named small structures used by the corpus, the CLI and the test suites."""
+"""Named small structures used by the corpus, the CLI and the test suites.
+
+A name resolves to its builder without building anything (the *_factory
+functions), and sizes above ``MAX_RING_ORDER`` are refused there.  The
+named_* functions build and validate each name once per process and keep
+that structure in a private memo.  Each call returns a new instance made
+through the constructor from the stored read-only tables, as pickling
+does: two calls give equal, distinct objects that share the table arrays,
+and no search cache of one (principal ideals, fixer masks, base relations)
+reaches the other, so every check on a named structure decides afresh.
+"""
 
 from __future__ import annotations
 
 import re
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable
 
 from .constructions import matrix_units_semigroup
@@ -78,29 +88,57 @@ def ring_factory(name: str) -> Callable[[], FiniteRing]:
 
 def groupoid_factory(name: str) -> Callable[[], FiniteGroupoid]:
     """Resolve a groupoid name: pair<n> or group_Z<n> with n >= 1, or a
-    "+"-joined union."""
+    "+"-joined union, with at most MAX_RING_ORDER morphisms in all."""
+    size, build = _groupoid_size_and_builder(name)
+    if size > MAX_RING_ORDER:
+        raise KeyError(f"groupoid name {name!r} has {size} morphisms, above "
+                       f"MAX_RING_ORDER = {MAX_RING_ORDER}")
+    return build
+
+
+def _groupoid_size_and_builder(name: str) -> tuple[int, Callable[[], FiniteGroupoid]]:
+    """The morphism count of a groupoid name, found without building, and
+    its builder: pair<n> has n^2 morphisms, group_Z<n> n, a union the sum."""
     if "+" in name:
-        parts = [groupoid_factory(p) for p in name.split("+")]
-        return lambda: reduce(disjoint_union, (part() for part in parts))
+        parts = [_groupoid_size_and_builder(p) for p in name.split("+")]
+        return (sum(size for size, _ in parts),
+                lambda: reduce(disjoint_union, (build() for _, build in parts)))
     m = re.fullmatch(r"pair([1-9]\d*)", name)
     if m:
-        return partial(pair_groupoid, int(m.group(1)))
+        n = int(m.group(1))
+        return n * n, partial(pair_groupoid, n)
     m = re.fullmatch(r"group_Z([1-9]\d*)", name)
     if m:
-        return lambda: group_groupoid(cyclic_group(int(m.group(1))))
+        n = int(m.group(1))
+        return n, lambda: group_groupoid(cyclic_group(n))
     raise KeyError(f"unknown groupoid name: {name!r}")
 
 
+@lru_cache(maxsize=64)  # the default manifest names about 30 structures
+def _built(factory: Callable[[str], Callable], name: str):
+    """The structure a name resolves to, built and validated once per
+    process.  Only ``_fresh`` copies of it leave this module."""
+    return factory(name)()
+
+
+def _fresh(structure):
+    """A new instance of a stored structure, made through its constructor
+    from its fields: it shares the read-only tables and starts with empty
+    caches."""
+    make, fields = structure.__reduce__()
+    return make(*fields)
+
+
 def named_semigroup(name: str) -> FiniteSemigroup:
-    return semigroup_factory(name)()
+    return _fresh(_built(semigroup_factory, name))
 
 
 def named_ring(name: str) -> FiniteRing:
-    return ring_factory(name)()
+    return _fresh(_built(ring_factory, name))
 
 
 def named_groupoid(name: str) -> FiniteGroupoid:
-    return groupoid_factory(name)()
+    return _fresh(_built(groupoid_factory, name))
 
 
 # degree maps for the named good gradings; entries are (ring, base name, deg rows)

@@ -577,9 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Smallest accepted value of the bounded options: a generator bound below 1
-# would make scan (iii) of vnr-char vacuously true, and a negative witness
-# cap would empty every witness list.
-_MINIMUM = {"max_witnesses": 0, "fg_ideal_bound": 1}
+# would make scan (iii) of vnr-char vacuously true, a negative witness cap
+# would empty every witness list, and fewer than one worker thread names no
+# way to run.
+_MINIMUM = {"max_witnesses": 0, "fg_ideal_bound": 1, "jobs": 1}
 
 
 def _bad_option(args) -> Optional[ValueError]:

@@ -2,13 +2,16 @@
 gradings of matrix rings, general good gradings, and groupoid rings.
 
 Components are always copies (or finite powers) of the coefficient ring's
-additive group; the total ring is never materialized.
+additive group; the total ring is never materialized.  The power groups and
+product tables of good gradings are built once per process for each value
+of their inputs and kept read-only; ``validate_grading`` still checks and
+proves them on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -32,6 +35,8 @@ from .rings import (
     TRIVIAL_GROUP,
     FiniteAdditiveGroup,
     FiniteRing,
+    _Pattern,
+    _check_order,
     _matrix_product,
     _power_group,
     _term_pattern,
@@ -45,7 +50,21 @@ from .semigroups import (
     inverses,
     validate_semigroup,
 )
-from .tables import first_bad_index
+from .tables import first_bad_index, frozen
+
+# good-grading inputs kept per process: power groups by (group, exponent) and
+# product tables by (coefficient ring, term pattern), least recently used first out
+_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _power(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
+    return _power_group(G, k)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _product_table(A: FiniteRing, pattern: _Pattern) -> np.ndarray:
+    return frozen(_matrix_product(A, pattern))
 
 
 def semigroup_ring(A: FiniteRing, S: FiniteSemigroup) -> GradedRing:
@@ -62,6 +81,7 @@ def matrix_units_semigroup(n: int) -> FiniteSemigroup:
     if n < 1:
         raise ValueError("n must be >= 1")
     order = n * n + 1
+    _check_order(order, f"{n}^2 + 1")  # before the (n^2 + 1)^2 table is built
     table = [[0] * order for _ in range(order)]
     for i, j, l in product(range(1, n + 1), repeat=3):
         table[bn_index(n, i, j)][bn_index(n, j, l)] = bn_index(n, i, l)
@@ -174,15 +194,14 @@ def good_grading(A: FiniteRing, degree_map: DegreeMap) -> GoodGrading:
             cells[dm.degree(i, j)].append((i, j))
     # one group per size: graders of equal size share one component object,
     # and validate_grading checks each distinct component and table once
-    powers = {k: _power_group(A.additive, k) for k in {len(cs) for cs in cells}}
-    components = tuple(powers[len(cs)] for cs in cells)
+    components = tuple(_power(A.additive, len(cs)) for cs in cells)
     # one table per term pattern: pairs with equal patterns share one array,
     # which validate_grading then stores and proves once
-    build = cache(partial(_matrix_product, A))
     target = base.relations.targets
     patterns = {(s, t): _term_pattern(cells[s], cells[t], cells[target[s][t]])
                 for s, t in product(base.elements(), repeat=2)}
-    products = {st: build(pattern) for st, pattern in patterns.items() if any(pattern[2])}
+    products = {st: _product_table(A, pattern)
+                for st, pattern in patterns.items() if any(pattern[2])}
     graded = validate_grading(base, components, products)
     return GoodGrading(graded=graded, degree_map=dm, coefficients=A,
                        cells=tuple(tuple(cs) for cs in cells))

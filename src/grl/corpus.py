@@ -20,6 +20,7 @@ from .constructions import (
     validate_degree_map,
 )
 from .gradings import GradedRing
+from .rings import MAX_RING_ORDER
 from .semigroups import enumerate_semigroups, sample_semigroups
 
 # enumerate_semigroups tests order^(order^2) tables: 19683 at 3, 4^16 (hours) at 4
@@ -41,8 +42,10 @@ def _known(resolve) -> Callable[[object], bool]:
     return known
 
 
-def _positive_int(value) -> bool:
-    return type(value) is int and value >= 1
+def _matrix_units_size(value) -> bool:
+    """A matrix_bn size n >= 1 whose n^2 matrix units and zero are within
+    MAX_RING_ORDER, as ``matrix_units_semigroup`` requires."""
+    return type(value) is int and 1 <= value and value * value + 1 <= MAX_RING_ORDER
 
 
 # Per list field of the manifest, one check for each part of an entry.
@@ -52,7 +55,7 @@ _ENTRY_CHECKS = {
     "groupoids": (_known(catalog.groupoid_factory),),
     "semigroup_ring_coefficients": (_known(catalog.ring_factory),),
     "semigroup_ring_bases": (_known(catalog.semigroup_factory),),
-    "matrix_gradings": (_known(catalog.ring_factory), _positive_int),
+    "matrix_gradings": (_known(catalog.ring_factory), _matrix_units_size),
     "good_gradings": (_known(catalog.GOOD_GRADING_SPECS.__getitem__),),
     "groupoid_ring_pairs": (_known(catalog.ring_factory), _known(catalog.groupoid_factory)),
 }
@@ -159,8 +162,10 @@ def default_manifest() -> CorpusManifest:
 
 
 def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
-    """Each named ring, semigroup and groupoid is built once per call and
-    shared by every entry that names it; nothing outlives the call."""
+    """Each named ring, semigroup and groupoid is one object per call,
+    shared by every entry that names it.  The catalog builds each name once
+    per process and gives every call its own instances, so no cache a
+    check fills on one corpus reaches the next."""
     m = manifest if manifest is not None else default_manifest()
     named_ring = cache(catalog.named_ring)
     named_semigroup = cache(catalog.named_semigroup)

@@ -241,7 +241,8 @@ def _tuple_table(operands: Sequence[Sequence[int]],
     times its entry's stride, is broadcast over the whole table, so no index
     array the size of the table is built.  A coordinate with one value is
     always 0 and gets no axis, which keeps many order-1 entries within
-    numpy's 64 dimensions."""
+    numpy's 64 dimensions.  The table comes back read-only, so that
+    ``frozen`` keeps it without a copy."""
     sizes = [n for op in operands for n in op]
     kept = [a for a, n in enumerate(sizes) if n > 1]
     out = np.zeros([sizes[a] for a in kept], dtype=np.intp)
@@ -250,7 +251,9 @@ def _tuple_table(operands: Sequence[Sequence[int]],
         if small.any():
             out += stride * small.reshape([sizes[a] if a in axes else 1 for a in kept])
         stride *= size
-    return out.reshape([prod(op) for op in operands])
+    table = out.reshape([prod(op) for op in operands])
+    table.flags.writeable = False
+    return table
 
 
 def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:

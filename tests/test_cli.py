@@ -527,8 +527,9 @@ class TestSettings:
 
 class TestOptionBounds:
     """A generator bound below 1 would make vnr-char's scan (iii) vacuously
-    true and report a false disagreement, and a negative witness cap would
-    empty every witness list; both exit 1 instead."""
+    true and report a false disagreement, a negative witness cap would
+    empty every witness list, and fewer than one worker thread names no
+    way to run; each exits 1 instead."""
 
     BOUND = "--fg-ideal-bound must be at least 1, got {}"
     CAP = "--max-witnesses must be at least 0, got {}"
@@ -544,6 +545,12 @@ class TestOptionBounds:
         code, out = run_cli("classify", str(files / "Z4.json"), "--max-witnesses", "-1")
         assert code == 1 and out == {"error": "ValueError", "message": self.CAP.format(-1)}
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one(self, value):
+        code, out = run_cli("corpus-run", "--suite", "switch", "--jobs", value)
+        assert code == 1 and out == {"error": "ValueError",
+                                     "message": f"--jobs must be at least 1, got {value}"}
+
     def test_smallest_values_are_accepted(self, files):
         code, out = run_cli("check", "vnr-char", str(files / "Z4.json"),
                             "--fg-ideal-bound", "1", "--max-witnesses", "0")
@@ -553,6 +560,27 @@ class TestOptionBounds:
         code, out = run_cli("validate", str(files / "Z4.json"),
                             "--fg-ideal-bound", "0", "--max-witnesses", "-1")
         assert code == 0 and out == {"valid": True, "kind": "ring"}
+
+
+class TestRepeatedCalls:
+    """The catalog and the good-grading tables are built once per process,
+    and a second call still checks everything afresh, to the same bytes."""
+
+    @pytest.mark.parametrize("spec", ["M3_Z3_spec.json", "bn_spec.json", "sr_spec.json"])
+    def test_second_check_prints_the_same_bytes(self, files, spec):
+        (files / "M3_Z3_spec.json").write_text(json.dumps(
+            {"construct": "good_grading", "A": "Z3", "base": "Z3",
+             "deg": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]}))
+
+        def printed():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["check", "lemma-technical", str(files / spec)])
+            return code, re.sub(r'"timings":\{[^}]*\}', "", buf.getvalue())
+
+        first = printed()
+        assert first[0] == 0 and '"triples_checked"' in first[1]
+        assert printed() == first
 
 
 class TestModuleEntryPoint:

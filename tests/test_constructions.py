@@ -1,9 +1,10 @@
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
-from grl import catalog, constructions, rings
+from grl import catalog, constructions, gradings, rings
 from grl.constructions import (
     bn_index,
     check_good_grading_prop,
@@ -230,7 +231,14 @@ SHARED_TABLE_SPECS = {
 
 def counted_good_grading(monkeypatch, name):
     """The good grading of a ``SHARED_TABLE_SPECS`` entry and the term
-    patterns it built a table for, in build order."""
+    patterns it built a table for, in build order.  The process memo of
+    product tables is emptied first, so every table is built here."""
+    constructions._product_table.cache_clear()
+    return built_good_grading(monkeypatch, name)
+
+
+def built_good_grading(monkeypatch, name):
+    """As ``counted_good_grading``, with the process memo as it is."""
     ring_name, base_name, deg = SHARED_TABLE_SPECS[name]
     built = []
     build = constructions._matrix_product
@@ -276,6 +284,45 @@ class TestSharedProductTables:
         reference = reference_gradings.good_grading(gg.coefficients, gg.degree_map).graded
         assert (reference_gradings.product_lists(gg.graded)
                 == reference_gradings.product_lists(reference))
+
+
+class TestRepeatedGoodGradings:
+    """Power groups and product tables are built once per process; every
+    call still index-checks and proves them."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_TABLE_SPECS))
+    def test_memoised_tables_are_read_only_and_kept_without_a_copy(self, name):
+        ring_name, base_name, deg = SHARED_TABLE_SPECS[name]
+        dm = validate_degree_map(catalog.named_semigroup(base_name), deg)
+        gg = good_grading(catalog.named_ring(ring_name), dm)
+        target, cells = gg.degree_map.base.relations.targets, gg.cells
+        for (s, t), P in gg.graded.products.items():
+            pattern = rings._term_pattern(cells[s], cells[t], cells[target[s][t]])
+            assert constructions._product_table(gg.coefficients, pattern) is P
+            assert P.flags.writeable is False
+        for G in gg.graded.components:
+            assert G.add.flags.writeable is False and G.neg.flags.writeable is False
+
+    @pytest.mark.parametrize("name", ["M3(Z3)/Z3", "M2(Z9)/Z2", "M2(Z3)/trivial"])
+    def test_a_second_call_builds_nothing_and_proves_everything(self, monkeypatch, name):
+        proofs = Counter()
+        for law in ("biadditive", "agree_on_generators"):
+            def counted(*args, _law=law, _prove=getattr(gradings, law)):
+                proofs[_law] += 1
+                return _prove(*args)
+            monkeypatch.setattr(gradings, law, counted)
+        first, built = counted_good_grading(monkeypatch, name)
+        assert built and proofs["biadditive"] and proofs["agree_on_generators"]
+        first_proofs = proofs.copy()
+        is_epsilon_strong(first.graded)  # fills the first graded ring's memo
+        proofs.clear()
+        again, built = built_good_grading(monkeypatch, name)
+        assert built == [] and proofs == first_proofs
+        assert again.graded is not first.graded and "_memo" not in vars(again.graded)
+        assert again.graded.products.keys() == first.graded.products.keys()
+        for key, P in again.graded.products.items():
+            assert P is first.graded.products[key]
+        assert all(G is H for G, H in zip(again.graded.components, first.graded.components))
 
 
 class TestGroupoidRing:
