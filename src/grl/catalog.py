@@ -3,17 +3,21 @@
 A name resolves to its builder without building anything (the *_factory
 functions), and sizes above ``MAX_RING_ORDER`` are refused there.  The
 named_* functions build and validate each name once per process and keep
-that structure in a private memo.  Each call returns a new instance made
-through the constructor from the stored read-only tables, as pickling
-does: two calls give equal, distinct objects that share the table arrays,
-and no search cache of one (principal ideals, fixer masks, base relations)
+that structure in a private memo of at most 2^16 table cells; a name that
+no longer fits is built on every call.  Each call returns a ``bare``
+instance made through the constructor from the stored read-only tables:
+two calls give equal, distinct objects that share the table arrays, and no
+search cache of one (principal ideals, fixer masks, base relations)
 reaches the other, so every check on a named structure decides afresh.
+This pays only when one process resolves the same name again, as a
+corpus run after another, a test suite or a benchmark pass does; a single
+``grl`` command builds each name once either way.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from typing import Callable
 
 from .constructions import matrix_units_semigroup
@@ -41,6 +45,7 @@ from .semigroups import (
     monogenic_semigroup,
     trivial_semigroup,
 )
+from .tables import Memo, bare
 
 _SEMIGROUPS = {
     "trivial": trivial_semigroup,
@@ -114,31 +119,29 @@ def _groupoid_size_and_builder(name: str) -> tuple[int, Callable[[], FiniteGroup
     raise KeyError(f"unknown groupoid name: {name!r}")
 
 
-@lru_cache(maxsize=64)  # the default manifest names about 30 structures
-def _built(factory: Callable[[str], Callable], name: str):
-    """The structure a name resolves to, built and validated once per
-    process.  Only ``_fresh`` copies of it leave this module."""
-    return factory(name)()
+# Named structures kept per process, keyed by (kind, name).  The default
+# manifest's 28 structures hold 933 cells and the benchmark's good-grading
+# specs 5 more with 206; 2^16 cells (512 KiB of intp) keeps those many
+# times over, up to a Z128 ring of 32,896 cells, and bounds what is kept.
+_NAMED = Memo(cells=2 ** 16)
 
 
-def _fresh(structure):
-    """A new instance of a stored structure, made through its constructor
-    from its fields: it shares the read-only tables and starts with empty
-    caches."""
-    make, fields = structure.__reduce__()
-    return make(*fields)
+def _named(kind: str, factory: Callable[[str], Callable], name: str):
+    """A bare instance of the structure a name resolves to, built and
+    validated once per process while the memo has room."""
+    return bare(_NAMED.get((kind, name), factory(name)))
 
 
 def named_semigroup(name: str) -> FiniteSemigroup:
-    return _fresh(_built(semigroup_factory, name))
+    return _named("semigroup", semigroup_factory, name)
 
 
 def named_ring(name: str) -> FiniteRing:
-    return _fresh(_built(ring_factory, name))
+    return _named("ring", ring_factory, name)
 
 
 def named_groupoid(name: str) -> FiniteGroupoid:
-    return _fresh(_built(groupoid_factory, name))
+    return _named("groupoid", groupoid_factory, name)
 
 
 # degree maps for the named good gradings; entries are (ring, base name, deg rows)

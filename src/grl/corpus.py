@@ -13,6 +13,7 @@ from typing import Any, Callable, Optional
 
 from . import catalog
 from .constructions import (
+    _matrix_units_order,
     good_grading,
     groupoid_ring,
     matrix_bn_grading,
@@ -20,7 +21,6 @@ from .constructions import (
     validate_degree_map,
 )
 from .gradings import GradedRing
-from .rings import MAX_RING_ORDER
 from .semigroups import enumerate_semigroups, sample_semigroups
 
 # enumerate_semigroups tests order^(order^2) tables: 19683 at 3, 4^16 (hours) at 4
@@ -43,9 +43,14 @@ def _known(resolve) -> Callable[[object], bool]:
 
 
 def _matrix_units_size(value) -> bool:
-    """A matrix_bn size n >= 1 whose n^2 matrix units and zero are within
-    MAX_RING_ORDER, as ``matrix_units_semigroup`` requires."""
-    return type(value) is int and 1 <= value and value * value + 1 <= MAX_RING_ORDER
+    """A matrix_bn size that ``matrix_units_semigroup`` accepts."""
+    if type(value) is not int:
+        return False
+    try:
+        _matrix_units_order(value)
+    except ValueError:
+        return False
+    return True
 
 
 # Per list field of the manifest, one check for each part of an entry.

@@ -4,6 +4,9 @@ Every validator in grl calls this module; nothing else checks a table axiom.
 A product table P has ``P[a, b]`` = index of a*b.  ``frozen`` gives the
 read-only intp array in which grl stores every table, and
 ``ComparedByTables`` compares the structures that store them by value.
+``Memo`` keeps structures and tables built from a key for the life of the
+process, within a bound on the table cells it holds, and ``bare`` copies a
+structure without its caches.
 Tables over additive groups are first accepted on generators: ``biadditive``,
 ``agree_on_generators`` and ``associative_through`` are complete proofs that
 answer yes or no.  ``biadditive`` and ``associative_through`` compare whole
@@ -27,7 +30,8 @@ from __future__ import annotations
 from dataclasses import fields
 from functools import cache, cached_property
 from itertools import chain, product
-from typing import Optional, Sequence
+from threading import Lock
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +78,61 @@ class ComparedByTables:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def bare(value):
+    """A structure made anew through its constructor from its fields, each
+    structure field bare too: it shares the read-only tables and starts with
+    no cache.  Any other value is returned as it is."""
+    if not isinstance(value, ComparedByTables):
+        return value
+    return type(value)(*(bare(getattr(value, f.name)) for f in fields(value)))
+
+
+def _table_cells(value) -> int:
+    """Cells of the arrays held in ``value``: in a structure's fields, a
+    tuple's items and a dict's values."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, ComparedByTables):
+        return sum(_table_cells(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, tuple):
+        return sum(map(_table_cells, value))
+    if isinstance(value, dict):
+        return sum(map(_table_cells, value.values()))
+    return 0
+
+
+class Memo:
+    """Values built once per key and kept for the life of the process while
+    the arrays of everything kept, keys included, hold at most ``cells``
+    cells.  Once that is spent, a new key's value is built on every call and
+    not kept; nothing is ever evicted, so what is kept does not depend on
+    the order of later calls.  A key is a tuple, and the structures in it
+    are kept ``bare``, without the caches of the caller's instances.  Two
+    threads may both build a missing value; one of them is kept."""
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.held = 0
+        self._kept: dict = {}
+        self._lock = Lock()
+
+    def get(self, key: tuple, build: Callable[[], object]):
+        try:
+            return self._kept[key]
+        except KeyError:
+            pass
+        value = build()
+        size = _table_cells(key) + _table_cells(value)
+        with self._lock:
+            if key not in self._kept and self.held + size <= self.cells:
+                self._kept[tuple(map(bare, key))] = value
+                self.held += size
+        return value
+
+    def __len__(self) -> int:
+        return len(self._kept)
 
 
 def _by_value(value):

@@ -2,19 +2,24 @@
 
 Every call gives a new instance made through the constructor from the
 stored read-only tables: equal to the last one, sharing its table arrays,
-and starting with no cache a check filled on another instance.  Names whose
-structures would pass MAX_RING_ORDER elements are refused while the name is
-resolved, so these tests never build them.
+and starting with no cache a check filled on another instance.  The memos
+keep at most a fixed number of table cells; a name past that is built on
+every call.  Names whose structures would pass MAX_RING_ORDER elements are
+refused while the name is resolved, so these tests never build them.
 """
 
 import json
+import sys
+import threading
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from grl import catalog
+from grl import catalog, constructions
 from grl.corpus import CorpusManifest, default_manifest
 from grl.rings import MAX_RING_ORDER, check_tominaga, check_vnr_characterization
+from grl.tables import Memo
 
 from test_cli import run_cli
 
@@ -33,6 +38,15 @@ def assert_shared_read_only(a, b) -> None:
     assert a.flags.writeable is False and a is b
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh catalog memo with the process memo's bound."""
+    memo = Memo(cells=catalog._NAMED.cells)
+    monkeypatch.setattr(catalog, "_NAMED", memo)
+    return memo
+
+
+@pytest.mark.usefixtures("empty_memo")
 class TestInstances:
     @pytest.mark.parametrize("name", RING_NAMES)
     def test_rings(self, name):
@@ -69,6 +83,57 @@ class TestInstances:
         T = catalog.named_ring("F4")
         monkeypatch.setitem(catalog._RINGS, "F4", lambda: pytest.fail("F4 was built again"))
         assert catalog.named_ring("F4") == T
+
+
+class TestMemoBound:
+    """What the memos keep is bounded by table cells, not by entries."""
+
+    def test_values_are_kept_until_the_cells_are_spent(self):
+        memo, builds = Memo(cells=10), []
+
+        def build(n):
+            return lambda: builds.append(n) or np.zeros(n, dtype=np.intp)
+
+        for n in (4, 5, 3, 1, 4, 5):
+            memo.get((n,), build(n))
+        assert builds == [4, 5, 3, 1] and (len(memo), memo.held) == (3, 10)
+        memo.get((3,), build(3))
+        memo.get((3,), build(3))
+        assert builds == [4, 5, 3, 1, 3, 3]
+
+    def test_threads_that_build_one_key_at_once_keep_it_once(self):
+        memo, workers = Memo(cells=100), 8
+        inside = threading.Barrier(workers)
+
+        def build():
+            inside.wait(timeout=30)  # every thread has missed the key
+            return np.zeros(5, dtype=np.intp)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=memo.get, args=((0,), build))
+                       for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (len(memo), memo.held) == (1, 5)
+
+    def test_a_name_past_the_bound_is_built_on_every_call(self, empty_memo):
+        # Z200 holds 2 * 200^2 + 200 = 80,200 cells, more than 2^16
+        T, U = catalog.named_ring("Z200"), catalog.named_ring("Z200")
+        assert T == U and T.mul is not U.mul
+        assert len(empty_memo) == 0 and empty_memo.held == 0
+        catalog.named_ring("Z128")  # 32,896 cells fit
+        assert (len(empty_memo), empty_memo.held) == (1, 32896)
+
+    def test_the_process_memos_stay_within_their_bounds(self):
+        for memo in (catalog._NAMED, constructions._TABLES):
+            assert 0 <= memo.held <= memo.cells
 
 
 class TestNameBounds:

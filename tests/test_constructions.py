@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,7 @@ from grl.gradings import (
     structurally_equal,
 )
 from grl.groupoids import group_groupoid, pair_groupoid
-from grl.rings import cyclic_ring, field_f4, is_von_neumann_regular, unity
+from grl.rings import check_tominaga, cyclic_ring, field_f4, is_von_neumann_regular, unity
 from grl.semigroups import (
     chain_semilattice,
     classify_semigroup,
@@ -38,6 +39,8 @@ from grl.semigroups import (
     left_zero_semigroup,
     validate_semigroup,
 )
+from grl.tables import Memo
+
 import reference_gradings
 from reference_semigroups import mul
 
@@ -233,7 +236,7 @@ def counted_good_grading(monkeypatch, name):
     """The good grading of a ``SHARED_TABLE_SPECS`` entry and the term
     patterns it built a table for, in build order.  The process memo of
     product tables is emptied first, so every table is built here."""
-    constructions._product_table.cache_clear()
+    monkeypatch.setattr(constructions, "_TABLES", Memo(cells=constructions._TABLES.cells))
     return built_good_grading(monkeypatch, name)
 
 
@@ -291,38 +294,41 @@ class TestRepeatedGoodGradings:
     call still index-checks and proves them."""
 
     @pytest.mark.parametrize("name", sorted(SHARED_TABLE_SPECS))
-    def test_memoised_tables_are_read_only_and_kept_without_a_copy(self, name):
-        ring_name, base_name, deg = SHARED_TABLE_SPECS[name]
-        dm = validate_degree_map(catalog.named_semigroup(base_name), deg)
-        gg = good_grading(catalog.named_ring(ring_name), dm)
+    def test_memoised_tables_are_read_only_and_kept_without_a_copy(self, monkeypatch, name):
+        gg, _ = counted_good_grading(monkeypatch, name)
         target, cells = gg.degree_map.base.relations.targets, gg.cells
+        # Z2^9 and its 512 x 512 tables are past the memo's bound
+        kept = name != "M3(Z2)/trivial"
+        assert (len(constructions._TABLES) > 0) is kept
         for (s, t), P in gg.graded.products.items():
             pattern = rings._term_pattern(cells[s], cells[t], cells[target[s][t]])
-            assert constructions._product_table(gg.coefficients, pattern) is P
+            assert (constructions._product_table(gg.coefficients, pattern) is P) is kept
             assert P.flags.writeable is False
         for G in gg.graded.components:
             assert G.add.flags.writeable is False and G.neg.flags.writeable is False
 
-    @pytest.mark.parametrize("name", ["M3(Z3)/Z3", "M2(Z9)/Z2", "M2(Z3)/trivial"])
-    def test_a_second_call_builds_nothing_and_proves_everything(self, monkeypatch, name):
-        proofs = Counter()
-        for law in ("biadditive", "agree_on_generators"):
-            def counted(*args, _law=law, _prove=getattr(gradings, law)):
-                proofs[_law] += 1
-                return _prove(*args)
-            monkeypatch.setattr(gradings, law, counted)
-        first, built = counted_good_grading(monkeypatch, name)
-        assert built and proofs["biadditive"] and proofs["agree_on_generators"]
-        first_proofs = proofs.copy()
-        is_epsilon_strong(first.graded)  # fills the first graded ring's memo
-        proofs.clear()
-        again, built = built_good_grading(monkeypatch, name)
-        assert built == [] and proofs == first_proofs
-        assert again.graded is not first.graded and "_memo" not in vars(again.graded)
-        assert again.graded.products.keys() == first.graded.products.keys()
-        for key, P in again.graded.products.items():
-            assert P is first.graded.products[key]
-        assert all(G is H for G, H in zip(again.graded.components, first.graded.components))
+    def test_kept_keys_hold_no_cache_of_the_callers_ring(self, monkeypatch):
+        A = catalog.named_ring("Z3")
+        check_tominaga(A, 1)
+        assert "_fixers" in vars(A)
+        monkeypatch.setattr(constructions, "_TABLES", Memo(cells=constructions._TABLES.cells))
+        good_grading(A, validate_degree_map(catalog.named_semigroup("Z3"),
+                                            SHARED_TABLE_SPECS["M3(Z3)/Z3"][2]))
+        kept = [key[0] for key in constructions._TABLES._kept]
+        assert A in kept and A.additive in kept
+        for structure in kept + [R.additive for R in kept if R == A]:
+            assert structure is not A and structure is not A.additive
+            assert set(vars(structure)) <= {f.name for f in fields(structure)} | {"_key"}
+
+    def test_tables_past_the_bound_are_built_on_every_call(self, monkeypatch):
+        # M3(Z3)/Z3 keeps its power group Z3^3 in 768 cells, then three
+        # product tables of 750 cells each, key included
+        memo = Memo(cells=1000)
+        monkeypatch.setattr(constructions, "_TABLES", memo)
+        first = list(built_good_grading(monkeypatch, "M3(Z3)/Z3")[1])
+        _, again = built_good_grading(monkeypatch, "M3(Z3)/Z3")
+        assert (len(memo), memo.held) == (1, 768)
+        assert len(first) == 3 and again == first
 
 
 class TestGroupoidRing:
