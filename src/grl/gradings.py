@@ -395,8 +395,8 @@ def is_strong(R: GradedRing) -> Verdict:
 
 
 def _subring_is_s_unital(M: np.ndarray, members: Sequence[int]) -> bool:
-    idx = np.asarray(members)
-    sub = M[np.ix_(idx, idx)]
+    idx = np.asarray(members, dtype=np.intp)
+    sub = M[idx[:, None], idx]
     return bool((sub == idx).any(axis=0).all() and (sub == idx[:, None]).any(axis=1).all())
 
 

@@ -431,8 +431,8 @@ def subring_unity(M: np.ndarray, members: Sequence[int]) -> Optional[int]:
     """First two-sided unity of a subgroup, ascending members, viewed as a
     ring under the table M, or None.  This is grl's one unity search, so
     {0} is unital with u = 0 wherever a unity is asked for."""
-    idx = np.asarray(members)
-    sub = M[np.ix_(idx, idx)]  # sub[i, j] = members[i] * members[j]
+    idx = np.asarray(members, dtype=np.intp)
+    sub = M[idx[:, None], idx]  # sub[i, j] = members[i] * members[j]
     u = _first(((sub == idx) & (sub.T == idx)).all(axis=1))
     return None if u is None else int(idx[u])
 

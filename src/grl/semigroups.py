@@ -7,7 +7,6 @@ verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
@@ -25,7 +24,7 @@ from .tables import (
     is_associative_flat,
 )
 
-SAMPLE_BATCH = 32_768  # order-4 tables a draw: 2 MiB of words, two draws alive at once
+SAMPLE_BATCH = 32_768  # order-4 tables a draw: 2 MiB of words, one draw alive at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,18 +214,12 @@ def enumerate_semigroups(order: int) -> Iterator[FiniteSemigroup]:
 
 
 def draw_order4_tables(bits: np.random.PCG64, count: int) -> np.ndarray:
-    """The next ``count`` raw order-4 tables of the stream, (count, 4, 4) uint8,
-    laid out as ``_order4_cells`` says."""
-    return _order4_cells(bits.random_raw(count * 8))
-
-
-def _order4_cells(words: np.ndarray) -> np.ndarray:
-    """Raw PCG64 words as order-4 tables, (len(words) // 8, 4, 4) uint8.
+    """The next ``count`` raw order-4 tables of the stream, (count, 4, 4) uint8.
 
     A table takes 8 words; each cell is the top two bits of one 32-bit half,
     low half first, read little-endian whatever the host byte order.
     """
-    halves = words.astype("<u8", copy=False).view("<u4")
+    halves = bits.random_raw(count * 8).astype("<u8", copy=False).view("<u4")
     cells = np.empty(halves.size, dtype=np.uint8)  # shift straight into uint8: no wide temporary
     return np.right_shift(halves, 30, out=cells, casting="unsafe").reshape(-1, 4, 4)
 
@@ -245,16 +238,9 @@ def sample_semigroups(order: int, count: int, seed: int,
     ``order4_tables_scanned`` is set to the stream position of the last kept
     table plus 1, which does not depend on ``SAMPLE_BATCH`` either.
 
-    One helper thread draws the next batch's words while this thread
-    shifts and screens the current batch.  ``random_raw`` and the large
-    numpy steps release the GIL, so on two cores the two overlap, and two
-    batches' words (4 MiB) are alive at once.  Only one draw is in flight
-    at a time and this thread never touches the stream meanwhile, so the
-    stream is read in order and the output does not change; one surplus
-    batch is drawn and dropped at the end.  The helper calls no grl
-    function, so a tracer that wraps them sees every span on this thread.
-    It lives only during the call and is joined before the call returns or
-    raises.  A count of 0 or less starts no thread.
+    Each batch is drawn and screened on the calling thread, so one batch's
+    words (2 MiB) are alive at a time, and no batch is drawn after the one
+    that holds the last kept table.  A count of 0 or less builds no stream.
     """
     if order != 4:
         raise ValueError(f"sampling draws order-4 tables only, not order {order}")
@@ -262,17 +248,13 @@ def sample_semigroups(order: int, count: int, seed: int,
     drawn = scanned = 0
     if count > 0:
         bits = np.random.PCG64(seed)
-        with ThreadPoolExecutor(1) as helper:
-            words = helper.submit(bits.random_raw, 8 * SAMPLE_BATCH)
-            while len(found) < count:
-                raw = words.result()
-                words = helper.submit(bits.random_raw, 8 * SAMPLE_BATCH)
-                tabs = _order4_cells(raw)
-                kept = np.flatnonzero(associative_mask(tabs))[:count - len(found)]
-                found.extend(FiniteSemigroup(order=4, table=t) for t in tabs[kept])
-                if kept.size:
-                    scanned = drawn + int(kept[-1]) + 1
-                drawn += len(tabs)
+        while len(found) < count:
+            tabs = draw_order4_tables(bits, SAMPLE_BATCH)
+            kept = np.flatnonzero(associative_mask(tabs))[:count - len(found)]
+            found.extend(FiniteSemigroup(order=4, table=t) for t in tabs[kept])
+            if kept.size:
+                scanned = drawn + int(kept[-1]) + 1
+            drawn += len(tabs)
     if work is not None:
         work["order4_tables_scanned"] = scanned
     return found

@@ -22,7 +22,9 @@ the whole cube of triples, so memory stays flat as tables grow.
 candidate table, as exhaustive enumeration produces them.
 ``associative_mask`` filters batches of tables of order at most 4 by
 row/column lookup: (ab)c and a(bc) depend only on row a and column c, so
-one lookup settles every b for a pair (a, c).
+one lookup settles every b for a pair (a, c).  At order 4 two row-pair
+lookups, on rows 0-1 and rows 2-3, first screen the whole batch, and only
+the few tables that pass both look up every (a, c).
 """
 
 from __future__ import annotations
@@ -333,6 +335,38 @@ def _pair_table(n: int) -> np.ndarray:
     return ok
 
 
+@cache
+def _row_pair_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): ok[row p | row p+1 << 8] for the pairs p = 0 and p = 2
+    of an order-4 table: does (ab)c == a(bc) hold for every c, and every a, b
+    in the pair whose product ab is in the pair too?
+
+    Those triples read only the pair's two rows: row ab is one of them, and
+    a(bc) is row a composed with row b.  Rows are packed as in
+    ``_pair_table``.  Built on first use, not at import, from the 256 x 256
+    table of row compositions, every step a 64 KiB array.
+    """
+    r = np.arange(256, dtype=np.uint8)
+    comp = np.zeros((256, 256), dtype=np.uint8)  # comp[x, y]: the row c -> x[y[c]]
+    for c in range(4):
+        comp |= ((r[:, None] >> (((r >> 2 * c) & 3) << 1)) & 3) << 2 * c
+    # over all keys in order, the (256, 256) arrays are indexed [row p+1, row p]
+    rows = (r[None, :], r[:, None])
+    diagonal = comp.diagonal()
+    composed = {(0, 0): diagonal[None, :], (0, 1): comp.T,
+                (1, 0): comp, (1, 1): diagonal[:, None]}
+
+    def table(p: int) -> np.ndarray:
+        ok = np.ones((256, 256), dtype=bool)
+        for (i, j), a_bc in composed.items():
+            ab = (rows[i] >> 2 * (p + j)) & 3
+            for k in range(2):
+                ok &= (ab != p + k) | (rows[k] == a_bc)
+        return ok.reshape(-1)
+
+    return table(0), table(2)
+
+
 def _pair_keys(packed: np.ndarray, a: int, c: int) -> np.ndarray:
     """``_pair_table`` index of row a and column c of each packed table."""
     row = (packed >> 8 * a) & 0xFF
@@ -345,22 +379,33 @@ def associative_mask(tabs: np.ndarray) -> np.ndarray:
 
     A table is associative when, for every row a and column c, the pair
     passes ``_pair_table``: one lookup per (a, c) instead of one test per
-    triple.  Each table is zero-padded to 4 x 4 and packed into one uint32,
-    2 bits a cell, cell (a, b) at bit 8a + 2b, so row a is byte a and column
-    c gathers by one multiply.  Row 0 and the last column are looked up for
-    the whole batch; few tables pass, and only those look up every pair.
+    triple.  Each table is packed into one uint32, 2 bits a cell, cell (a, b)
+    at bit 8a + 2b, so row a is byte a and column c gathers by one multiply;
+    below order 4 the cells are zero-padded to 4 x 4 first.  Few tables pass
+    a first screen of the whole batch, and only those look up every pair.
+    At order 4 the screen is the two ``_row_pair_tables`` lookups, on rows
+    0-1 and then rows 2-3; below it, row 0 and the last column.
     """
     m, n = len(tabs), tabs.shape[-1]
     if n > MAX_MASK_ORDER:
         raise ValueError(f"associative_mask takes orders up to {MAX_MASK_ORDER}, not {n}")
     ok = _pair_table(n)
-    cells = np.zeros((m, 4, 4), dtype=np.uint8)
-    cells[:, :n, :n] = tabs
-    rows = cells.view("<u4")[..., 0]  # (m, 4): row a of each table as one word
-    rows *= _SPREAD
-    rows >>= 24  # ... packed into 8 bits
-    packed = rows.astype(np.uint8).view("<u4")[:, 0]
-    live = np.flatnonzero(ok.take(_pair_keys(packed, 0, n - 1)))
+    if n == 4:
+        cells = np.ascontiguousarray(tabs, dtype=np.uint8)
+    else:
+        cells = np.zeros((m, 4, 4), dtype=np.uint8)
+        cells[:, :n, :n] = tabs
+    rows = np.multiply(cells.view("<u4")[..., 0], _SPREAD)  # (m, 4): row a as one word
+    rows = np.right_shift(rows, 24, out=np.empty((m, 4), dtype=np.uint8),
+                          casting="unsafe")  # ... packed into 8 bits
+    packed = rows.view("<u4")[:, 0]
+    if n == 4:
+        low, high = _row_pair_tables()
+        pairs = rows.view("<u2")  # (m, 2): rows 0-1 and rows 2-3 of each table
+        live = np.flatnonzero(low.take(pairs[:, 0]))
+        live = live[high.take(pairs[live, 1])]
+    else:
+        live = np.flatnonzero(ok.take(_pair_keys(packed, 0, n - 1)))
     for a, c in product(range(n), repeat=2):
         if live.size == 0:
             break

@@ -106,6 +106,16 @@ def assoc_violation(t) -> tuple | None:
     return None
 
 
+def row_pair_holds(rows: dict) -> bool:
+    """Does (ab)c == a(bc) hold for every c, and every a, b among the given
+    rows {a: row a} of an order-4 table whose product ab is among them too?"""
+    for a, b, c in product(rows, rows, range(4)):
+        ab = rows[a][b]
+        if ab in rows and rows[ab][c] != rows[a][rows[b][c]]:
+            return False
+    return True
+
+
 def semigroup_violation(table):
     bad = assoc_violation(table)
     return None if bad is None else (NotAssociativeError, bad)

@@ -596,7 +596,7 @@ class TestModuleEntryPoint:
 
 
     def test_import_starts_no_thread(self):
-        # the sampler's helper thread exists only during a sampling call
+        # only `--jobs` above 1 starts threads, and only during a suite run
         code = "import threading, grl.cli; print(threading.active_count())"
         src = str(Path(cli.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -191,26 +191,43 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_sampling_nothing(self, monkeypatch, count):
-        # builds no stream and starts no helper thread
+        # builds no stream and starts no thread
         def refused(*args, **kwargs):
-            raise AssertionError("a stream or a thread was started")
+            raise AssertionError("a stream was built")
 
-        monkeypatch.setattr(semigroups, "ThreadPoolExecutor", refused)
         monkeypatch.setattr(np.random, "PCG64", refused)
         before = threading.active_count()
         assert sample_semigroups(4, count, seed=0) == []
         assert threading.active_count() == before
 
 
-class TestSamplerThread:
-    """The helper thread that draws the next batch while one is screened."""
+class TestStreamOrder:
+    """One batch at a time, read in stream order on the calling thread."""
 
-    def test_no_thread_outlives_a_call(self):
-        before = threading.active_count()
-        sample_semigroups(4, 1, seed=1)
-        assert threading.active_count() == before
+    def test_sampling_starts_no_thread(self, monkeypatch):
+        def refused(thread):
+            raise AssertionError("a thread was started")
 
-    def test_no_thread_outlives_a_failing_screen(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        work = {}
+        assert len(sample_semigroups(4, 4, 20250810, work)) == 4
+        assert work["order4_tables_scanned"] > 0
+
+    @pytest.mark.parametrize("batch", [8192, 65_536])
+    def test_no_batch_is_drawn_after_the_last_kept_table(self, monkeypatch, batch):
+        drawn = []
+
+        def counted(bits, count):
+            drawn.append(count)
+            return draw_order4_tables(bits, count)
+
+        monkeypatch.setattr(semigroups, "SAMPLE_BATCH", batch)
+        monkeypatch.setattr(semigroups, "draw_order4_tables", counted)
+        work = {}
+        sample_semigroups(4, 4, 20250810, work)
+        assert drawn == [batch] * -(-work["order4_tables_scanned"] // batch)
+
+    def test_a_failing_screen_stops_the_draws(self, monkeypatch):
         batches = []
 
         def failing_on_the_third(tabs):
@@ -226,8 +243,8 @@ class TestSamplerThread:
         assert threading.active_count() == before and len(batches) == 3
 
     def test_small_batches_with_frequent_switches(self, monkeypatch):
-        # 1,306 handoffs with the GIL switched every microsecond; the stream
-        # must still be read in order
+        # 1,306 batches sampled off the main thread with the GIL switched
+        # every microsecond; the stream must still be read in order
         monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 4096)
         work, result = {}, []
         interval = sys.getswitchinterval()

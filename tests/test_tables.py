@@ -825,10 +825,28 @@ class TestOrder4Mask:
             tables.associative_mask(np.zeros((1, 5, 5), dtype=np.uint8))
 
     def test_import_does_not_build_the_pair_table(self):
-        # the table is built on the first mask, so import time does not grow
+        # the pair table and the two row-pair tables are built on the first
+        # mask, so import time does not grow
         code = ("import grl.cli; from grl import tables; "
-                "print(tables._pair_table.cache_info().currsize)")
+                "print(tables._pair_table.cache_info().currsize, "
+                "tables._row_pair_tables.cache_info().currsize)")
         src = str(Path(tables.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "0"
+        assert out.stdout.split() == ["0", "0"]
+
+
+class TestRowPairTables:
+    """The order-4 row-pair lookups, every key against the plain loop."""
+
+    @pytest.mark.parametrize("which,pair", [(0, (0, 1)), (1, (2, 3))])
+    def test_every_key(self, which, pair):
+        got = tables._row_pair_tables()[which]
+        assert got.dtype == bool and got.shape == (1 << 16,)
+
+        def row(byte):  # cell b at bits 2b
+            return [(byte >> 2 * b) & 3 for b in range(4)]
+
+        want = [ref.row_pair_holds({pair[0]: row(key & 0xFF), pair[1]: row(key >> 8)})
+                for key in range(1 << 16)]
+        assert got.tolist() == want
