@@ -243,13 +243,14 @@ def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
     T, target = R.products, R.base.relations.targets
     comp = [id(g) for g in R.components]
     gens = [np.asarray(g.generators) for g in R.components]
+    edges = [g.edges for g in R.components]
     checked = set()
     for (s, t), P in T.items():
         st = target[s][t]
         key = (id(P), comp[s], comp[t], comp[st])
         if key not in checked:
             checked.add(key)
-            if not biadditive(P, add[s], add[t], add[st], gens[s], gens[t]):
+            if not biadditive(P, add[st], edges[s], edges[t], gens[t]):
                 return False
     number = {key: id(P) for key, P in T.items()}.get
     checked = set()
@@ -425,9 +426,12 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
                    witness=EpsilonWitness(kind="uniform", uniform=uniform))
 
 
+@_once_per_ring
 def _per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
     """For each (s, t, r): search eps in span(R_s R_t) with eps*r = r and
-    eps' in span(R_t R_s) with r*eps' = r."""
+    eps' in span(R_t R_s) with r*eps' = r.  Once per ring: the witness of
+    ``is_nearly_epsilon_strong`` and the witness side of
+    ``check_eps_characterizations`` both read it; no definition side does."""
     out: dict[tuple[int, int, int], tuple[int, int]] = {}
     for (s, t) in R.inverse_pairs():
         st = R.target(s, t)

@@ -54,11 +54,27 @@ class FiniteAdditiveGroup(ComparedByTables):
     def elements(self) -> range:
         return range(self.order)
 
-    @cached_property
+    @property
     def generators(self) -> tuple[int, ...]:
         """Greedy generators: the ascending elements outside the span of the
         earlier ones; (0,) for the trivial group.  Not a dataclass field."""
-        return tuple(_grow(self.add, {0}, range(1, self.order))) or (0,)
+        return self._growth[0]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The spanning edges of the greedy growth, a read-only (3, m) array
+        of columns (y, b, y + b): (0, 0); for each x != 0 the (g, p) that
+        added it; for each generator g the closing (g, x), x the first
+        element of the last coset of g, whose sum lies in the span of the
+        earlier generators.  ``tables.biadditive`` proves additivity on them."""
+        return self._growth[1]
+
+    @cached_property
+    def _growth(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """``generators`` and ``edges`` from one growth of {0}."""
+        ys, bs, sums = edges = [0], [0], [0]  # the edge (0, 0) first
+        generators = tuple(_grow(self.add, {0}, range(1, self.order), edges)) or (0,)
+        return generators, frozen(ys + bs + sums).reshape(3, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +188,13 @@ def validate_additive_group(add: Sequence[Sequence[int]],
         x = int(np.argwhere(A[np.arange(n), N] != 0)[0][0])
         raise AdditiveGroupError(f"x + neg[x] != 0 at x = {x}", (x,))
     grp = FiniteAdditiveGroup(order=n, add=A, neg=N)
-    # Every element is 0, a greedy generator, or g + m for a generator g and
-    # an element m met before it (see _grow), so Light's test on the
-    # generators is a proof.  Rows that are not permutations, as no group's
-    # are, go straight to the scan, which finds the first failing triple.
+    # Every nonzero element is g + m for a greedy generator g and an element
+    # m added before it, along the spanning edge that added it (see _grow),
+    # so the generators generate the table under + and Light's test on them
+    # is a proof.  The growth ends on any table; only ``biadditive`` reads
+    # its closing edges, once the group is valid.  Rows that are not
+    # permutations, as no group's are, go straight to the scan, which finds
+    # the first failing triple.
     if not ((np.sort(A, axis=1) == np.arange(n)).all()
             and associative_through(A, np.asarray(grp.generators))):
         bad = first_assoc_violation(A, A, A, A)
@@ -193,7 +212,8 @@ def validate_ring(add: Sequence[Sequence[int]], neg: Sequence[int],
     _check_index_table(mul, n, "mul")
     A, M = grp.add, frozen(mul)
     g = np.asarray(grp.generators)
-    if not (biadditive(M, A, A, A, g, g) and agree_on_generators(g, g, g, (M, M), (M, M))):
+    if not (biadditive(M, A, grp.edges, grp.edges, g)
+            and agree_on_generators(g, g, g, (M, M), (M, M))):
         _raise_first_ring_violation(A, M)
     return FiniteRing(additive=grp, mul=M)
 
@@ -481,7 +501,8 @@ class Subgroup:
         return len(self.members)
 
 
-def _grow(add, members: set[int], seeds: Iterable[int]) -> list[int]:
+def _grow(add, members: set[int], seeds: Iterable[int],
+          edges: Optional[tuple[list, list, list]] = None) -> list[int]:
     """Grow the subgroup ``members`` in place by each seed in turn and return
     the seeds that enlarged it.
 
@@ -489,6 +510,10 @@ def _grow(add, members: set[int], seeds: Iterable[int]) -> list[int]:
     first that is H again.  Cosets of H are equal or disjoint, so testing the
     first element of each next coset is enough and none is built twice.
     ``members`` must be a subgroup on entry; it is one again on return.
+
+    Each coset is g plus the one before it, element by element.  Given
+    three lists ``edges``, the growth appends to them the columns y, b and
+    y + b of its spanning edges (see ``FiniteAdditiveGroup.edges``).
     """
     enlarged = []
     for g in seeds:
@@ -496,10 +521,19 @@ def _grow(add, members: set[int], seeds: Iterable[int]) -> list[int]:
             continue
         enlarged.append(g)
         row = add[g].tolist()  # plain ints: a numpy call per coset step costs more
-        coset = [row[h] for h in members]
+        parents = members if edges is None else list(members)
+        coset = [row[h] for h in parents]
         while coset[0] not in members:
             members.update(coset)
-            coset = [row[x] for x in coset]
+            if edges is not None:
+                edges[0].extend([g] * len(coset))
+                edges[1].extend(parents)
+                edges[2].extend(coset)
+            parents, coset = coset, [row[x] for x in coset]
+        if edges is not None:  # the closing edge
+            edges[0].append(g)
+            edges[1].append(parents[0])
+            edges[2].append(coset[0])
     return enlarged
 
 

@@ -9,15 +9,18 @@ process, within a bound on the table cells it holds, and ``bare`` copies a
 structure without its caches.
 Tables over additive groups are first accepted on generators: ``biadditive``,
 ``agree_on_generators`` and ``associative_through`` are complete proofs that
-answer yes or no.  ``biadditive`` and ``associative_through`` compare whole
-generator planes, both sides of a law for one generator and every pair of
-elements, each side one gather.  Only when a proof answers no do the
-validators run the ``first_*`` scans, which return the lexicographically
-first violating tuple, so error contexts do not depend on table size or on
-the generators; their planes are the first element of a tuple.  Proofs and
-scans share one loop, ``_first_on_planes``, which runs whole planes, or row
-blocks of a larger plane, in at most ``CELL_BUDGET`` cells and never builds
-the whole cube of triples, so memory stays flat as tables grow.
+answer yes or no.  ``biadditive`` compares both sides of each law along the
+spanning edges of the groups' greedy growth, a polycyclic presentation:
+one edge per element and one closing edge per generator.
+``associative_through`` compares whole generator planes, both sides of a
+law for one generator and every pair of elements, each side one gather.
+Only when a proof answers no do the validators run the ``first_*`` scans,
+which return the lexicographically first violating tuple, so error contexts
+do not depend on table size or on the generators; their planes are the
+first element of a tuple.  Proofs and scans share one loop,
+``_first_on_planes``, which runs whole planes, or row blocks of a larger
+plane, in at most ``CELL_BUDGET`` cells and never builds the whole cube of
+triples, so memory stays flat as tables grow.
 ``is_associative_flat`` is the one plain loop: it tests a single tiny
 candidate table, as exhaustive enumeration produces them.
 ``associative_mask`` filters batches of tables of order at most 4 by
@@ -251,33 +254,46 @@ def associative_through(T, gens) -> bool:
         T[r].take(T[gens[p]], axis=1).swapaxes(0, 1))) is None  # x(gy)
 
 
-def biadditive(P, add_left, add_right, add_out, gens_left, gens_right) -> bool:
-    """Is P bi-additive?  Checks the right law a(y+b) = ay + ab in full, for
-    y in the array ``gens_right`` and every a, b, and the left law
-    (x+a)b = xb + ab only on generator columns, for x in the array
-    ``gens_left``, every a and b in ``gens_right``.
+def biadditive(P, add_out, edges_left, edges_right, gens_right) -> bool:
+    """Is P bi-additive?  Checks the right law a(y+b) = ay + ab for every a
+    and every edge (y, b) of the right group, and the left law
+    (x+a)b = xb + ab for every edge (x, a) of the left group and b in
+    ``gens_right``.  Edges are (3, m) arrays of columns (y, b, y + b), as
+    ``FiniteAdditiveGroup.edges``; the right group and ``add_out`` must be
+    groups.
 
-    The y for which the right law holds for every a, b are closed under
-    addition, so in a finite group they are the whole group once they
-    include a generating set: then every map b -> ab is additive.  So
-    (x+a)b - xb - ab is additive in b, and it vanishes once it does on
-    generators b.  The x for which the left law holds for every a, b are
-    closed under addition too.  Generator pairs alone prove nothing: on Z4
-    they never reach 3*b.
+    Greedy growth is a polycyclic presentation (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005): H_i = <g_1, ..., g_i> is
+    H_{i-1} + {0, g_i, ..., (k-1)g_i} with k g_i in H_{i-1}.  So a map f
+    that respects every edge is additive.  Edge (0, 0) gives f(0) = 0.  If
+    f is a homomorphism on H_{i-1}, the edge g + ((j-1)g + h) of each new
+    element gives f(jg + h) = j f(g) + f(h), and the closing edge gives
+    f(kg + h_0) = k f(g) + f(h_0), so f(kg) = k f(g), the one relation of
+    g: f is a homomorphism on H_i.
 
-    Each law runs on whole generator planes, every a and b at once for a
-    generator: a(y+b) and (x+a)b gather columns and rows of P, and the sums
-    are one ``take`` on the flattened ``add_out``.
+    So the right law, on |R_s|(|R_t| + r_t) cells, makes every map b -> ab
+    additive.  Then (x+a)b - xb - ab is additive in b and vanishes once it
+    does on generators b, and a -> ab for a generator b is additive once it
+    is on the edges of R_s: (|R_s| + r_s) r_t cells.  Generator pairs alone
+    prove nothing: on Z4 they never reach 3*b.  Each term is one gather of
+    P, and the sums are one ``take`` on the flattened ``add_out``.
     """
-    g, h = gens_left, gens_right
+    y, b, yb = edges_right
+    x, a, xa = edges_left
     w = add_out.shape[1]
-    Ph = P[:, h]  # the generator columns
-    right = _first_on_planes(len(h), *P.shape, lambda p, r: (
-        P[r].take(add_right[h[p]], axis=1).swapaxes(0, 1),                   # a(y+b)
-        add_out.take(P[r, h[p], None] * w + P[r, None, :]).swapaxes(0, 1)))  # ay + ab
-    return right is None and _first_on_planes(len(g), len(P), len(h), lambda p, r: (
-        Ph.take(add_left[g[p], r], axis=0),                                  # (x+a)b
-        add_out.take(Ph[g[p], None] * w + Ph[None, r]))) is None             # xb + ab
+    Ph = P[None, :, gens_right]  # the generator columns
+
+    def right(_, r):
+        rows = P[None, r]
+        return (rows.take(yb, axis=2),                                           # a(y+b)
+                add_out.take(rows.take(y, axis=2) * w + rows.take(b, axis=2)))  # ay + ab
+
+    def left(_, r):
+        return (Ph.take(xa[r], axis=1),                                         # (x+a)b
+                add_out.take(Ph.take(x[r], axis=1) * w + Ph.take(a[r], axis=1)))  # xb + ab
+
+    return (_first_on_planes(1, len(P), len(yb), right) is None
+            and _first_on_planes(1, len(xa), len(gens_right), left) is None)
 
 
 def agree_on_generators(gens_a, gens_b, gens_c, left, right) -> bool:

@@ -7,8 +7,10 @@ queries (``s_unitality``, ``unity``, ``is_von_neumann_regular``,
 arrays; ``common_unit``, ``left_ideal``, ``idempotent_generator``,
 ``is_left_ideal``, ``check_tominaga`` and ``check_vnr_characterization``,
 which grl answers with fixer bitmasks, cached principal ideals and array
-membership; and the breadth-first closure that ``additive_closure``
-replaces with coset growth.  Every element operation reads the tables
+membership; the breadth-first closure that ``additive_closure``
+replaces with coset growth; and the greedy generators and spanning edges
+that grl records in that growth, checked by ``spanning_edge_fault``.
+Every element operation reads the tables
 through ``plus``, ``negate`` and ``times`` (``is_left_ideal``, the hottest
 loop, reads them directly), as nested lists of Python ints made once per
 structure from grl's arrays.  The functions take the same arguments, scan
@@ -216,6 +218,89 @@ def additive_closure(group, seeds) -> Subgroup:
                 members.add(z)
                 work.append(z)
     return Subgroup(ambient_order=group.order, members=frozenset(members))
+
+
+def _plain_span(add, gens) -> set:
+    """Every sum of elements of ``gens``, by closing {0} under adding them."""
+    span, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = add[x][g]
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+def greedy_spans(group) -> tuple[tuple, list]:
+    """(generators, spans): the ascending elements outside the span of the
+    earlier ones, (0,) for the trivial group, and spans[i] the span of the
+    first i of them, each closed afresh."""
+    add, _ = tables(group)
+    gens, spans = [], [{0}]
+    for x in range(1, group.order):
+        if x not in spans[-1]:
+            gens.append(x)
+            spans.append(_plain_span(add, gens))
+    return tuple(gens) or (0,), spans
+
+
+def closing_sums(group) -> list:
+    """The sums y + b of the edges (y, b) in ``group.edges`` with y a
+    generator and y + b in the span of the generators before it."""
+    gens, spans = greedy_spans(group)
+    return [s for y, _, s in zip(*group.edges.tolist())
+            if y in gens[:len(spans) - 1] and s in spans[gens.index(y)]]
+
+
+def spanning_edge_fault(group):
+    """The first property of ``group.generators`` and ``group.edges`` that
+    fails, as text, or None.  The generators are the greedy ones.  There are
+    order + r edges (y, b, y + b), r the number of generators that enlarged
+    the span (0 for the trivial group): (0, 0) once, for each nonzero x one
+    edge (g, p) inside the cosets of g with sum x and p added before x, and
+    for each generator g one closing edge whose sum lies in the span of the
+    generators before g.  Elements are added level by level, g_i + H_{i-1}
+    before 2 g_i + H_{i-1}, and so on."""
+    add, neg = tables(group)
+    gens, spans = greedy_spans(group)
+    if tuple(group.generators) != gens:
+        return f"generators {group.generators}, expected {gens}"
+    grown = gens[:len(spans) - 1]  # no generator enlarged the trivial group
+    added_at = {0: (0, 0)}  # x: (level i, coset j) with x in j g_i + span(g_1, ..., g_{i-1})
+    for i, g in enumerate(grown, 1):
+        for x in spans[i] - spans[i - 1]:
+            j, z = 1, add[x][neg[g]]
+            while z not in spans[i - 1]:
+                j, z = j + 1, add[z][neg[g]]
+            added_at[x] = (i, j)
+    ys, bs, sums = group.edges.tolist()
+    if len(ys) != group.order + len(grown):
+        return f"{len(ys)} edges, expected {group.order + len(grown)}"
+    zero, added, closing = 0, {}, {}
+    for y, b, s in zip(ys, bs, sums):
+        if add[y][b] != s:
+            return f"edge ({y}, {b}) has sum {s}, not {add[y][b]}"
+        if (y, b) == (0, 0):
+            zero += 1
+        elif y not in grown:
+            return f"edge ({y}, {b}) does not start at a generator"
+        elif s in spans[grown.index(y)]:
+            closing[y] = closing.get(y, 0) + 1
+        elif added_at[s][0] == grown.index(y) + 1 and added_at[b] < added_at[s]:
+            added[s] = added.get(s, 0) + 1
+        else:
+            return f"edge ({y}, {b}) adds {s} outside the cosets of {y} or before {b}"
+    if zero != 1:
+        return f"{zero} edges (0, 0)"
+    for x in range(1, group.order):
+        if added.get(x) != 1:
+            return f"{added.get(x, 0)} edges add {x}"
+    for g in grown:
+        if closing.get(g) != 1:
+            return f"{closing.get(g, 0)} closing edges for {g}"
+    return None
 
 
 def common_unit(T, V, side="left"):

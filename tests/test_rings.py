@@ -368,9 +368,12 @@ def catalog_groups():
 
 class TestGenerators:
     """Validators accept tables on ``generators``, so they must span the
-    group, and the greedy choice keeps each one outside the earlier span."""
+    group, and the greedy choice keeps each one outside the earlier span.
+    ``tables.biadditive`` proves additivity on the spanning edges of the
+    same growth, so they must be the edges of that presentation."""
 
     def check(self, group):
+        assert ref.spanning_edge_fault(group) is None
         gens = group.generators
         assert plain_span(group, gens) == set(group.elements())
         assert list(gens) == sorted(gens)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference_tables as ref
-from reference_rings import ring_from_ops
+from reference_rings import closing_sums, ring_from_ops, spanning_edge_fault
 from grl import catalog, tables
 from grl.constructions import (
     good_grading,
@@ -462,44 +462,75 @@ class TestIndexTables:
             tables.first_bad_index([[0, 1], 5], 2, 2, 2)
 
 
-def cyclic_product(moduli):
-    """Z_m1 x ... x Z_mk with mixed-radix indices, first coordinate most
-    significant, and the coordinates of each index as a (order, k) array."""
+def cyclic_product(moduli, labels=None):
+    """Z_m1 x ... x Z_mk, the coordinates of each index as a (order, k)
+    array, the moduli, and each mixed-radix index (first coordinate most
+    significant) as an index of the group.  With ``labels``, a permutation
+    of the indices that fixes 0, index i holds the element of mixed-radix
+    index labels[i]; without, the two agree."""
     m = np.array(moduli)
-    coords = np.array(list(np.ndindex(*moduli)))
+    mixed = np.array(list(np.ndindex(*moduli)))
+    order = np.arange(len(mixed)) if labels is None else np.array(labels)
+    label = np.argsort(order)  # mixed-radix index -> index
+    coords = mixed[order]
 
     def index(c):
-        return np.ravel_multi_index(tuple(np.moveaxis(c % m, -1, 0)), moduli)
+        return label[np.ravel_multi_index(tuple(np.moveaxis(c % m, -1, 0)), moduli)]
 
     group = validate_additive_group(index(coords[:, None] + coords[None]).tolist(),
                                     index(-coords).tolist())
-    return group, coords, m
+    return group, coords, m, label
 
 
 # Z_n for n <= 12, with the trivial group, and two non-cyclic groups
 GROUP_MODULI = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4)]
 SMALL_MODULI = [(1,), (2,), (3,), (4,), (6,), (2, 2), (2, 4)]
 GROUPS = {moduli: cyclic_product(moduli) for moduli in GROUP_MODULI}
+# In natural label order every closing edge of the greedy growth sums to 0.
+# These orders put an element of a subgroup first, so that the greedy
+# generators come out of order and some closing edges have a nonzero sum:
+# in Z4 with 2 at index 1, the generators are 2 and then 1, and 1 + 1 = 2.
+RELABELLED = {moduli: cyclic_product(moduli, labels) for moduli, labels in [
+    ((4,), (0, 2, 1, 3)),
+    ((6,), (0, 2, 1, 3, 4, 5)),
+    ((8,), (0, 4, 2, 6, 1, 5, 3, 7)),
+    ((9,), (0, 3, 6, 1, 2, 4, 5, 7, 8)),
+    ((12,), (0, 6, 4, 3, 2, 1, 5, 7, 8, 9, 10, 11)),
+    ((2, 4), (0, 2, 1, 3, 4, 5, 6, 7)),
+]}
+ALL_GROUPS = [*GROUPS.values(), *RELABELLED.values()]
+SMALL_GROUPS = [GROUPS[m] for m in SMALL_MODULI] + [RELABELLED[m] for m in ((4,), (6,), (2, 4))]
 
 
-def draw_bilinear(data, left, right, out):
+def draw_bilinear(data, left, right, out, lifted=False):
     """A random bi-additive table left x right -> out.  The value at the
     pair of basis vectors (e_i, e_j) is killed by gcd(m_i, m_j), so the sum
-    of a_i b_j times these values does not depend on representatives."""
-    (_, cl, ml), (_, cr, mr), (K, ck, mk) = left, right, out
+    of a_i b_j times these values does not depend on representatives.
+    With ``lifted`` the value is not made to be killed, and the sum is taken
+    of the representatives 0 <= a_i < m_i and 0 <= b_j < m_j: such a table
+    is additive wherever no coordinate of a sum wraps, so mostly only the
+    closing edges of the proof can refuse it."""
+    (_, cl, ml, _), (_, cr, mr, _), (K, ck, mk, label) = left, right, out
     V = np.zeros((len(ml), len(mr), len(mk)), dtype=np.int64)
     for i, j in product(range(len(ml)), range(len(mr))):
         killer = gcd(int(ml[i]), int(mr[j]))
         w = ck[data.draw(st.integers(0, K.order - 1))]
-        V[i, j] = w * (mk // np.gcd(mk, killer))
+        V[i, j] = w if lifted else w * (mk // np.gcd(mk, killer))
     coords = np.einsum("ai,bj,ijk->abk", cl, cr, V) % mk
-    return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(mk)).tolist()
+    return label[np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(mk))].tolist()
+
+
+def relabelled_ring(moduli):
+    """The ring Z_m1 x ... x Z_mk on ``RELABELLED[moduli]``, validated anew."""
+    group, coords, m, label = RELABELLED[moduli]
+    mul = label[np.ravel_multi_index(tuple(np.moveaxis(coords[:, None] * coords[None] % m,
+                                                        -1, 0)), tuple(m))]
+    return validate_ring(group.add, group.neg, mul)
 
 
 def generator_check(P, G, H, K):
-    """tables.biadditive on the groups' own addition tables and generators."""
-    add = [np.array(g.add) for g in (G, H, K)]
-    return tables.biadditive(np.array(P), *add, np.array(G.generators),
+    """tables.biadditive on the groups' own edges, generators and addition."""
+    return tables.biadditive(np.array(P), np.array(K.add), G.edges, H.edges,
                              np.array(H.generators))
 
 
@@ -510,7 +541,8 @@ class TestGeneratorKernel:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_biadditive_matches_reference(self, data, corpus):
-        source = data.draw(st.sampled_from(("bilinear", "bilinear", "random", "corpus")))
+        source = data.draw(st.sampled_from(("bilinear", "bilinear", "lifted", "random",
+                                            "corpus")))
         if source == "corpus":
             R = data.draw(st.sampled_from([e.graded for e in corpus.graded
                                            if e.graded.products]))
@@ -518,10 +550,10 @@ class TestGeneratorKernel:
             G, H, K = R.component(s), R.component(t), R.component(R.target(s, t))
             P = R.products[(s, t)]
         else:
-            left, right, out = (GROUPS[data.draw(st.sampled_from(GROUP_MODULI))]
-                                for _ in range(3))
+            left, right, out = (data.draw(st.sampled_from(ALL_GROUPS)) for _ in range(3))
             G, H, K = left[0], right[0], out[0]
-            P = (draw_bilinear(data, left, right, out) if source == "bilinear" else
+            P = (draw_bilinear(data, left, right, out, source == "lifted")
+                 if source != "random" else
                  [[data.draw(st.integers(0, K.order - 1)) for _ in range(H.order)]
                   for _ in range(G.order)])
         if data.draw(st.booleans()):
@@ -529,18 +561,23 @@ class TestGeneratorKernel:
         expected = ref.biadditivity_violation(P, G.add, H.add, K.add) is None
         assert generator_check(P, G, H, K) == expected
 
-    @pytest.mark.parametrize("name", ["Z4", "F4", "M2(Z2)", "M3(Z2)/Z2 R0*R1"])
+    @pytest.mark.parametrize("name", ["Z4", "F4", "M2(Z2)", "M3(Z2)/Z2 R0*R1",
+                                      "Z4 relabelled", "Z2xZ4 relabelled"])
     def test_single_cell_and_row_changes_match_reference(self, name):
-        # The right law is checked in full and the left law on generator
-        # columns only; the proof must accept exactly the tables the full
-        # scan accepts, one changed cell at a time.  A changed cell breaks the
-        # right law, so each row is also copied onto every other: rows stay
-        # additive, and only the reduced left law can refuse the table.  The
-        # graded product runs from R_0 (order 32) to R_1 (order 16), with
-        # sums of several terms.  A ring's products are also put through
-        # Light's test with every element as g, which then decides
-        # associativity in full.  Each table is proved under every budget of
-        # RUN_BUDGETS, so that the mutants fall in first, middle and last runs.
+        # The right law is checked on the right group's edges and the left
+        # law on its generator columns only; the proof must accept exactly
+        # the tables the full scan accepts, one changed cell at a time.  A
+        # changed cell breaks both laws, so each row is also copied onto
+        # every other, which keeps the rows additive, so that only the
+        # reduced left law can refuse the table, and each column onto every
+        # other, which keeps the columns additive, so that only the right
+        # law on edges can.  The graded product runs from R_0 (order 32) to
+        # R_1 (order 16), with sums of several terms.  The relabelled rings
+        # have closing edges with nonzero sums.  A ring's products are also
+        # put through Light's test with every element as g, which then
+        # decides associativity in full.  Each table is proved under every
+        # budget of RUN_BUDGETS, so that the mutants fall in first, middle
+        # and last runs.
         if name.startswith("M3"):
             deg = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
             R = good_grading(cyclic_ring(2),
@@ -548,7 +585,12 @@ class TestGeneratorKernel:
             G, H, K, P = R.component(0), R.component(1), R.component(1), R.products[0, 1]
             assert (G.order, H.order) == (32, 16)
         else:
-            T = matrix_ring(cyclic_ring(2), 2) if name == "M2(Z2)" else catalog.named_ring(name)
+            if name == "M2(Z2)":
+                T = matrix_ring(cyclic_ring(2), 2)
+            elif name.endswith("relabelled"):
+                T = relabelled_ring((4,) if name == "Z4 relabelled" else (2, 4))
+            else:
+                T = catalog.named_ring(name)
             G = H = K = T.additive
             P = T.mul
         every = np.arange(G.order) if G is H is K else None
@@ -577,13 +619,34 @@ class TestGeneratorKernel:
             table[a] = P[a2].tolist()
             assert agrees(table), (a, a2)
             table[a] = P[a].tolist()
+        for b, b2 in product(range(H.order), repeat=2):
+            for row, v in zip(table, P[:, b2].tolist()):
+                row[b] = v
+            assert agrees(table), ("column", b, b2)
+            for row, v in zip(table, P[:, b].tolist()):
+                row[b] = v
+
+    def test_proof_cells(self, monkeypatch):
+        # M3(Z2) has order 512 and 9 generators, so 521 edges: the right law
+        # runs on 512 x 521 cells and the left law on 521 x 9, where whole
+        # generator planes would take 9 x 512 x 512 and 9 x 512 x 9
+        T = matrix_ring(cyclic_ring(2), 3)
+        G, cells, runner = T.additive, [], tables._first_on_planes
+
+        def counted(planes, rows, width, sides):
+            cells.append(planes * rows * width)
+            return runner(planes, rows, width, sides)
+
+        monkeypatch.setattr(tables, "_first_on_planes", counted)
+        assert tables.biadditive(T.mul, G.add, G.edges, G.edges, np.array(G.generators))
+        assert cells == [512 * 521, 521 * 9]
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
     def test_rings_on_generators(self, data):
         # random bi-additive multiplications are often not associative, so
         # the generator test for associativity decides many of these alone
-        group = GROUPS[data.draw(st.sampled_from(GROUP_MODULI))]
+        group = data.draw(st.sampled_from(ALL_GROUPS))
         G = group[0]
         add, neg = G.add.tolist(), G.neg.tolist()
         mul = draw_bilinear(data, group, group, group)
@@ -605,9 +668,8 @@ class TestGeneratorKernel:
                                       + [cyclic_group(3)]))
         n = S.order
         same = data.draw(st.booleans())
-        moduli = [data.draw(st.sampled_from(SMALL_MODULI))] * n if same else [
-            data.draw(st.sampled_from(SMALL_MODULI)) for _ in range(n)]
-        groups = [GROUPS[m] for m in moduli]
+        groups = [data.draw(st.sampled_from(SMALL_GROUPS))] * n if same else [
+            data.draw(st.sampled_from(SMALL_GROUPS)) for _ in range(n)]
         shared = draw_bilinear(data, *groups[:1] * 3) if same else None
         products = {}
         for s, t in product(range(n), repeat=2):
@@ -636,6 +698,15 @@ class TestGeneratorKernel:
         assert got == (BilinearityError, (1, 1, 0, 0, 0))
         assert got == ref.grading_violation(S, components, products)
 
+    @pytest.mark.parametrize("P,left,right", [([[0, 1]], (1,), (2,)),
+                                              ([[0], [1]], (2,), (1,))])
+    def test_a_trivial_factor_sends_every_product_to_zero(self, P, left, right):
+        # additive in the argument from Z2, but 0 * 1 and 1 * 0 must be 0:
+        # only the edge (0, 0) of the trivial group shows it
+        G, H, K = GROUPS[left][0], GROUPS[right][0], GROUPS[(2,)][0]
+        assert ref.biadditivity_violation(P, G.add, H.add, K.add) is not None
+        assert not generator_check(P, G, H, K)
+
     def test_first_violation_off_the_generators(self):
         # Z4 with 3 * 3 = 0: generator triples (1, 1, 1) still associate, the
         # generator test for distributivity fails, and the scan reports the
@@ -647,6 +718,21 @@ class TestGeneratorKernel:
         assert Z4.additive.generators == (1,)
         assert outcome(validate_ring, add, neg, mul) == (NotAssociativeError, (2, 3, 3))
         assert outcome(validate_ring, add, neg, mul) == ref.ring_violation(add, neg, mul)
+
+
+class TestSpanningEdges:
+    """The proof of bi-additivity reads each group through the edges of its
+    greedy growth; reference_rings checks them by plain loops."""
+
+    def test_every_group(self):
+        for group, *_ in ALL_GROUPS:
+            assert spanning_edge_fault(group) is None, group.order
+
+    def test_relabelled_groups_close_on_nonzero_sums(self):
+        for moduli, (group, *_) in RELABELLED.items():
+            assert any(closing_sums(group)), moduli
+        for moduli, (group, *_) in GROUPS.items():
+            assert not any(closing_sums(group)), moduli
 
 
 def commutative_loops(n):
