@@ -15,7 +15,7 @@ so verdicts and witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -55,18 +55,26 @@ from .tables import (
 BaseLike = Union[FiniteSemigroup, FiniteGroupoid]
 
 
-def _once_per_ring(fn):
-    """Compute ``fn(R, *args)`` once per graded ring and arguments, and keep
-    the result in the dict ``R._memo``, keyed by ``fn``'s name and the
-    arguments.  The memo is no dataclass field, so ``==``, ``hash``,
-    ``repr`` and pickling ignore it.  The body is looked up as
-    ``__wrapped__`` on each miss, so a test can substitute it."""
+def _once_per_ring(fn=None, /, *, inputs=None):
+    """Compute ``fn(R, *args)`` once per graded ring and input, and keep the
+    result in the dict ``R._memo``.  A body over the whole ring is keyed by
+    its name.  A body over a grader pair or grader is keyed by its name and
+    the identities of the objects ``inputs(R, *args)`` names: the stored
+    tables it reads, None for the zero map, the components it reads or lands
+    in, and the memo's own spans.  So every pair that reads the same arrays
+    shares one entry, and its loop only looks the result up.  The ring holds
+    each of those objects as long as its memo lives, so no identity is
+    reused.  The memo is no dataclass field, so ``==``, ``hash``, ``repr``
+    and pickling ignore it.  The body is looked up as ``__wrapped__`` on each
+    miss, so a test can substitute it."""
+    if fn is None:
+        return partial(_once_per_ring, inputs=inputs)
     name = fn.__name__
 
     @wraps(fn)
     def once(R, *args):
         memo = R.__dict__.setdefault("_memo", {})
-        key = (name, *args)
+        key = (name,) if inputs is None else (name, *map(id, inputs(R, *args)))
         if key not in memo:
             memo[key] = once.__wrapped__(R, *args)
         return memo[key]
@@ -83,7 +91,10 @@ class GradedRing(ComparedByTables):
 
     ``span`` serves the product spans, ``component_ring`` the component
     rings and the grading-class predicates their verdicts, each built once
-    per instance and kept in ``_memo`` by ``_once_per_ring``."""
+    per instance and kept in ``_memo`` by ``_once_per_ring``.  A span is
+    keyed by the stored table it reads (or the zero map) and its target
+    component, a component ring by its table and component, so pairs and
+    graders that read the same arrays share one entry."""
 
     base: BaseLike
     components: tuple[FiniteAdditiveGroup, ...]
@@ -115,19 +126,24 @@ class GradedRing(ComparedByTables):
         """Index of the component receiving R_s * R_t, an int, or None off G^(2)."""
         return self.base.relations.targets[s][t]
 
+    def _reads(self, s: int, t: int) -> tuple[Optional[np.ndarray], FiniteAdditiveGroup]:
+        """What R_s * R_t is read from: the stored table, None for the zero
+        map, and the component it lands in."""
+        st = self.target(s, t)
+        if st is None:
+            raise ValueError(f"graders {s} and {t} are not composable")
+        return self.products.get((s, t)), self.components[st]
+
     def table(self, s: int, t: int) -> np.ndarray:
         """Product table R_s x R_t -> R_{st} as an int array, zeros if absent."""
-        if self.target(s, t) is None:
-            raise ValueError(f"graders {s} and {t} are not composable")
-        stored = self.products.get((s, t))
+        stored, _ = self._reads(s, t)
         return stored if stored is not None else np.zeros(
             (self.components[s].order, self.components[t].order), dtype=np.intp)
 
-    @_once_per_ring
+    @_once_per_ring(inputs=_reads)
     def span(self, s: int, t: int) -> Subgroup:
         """Additive span of the products R_s R_t inside R_{st}."""
-        P = self.table(s, t)  # raises ValueError off G^(2)
-        return _span(self.components[self.target(s, t)], P)
+        return _span(self.components[self.target(s, t)], self.table(s, t))
 
     def base_pairs(self) -> tuple[tuple[int, int], ...]:
         """All grader pairs with a defined target, row by row."""
@@ -142,14 +158,18 @@ class GradedRing(ComparedByTables):
         """Idempotent graders: E(S), or the identity morphisms of a groupoid."""
         return self.base.relations.idempotents
 
-    @_once_per_ring
+    def _idempotent_reads(self, e: int) -> tuple[Optional[np.ndarray], FiniteAdditiveGroup]:
+        """What the component ring at e is read from; e must be idempotent."""
+        if self.target(e, e) != e:
+            raise ValueError(f"grader {e} is not idempotent")
+        return self._reads(e, e)
+
+    @_once_per_ring(inputs=_idempotent_reads)
     def component_ring(self, e: int) -> FiniteRing:
         """The component at an idempotent grader, as a ring in its own right.
 
-        One ring object per grader and graded ring, so what the ring queries
+        One ring object per table and component, so what the ring queries
         cache on it (arrays, idempotents, principal ideals) is built once."""
-        if self.target(e, e) != e:
-            raise ValueError(f"grader {e} is not idempotent")
         return FiniteRing(additive=self.components[e], mul=self.table(e, e))
 
 
@@ -362,6 +382,20 @@ def _span(group: FiniteAdditiveGroup, P: np.ndarray) -> Subgroup:
     return additive_closure(group, _image(P, group.order).tolist())
 
 
+def _through(R: GradedRing, s: int, t: int) -> tuple:
+    """The inputs of r*y*r for r in R_s and y in R_t, t in V(s): the tables
+    and targets of (s, t) and of (st, s), which lands in R_s."""
+    return (*R._reads(s, t), *R._reads(R.target(s, t), s))
+
+
+def _into_span(R: GradedRing, s: int, t: int) -> tuple:
+    """The inputs of a search inside span(R_s R_t): its ring's table and
+    component, and the span."""
+    st = R.target(s, t)
+    return (*R._reads(st, st), R.span(s, t))
+
+
+@_once_per_ring(inputs=_through)
 def _triple_span(R: GradedRing, s: int, t: int) -> Subgroup:
     """Additive span of R_s R_t R_s inside R_s (for t an inverse of s): the
     products x*c with x in the image of R_s R_t and c in R_s."""
@@ -401,6 +435,20 @@ def _subring_is_s_unital(M: np.ndarray, members: Sequence[int]) -> bool:
     return bool((sub == idx).any(axis=0).all() and (sub == idx[:, None]).any(axis=1).all())
 
 
+@_once_per_ring(inputs=_into_span)
+def _span_unity(R: GradedRing, s: int, t: int) -> Optional[int]:
+    """The unity of span(R_s R_t) as a ring, or None."""
+    st = R.target(s, t)
+    return subring_unity(R.table(st, st), R.span(s, t).elements())
+
+
+@_once_per_ring(inputs=_into_span)
+def _span_is_s_unital(R: GradedRing, s: int, t: int) -> bool:
+    """Is span(R_s R_t) an s-unital ring?"""
+    st = R.target(s, t)
+    return _subring_is_s_unital(R.table(st, st), R.span(s, t).elements())
+
+
 @_once_per_ring
 def is_epsilon_strong(R: GradedRing) -> Verdict:
     """Symmetric, with every span(R_s R_t) for t inverse to s a unital ring.
@@ -413,17 +461,36 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
         return Verdict(holds=False, failing=("symmetric", *sym.failing))
     uniform: dict[tuple[int, int], tuple[int, int]] = {}
     for (s, t) in R.inverse_pairs():
-        st = R.target(s, t)
-        ts = R.target(t, s)
-        eps = subring_unity(R.table(st, st), R.span(s, t).elements())
+        eps = _span_unity(R, s, t)
         if eps is None:
             return Verdict(holds=False, failing=(s, t))
-        eps_prime = subring_unity(R.table(ts, ts), R.span(t, s).elements())
+        eps_prime = _span_unity(R, t, s)
         if eps_prime is None:
             return Verdict(holds=False, failing=(t, s))
         uniform[(s, t)] = (eps, eps_prime)
     return Verdict(holds=True, vacuous=sym.vacuous,
                    witness=EpsilonWitness(kind="uniform", uniform=uniform))
+
+
+def _units(span: Subgroup, table: np.ndarray, order: int) -> tuple[list[int], bool]:
+    """For each r < ``order`` the first u in ``span`` with table[u, r] == r,
+    -1 where there is none, and whether one u serves every r."""
+    us = np.array(span.elements())
+    fixes = table[us] == np.arange(order)  # [i, r]: us[i] fixes r
+    return (np.where(fixes.any(axis=0), us[fixes.argmax(axis=0)], -1).tolist(),
+            bool(fixes.all(axis=1).any()))
+
+
+@_once_per_ring(inputs=_through)
+def _left_units(R: GradedRing, s: int, t: int) -> tuple[list[int], bool]:
+    """Elements eps of span(R_s R_t) with eps*r = r, for the r in R_s."""
+    return _units(R.span(s, t), R.table(R.target(s, t), s), R.component(s).order)
+
+
+@_once_per_ring(inputs=lambda R, s, t: (*R._reads(t, s), *R._reads(s, R.target(t, s))))
+def _right_units(R: GradedRing, s: int, t: int) -> tuple[list[int], bool]:
+    """Elements eps' of span(R_t R_s) with r*eps' = r, for the r in R_s."""
+    return _units(R.span(t, s), R.table(s, R.target(t, s)).T, R.component(s).order)
 
 
 @_once_per_ring
@@ -434,19 +501,11 @@ def _per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
     ``check_eps_characterizations`` both read it; no definition side does."""
     out: dict[tuple[int, int, int], tuple[int, int]] = {}
     for (s, t) in R.inverse_pairs():
-        st = R.target(s, t)
-        ts = R.target(t, s)
-        left_span = np.array(R.span(s, t).elements())
-        right_span = np.array(R.span(t, s).elements())
-        rs = np.arange(R.component(s).order)
-        left = R.table(st, s)[left_span] == rs  # [i, r]: left_span[i] * r == r
-        right = R.table(s, ts)[:, right_span] == rs[:, None]  # [r, j]: r * right_span[j] == r
-        has_left, has_right = left.any(axis=0), right.any(axis=1)
-        eps, eps_prime = left_span[left.argmax(axis=0)], right_span[right.argmax(axis=1)]
-        for r in rs.tolist():
-            if not (has_left[r] and has_right[r]):
+        (eps, _), (eps_prime, _) = _left_units(R, s, t), _right_units(R, s, t)
+        for r, pair in enumerate(zip(eps, eps_prime)):
+            if min(pair) < 0:
                 return False, out, (s, t, r)
-            out[(s, t, r)] = (int(eps[r]), int(eps_prime[r]))
+            out[(s, t, r)] = pair
     return True, out, None
 
 
@@ -461,9 +520,7 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
     if not sym.holds:
         return Verdict(holds=False, failing=("symmetric", *sym.failing))
     for (s, t) in R.inverse_pairs():
-        st = R.target(s, t)
-        span = R.span(s, t)
-        if not _subring_is_s_unital(R.table(st, st), span.elements()):
+        if not _span_is_s_unital(R, s, t):
             return Verdict(holds=False, failing=(s, t))
     ok, per_element, _ = _per_element_epsilons(R)
     witness = EpsilonWitness(kind="per-element", per_element=per_element) if ok else None
@@ -472,6 +529,14 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # graded regularity
+
+
+@_once_per_ring(inputs=_through)
+def _quasi_inverses(R: GradedRing, s: int, t: int) -> list[int]:
+    """For each r in R_s the first y in R_t with r*y*r = r, -1 where none is."""
+    rs = np.arange(R.component(s).order)[:, None]
+    fixed = R.table(R.target(s, t), s)[R.table(s, t), rs] == rs  # [r, y]: r*y*r == r
+    return np.where(fixed.any(axis=1), fixed.argmax(axis=1), -1).tolist()
 
 
 @_once_per_ring
@@ -484,11 +549,7 @@ def is_graded_vnr(R: GradedRing) -> Verdict:
     vacuous = not any(R.component(s).order > 1 for (s, _) in pairs)
     assignments: dict[tuple[int, int, int], int] = {}
     for (s, t) in pairs:
-        rs = np.arange(R.component(s).order)[:, None]
-        # [r, y]: r*y*r == r
-        fixed = R.table(R.target(s, t), s)[R.table(s, t), rs] == rs
-        ys = np.where(fixed.any(axis=1), fixed.argmax(axis=1), -1)
-        for r, y in enumerate(ys.tolist()):
+        for r, y in enumerate(_quasi_inverses(R, s, t)):
             if y < 0:
                 return Verdict(holds=False, vacuous=vacuous,
                                witness=GradedVnrWitness(assignments, (s, r, t), vacuous),
@@ -525,14 +586,8 @@ def check_eps_characterizations(R: GradedRing) -> dict:
     eps_wit = True
     eps_wit_failing = None
     for (s, t) in R.inverse_pairs():
-        st = R.target(s, t)
-        ts = R.target(t, s)
-        rs = np.arange(R.component(s).order)
-        left_span = list(R.span(s, t).elements())
-        right_span = list(R.span(t, s).elements())
         # an eps that fixes every r from the left, an eps' from the right
-        if not ((R.table(st, s)[left_span] == rs).all(axis=1).any()
-                and (R.table(s, ts)[:, right_span].T == rs).all(axis=1).any()):
+        if not (_left_units(R, s, t)[1] and _right_units(R, s, t)[1]):
             eps_wit = False
             eps_wit_failing = (s, t)
             break
@@ -590,6 +645,18 @@ def check_theorem_main(R: GradedRing) -> dict:
     }
 
 
+@_once_per_ring(inputs=lambda R, s, t: (*R._reads(t, s), R.components[s]))
+def _column_images(R: GradedRing, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image R_t r of each column r of R_t R_s, in one gather: row r of
+    the first array marks it, row r of the second holds those marks packed."""
+    table_ts = R.table(t, s)
+    hit = np.zeros((table_ts.shape[1], R.component(R.target(t, s)).order), dtype=bool)
+    hit[np.arange(len(hit))[:, None], table_ts.T] = True
+    images = np.packbits(hit, axis=1)
+    hit.flags.writeable = images.flags.writeable = False
+    return hit, images
+
+
 def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) -> dict:
     """Under the two theorem hypotheses, every subgroup R_t * r must be a left
     ideal of the component at ts generated by an idempotent found by scan.
@@ -598,8 +665,8 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
     of column r is spanned once, and each distinct (ts, subgroup) is decided
     once, ideal guard included, its generator reused for every later r.  A
     subgroup that fails ends the scan, so the first failing r is reported.
-    The images of all columns are found in one gather per pair, row r of
-    ``hit`` marking the image of column r.
+    The images of all columns are found in one gather per distinct table
+    and components, ``_column_images``.
     """
     near = is_nearly_epsilon_strong(R)
     bvnr = base_components_vnr(R)
@@ -616,10 +683,7 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
     for (s, t) in R.inverse_pairs():
         ts = R.target(t, s)
         group_ts, ring_ts = R.component(ts), R.component_ring(ts)
-        table_ts = R.table(t, s)
-        hit = np.zeros((table_ts.shape[1], group_ts.order), dtype=bool)
-        hit[np.arange(len(hit))[:, None], table_ts.T] = True
-        images = np.packbits(hit, axis=1)
+        hit, images = _column_images(R, s, t)
         for r in R.component(s).elements():
             key = ts, images[r].tobytes()  # the image of column r, which spans R_t r
             I = spans.get(key)
@@ -649,6 +713,16 @@ def check_lemma_technical(R: GradedRing, max_witnesses: Optional[int] = None) ->
             "agree": True, "triples_checked": checked, "witnesses": witnesses}
 
 
+@_once_per_ring(inputs=_through)
+def _has_quasi_inverse(R: GradedRing, s: int, t: int) -> np.ndarray:
+    """Which r in R_s have some y in R_t with r*y*r = r.  The some-inverse
+    forms of the two regularity theorems read it; ``is_graded_vnr`` does not."""
+    rs = np.arange(R.component(s).order)[:, None]
+    found = (R.table(R.target(s, t), s)[R.table(s, t), rs] == rs).any(axis=1)
+    found.flags.writeable = False
+    return found
+
+
 def check_theorem_inverse_semigroup(R: GradedRing) -> dict:
     """Over an inverse-semigroup base, three forms of graded regularity must
     coincide: the all-inverses form, the some-inverse form, and the
@@ -666,12 +740,10 @@ def check_theorem_inverse_semigroup(R: GradedRing) -> dict:
     part_ii = True
     ii_failing = None
     for s in R.graders():
-        rs = np.arange(R.component(s).order)
         # r has a y in some R_t, t in V(s), with r*y*r = r
-        found = np.zeros(len(rs), dtype=bool)
+        found = np.zeros(R.component(s).order, dtype=bool)
         for t in cls.inverse_sets[s]:
-            rys = R.table(R.target(s, t), s)[R.table(s, t), rs[:, None]]
-            found |= (rys == rs[:, None]).any(axis=1)
+            found |= _has_quasi_inverse(R, s, t)
         if not found.all():
             part_ii = False
             ii_failing = (s, int(found.argmin()))
@@ -805,11 +877,7 @@ def check_theorem_groupoid(R: GradedRing) -> dict:
     part_ii = True
     ii_failing = None
     for g in G.morphisms():
-        gi = G.inv[g]
-        rs = np.arange(R.component(g).order)
-        # [r, y]: r*y*r for y in the component at g^{-1}
-        ryr = R.table(G.compose(g, gi), g)[R.table(g, gi), rs[:, None]]
-        quasi = (ryr == rs[:, None]).any(axis=1)
+        quasi = _has_quasi_inverse(R, g, G.inv[g])
         if not quasi.all():
             part_ii = False
             ii_failing = (g, int(quasi.argmin()))

@@ -207,9 +207,13 @@ def validate_ring(add: Sequence[Sequence[int]], neg: Sequence[int],
                   mul: Sequence[Sequence[int]]) -> FiniteRing:
     """Additive axioms plus multiplicative associativity and two-sided distributivity.
     The tables may be nested sequences or int arrays."""
-    grp = validate_additive_group(add, neg)
-    n = grp.order
-    _check_index_table(mul, n, "mul")
+    return _ring_on(validate_additive_group(add, neg), mul)
+
+
+def _ring_on(grp: FiniteAdditiveGroup, mul: Sequence[Sequence[int]]) -> FiniteRing:
+    """The ring with a validated additive group and a product table that is
+    checked here: indices, then distributivity and associativity."""
+    _check_index_table(mul, grp.order, "mul")
     A, M = grp.add, frozen(mul)
     g = np.asarray(grp.generators)
     if not (biadditive(M, A, grp.edges, grp.edges, g)
@@ -384,7 +388,8 @@ def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:
         k = 0  # the zero matrix is the only element
     G = _power_group(T.additive, k * k)  # checks the order first
     cells = [(i, j) for i in range(k) for j in range(k)]
-    return validate_ring(G.add, G.neg, _matrix_product(T, _term_pattern(cells, cells, cells)))
+    # a direct power of a validated group is one; only the product is proved
+    return _ring_on(G, _matrix_product(T, _term_pattern(cells, cells, cells)))
 
 
 def opposite_ring(T: FiniteRing) -> FiniteRing:

@@ -25,7 +25,7 @@ from grl.constructions import (
     validate_degree_map,
 )
 from grl.corpus import default_manifest, generate_corpus
-from grl.gradings import GradedRing, regrade_groupoid_to_semigroup
+from grl.gradings import GradedRing, Verdict, regrade_groupoid_to_semigroup
 from grl.groupoids import pair_groupoid
 from grl.rings import _power_group, cyclic_ring, field_f4, subring_unity
 from grl.semigroups import cyclic_group, enumerate_semigroups, trivial_semigroup
@@ -33,6 +33,8 @@ from reference_rings import ring_from_ops
 from reference_semigroups import mul
 
 Z2 = cyclic_ring(2)
+Z4_RING = cyclic_ring(4)
+Z4 = Z4_RING.additive
 F4 = field_f4()
 # [[x, y], [0, 0]] over Z2: a non-commutative ring of order 4, so a table
 # read with its axes swapped changes the verdicts
@@ -91,13 +93,19 @@ def assert_matches_reference(R: GradedRing) -> None:
         assert R.span(s, t) == ref.product_span(R, s, t), (s, t)
     for (s, t) in R.inverse_pairs():
         assert gr._triple_span(R, s, t) == ref.triple_span(R, s, t), (s, t)
+        images = [{ref.product(R, t, s, y, r) for y in R.component(t).elements()}
+                  for r in R.component(s).elements()]
+        assert gr._column_images(R, s, t)[0].tolist() == [
+            [x in image for x in R.component(R.target(t, s)).elements()] for image in images]
         for (a, b) in ((s, t), (t, s)):
             e = R.target(a, b)
             members = ref.product_span(R, a, b).elements()
             ring = ref.component_ring(R, e)
             assert (subring_unity(R.table(e, e), members)
+                    == gr._span_unity(R, a, b)
                     == ref.subring_unity(ring, members)), (a, b)
             assert (gr._subring_is_s_unital(R.table(e, e), members)
+                    == gr._span_is_s_unital(R, a, b)
                     == ref.subring_is_s_unital(ring, members)), (a, b)
     for e in R.base_idempotents():
         ring = ref.component_ring(R, e)
@@ -169,6 +177,92 @@ def test_inconsistent_gradings_match_reference(make):
     assert_matches_reference(make())
 
 
+# Per-pair work is keyed by the identities of the tables and components it
+# reads, so these must never merge two inputs that differ: one table object
+# stored at pairs whose components differ, zero maps of different shapes,
+# and equal components that are distinct objects.
+KLEIN = rings.validate_additive_group([[a ^ b for b in range(4)] for a in range(4)], range(4))
+Z2_AGAIN = rings.validate_additive_group(Z2.additive.add, Z2.additive.neg)
+Z4_AGAIN = rings.validate_additive_group(Z4.add, Z4.neg)
+SHARED_GROUPS = (Z2.additive, Z2_AGAIN, Z4, Z4_AGAIN, KLEIN)
+GROUPOIDS = [catalog.named_groupoid(name) for name in ("pair2", "group_Z2", "pair2+group_Z1")]
+
+
+def one_table_two_targets() -> GradedRing:
+    """One table at all four pairs of Z2, into R_0 = Z4 and R_1 = Klein:
+    span(R_0 R_0) fills Z4, span(R_0 R_1) is {0, 1} of the Klein group."""
+    P = tuple(tuple(a * b % 2 for b in range(4)) for a in range(4))
+    return GradedRing(base=cyclic_group(2), components=(Z4, KLEIN),
+                      products={(s, t): P for s in range(2) for t in range(2)})
+
+
+def one_table_two_sources() -> GradedRing:
+    """Over the group Z3, one table P at (0, 1), (0, 2), (1, 2) and (2, 1),
+    so the triple spans of (1, 2) and (2, 1) read the same two tables from
+    the sources R_1 = Z4 and R_2 = Klein; Q at (0, 0), (1, 1) and (2, 2)."""
+    P = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
+    Q = tuple(tuple(a & b for b in range(4)) for a in range(4))
+    return GradedRing(base=cyclic_group(3), components=(Z4_AGAIN, Z4, KLEIN),
+                      products={(0, 0): Q, (1, 2): P, (2, 1): P, (1, 1): Q, (2, 2): Q,
+                                (0, 1): P, (0, 2): P})
+
+
+def zero_maps_of_two_shapes() -> GradedRing:
+    """Only (0, 0) stored, over Z2 with R_0 = Z2 and R_1 = Z4: the zero maps
+    of (0, 1), (1, 0) and (1, 1) have shapes 2x4, 4x2 and 4x4."""
+    return GradedRing(base=cyclic_group(2), components=(Z2.additive, Z4),
+                      products={(0, 0): Z2.mul})
+
+
+def equal_components_apart() -> GradedRing:
+    """Z4[Z2] with R_1 an equal copy of R_0's group, and R_1 R_1 zero."""
+    return GradedRing(base=cyclic_group(2), components=(Z4, Z4_AGAIN),
+                      products={(0, 0): Z4_RING.mul, (0, 1): Z4_RING.mul,
+                                (1, 0): Z4_RING.mul})
+
+
+@pytest.mark.parametrize("make", [one_table_two_targets, one_table_two_sources,
+                                  zero_maps_of_two_shapes, equal_components_apart])
+def test_shared_inputs_match_reference(make):
+    assert_matches_reference(make())
+
+
+def test_one_table_into_two_targets_gives_two_spans():
+    R = one_table_two_targets()
+    assert R.products[0, 0] is R.products[0, 1]
+    assert (len(R.span(0, 0)), len(R.span(0, 1))) == (4, 2)
+    assert gr.is_strong(R) == Verdict(holds=False, failing=(0, 1))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_tables_shared_across_pairs_match_reference(data):
+    # a few table objects per shape, each stored at many pairs, over
+    # components that are one object, equal objects or different groups
+    base = data.draw(st.sampled_from(SMALL_SEMIGROUPS + GROUPOIDS))
+    targets = base.relations.targets
+    components = [data.draw(st.sampled_from(SHARED_GROUPS)) for _ in targets]
+    pool: dict[tuple[int, int, int], list] = {}
+    products = {}
+    for s, t in product(range(len(targets)), repeat=2):
+        if targets[s][t] is None:
+            continue
+        shape = rows, cols, out = (components[s].order, components[t].order,
+                                   components[targets[s][t]].order)
+        choice = data.draw(st.sampled_from([None, 0, 1]))
+        if choice is None:
+            continue  # the zero map
+        tables = pool.setdefault(shape, [tuple(tuple(a * b % out for b in range(cols))
+                                               for a in range(rows))])
+        if choice == len(tables):
+            cells = st.lists(st.integers(0, out - 1), min_size=cols, max_size=cols)
+            tables.append(tuple(map(tuple, data.draw(
+                st.lists(cells, min_size=rows, max_size=rows)))))
+        products[(s, t)] = tables[choice]
+    assert_matches_reference(GradedRing(base=base, components=tuple(components),
+                                         products=products))
+
+
 def test_lemma_reports_a_span_that_is_not_a_left_ideal():
     rep = gr.check_lemma_technical(not_an_ideal_grading())
     assert rep == {"check": "lemma-technical", "applicable": True, "holds": False,
@@ -235,36 +329,54 @@ def test_table_is_built_once_and_rejects_pairs_off_the_base():
     assert "_arrays" not in repr(S)
 
 
+PREDICATES = ("is_symmetric", "is_strong", "is_epsilon_strong",
+              "is_nearly_epsilon_strong", "is_graded_vnr", "base_components_vnr")
+# every body the memo keeps: whole-ring verdicts and searches, then the
+# per-pair and per-grader work keyed by the tables and components it reads
+MEMO_BODIES = {**{name: getattr(gr, name) for name in (
+                   *PREDICATES, "_per_element_epsilons", "_triple_span", "_span_unity",
+                   "_span_is_s_unital", "_left_units", "_right_units", "_quasi_inverses",
+                   "_has_quasi_inverse", "_column_images")},
+               "span": GradedRing.span, "component_ring": GradedRing.component_ring}
+
+
+def run_default_suite_all():
+    corpus = generate_corpus(default_manifest())
+    summary = cli.run_suite(corpus, "all", cli.build_parser().parse_args(["corpus-run"]))
+    assert summary["n_disagree"] == 0
+
+
 class TestSpanCache:
     """``GradedRing.span`` builds each product span once per ring object and
-    keeps it out of the ring's fields."""
+    distinct input, the stored table (or the zero map) and the target
+    component, and keeps it out of the ring's fields."""
 
     def test_each_span_is_built_once_per_ring(self, monkeypatch):
+        # also the work count: one default ``corpus-run --suite all`` closes
+        # 96 product spans and 100 triple spans, one per distinct input of
+        # each graded ring (776 and 254 when they were kept per grader pair)
         builds = Counter()
         rings = []  # keeps every traced ring alive, so no id is reused
-        asking = []
-        span, build = GradedRing.span, gr._span
 
-        def traced_span(R, s, t):
-            asking.append((R, s, t))
-            try:
-                return span(R, s, t)
-            finally:
-                asking.pop()
+        def inputs(R, *pairs):
+            return tuple(id(x) for s, t in pairs
+                         for x in (R.products.get((s, t)), R.components[R.target(s, t)]))
 
-        def traced_build(group, P):
-            if asking:
-                R, s, t = asking[-1]
-                rings.append(R)
-                builds[id(R), s, t] += 1
-            return build(group, P)
+        def traced_span(R, s, t, body=GradedRing.span.__wrapped__):
+            rings.append(R)
+            builds["span", id(R), inputs(R, (s, t))] += 1
+            return body(R, s, t)
 
-        monkeypatch.setattr(GradedRing, "span", traced_span)
-        monkeypatch.setattr(gr, "_span", traced_build)
-        corpus = generate_corpus(default_manifest())
-        summary = cli.run_suite(corpus, "all", cli.build_parser().parse_args(["corpus-run"]))
-        assert summary["n_disagree"] == 0
-        assert builds and max(builds.values()) == 1
+        def traced_triple(R, s, t, body=gr._triple_span.__wrapped__):
+            rings.append(R)
+            builds["triple", id(R), inputs(R, (s, t), (R.target(s, t), s))] += 1
+            return body(R, s, t)
+
+        monkeypatch.setattr(GradedRing.span, "__wrapped__", traced_span)
+        monkeypatch.setattr(gr._triple_span, "__wrapped__", traced_triple)
+        run_default_suite_all()
+        assert max(builds.values()) == 1
+        assert Counter(kind for kind, _, _ in builds) == {"span": 96, "triple": 100}
 
     def test_pairs_off_the_base_raise(self):
         G = catalog.named_groupoid("pair2")
@@ -287,14 +399,19 @@ class TestSpanCache:
         again = regrade_groupoid_to_semigroup(R)
         assert "_memo" not in vars(again) and again == once
 
-
-PREDICATES = ("is_symmetric", "is_strong", "is_epsilon_strong",
-              "is_nearly_epsilon_strong", "is_graded_vnr", "base_components_vnr")
+    def test_pairs_and_graders_that_read_the_same_arrays_share_an_entry(self):
+        R = groupoid_ring(F4, pair_groupoid(2))  # every pair stores F4's table
+        spans = {id(R.span(s, t)) for (s, t) in R.base_pairs()}
+        assert len(R.base_pairs()) == 8 and len(spans) == 1
+        rings = {id(R.component_ring(e)) for e in R.base_idempotents()}
+        assert len(R.base_idempotents()) == 2 and len(rings) == 1
+        with pytest.raises(ValueError, match="not idempotent"):
+            R.component_ring(1)  # (0,1) cannot follow itself
 
 
 class TestVerdictMemo:
-    """Each grading-class predicate runs its body once per ring object and
-    keeps the verdict in ``R._memo``; ``__wrapped__`` is the body."""
+    """Each memoised body runs once per ring object and entry, and keeps
+    its result in ``R._memo``; ``__wrapped__`` is the body."""
 
     def test_memoised_verdicts_match_fresh_bodies(self, corpus):
         rings = [e.graded for e in corpus.graded]
@@ -308,24 +425,20 @@ class TestVerdictMemo:
             assert R == fresh and repr(R) == repr(fresh)
 
     def test_each_body_runs_once_per_ring(self, monkeypatch):
-        # the per-element search serves two witnesses and is kept the same way
-        bodies = (*PREDICATES, "_per_element_epsilons")
         runs = Counter()
-        rings = []  # keeps every ring alive, so no id is reused
-        for name in bodies:
-            fn = getattr(gr, name)
+        rings = {}  # keeps every ring alive, so no id is reused
+        for name, fn in MEMO_BODIES.items():
 
-            def counted(R, name=name, body=fn.__wrapped__):
-                rings.append(R)
-                runs[name, id(R)] += 1
-                return body(R)
+            def counted(R, *args, name=name, body=fn.__wrapped__):
+                rings[id(R)] = R
+                runs[id(R), name] += 1
+                return body(R, *args)
 
             monkeypatch.setattr(fn, "__wrapped__", counted)
-        corpus = generate_corpus(default_manifest())
-        summary = cli.run_suite(corpus, "all", cli.build_parser().parse_args(["corpus-run"]))
-        assert summary["n_disagree"] == 0
-        assert {name for name, _ in runs} == set(bodies)
-        assert max(runs.values()) == 1
+        run_default_suite_all()
+        assert {name for _, name in runs} == set(MEMO_BODIES)
+        # a body that ran again for a kept entry would count more runs than entries
+        assert runs == Counter((id(R), key[0]) for R in rings.values() for key in R._memo)
 
     def test_witness_sides_do_not_read_the_memo(self, monkeypatch):
         for name in ("is_epsilon_strong", "is_nearly_epsilon_strong"):
@@ -343,6 +456,33 @@ class TestVerdictMemo:
         for part in ("epsilon_strong", "nearly_epsilon_strong"):
             assert all(r[part]["definition"] != r[part]["witness"] for r in reports), part
             assert any(r[part]["witness"] for r in reports), part  # some verdicts held
+
+
+GRADED_CHECKS = ("check_eps_characterizations", "check_theorem_main", "check_lemma_technical",
+                 "check_theorem_inverse_semigroup", "check_corollaries",
+                 "check_theorem_groupoid")
+
+
+def graded_reports(R: GradedRing) -> list[dict]:
+    return [getattr(gr, name)(R) for name in GRADED_CHECKS]
+
+
+@pytest.mark.parametrize("fn,body", [
+    # every product span fills its target: strong everywhere
+    (GradedRing.span, lambda R, s, t: rings.additive_closure(
+        R.component(R.target(s, t)), list(R.component(R.target(s, t)).elements()))),
+    # no per-element units anywhere
+    (gr._per_element_epsilons, lambda R: (False, {}, (0, 0, 0))),
+    (gr.is_symmetric, lambda R: Verdict(holds=True)),
+], ids=["span", "_per_element_epsilons", "is_symmetric"])
+def test_a_substituted_body_changes_the_reports(corpus, monkeypatch, fn, body):
+    # the mutation hook: ``_once_per_ring`` reads ``__wrapped__`` on every
+    # miss, so a body swapped in shows on a fresh ring whatever the keys are
+    graded = [entry.graded for entry in corpus.graded]
+    expected = [graded_reports(R) for R in graded]
+    monkeypatch.setattr(fn, "__wrapped__", body)
+    assert any(graded_reports(gr.validate_grading(R.base, R.components, R.products)) != reports
+               for R, reports in zip(graded, expected))
 
 
 @pytest.mark.parametrize("name", sorted(catalog.GOOD_GRADING_SPECS))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_rings as ref
-from grl import catalog
+from grl import catalog, rings
 from grl.corpus import default_manifest
 from grl.jsonio import construction_from_json
 
@@ -14,6 +14,7 @@ from grl.errors import (
     DistributivityError,
     NotAnIdealError,
     OutOfRangeError,
+    ValidationError,
 )
 from grl.rings import (
     MAX_RING_ORDER,
@@ -109,6 +110,28 @@ class TestBuildersMatchReference:
 
     def test_matrix_ring_over_the_zero_ring(self):
         assert tables(matrix_ring(cyclic_ring(1), 3)) == tables(ref.matrix_ring(cyclic_ring(1), 3))
+
+    def test_matrix_ring_proves_only_its_product(self, monkeypatch):
+        # the direct power of a validated group is one, so only mul is proved
+        built, expected = matrix_ring(Z4, 2), tables(ref.matrix_ring(Z4, 2))
+        prove = rings._ring_on
+        proved = []
+        monkeypatch.setattr(rings, "validate_additive_group", None)  # any call fails
+        monkeypatch.setattr(rings, "_ring_on",
+                            lambda grp, mul: proved.append(grp) or prove(grp, mul))
+        again = matrix_ring(Z4, 2)
+        assert again == built and tables(again) == expected
+        assert [again.additive] == proved
+
+    @pytest.mark.parametrize("mul", [[[0, 1], [0, 1]], [[0, 0], [0, 9]], [[0, 0], [0, 1.0]],
+                                     [[0, 0]], [[1, 1], [1, 1]]])
+    def test_a_product_on_a_valid_group_fails_as_in_validate_ring(self, mul):
+        with pytest.raises(ValidationError) as whole:
+            validate_ring(Z2.additive.add, Z2.additive.neg, mul)
+        with pytest.raises(ValidationError) as product_only:
+            rings._ring_on(Z2.additive, mul)
+        assert ((type(product_only.value), str(product_only.value), product_only.value.context)
+                == (type(whole.value), str(whole.value), whole.value.context))
 
     def test_m3_z2_on_sampled_pairs(self):
         # the full reference build takes seconds: every negative, and sums
