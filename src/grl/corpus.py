@@ -188,7 +188,7 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
             n += 1
         counts[f"semigroups_exhaustive_order_{order}"] = n
     if m.order4_sample_count > 0:
-        samples = sample_semigroups(4, m.order4_sample_count, m.seed, work)
+        samples = sample_semigroups(m.order4_sample_count, m.seed, work)
         for i, S in enumerate(samples):
             semigroups.append(CorpusEntry(
                 id=f"sg4.s{i:02d}", kind="semigroup", structure=S,

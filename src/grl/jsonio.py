@@ -99,6 +99,12 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _spec(data: dict, key: str):
+    """``data[key]``, a catalog name or else a JSON object."""
+    value = _field(data, key)
+    return value if isinstance(value, str) else _object(value, f"{key} that is not a name")
+
+
 def _each(items, what: str, well_formed, shape: str):
     """The entries of a JSON list, each of which must be ``shape``."""
     for i, item in enumerate(items):
@@ -162,15 +168,19 @@ def ring_from_json(data) -> FiniteRing:
     if isinstance(data, str):
         return catalog.named_ring(data)
     if "name" in data:
+        if not isinstance(data["name"], str):
+            raise OutOfRangeError(f"name must be a string, got {type(data['name']).__name__}")
         return catalog.named_ring(data["name"])
     if "construct" in data:
         kind = data["construct"]
         if kind == "Zn":
             return cyclic_ring(_size(data, 1))
         if kind == "product":
-            return product_ring(*(ring_from_json(f) for f in _field(data, "factors")))
+            factors = _each(_list(data, "factors"), "factors",
+                            lambda f: isinstance(f, (str, dict)), "a name or a JSON object")
+            return product_ring(*map(ring_from_json, factors))
         if kind == "matrix":
-            return matrix_ring(ring_from_json(_field(data, "A")), _size(data, 0))
+            return matrix_ring(ring_from_json(_spec(data, "A")), _size(data, 0))
         raise OutOfRangeError(f"unknown ring constructor: {kind!r}")
     add = _field(data, "add")
     _check_order(data, add)
@@ -306,20 +316,20 @@ def construction_from_json(spec: dict):
 
     kind = spec.get("construct")
     if kind == "semigroup_ring":
-        A = ring_from_json(_field(spec, "A"))
-        S = semigroup_from_spec(_field(spec, "S"))
+        A = ring_from_json(_spec(spec, "A"))
+        S = semigroup_from_spec(_spec(spec, "S"))
         return semigroup_ring(A, S), {"construction": kind, "A": A, "S": S}
     if kind == "matrix_bn":
-        A = ring_from_json(_field(spec, "A"))
+        A = ring_from_json(_spec(spec, "A"))
         return matrix_bn_grading(A, _size(spec, 1)), {"construction": kind, "A": A}
     if kind == "good_grading":
-        A = ring_from_json(_field(spec, "A"))
-        base = semigroup_from_spec(_field(spec, "base"))
+        A = ring_from_json(_spec(spec, "A"))
+        base = semigroup_from_spec(_spec(spec, "base"))
         dm = validate_degree_map(base, _field(spec, "deg"))
         gg = good_grading(A, dm)
         return gg.graded, {"construction": kind, "A": A, "grading": gg}
     if kind == "groupoid_ring":
-        A = ring_from_json(_field(spec, "A"))
-        G = groupoid_from_spec(_field(spec, "G"))
+        A = ring_from_json(_spec(spec, "A"))
+        G = groupoid_from_spec(_spec(spec, "G"))
         return groupoid_ring(A, G), {"construction": kind, "A": A, "G": G}
     raise OutOfRangeError(f"unknown construction: {kind!r}")

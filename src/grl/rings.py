@@ -131,11 +131,6 @@ class FiniteRing(ComparedByTables):
         return np.packbits(seeds.reshape(n, n), axis=1)
 
     @cached_property
-    def _principal(self) -> dict[int, frozenset[int]]:
-        """Principal left ideals by generator, filled in as they are asked for."""
-        return {}
-
-    @cached_property
     def _closures(self) -> dict[bytes, frozenset[int]]:
         """Principal left ideals by the bytes of a ``_seed_keys`` row, each
         closed once, filled in as they are asked for."""
@@ -488,7 +483,6 @@ def _common_fixers(cols: Sequence[int], vs: Iterable[int]) -> int:
 class Subgroup:
     """Additive subgroup of a parent group, stored as a member set."""
 
-    ambient_order: int
     members: frozenset[int]
 
     def elements(self) -> tuple[int, ...]:
@@ -546,20 +540,17 @@ def additive_closure(group: FiniteAdditiveGroup, seeds: Iterable[int]) -> Subgro
     """Smallest subgroup containing the seeds."""
     members = {0}
     _grow(group.add, members, seeds)
-    return Subgroup(ambient_order=group.order, members=frozenset(members))
+    return Subgroup(members=frozenset(members))
 
 
 def _principal_left_ideal(T: FiniteRing, c: int) -> frozenset[int]:
     """Members of the left ideal generated by c, closed once per distinct
     seed set {0, c} ∪ Tc of the ring."""
-    members = T._principal.get(c)
+    key = T._seed_keys[c].tobytes()
+    members = T._closures.get(key)
     if members is None:
-        key = T._seed_keys[c].tobytes()
-        members = T._closures.get(key)
-        if members is None:
-            seeds = {c, *T.mul[:, c].tolist()}
-            members = T._closures[key] = additive_closure(T.additive, seeds).members
-        T._principal[c] = members
+        seeds = {c, *T.mul[:, c].tolist()}
+        members = T._closures[key] = additive_closure(T.additive, seeds).members
     return members
 
 
@@ -575,7 +566,7 @@ def left_ideal(T: FiniteRing, generators: Iterable[int]) -> Subgroup:
         members = set(first)
         _grow(T.additive.add, members, chain.from_iterable(rest))
         first = frozenset(members)
-    return Subgroup(ambient_order=T.order, members=first)
+    return Subgroup(members=first)
 
 
 def is_left_ideal(T: FiniteRing, sub: Subgroup) -> bool:
@@ -656,7 +647,7 @@ def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int
         i = index.get(members)
         if i is None:
             i = index[members] = len(ideals)
-            ideals.append(Subgroup(ambient_order=n, members=members))
+            ideals.append(Subgroup(members=members))
             try:
                 verdicts.append(idempotent_generator(T, ideals[i]) is not None)
             except NotAnIdealError as err:

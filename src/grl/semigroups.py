@@ -224,7 +224,7 @@ def draw_order4_tables(bits: np.random.PCG64, count: int) -> np.ndarray:
     return np.right_shift(halves, 30, out=cells, casting="unsafe").reshape(-1, 4, 4)
 
 
-def sample_semigroups(order: int, count: int, seed: int,
+def sample_semigroups(count: int, seed: int,
                       work: Optional[dict] = None) -> list[FiniteSemigroup]:
     """Uniform rejection sampling of order-4 tables: keep the associative ones.
 
@@ -242,8 +242,6 @@ def sample_semigroups(order: int, count: int, seed: int,
     words (2 MiB) are alive at a time, and no batch is drawn after the one
     that holds the last kept table.  A count of 0 or less builds no stream.
     """
-    if order != 4:
-        raise ValueError(f"sampling draws order-4 tables only, not order {order}")
     found: list[FiniteSemigroup] = []
     drawn = scanned = 0
     if count > 0:

@@ -23,11 +23,11 @@ plane, in at most ``CELL_BUDGET`` cells and never builds the whole cube of
 triples, so memory stays flat as tables grow.
 ``is_associative_flat`` is the one plain loop: it tests a single tiny
 candidate table, as exhaustive enumeration produces them.
-``associative_mask`` filters batches of tables of order at most 4 by
-row/column lookup: (ab)c and a(bc) depend only on row a and column c, so
-one lookup settles every b for a pair (a, c).  At order 4 two row-pair
-lookups, on rows 0-1 and rows 2-3, first screen the whole batch, and only
-the few tables that pass both look up every (a, c).
+``associative_mask`` filters batches of order-4 tables by row/column
+lookup: (ab)c and a(bc) depend only on row a and column c, so one lookup
+settles every b for a pair (a, c).  Two row-pair lookups, on rows 0-1 and
+rows 2-3, first screen the whole batch, and only the few tables that pass
+both look up every (a, c).
 """
 
 from __future__ import annotations
@@ -329,21 +329,19 @@ def is_associative_flat(flat, n: int) -> bool:
     return True
 
 
-MAX_MASK_ORDER = 4  # a row or column packs into 8 bits, a (row, column) pair into 16
 _SPREAD = np.uint32(0x01041040)  # moves the low 2 bits of byte b to bits 24 + 2b
 
 
 @cache
-def _pair_table(n: int) -> np.ndarray:
+def _pair_table() -> np.ndarray:
     """ok[(row << 8) | col]: does col[row[b]] == row[col[b]] hold for every b?
 
-    For the row of a and the column of c of a table T, those are (ab)c and
-    a(bc).  Rows and columns are packed 2 bits a cell, cell b at bits 2b;
-    only keys of n cells below n, with 0 beyond them, can be true.  Built on
-    first use, not at import.
+    For the row of a and the column of c of an order-4 table T, those are
+    (ab)c and a(bc).  Rows and columns are packed 2 bits a cell, cell b at
+    bits 2b.  Built on first use, not at import.
     """
-    cells = np.array(list(product(range(n), repeat=n)), dtype=np.intp).reshape(-1, n)
-    keys = (cells << 2 * np.arange(n)).sum(axis=1)
+    cells = np.array(list(product(range(4), repeat=4)), dtype=np.intp)
+    keys = (cells << 2 * np.arange(4)).sum(axis=1)
     lhs = cells[np.arange(len(cells))[None, :, None], cells[:, None, :]]  # col[row[b]]
     rhs = cells[np.arange(len(cells))[:, None, None], cells[None, :, :]]  # row[col[b]]
     ok = np.zeros(1 << 16, dtype=bool)
@@ -383,49 +381,34 @@ def _row_pair_tables() -> tuple[np.ndarray, np.ndarray]:
     return table(0), table(2)
 
 
-def _pair_keys(packed: np.ndarray, a: int, c: int) -> np.ndarray:
-    """``_pair_table`` index of row a and column c of each packed table."""
-    row = (packed >> 8 * a) & 0xFF
-    col = (((packed >> 2 * c) & 0x03030303) * _SPREAD) >> 24  # cell (x, c) to bits 2x
-    return (row << 8) | col
+def _packed_rows(tabs: np.ndarray) -> np.ndarray:
+    """(m, 4) uint8: each row of a batch (m, 4, 4) packed into 8 bits, cell b
+    at bits 2b."""
+    cells = np.ascontiguousarray(tabs, dtype=np.uint8)
+    words = np.multiply(cells.view("<u4")[..., 0], _SPREAD)  # row a as one word
+    return np.right_shift(words, 24, out=np.empty(words.shape, dtype=np.uint8),
+                          casting="unsafe")
 
 
 def associative_mask(tabs: np.ndarray) -> np.ndarray:
-    """One bool per Cayley table of a batch (m, n, n) with n <= 4, in batch order.
+    """One bool per Cayley table of a batch (m, 4, 4), in batch order.
 
     A table is associative when, for every row a and column c, the pair
     passes ``_pair_table``: one lookup per (a, c) instead of one test per
-    triple.  Each table is packed into one uint32, 2 bits a cell, cell (a, b)
-    at bit 8a + 2b, so row a is byte a and column c gathers by one multiply;
-    below order 4 the cells are zero-padded to 4 x 4 first.  Few tables pass
-    a first screen of the whole batch, and only those look up every pair.
-    At order 4 the screen is the two ``_row_pair_tables`` lookups, on rows
-    0-1 and then rows 2-3; below it, row 0 and the last column.
+    triple.  The two ``_row_pair_tables`` lookups, on rows 0-1 and then rows
+    2-3, first screen the whole batch.  The few tables that pass both have
+    their columns packed like rows, from the transpose, and settle all 16
+    (a, c) pairs in one lookup.
     """
-    m, n = len(tabs), tabs.shape[-1]
-    if n > MAX_MASK_ORDER:
-        raise ValueError(f"associative_mask takes orders up to {MAX_MASK_ORDER}, not {n}")
-    ok = _pair_table(n)
-    if n == 4:
-        cells = np.ascontiguousarray(tabs, dtype=np.uint8)
-    else:
-        cells = np.zeros((m, 4, 4), dtype=np.uint8)
-        cells[:, :n, :n] = tabs
-    rows = np.multiply(cells.view("<u4")[..., 0], _SPREAD)  # (m, 4): row a as one word
-    rows = np.right_shift(rows, 24, out=np.empty((m, 4), dtype=np.uint8),
-                          casting="unsafe")  # ... packed into 8 bits
-    packed = rows.view("<u4")[:, 0]
-    if n == 4:
-        low, high = _row_pair_tables()
-        pairs = rows.view("<u2")  # (m, 2): rows 0-1 and rows 2-3 of each table
-        live = np.flatnonzero(low.take(pairs[:, 0]))
-        live = live[high.take(pairs[live, 1])]
-    else:
-        live = np.flatnonzero(ok.take(_pair_keys(packed, 0, n - 1)))
-    for a, c in product(range(n), repeat=2):
-        if live.size == 0:
-            break
-        live = live[ok.take(_pair_keys(packed[live], a, c))]
-    mask = np.zeros(m, dtype=bool)
-    mask[live] = True
+    if tabs.shape[1:] != (4, 4):
+        raise ValueError(f"associative_mask takes (m, 4, 4) batches, not {tabs.shape}")
+    rows = _packed_rows(tabs)
+    low, high = _row_pair_tables()
+    pairs = rows.view("<u2")  # (m, 2): rows 0-1 and rows 2-3 of each table
+    live = np.flatnonzero(low.take(pairs[:, 0]))
+    live = live[high.take(pairs[live, 1])]
+    cols = _packed_rows(tabs[live].transpose(0, 2, 1))
+    keys = (rows[live, :, None].astype(np.uint16) << 8) | cols[:, None, :]  # (k, 4, 4)
+    mask = np.zeros(len(tabs), dtype=bool)
+    mask[live] = _pair_table().take(keys).all(axis=(1, 2))
     return mask

@@ -217,7 +217,7 @@ def additive_closure(group, seeds) -> Subgroup:
             if z not in members:
                 members.add(z)
                 work.append(z)
-    return Subgroup(ambient_order=group.order, members=frozenset(members))
+    return Subgroup(members=frozenset(members))
 
 
 def _plain_span(add, gens) -> set:

@@ -666,6 +666,25 @@ class TestRingConstructorFiles:
         assert run_cli("validate", str(path)) == (
             1, {"valid": False, "error": "KeyError", "message": f"missing field '{field}'"})
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": "ring", "name": 5}, "name"),
+        ({"kind": "ring", "construct": "product", "factors": {"Z2": 1, "Z3": 0}}, "factors"),
+        ({"kind": "ring", "construct": "product", "factors": "Z2Z3"}, "factors"),
+        ({"kind": "ring", "construct": "product", "factors": ["Z2", 3]}, "factors entry 1"),
+        ({"kind": "ring", "construct": "matrix", "A": 5, "n": 2}, "A"),
+        ({"construct": "matrix_bn", "A": 5, "n": 2}, "A"),
+        ({"construct": "semigroup_ring", "A": "Z2", "S": 5}, "S"),
+        ({"construct": "good_grading", "A": "Z2", "base": 5, "deg": [[0]]}, "base"),
+        ({"construct": "groupoid_ring", "A": "Z2", "G": ["pair2"]}, "G"),
+    ], ids=["name", "factors-dict", "factors-str", "factor-int", "matrix-A", "bn-A", "S",
+            "base", "G"])
+    def test_malformed_parts_are_named(self, tmp_path, spec, field):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"].startswith(f"{field} ")
+
     @pytest.mark.parametrize("n", [2.0, True, "2", 0])
     def test_matrix_bn_n_must_be_an_integer(self, tmp_path, n):
         spec = tmp_path / "spec.json"

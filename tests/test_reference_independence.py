@@ -2,8 +2,10 @@
 
 A reference that imported grl's ring predicates would agree with any fault
 in them, so the reference tests of ``vnr-char``, ``tominaga``, the main
-theorem, the corollaries and the good gradings could not catch it.  These
-tests read the references' imports with ``ast``.
+theorem, the corollaries and the good gradings could not catch it.  Nor
+may the table and semigroup references take a table-law check, such as
+the associativity mask the sampler screens with.  These tests read the
+references' imports with ``ast``.
 """
 
 import ast
@@ -14,6 +16,9 @@ import pytest
 TESTS = Path(__file__).parent
 RING_PREDICATES = {"s_unitality", "is_s_unital", "is_von_neumann_regular", "unity",
                    "ring_idempotents", "idempotent_generator", "is_left_ideal"}
+TABLE_LAWS = {"associative_mask", "_pair_table", "_row_pair_tables", "first_assoc_violation",
+              "is_associative_flat", "associative_through", "agree_on_generators",
+              "biadditive", "first_biadditivity_violation"}
 
 
 def grl_names(source: str) -> set[str]:
@@ -50,6 +55,12 @@ def test_references_take_no_ring_predicate_from_grl(reference):
     assert not grl_names(source) & RING_PREDICATES
 
 
+@pytest.mark.parametrize("reference", ["reference_tables", "reference_semigroups"])
+def test_references_take_no_table_law_from_grl(reference):
+    source = (TESTS / f"{reference}.py").read_text()
+    assert not grl_names(source) & TABLE_LAWS
+
+
 def test_reference_gradings_takes_the_ring_queries_from_reference_rings():
     source = (TESTS / "reference_gradings.py").read_text()
     assert {"idempotent_generator", "is_left_ideal"} <= imported_from("reference_rings", source)
@@ -71,5 +82,6 @@ def test_the_guard_sees_each_import_form(source):
 def test_the_guard_passes_other_imports():
     source = ("from grl.rings import Subgroup, validate_ring\n"
               "from reference_rings import unity\nunity(T)\n"
+              "from grl.tables import frozen\n"
               "import numpy as np\nnp.unique(x)\n")
-    assert not grl_names(source) & RING_PREDICATES
+    assert not grl_names(source) & (RING_PREDICATES | TABLE_LAWS)

@@ -146,7 +146,7 @@ def test_left_ideal_guard_matches_reference(name, data):
     elements = st.lists(st.integers(0, T.order - 1), max_size=2)
     members = set(ref.left_ideal(T, data.draw(elements)).members)
     members.symmetric_difference_update(data.draw(elements))
-    sub = Subgroup(ambient_order=T.order, members=frozenset(members))
+    sub = Subgroup(members=frozenset(members))
     assert is_left_ideal(T, sub) == ref.is_left_ideal(T, sub)
 
 
@@ -265,15 +265,17 @@ class TestDistinctIdealScans:
         # and 48 generators close only their distinct principal ideals
         T = build()
         calls = count_calls(monkeypatch, "additive_closure")
+        asked = count_calls(monkeypatch, "_principal_left_ideal")
         assert check_vnr_characterization(T)["agree"]
-        assert len(T._principal) == T.order
-        assert len(calls) == len(T._closures) == len(set(T._principal.values())) == closures
+        assert {c for _, c in asked} == set(T.elements())
+        assert len(calls) == len(T._closures) == len(set(T._closures.values())) == closures
 
-    def test_early_exit_closes_three_principal_ideals(self):
+    def test_early_exit_closes_three_principal_ideals(self, monkeypatch):
         T = product_ring(M2, cyclic_ring(4))
+        asked = count_calls(monkeypatch, "_principal_left_ideal")
         report = check_vnr_characterization(T)
         assert report["finitely_generated_failing"]["generators"] == [2]
-        assert len(T._principal) == 3
+        assert {c for _, c in asked} == {0, 1, 2}
 
     def test_m2_z4_reports(self):
         # recorded with the per-tuple and per-subset scans
@@ -301,7 +303,7 @@ class TestDistinctIdealScans:
             "finitely_generated_ideals_idempotent": True,
             "finitely_generated_failing": None, "agree": True}
         assert len(calls) == 16 + 16
-        assert len(set(T._principal.values())) == 16
+        assert len(set(T._closures.values())) == 16
         assert len(set(T._fixers["left"])) == len(set(T._fixers["right"])) == 16
         assert check_tominaga(T) == ALL_HAVE_COMMON_UNITS
 
@@ -391,7 +393,7 @@ class TestCacheScope:
         # another graded ring with the same tables builds its own, uncached
         again = good_grading(coefficients, validate_degree_map(base, deg)).graded
         B = again.component_ring(e)
-        assert B is not A and "_principal" not in vars(B) and "_fixers" not in vars(B)
+        assert B is not A and "_closures" not in vars(B) and "_fixers" not in vars(B)
         assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
         assert graded == again and "_memo" not in repr(graded)
 
@@ -408,7 +410,7 @@ class TestCacheScope:
         assert left_ideal(T, [1]) != left_ideal(op, [1])
 
     def test_seed_sets_belong_to_one_ring(self):
-        caches = {"_seed_keys", "_closures", "_principal"}
+        caches = {"_seed_keys", "_closures"}
         T = matrix_ring(cyclic_ring(2), 2)
         assert not caches & set(vars(T))
         for c in T.elements():

@@ -276,11 +276,11 @@ class TestIdeals:
         assert ring_idempotents(Z4) == (0, 1)
 
     def test_idempotent_generator_zero_ideal(self):
-        I = Subgroup(ambient_order=Z6.order, members=frozenset({0}))
+        I = Subgroup(members=frozenset({0}))
         assert idempotent_generator(Z6, I) == 0
 
     def test_not_an_ideal_raises(self):
-        bad = Subgroup(ambient_order=Z4.order, members=frozenset({0, 1}))
+        bad = Subgroup(members=frozenset({0, 1}))
         with pytest.raises(NotAnIdealError):
             idempotent_generator(Z4, bad)
 

@@ -144,15 +144,15 @@ class TestEnumeration:
         assert tables == sorted(tables)
 
     def test_sampling_is_deterministic_and_valid(self):
-        a = sample_semigroups(4, 3, seed=11)
-        b = sample_semigroups(4, 3, seed=11)
+        a = sample_semigroups(3, seed=11)
+        b = sample_semigroups(3, seed=11)
         assert [s.table.tolist() for s in a] == [s.table.tolist() for s in b]
         for s in a:
             validate_semigroup(s.table.tolist())
 
     def test_sampling_respects_seed(self):
-        a = sample_semigroups(4, 2, seed=1)
-        b = sample_semigroups(4, 2, seed=2)
+        a = sample_semigroups(2, seed=1)
+        b = sample_semigroups(2, seed=2)
         assert [s.table.tolist() for s in a] != [s.table.tolist() for s in b]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 20250810])
@@ -166,15 +166,15 @@ class TestEnumeration:
             assert np.array_equal(got, want)
 
     def test_sampling_does_not_depend_on_the_batch(self, monkeypatch):
-        want = [S.table.tolist() for S in sample_semigroups(4, 4, 20250810)]
+        want = [S.table.tolist() for S in sample_semigroups(4, 20250810)]
         monkeypatch.setattr(semigroups, "SAMPLE_BATCH", 8192)
-        assert [S.table.tolist() for S in sample_semigroups(4, 4, 20250810)] == want
+        assert [S.table.tolist() for S in sample_semigroups(4, 20250810)] == want
 
     @pytest.mark.parametrize("batch", [8192, 65_536])
     def test_tables_scanned_is_the_stream_position(self, monkeypatch, batch):
         monkeypatch.setattr(semigroups, "SAMPLE_BATCH", batch)
         work = {}
-        last = sample_semigroups(4, 2, 20250810, work)[-1]
+        last = sample_semigroups(2, 20250810, work)[-1]
         scanned = work["order4_tables_scanned"]
         bits = np.random.PCG64(20250810)
         bits.advance(8 * (scanned - 1))  # a table takes 8 raw words
@@ -182,12 +182,7 @@ class TestEnumeration:
 
     def test_nothing_scanned_for_no_samples(self):
         work = {}
-        assert sample_semigroups(4, 0, 1, work) == [] and work == {"order4_tables_scanned": 0}
-
-    @pytest.mark.parametrize("order", [3, 5])
-    def test_sampling_draws_order_4_only(self, order):
-        with pytest.raises(ValueError):
-            sample_semigroups(order, 1, seed=0)
+        assert sample_semigroups(0, 1, work) == [] and work == {"order4_tables_scanned": 0}
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_sampling_nothing(self, monkeypatch, count):
@@ -197,7 +192,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(np.random, "PCG64", refused)
         before = threading.active_count()
-        assert sample_semigroups(4, count, seed=0) == []
+        assert sample_semigroups(count, seed=0) == []
         assert threading.active_count() == before
 
 
@@ -210,7 +205,7 @@ class TestStreamOrder:
 
         monkeypatch.setattr(threading.Thread, "start", refused)
         work = {}
-        assert len(sample_semigroups(4, 4, 20250810, work)) == 4
+        assert len(sample_semigroups(4, 20250810, work)) == 4
         assert work["order4_tables_scanned"] > 0
 
     @pytest.mark.parametrize("batch", [8192, 65_536])
@@ -224,7 +219,7 @@ class TestStreamOrder:
         monkeypatch.setattr(semigroups, "SAMPLE_BATCH", batch)
         monkeypatch.setattr(semigroups, "draw_order4_tables", counted)
         work = {}
-        sample_semigroups(4, 4, 20250810, work)
+        sample_semigroups(4, 20250810, work)
         assert drawn == [batch] * -(-work["order4_tables_scanned"] // batch)
 
     def test_a_failing_screen_stops_the_draws(self, monkeypatch):
@@ -239,7 +234,7 @@ class TestStreamOrder:
         monkeypatch.setattr(semigroups, "associative_mask", failing_on_the_third)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="screen failed"):
-            sample_semigroups(4, 1, seed=1)
+            sample_semigroups(1, seed=1)
         assert threading.active_count() == before and len(batches) == 3
 
     def test_small_batches_with_frequent_switches(self, monkeypatch):
@@ -251,7 +246,7 @@ class TestStreamOrder:
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(
-                target=lambda: result.extend(sample_semigroups(4, 4, 2, work)), daemon=True)
+                target=lambda: result.extend(sample_semigroups(4, 2, work)), daemon=True)
             start = time.perf_counter()
             runner.start()
             runner.join(timeout=120)

@@ -186,7 +186,7 @@ def test_catalog_groupoids_store_read_only_intp_arrays(name):
 @pytest.mark.parametrize("make", [lambda: list(enumerate_semigroups(1)),
                                   lambda: list(enumerate_semigroups(2)),
                                   lambda: list(enumerate_semigroups(3)),
-                                  lambda: sample_semigroups(4, 4, 20250810)],
+                                  lambda: sample_semigroups(4, 20250810)],
                          ids=["enumerated1", "enumerated2", "enumerated3", "sampled"])
 def test_enumerated_and_sampled_semigroups_store_read_only_intp_arrays(make):
     semigroups, again = make(), make()
