@@ -400,8 +400,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _read_object(path) -> dict:
-    """The JSON object a structure or spec file holds."""
-    data = json.loads(Path(path).read_text())
+    """The JSON object a structure or spec file holds, read by ``jsonio.read_json``."""
+    data = jsonio.read_json(path)
     if not isinstance(data, dict):
         raise OutOfRangeError(f"expected a JSON object, got {type(data).__name__}")
     return data

@@ -15,6 +15,13 @@ non-composable groupoid pairs.  A declared "order" that differs from its
 table, a component key that names no grader, and a product or compose pair
 given twice are errors.  Writers emit canonical bytes: sorted keys,
 two-space indent, nonzero products only.
+
+``read_json`` reads a structure or spec file.  It hands each table field
+("table", "add", "neg", "mul" of any object in it) to the validators as a
+read-only intp array when the decoded value is a rectangular list of JSON
+integers, so that they check it by its shape and its least and greatest
+cell and store it without a copy.  Any other value stays the list it was,
+and the validators' scan names its first fault as for any list.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Optional, Union
+
+import numpy as np
 
 from .errors import OutOfRangeError
 from .gradings import GradedRing, validate_grading
@@ -44,6 +53,63 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# the fields that hold index tables, with the number of dimensions of each
+_TABLE_FIELDS = {"table": 2, "add": 2, "mul": 2, "neg": 1}
+
+
+def _index_array(value, ndim: int, bools: bool):
+    """A decoded table field as a read-only intp array if it is a
+    rectangular ``ndim``-deep list of JSON integers, else ``value`` itself.
+
+    A decoded cell is an int, float, bool, str, None, list or dict.
+    ``np.array`` sets every one of these but a bool apart from an int by its
+    dtype or its shape (an int past int64 makes an object, float or uint64
+    array).  A bool collapses into a cell reading 0 or 1, so when the text
+    holds a bool at all (``bools``), those cells are looked at.
+    """
+    if not isinstance(value, list):
+        return value
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged, or a row nested deeper than its siblings
+        return value
+    if array.ndim != ndim or array.dtype != np.intp:
+        return value
+    if bools:
+        rows = value if ndim == 2 else [value]
+        cells = np.argwhere(np.atleast_2d((array == 0) | (array == 1)))
+        if any(type(rows[a][b]) is bool for a, b in cells.tolist()):
+            return value
+    array.flags.writeable = False
+    return array
+
+
+def _holds_bool(text: str) -> bool:
+    """Does JSON ``text`` spell ``true`` or ``false`` anywhere, in a string
+    or not?  Both end in "e", which a structure file of tables holds only in
+    a few keys, so this steps from one "e" to the next."""
+    e = text.find("e")
+    while e >= 0:
+        if text.endswith("tru", 0, e) or text.endswith("fals", 0, e):
+            return True
+        e = text.find("e", e + 1)
+    return False
+
+
+def read_json(path) -> object:
+    """The JSON value of a structure or spec file, each table field of each
+    object in it as ``_index_array`` gives it."""
+    text = Path(path).read_text()
+    bools = _holds_bool(text)
+
+    def decode(obj: dict) -> dict:
+        for key in _TABLE_FIELDS.keys() & obj.keys():
+            obj[key] = _index_array(obj[key], _TABLE_FIELDS[key], bools)
+        return obj
+
+    return json.loads(text, object_hook=decode)
+
+
 # ---------------------------------------------------------------------------
 # per-kind encoders
 
@@ -63,6 +129,15 @@ def _field(data: dict, key: str):
         return data[key]
     except KeyError:
         raise KeyError(f"missing field {key!r}") from None
+
+
+def _table(data: dict, key: str, what: Optional[str] = None):
+    """``data[key]``, a table: a JSON list, or the array ``read_json`` made
+    of one.  ``what`` names it in the error, ``key`` by default."""
+    value = _field(data, key)
+    if not isinstance(value, (list, np.ndarray)):
+        raise OutOfRangeError(f"{what or key} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def _check_order(data: dict, table) -> None:
@@ -114,7 +189,7 @@ def _each(items, what: str, well_formed, shape: str):
 
 
 def semigroup_from_json(data: dict) -> FiniteSemigroup:
-    table = _field(data, "table")
+    table = _table(data, "table")
     _check_order(data, table)
     return validate_semigroup(table, labels=data.get("labels"))
 
@@ -182,19 +257,21 @@ def ring_from_json(data) -> FiniteRing:
         if kind == "matrix":
             return matrix_ring(ring_from_json(_spec(data, "A")), _size(data, 0))
         raise OutOfRangeError(f"unknown ring constructor: {kind!r}")
-    add = _field(data, "add")
+    add = _table(data, "add")
     _check_order(data, add)
-    return validate_ring(add, _field(data, "neg"), _field(data, "mul"))
+    return validate_ring(add, _table(data, "neg"), _table(data, "mul"))
 
 
 def _group_to_json(g: FiniteAdditiveGroup) -> dict:
     return {"order": g.order, "add": g.add.tolist(), "neg": g.neg.tolist()}
 
 
-def _group_from_json(data: dict) -> FiniteAdditiveGroup:
-    add = _field(data, "add")
+def _group_from_json(data, what: str) -> FiniteAdditiveGroup:
+    """The additive group a JSON object holds; ``what`` names it in errors."""
+    data = _object(data, what)
+    add = _table(data, "add", f"{what} add")
     _check_order(data, add)
-    return validate_additive_group(add, _field(data, "neg"))
+    return validate_additive_group(add, _table(data, "neg", f"{what} neg"))
 
 
 def graded_to_json(R: GradedRing) -> dict:
@@ -220,7 +297,7 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
         path = Path(ref)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        ref = json.loads(path.read_text())
+        ref = read_json(path)
     ref = _object(ref, "base ref")
     base_kind = _field(base_spec, "kind")
     if base_kind == "semigroup":
@@ -235,12 +312,16 @@ def graded_from_json(data: dict, base_dir: Optional[Path] = None) -> GradedRing:
     if unknown:
         raise OutOfRangeError(f"component key {unknown[0]!r} names no grader")
     trivial = {"order": 1, "add": [[0]], "neg": [0]}
-    components = [_group_from_json(_object(given.get(str(s), trivial), f"component {str(s)!r}"))
+    components = [_group_from_json(given.get(str(s), trivial), f"component {str(s)!r}")
                   for s in range(n)]
     items = _each(_list(data, "products", required=False), "product",
                   lambda item: isinstance(item, dict), "an object")
-    products = _unique((((_field(item, "s"), _field(item, "t")), _field(item, "table"))
-                        for item in items), "product")
+
+    def entry(item: dict) -> tuple:
+        s, t = _field(item, "s"), _field(item, "t")
+        return (s, t), _table(item, "table", f"product ({s!r}, {t!r}) table")
+
+    products = _unique(map(entry, items), "product")
     return validate_grading(base, components, products)
 
 
@@ -275,8 +356,7 @@ def structure_from_json(data: dict, base_dir: Optional[Path] = None) -> tuple[st
 
 def load_structure(path) -> tuple[str, Structure]:
     p = Path(path)
-    data = json.loads(p.read_text())
-    return structure_from_json(data, base_dir=p.parent)
+    return structure_from_json(read_json(p), base_dir=p.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +405,7 @@ def construction_from_json(spec: dict):
     if kind == "good_grading":
         A = ring_from_json(_spec(spec, "A"))
         base = semigroup_from_spec(_spec(spec, "base"))
-        dm = validate_degree_map(base, _field(spec, "deg"))
+        dm = validate_degree_map(base, _table(spec, "deg"))
         gg = good_grading(A, dm)
         return gg.graded, {"construction": kind, "A": A, "grading": gg}
     if kind == "groupoid_ring":

@@ -835,6 +835,32 @@ class TestInputFileRules:
         code, out = run_cli(*command, str(path))
         assert code == 1 and out["error"] == "OutOfRange" and out["message"] == message
 
+    @pytest.mark.parametrize("data,message", [
+        ({"kind": "semigroup", "table": 5}, "table must be a JSON list, got int"),
+        ({"kind": "ring", "add": 5, "neg": [0], "mul": [[0]]},
+         "add must be a JSON list, got int"),
+        ({"kind": "ring", "add": [[0]], "neg": 5, "mul": [[0]]},
+         "neg must be a JSON list, got int"),
+        ({"kind": "ring", "add": [[0]], "neg": [0], "mul": 5},
+         "mul must be a JSON list, got int"),
+        (graded_file({"0": {**Z2_GROUP, "add": 5}}, []),
+         "component '0' add must be a JSON list, got int"),
+        (graded_file({"0": {**Z2_GROUP, "neg": None}}, []),
+         "component '0' neg must be a JSON list, got NoneType"),
+        (graded_file({"0": Z2_GROUP}, [{"s": 0, "t": 0, "table": 5}]),
+         "product (0, 0) table must be a JSON list, got int"),
+        ({"construct": "good_grading", "A": "Z2", "base": "Z2", "deg": 5},
+         "deg must be a JSON list, got int"),
+        ({"construct": "semigroup_ring", "A": "Z2", "S": {"kind": "semigroup", "table": "ab"}},
+         "table must be a JSON list, got str"),
+    ], ids=["table", "add", "neg", "mul", "component-add", "component-neg", "product-table",
+            "deg", "spec-table"])
+    def test_tables_that_are_not_lists_are_named(self, tmp_path, data, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange" and out["message"] == message
+
     def test_component_key_naming_no_grader(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(graded_file({"0": Z2_GROUP, "5": Z2_GROUP}, [])))

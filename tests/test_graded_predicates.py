@@ -134,6 +134,17 @@ def test_corpus_gradings_match_reference(corpus):
         assert_matches_reference(entry.graded)
 
 
+def test_epsilon_strong_and_nearly_epsilon_strong_agree(corpus):
+    """A finite s-unital ring is unital: Tominaga's theorem gives the whole
+    ring, a finite set, a common two-sided unit.  So span(R_s R_t) is
+    s-unital exactly when it is unital, the two classes coincide on every
+    finite grading, and swapping one predicate for the other is a variant
+    that no input can catch."""
+    for entry in corpus.graded:
+        R = entry.graded
+        assert gr.is_epsilon_strong(R).holds == gr.is_nearly_epsilon_strong(R).holds, entry.id
+
+
 def test_regraded_groupoid_rings_match_reference(corpus):
     regraded = [regrade_groupoid_to_semigroup(e.graded) for e in corpus.graded
                 if e.graded.base_kind == "groupoid"]
