@@ -31,7 +31,7 @@ from .corpus import (
     generate_corpus,
     write_corpus,
 )
-from .errors import OutOfRangeError, ValidationError
+from .errors import ValidationError
 from .gradings import (
     GradedRing,
     base_components_vnr,
@@ -399,25 +399,6 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_object(path) -> dict:
-    """The JSON object a structure or spec file holds, read by ``jsonio.read_json``."""
-    data = jsonio.read_json(path)
-    if not isinstance(data, dict):
-        raise OutOfRangeError(f"expected a JSON object, got {type(data).__name__}")
-    return data
-
-
-def _load_any(path: str):
-    """Load a structure or construction-spec file; returns (kind, object, meta)."""
-    p = Path(path)
-    data = _read_object(p)
-    if "construct" in data and "kind" not in data:  # ring constructor files carry a kind
-        structure, meta = jsonio.construction_from_json(data)
-        return "graded_ring", structure, meta
-    kind, structure = jsonio.structure_from_json(data, base_dir=p.parent)
-    return kind, structure, {}
-
-
 _LOAD_ERRORS = (ValidationError, OSError, json.JSONDecodeError, KeyError, TypeError,
                 ValueError)
 
@@ -435,7 +416,7 @@ def _input_error(err: Exception, args, **extra) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        kind, _, _ = _load_any(args.path)
+        kind, _, _ = jsonio.load(args.path)
     except _LOAD_ERRORS as err:
         return _input_error(err, args, valid=False)
     _print_json({"valid": True, "kind": kind}, args.pretty)
@@ -445,7 +426,7 @@ def cmd_validate(args) -> int:
 def cmd_classify(args) -> int:
     started = time.perf_counter()
     try:
-        kind, structure, _ = _load_any(args.path)
+        kind, structure, _ = jsonio.load(args.path)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
     report = classify_structure(kind, structure, args.max_witnesses)
@@ -459,7 +440,7 @@ def cmd_classify(args) -> int:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     try:
-        loaded = _load_any(args.path)
+        loaded = jsonio.load(args.path)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
     report = run_theorem_check(args.theorem, loaded, args)
@@ -474,8 +455,7 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        spec = _read_object(args.spec)
-        structure, _ = jsonio.construction_from_json(spec)
+        structure, _ = jsonio.construction_from_json(jsonio.read_object(args.spec))
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
     out = Path(args.out)
@@ -494,7 +474,7 @@ def cmd_corpus_run(args) -> int:
     manifest = default_manifest()
     try:
         if args.manifest:
-            manifest = CorpusManifest.from_json(json.loads(Path(args.manifest).read_text()))
+            manifest = CorpusManifest.from_json(jsonio.read_json(args.manifest, tables=False))
         if args.seed is not None:
             manifest = CorpusManifest.from_json({**manifest.to_json(), "seed": args.seed})
     except _LOAD_ERRORS as err:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
+from pathlib import Path
 from typing import Any, Callable, Optional
 
-from . import catalog
+from . import catalog, jsonio
 from .constructions import (
     _matrix_units_order,
     good_grading,
@@ -249,10 +250,6 @@ def generate_corpus(manifest: Optional[CorpusManifest] = None) -> Corpus:
 
 def write_corpus(corpus: Corpus, directory) -> list[str]:
     """Materialize manifest and structure files; returns the written paths."""
-    from pathlib import Path
-
-    from . import jsonio
-
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -16,12 +16,16 @@ table, a component key that names no grader, and a product or compose pair
 given twice are errors.  Writers emit canonical bytes: sorted keys,
 two-space indent, nonzero products only.
 
-``read_json`` reads a structure or spec file.  It hands each table field
-("table", "add", "neg", "mul" of any object in it) to the validators as a
-read-only intp array when the decoded value is a rectangular list of JSON
-integers, so that they check it by its shape and its least and greatest
-cell and store it without a copy.  Any other value stays the list it was,
-and the validators' scan names its first fault as for any list.
+Every file grl reads comes in here.  ``load`` reads a structure or
+construction-spec file and builds what it describes, ``read_object`` reads
+a file that must hold a JSON object, and ``read_json`` decodes any file, a
+corpus manifest too; a file nested too deeply to decode is an
+``OutOfRange`` error.  ``read_json`` hands each table field ("table",
+"add", "neg", "mul" of any object in it) to the validators as a read-only
+intp array when the decoded value is a rectangular list of JSON integers,
+so that they check it by its shape and its least and greatest cell and
+store it without a copy.  Any other value stays the list it was, and the
+validators' scan names its first fault as for any list.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import catalog, constructions
 from .errors import OutOfRangeError
 from .gradings import GradedRing, validate_grading
 from .groupoids import FiniteGroupoid, validate_groupoid
@@ -85,9 +90,11 @@ def _index_array(value, ndim: int, bools: bool):
 
 
 def _holds_bool(text: str) -> bool:
-    """Does JSON ``text`` spell ``true`` or ``false`` anywhere, in a string
-    or not?  Both end in "e", which a structure file of tables holds only in
-    a few keys, so this steps from one "e" to the next."""
+    """``"true" in text or "false" in text``: does JSON ``text`` spell a bool
+    anywhere, in a string or not?  Both end in "e", which a structure file of
+    tables holds only in a few keys, so this steps from one "e" to the next.
+    On such a file the two substring searches take about 40 times as long,
+    since digits pass the skip filter they scan with."""
     e = text.find("e")
     while e >= 0:
         if text.endswith("tru", 0, e) or text.endswith("fals", 0, e):
@@ -96,9 +103,10 @@ def _holds_bool(text: str) -> bool:
     return False
 
 
-def read_json(path) -> object:
-    """The JSON value of a structure or spec file, each table field of each
-    object in it as ``_index_array`` gives it."""
+def read_json(path, tables: bool = True) -> object:
+    """The JSON value of a file, with each table field of each object in it
+    as ``_index_array`` gives it unless ``tables`` is false (a corpus
+    manifest holds no tables, and its reports show its entries as decoded)."""
     text = Path(path).read_text()
     bools = _holds_bool(text)
 
@@ -107,7 +115,18 @@ def read_json(path) -> object:
             obj[key] = _index_array(obj[key], _TABLE_FIELDS[key], bools)
         return obj
 
-    return json.loads(text, object_hook=decode)
+    try:
+        return json.loads(text, object_hook=decode if tables else None)
+    except RecursionError:
+        raise OutOfRangeError("the JSON nests too deeply") from None
+
+
+def read_object(path) -> dict:
+    """The JSON object a structure or spec file holds."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise OutOfRangeError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +207,10 @@ def _each(items, what: str, well_formed, shape: str):
         yield item
 
 
-def semigroup_from_json(data: dict) -> FiniteSemigroup:
+def semigroup_from_json(data) -> FiniteSemigroup:
+    """The semigroup a catalog name or a JSON object describes."""
+    if isinstance(data, str):
+        return catalog.named_semigroup(data)
     table = _table(data, "table")
     _check_order(data, table)
     return validate_semigroup(table, labels=data.get("labels"))
@@ -207,7 +229,10 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
     return out
 
 
-def groupoid_from_json(data: dict) -> FiniteGroupoid:
+def groupoid_from_json(data) -> FiniteGroupoid:
+    """The groupoid a catalog name or a JSON object describes."""
+    if isinstance(data, str):
+        return catalog.named_groupoid(data)
     objects = label_tuple(_field(data, "objects"), "object labels")
     morphisms = list(_each(_list(data, "morphisms"), "morphism",
                            lambda m: isinstance(m, dict), "an object"))
@@ -238,8 +263,6 @@ def _size(spec: dict, least: int) -> int:
 
 def ring_from_json(data) -> FiniteRing:
     """Accept inline tables, a registry name, or a constructor form."""
-    from . import catalog
-
     if isinstance(data, str):
         return catalog.named_ring(data)
     if "name" in data:
@@ -354,29 +377,21 @@ def structure_from_json(data: dict, base_dir: Optional[Path] = None) -> tuple[st
     raise OutOfRangeError(f"missing or unknown top-level kind: {kind!r}")
 
 
-def load_structure(path) -> tuple[str, Structure]:
-    p = Path(path)
-    return structure_from_json(read_json(p), base_dir=p.parent)
+def load(path) -> tuple[str, Structure, dict]:
+    """Load a structure or construction-spec file; returns (kind, structure,
+    meta), the meta of ``construction_from_json`` for a spec and empty
+    otherwise."""
+    path = Path(path)
+    data = read_object(path)
+    if "construct" in data and "kind" not in data:  # ring constructor files carry a kind
+        structure, meta = construction_from_json(data)
+        return "graded_ring", structure, meta
+    kind, structure = structure_from_json(data, base_dir=path.parent)
+    return kind, structure, {}
 
 
 # ---------------------------------------------------------------------------
 # construction specs
-
-
-def semigroup_from_spec(spec) -> FiniteSemigroup:
-    from . import catalog
-
-    if isinstance(spec, str):
-        return catalog.named_semigroup(spec)
-    return semigroup_from_json(spec)
-
-
-def groupoid_from_spec(spec) -> FiniteGroupoid:
-    from . import catalog
-
-    if isinstance(spec, str):
-        return catalog.named_groupoid(spec)
-    return groupoid_from_json(spec)
 
 
 def construction_from_json(spec: dict):
@@ -386,30 +401,22 @@ def construction_from_json(spec: dict):
     its parts; for good_grading it also holds the GoodGrading under
     ``"grading"``.
     """
-    from .constructions import (
-        good_grading,
-        groupoid_ring,
-        matrix_bn_grading,
-        semigroup_ring,
-        validate_degree_map,
-    )
-
     kind = spec.get("construct")
     if kind == "semigroup_ring":
         A = ring_from_json(_spec(spec, "A"))
-        S = semigroup_from_spec(_spec(spec, "S"))
-        return semigroup_ring(A, S), {"construction": kind, "A": A, "S": S}
+        S = semigroup_from_json(_spec(spec, "S"))
+        return constructions.semigroup_ring(A, S), {"construction": kind, "A": A, "S": S}
     if kind == "matrix_bn":
         A = ring_from_json(_spec(spec, "A"))
-        return matrix_bn_grading(A, _size(spec, 1)), {"construction": kind, "A": A}
+        return constructions.matrix_bn_grading(A, _size(spec, 1)), {"construction": kind, "A": A}
     if kind == "good_grading":
         A = ring_from_json(_spec(spec, "A"))
-        base = semigroup_from_spec(_spec(spec, "base"))
-        dm = validate_degree_map(base, _table(spec, "deg"))
-        gg = good_grading(A, dm)
+        base = semigroup_from_json(_spec(spec, "base"))
+        dm = constructions.validate_degree_map(base, _table(spec, "deg"))
+        gg = constructions.good_grading(A, dm)
         return gg.graded, {"construction": kind, "A": A, "grading": gg}
     if kind == "groupoid_ring":
         A = ring_from_json(_spec(spec, "A"))
-        G = groupoid_from_spec(_spec(spec, "G"))
-        return groupoid_ring(A, G), {"construction": kind, "A": A, "G": G}
+        G = groupoid_from_json(_spec(spec, "G"))
+        return constructions.groupoid_ring(A, G), {"construction": kind, "A": A, "G": G}
     raise OutOfRangeError(f"unknown construction: {kind!r}")

@@ -13,6 +13,7 @@ import pytest
 
 from grl import cli, jsonio, semigroups
 from grl.corpus import MAX_ORDER4_SAMPLES
+from grl.errors import OutOfRangeError
 from grl.rings import cyclic_ring
 from grl.semigroups import left_zero_semigroup
 
@@ -492,6 +493,12 @@ class TestManifestErrors:
         out = self.run_manifest(tmp_path, json.dumps({"named_semigroups": "L2"}))
         assert out["error"] == "ValueError" and "named_semigroups" in out["message"]
 
+    def test_an_entry_is_reported_as_written(self, tmp_path):
+        # a manifest holds no tables: a field named like one stays the list it was
+        out = self.run_manifest(tmp_path, json.dumps({"rings": [{"table": [[0]]}]}))
+        assert out["message"] == ("manifest rings has an unknown or malformed entry: "
+                                  "{'table': [[0]]}")
+
 
 class TestSettings:
     """Every setting comes from the command line; the environment has no say."""
@@ -700,14 +707,14 @@ class TestJsonRoundTrips:
                 "factors": ["Z2", {"construct": "Zn", "n": 3}]}
         path = tmp_path / "r.json"
         path.write_text(json.dumps(spec))
-        kind, T = jsonio.load_structure(path)
+        kind, T, _ = jsonio.load(path)
         assert kind == "ring" and T.order == 6
 
     def test_matrix_constructor(self, tmp_path):
         spec = {"kind": "ring", "construct": "matrix", "A": "Z2", "n": 2}
         path = tmp_path / "m.json"
         path.write_text(json.dumps(spec))
-        _, T = jsonio.load_structure(path)
+        _, T, _ = jsonio.load(path)
         assert T.order == 16
 
     def test_groupoid_round_trip(self, tmp_path):
@@ -715,7 +722,7 @@ class TestJsonRoundTrips:
         G = pair_groupoid(2)
         path = tmp_path / "g.json"
         path.write_text(jsonio.dumps_canonical(jsonio.groupoid_to_json(G)))
-        kind, back = jsonio.load_structure(path)
+        kind, back, _ = jsonio.load(path)
         assert kind == "groupoid"
         assert (back.dom, back.cod, back.inv) == (G.dom, G.cod, G.inv)
         assert np.array_equal(back.table, G.table)
@@ -724,7 +731,7 @@ class TestJsonRoundTrips:
         T = cyclic_ring(6)
         path = tmp_path / "z6.json"
         path.write_text(jsonio.dumps_canonical(jsonio.ring_to_json(T)))
-        _, back = jsonio.load_structure(path)
+        _, back, _ = jsonio.load(path)
         assert (back.mul.tolist() == T.mul.tolist()
                 and back.additive.add.tolist() == T.additive.add.tolist())
 
@@ -929,3 +936,52 @@ class TestInputFileRules:
         code, out = run_cli(*command, str(path))
         assert code == 1 and out["error"] == "OutOfRange"
         assert out["context"] == context and out["message"] == message
+
+
+def nested(depth: int, leaf: str) -> str:
+    """JSON text of ``leaf`` inside ``depth`` lists; ``json.dumps`` of such a
+    value would itself recurse too deeply."""
+    return "[" * depth + leaf + "]" * depth
+
+
+DEEP = 3000
+DEEP_TABLE = '{"kind": "semigroup", "table": %s}' % nested(DEEP, "0")
+DEEP_SPEC = ('{"construct": "matrix_bn", "n": 1, "A": {"kind": "ring", '
+             + '"construct": "matrix", "n": 0, "A": {' * DEEP + '"name": "Z2"'
+             + "}" * DEEP + "}}")
+
+
+class TestDeepNesting:
+    """A file nested too deeply to decode exits 1 with an OutOfRange report
+    from every command that reads a file, not with a RecursionError."""
+
+    @pytest.mark.parametrize("command,text", [
+        (["validate"], DEEP_SPEC),
+        (["validate"], DEEP_TABLE),
+        (["classify"], DEEP_TABLE),
+        (["check", "main"], DEEP_SPEC),
+        (["check", "q-vs-v"], DEEP_TABLE),
+        (["construct"], DEEP_SPEC),
+        (["corpus-run", "--suite", "none", "--manifest"], '{"rings": %s}' % nested(DEEP, "")),
+    ], ids=["validate-spec", "validate-table", "classify-table", "check-spec",
+            "check-table", "construct-spec", "corpus-run-manifest"])
+    def test_exits_one_with_a_report(self, tmp_path, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        out_file = [str(tmp_path / "out.json")] if command == ["construct"] else []
+        code, out = run_cli(*command, str(path), *out_file)
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["message"] == "the JSON nests too deeply"
+        assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("text,name", [("[1]", "list"), ("7", "int"), ('"Z2"', "str"),
+                                       ("null", "NoneType")])
+def test_load_refuses_a_top_level_non_object_as_validate_does(tmp_path, text, name):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out = run_cli("validate", str(path))
+    assert code == 1 and out["error"] == "OutOfRange"
+    with pytest.raises(OutOfRangeError) as err:
+        jsonio.load(path)
+    assert str(err.value) == out["message"] == f"expected a JSON object, got {name}"

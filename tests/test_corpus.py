@@ -131,13 +131,13 @@ class TestWriteCorpus:
         sample = [p for p in written if p.endswith(".json")
                   and "manifest" not in p][:10]
         for path in sample:
-            kind, _ = jsonio.load_structure(path)
+            kind, _, _ = jsonio.load(path)
             assert kind in ("semigroup", "ring", "groupoid", "graded_ring")
 
     def test_graded_entry_round_trip(self, corpus, tmp_path):
         entry = next(e for e in corpus.graded if e.id == "gr:bn:Z2:2")
         path = tmp_path / "bn.json"
         path.write_text(jsonio.dumps_canonical(jsonio.graded_to_json(entry.graded)))
-        kind, loaded = jsonio.load_structure(path)
+        kind, loaded, _ = jsonio.load(path)
         assert kind == "graded_ring"
         assert jsonio.graded_to_json(loaded) == jsonio.graded_to_json(entry.graded)

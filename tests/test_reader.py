@@ -203,3 +203,11 @@ def test_a_single_cell_change_reads_as_plain_lists(data):
         target[a] = value
     read, plain = validate_both(changed)
     assert read == plain
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(["e", "tru", "fals", "true", "false", "t", "r", "u", "f",
+                                 "a", "l", "s", '"', "0", " ", "E"]), max_size=12))
+def test_the_bool_scan_is_the_substring_test(parts):
+    text = "".join(parts)
+    assert jsonio._holds_bool(text) == ("true" in text or "false" in text)

@@ -6,6 +6,10 @@ theorem, the corollaries and the good gradings could not catch it.  Nor
 may the table and semigroup references take a table-law check, such as
 the associativity mask the sampler screens with.  These tests read the
 references' imports with ``ast``.
+
+The same reading keeps grl's own modules to one input boundary: every
+import at module level, and ``jsonio.read_json`` the one place that decodes
+JSON.
 """
 
 import ast
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).parent
+SOURCES = sorted((TESTS.parent / "src" / "grl").glob("*.py"))
 RING_PREDICATES = {"s_unitality", "is_s_unital", "is_von_neumann_regular", "unity",
                    "ring_idempotents", "idempotent_generator", "is_left_ideal"}
 TABLE_LAWS = {"associative_mask", "_pair_table", "_row_pair_tables", "first_assoc_violation",
@@ -85,3 +90,69 @@ def test_the_guard_passes_other_imports():
               "from grl.tables import frozen\n"
               "import numpy as np\nnp.unique(x)\n")
     assert not grl_names(source) & (RING_PREDICATES | TABLE_LAWS)
+
+
+def function_imports(source: str) -> list[str]:
+    """The import statements inside a function body, as "function:line"."""
+    return [f"{func.name}:{node.lineno}" for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def json_decoders(source: str) -> list[str]:
+    """The functions that call ``json.load`` or ``json.loads``, by dotted
+    name ("" at module level), and "from json" for an import that could
+    call them by another name."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.append("from json")
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ("load", "loads")
+                  and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_boundary_guard_reads_every_module():
+    assert {"cli.py", "corpus.py", "jsonio.py"} <= {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_modules_import_only_at_module_level(path):
+    assert function_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_read_json_decodes_json(path):
+    expected = ["read_json"] if path.name == "jsonio.py" else []
+    assert json_decoders(path.read_text()) == expected
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f():\n    import os\n", ["f:2"]),
+    ("def f():\n    from . import catalog\n", ["f:2"]),
+    ("class C:\n    async def m(self):\n        from pathlib import Path\n", ["m:3"]),
+    ("import os\nfrom . import catalog\nclass C:\n    x = 1\n", []),
+])
+def test_the_guard_sees_each_function_import(source, found):
+    assert function_imports(source) == found
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f(t):\n    return json.loads(t)\n", ["f"]),
+    ("class C:\n    def m(self, fp):\n        return json.load(fp)\n", ["C.m"]),
+    ("x = json.loads(text)\n", [""]),
+    ("from json import loads\n", ["from json"]),
+    ("def read_json(p):\n    return json.loads(p)\ny = json.dumps(x)\n", ["read_json"]),
+])
+def test_the_guard_sees_each_json_decode(source, found):
+    assert json_decoders(source) == found
