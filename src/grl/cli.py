@@ -69,10 +69,9 @@ from .semigroups import (
 
 
 def _print_json(data: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+    # a report may hold numpy arrays and scalars: a table decoded where none goes
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(data, sort_keys=True, default=lambda obj: obj.tolist(), **layout))
 
 
 def _cap(obj, limit: int):

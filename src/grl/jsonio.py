@@ -19,7 +19,7 @@ two-space indent, nonzero products only.
 Every file grl reads comes in here.  ``load`` reads a structure or
 construction-spec file and builds what it describes, ``read_object`` reads
 a file that must hold a JSON object, and ``read_json`` decodes any file, a
-corpus manifest too; a file nested too deeply to decode is an
+corpus manifest too; a file nested too deeply to decode or to build is an
 ``OutOfRange`` error.  ``read_json`` hands each table field ("table",
 "add", "neg", "mul" of any object in it) to the validators as a read-only
 intp array when the decoded value is a rectangular list of JSON integers,
@@ -31,6 +31,7 @@ validators' scan names its first fault as for any list.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Union
 
@@ -103,6 +104,16 @@ def _holds_bool(text: str) -> bool:
     return False
 
 
+@contextmanager
+def _depth_checked():
+    """Report a RecursionError, which deep input raises, as OutOfRange."""
+    try:
+        yield
+    except RecursionError:
+        raise OutOfRangeError("the JSON nests too deeply") from None
+
+
+@_depth_checked()
 def read_json(path, tables: bool = True) -> object:
     """The JSON value of a file, with each table field of each object in it
     as ``_index_array`` gives it unless ``tables`` is false (a corpus
@@ -115,10 +126,7 @@ def read_json(path, tables: bool = True) -> object:
             obj[key] = _index_array(obj[key], _TABLE_FIELDS[key], bools)
         return obj
 
-    try:
-        return json.loads(text, object_hook=decode if tables else None)
-    except RecursionError:
-        raise OutOfRangeError("the JSON nests too deeply") from None
+    return json.loads(text, object_hook=decode if tables else None)
 
 
 def read_object(path) -> dict:
@@ -377,6 +385,7 @@ def structure_from_json(data: dict, base_dir: Optional[Path] = None) -> tuple[st
     raise OutOfRangeError(f"missing or unknown top-level kind: {kind!r}")
 
 
+@_depth_checked()
 def load(path) -> tuple[str, Structure, dict]:
     """Load a structure or construction-spec file; returns (kind, structure,
     meta), the meta of ``construction_from_json`` for a spec and empty
@@ -394,6 +403,7 @@ def load(path) -> tuple[str, Structure, dict]:
 # construction specs
 
 
+@_depth_checked()
 def construction_from_json(spec: dict):
     """Build the structure described by a construction spec.
 

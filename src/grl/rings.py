@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from math import prod
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -275,6 +275,18 @@ def _tuple_table(operands: Sequence[Sequence[int]],
     return table
 
 
+def _product_group(groups: Sequence[FiniteAdditiveGroup]) -> FiniteAdditiveGroup:
+    """Direct product of validated groups, which is one; tuples encoded
+    lexicographically.  The caller checks the order."""
+    # entry i of a sum or negative is that of entry i of the operands
+    sizes, m = [G.order for G in groups], len(groups)
+    return FiniteAdditiveGroup(
+        order=prod(sizes),
+        add=_tuple_table((sizes,) * 2, [(G.order, G.add, (i, m + i))
+                                        for i, G in enumerate(groups)]),
+        neg=_tuple_table((sizes,), [(G.order, G.neg, (i,)) for i, G in enumerate(groups)]))
+
+
 def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
     """Direct power G^k; tuples encoded big-endian in base |G|."""
     if k == 1:
@@ -283,11 +295,7 @@ def _power_group(G: FiniteAdditiveGroup, k: int) -> FiniteAdditiveGroup:
         return TRIVIAL_GROUP
     # G.order >= 2, so the power capped at the bound's bit length still passes it
     _check_order(G.order ** min(k, MAX_RING_ORDER.bit_length()), f"{G.order}^{k}")
-    n = G.order
-    return FiniteAdditiveGroup(
-        order=n ** k,
-        add=_tuple_table(((n,) * k,) * 2, [(n, G.add, (i, k + i)) for i in range(k)]),
-        neg=_tuple_table(((n,) * k,), [(n, G.neg, (i,)) for i in range(k)]))
+    return _product_group([G] * k)
 
 
 _Pattern = tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]
@@ -365,14 +373,11 @@ def product_ring(*factors: FiniteRing) -> FiniteRing:
     if not factors:
         raise ValueError("need at least one factor")
     _check_order(prod(T.order for T in factors), "*".join(str(T.order) for T in factors))
-    # entry i of a sum, negative or product is that of entry i of the operands
+    # entry i of a product is that of entry i of the operands; only it is proved
     sizes, m = [T.order for T in factors], len(factors)
-    return validate_ring(
-        _tuple_table((sizes,) * 2, [(T.order, T.additive.add, (i, m + i))
-                                    for i, T in enumerate(factors)]),
-        _tuple_table((sizes,), [(T.order, T.additive.neg, (i,)) for i, T in enumerate(factors)]),
-        _tuple_table((sizes,) * 2, [(T.order, T.mul, (i, m + i))
-                                    for i, T in enumerate(factors)]))
+    return _ring_on(_product_group([T.additive for T in factors]),
+                    _tuple_table((sizes,) * 2, [(T.order, T.mul, (i, m + i))
+                                                for i, T in enumerate(factors)]))
 
 
 def matrix_ring(T: FiniteRing, k: int) -> FiniteRing:
@@ -619,12 +624,12 @@ def ring_idempotents(T: FiniteRing) -> tuple[int, ...]:
     return tuple(sorted(T._idempotents))
 
 
-def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int
-                                ) -> Optional[tuple[tuple[int, ...], Subgroup]]:
+def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int) -> Optional[dict]:
     """First generator set, by size and then in ``combinations`` order, of at
     most ``max_generators`` elements whose left ideal has no idempotent
-    generator, with that ideal; None if there is none.  If the first failing
-    set's ideal is not a left ideal, its ``NotAnIdealError`` is raised.
+    generator, as {"generators", "ideal"}; None if there is none.  If the
+    first failing set's ideal is not a left ideal, its ``NotAnIdealError``
+    is raised.
 
     The ideal of a set is the sum of its generators' principal ideals, so
     each distinct sum gets an id and is decided once.  Singletons are scanned
@@ -633,65 +638,50 @@ def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int
     ideal that passes is the principal ideal of its idempotent generator u,
     so once every pair passes, the ideal of {a, b, c} is that of {u, c}, and
     so on up (the argument of Goodearl, Thm 1.1).  Pairs are not visited one
-    by one: for the first c of each principal id, the ids of later
-    generators whose sum with it fails form one bitmask.
+    by one: the sum of each two of the k distinct principal ideals is decided
+    into a k x k table, and the generator pairs read it through their ids.
     """
     if max_generators < 1:
         return None
-    n, add = T.order, T.additive.add
-    index: dict[frozenset[int], int] = {}
-    ideals: list[Subgroup] = []
+    index: dict[frozenset[int], int] = {}  # ideal -> id; ids count up, so ideal i is list(index)[i]
     verdicts: list = []  # per id: True, False (no idempotent generator) or the error
 
     def ideal_id(members: frozenset[int]) -> int:
         i = index.get(members)
         if i is None:
-            i = index[members] = len(ideals)
-            ideals.append(Subgroup(members=members))
+            i = index[members] = len(verdicts)
             try:
-                verdicts.append(idempotent_generator(T, ideals[i]) is not None)
+                verdicts.append(idempotent_generator(T, Subgroup(members=members)) is not None)
             except NotAnIdealError as err:
                 verdicts.append(err)
         return i
 
-    def fails(i: int) -> bool:
-        return verdicts[i] is not True
-
-    def found(gens: tuple[int, ...], i: int) -> tuple[tuple[int, ...], Subgroup]:
+    def found(gens: list[int], i: int) -> dict:
         if isinstance(verdicts[i], NotAnIdealError):
             raise verdicts[i]
-        return gens, ideals[i]
+        return {"generators": gens, "ideal": sorted(list(index)[i])}
 
     ids = []
-    for c in range(n):
+    for c in T.elements():
         i = ideal_id(_principal_left_ideal(T, c))
-        if fails(i):
-            return found((c,), i)
+        if verdicts[i] is not True:
+            return found([c], i)
         ids.append(i)
     if max_generators < 2:
         return None
 
-    sums: dict[tuple[int, int], int] = {}
-
-    def plus(i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        k = sums.get(key)
-        if k is None:
-            members = set(ideals[i].members)
-            grown = _grow(add, members, ideals[j].members)
-            k = sums[key] = ideal_id(frozenset(members)) if grown else i
-        return k
-
-    later = list(accumulate(reversed([1 << i for i in ids]), or_, initial=0))[::-1]
-    partners: dict[int, int] = {}  # principal id -> ids whose sum with it fails
-    for c in range(n - 1):
-        i = ids[c]
-        if i not in partners:  # the first c of id i, whose later ids cover every later c's
-            partners[i] = sum(1 << j for j in set(ids[c + 1:]) if fails(plus(i, j)))
-        if later[c + 1] & partners[i]:
-            d = next(d for d in range(c + 1, n) if partners[i] >> ids[d] & 1)
-            return found((c, d), plus(i, ids[d]))
-    return None
+    principal = list(index)  # the k principal ideals, by id
+    sums = np.empty((len(principal),) * 2, dtype=np.intp)  # [i, j]: the id of ideal i + ideal j
+    for i, j in combinations_with_replacement(range(len(principal)), 2):
+        members = set(principal[i])
+        _grow(T.additive.add, members, principal[j])
+        sums[i, j] = sums[j, i] = ideal_id(frozenset(members))
+    fail = np.array([v is not True for v in verdicts])[sums]
+    if not fail.any():  # else a cell off the diagonal is true, and some pair fails
+        return None
+    pairs = np.triu(fail[np.ix_(ids, ids)], 1)  # [c, d]: c < d and {c, d} fails
+    c, d = divmod(int(pairs.argmax()), T.order)
+    return found([c, d], int(sums[ids[c], ids[d]]))
 
 
 def _first_subset_without_common_unit(cols: Sequence[int], max_subset: int
@@ -728,8 +718,8 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
 
     Scan (ii) decides each distinct principal ideal once, ideal guard
     included, and stops at the first c whose ideal fails; scan (iii) decides
-    each distinct sum ideal once and finds its first failing generator set
-    from bitmasks of ideal ids, not by visiting the sets.  No set of more
+    each sum of two principal ideals once, in one table, and reads its first
+    failing generator set from it, not by visiting the sets.  No set of more
     than two generators can fail first, so any bound finishes in the time of
     bound 2, at most linear in bound x order.  Neither reads the other's
     record, and (i) reads neither.
@@ -759,10 +749,8 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
             break
         decided.add(I.members)
 
-    fg = _first_non_idempotent_ideal(work, max_generators)
-    finitely_generated = fg is None
-    fg_failing = None if fg is None else {"generators": list(fg[0]),
-                                          "ideal": list(fg[1].elements())}
+    fg_failing = _first_non_idempotent_ideal(work, max_generators)
+    finitely_generated = fg_failing is None
 
     return {
         "check": "vnr-characterization",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import product
 from threading import Lock
 from typing import Callable, Optional, Sequence
 
@@ -159,31 +159,19 @@ def first_bad_index(table: Sequence[Sequence[int]], rows: int, cols: int,
     A 2-D integer array is checked by its shape and its least and greatest
     cell, and a faulty cell is reported as a plain int.  Any other array is
     checked as its ``tolist()``, so bool and float cells are refused as they
-    are in lists.  A list is checked at once by the set of its cell types and
-    of its values; only a list that fails that is scanned cell by cell.
+    are in lists.  A list is scanned cell by cell.
     """
+    if len(table) != rows:
+        return (len(table),)
     if isinstance(table, np.ndarray):
         if table.ndim != 2 or table.dtype.kind not in "iu":
             return first_bad_index(table.tolist(), rows, cols, bound)
-        if len(table) != rows:
-            return (len(table),)
         if rows and table.shape[1] != cols:
             return (0, table.shape[1])
         if table.size == 0 or (table.min() >= 0 and table.max() < bound):
             return None
         a, b = np.argwhere((table < 0) | (table >= bound))[0].tolist()
         return (a, b, int(table[a, b]))
-    if len(table) != rows:
-        return (len(table),)
-    try:
-        ints = (set(map(len, table)) <= {cols}
-                and set(map(type, chain.from_iterable(table))) <= {int})
-    except TypeError:  # a row without a length: the scan raises there, in order
-        ints = False
-    if ints:
-        values = set(chain.from_iterable(table))
-        if not values or (min(values) >= 0 and max(values) < bound):
-            return None
     for a, row in enumerate(table):
         if len(row) != cols:
             return (a, len(row))

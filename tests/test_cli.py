@@ -902,6 +902,17 @@ class TestInputFileRules:
         assert code == 1 and out["error"] == "OutOfRange" and out["context"] == [key, 0]
         assert out["message"] == f"product key ({key!r}, 0) is not a pair of integers"
 
+    def test_a_context_holding_a_decoded_table_prints(self, tmp_path):
+        # "table" is decoded into an array wherever it sits, here inside a key
+        data = {"kind": "graded_ring", "base": {"kind": "semigroup", "ref": {"table": [[0]]}},
+                "components": {"0": {"add": [[0]], "neg": [0]}},
+                "products": [{"s": {"table": [[0]]}, "t": 0, "table": [[0]]}]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli("validate", str(path))
+        assert code == 1 and out["error"] == "OutOfRange"
+        assert out["context"] == [{"table": [[0]]}, 0]
+
     def test_compose_entry_given_twice(self, tmp_path):
         data = {"kind": "groupoid", "objects": [0],
                 "morphisms": [{"dom": 0, "cod": 0, "inv": 0}],
@@ -973,6 +984,39 @@ class TestDeepNesting:
         assert code == 1 and out["error"] == "OutOfRange"
         assert out["message"] == "the JSON nests too deeply"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", [["validate"], ["construct"]])
+    def test_a_matrix_chain_that_decodes_is_built_or_refused(self, tmp_path, command):
+        # the builders recurse once per "A" as the decoder does, and a leaf
+        # name adds frames, so chains just short of the decoder's limit
+        # overflow the stack only while building
+        def chain(depth: int) -> str:
+            return ('{"kind": "ring", "construct": "matrix", "n": 1, "A": ' * depth
+                    + '"Z1"' + "}" * depth)
+
+        path = tmp_path / "chain.json"
+
+        def refused(depth: int) -> bool:
+            path.write_text(chain(depth))
+            try:
+                jsonio.read_json(path)
+            except OutOfRangeError:
+                return True
+            return False
+
+        first = 1  # a plain loop: the depth refused depends on the caller's frames
+        while not refused(first):
+            first += 1
+        out_file = [str(tmp_path / "out.json")] if command == ["construct"] else []
+        for depth in range(first - 15, first + 1):
+            text = chain(depth)
+            path.write_text(text if command == ["validate"] else
+                            '{"construct": "matrix_bn", "n": 1, "A": %s}' % text)
+            code, out = run_cli(*command, str(path), *out_file)
+            assert code in (0, 1) and out is not None, depth
+            if code == 1:
+                assert out["error"] == "OutOfRange", depth
+                assert out["message"] == "the JSON nests too deeply", depth
 
 
 @pytest.mark.parametrize("text,name", [("[1]", "list"), ("7", "int"), ('"Z2"', "str"),

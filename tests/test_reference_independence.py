@@ -9,7 +9,7 @@ references' imports with ``ast``.
 
 The same reading keeps grl's own modules to one input boundary: every
 import at module level, and ``jsonio.read_json`` the one place that decodes
-JSON.
+JSON.  And it finds the imports a module no longer reads.
 """
 
 import ast
@@ -156,3 +156,33 @@ def test_the_guard_sees_each_function_import(source, found):
 ])
 def test_the_guard_sees_each_json_decode(source, found):
     assert json_decoders(source) == found
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names a module imports at module level and never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imports = [node for node in tree.body if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+    return [name for node in imports
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_modules_read_every_import(path):
+    assert unread_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import os\n", ["os"]),
+    ("from itertools import accumulate, chain\nchain.from_iterable(x)\n", ["accumulate"]),
+    ("from operator import and_, or_ as either\nand_(1, 2)\n", ["either"]),
+    ("from . import catalog\ndef f():\n    catalog = 1\n", ["catalog"]),
+    ("from __future__ import annotations\nimport numpy as np\nx: np.ndarray\n", []),
+    ("import os.path\ndef f():\n    return os.getcwd()\n", []),
+])
+def test_the_guard_sees_each_unread_import(source, found):
+    assert unread_imports(source) == found

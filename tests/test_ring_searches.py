@@ -13,6 +13,7 @@ failing subsets must be exactly those of the element-by-element scans.
 """
 
 import pickle
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -359,6 +360,53 @@ def test_first_failing_set_is_a_pair(bound):
     assert raised == outcome(ref.check_vnr_characterization, PAIR_IS_NOT_AN_IDEAL, bound)
     at_one = check_vnr_characterization(PAIR_IS_NOT_AN_IDEAL, 1)
     assert at_one["finitely_generated_ideals_idempotent"]
+
+
+def relabelled(T: FiniteRing, p: tuple[int, ...]) -> FiniteRing:
+    """T with each element x renamed p[x]: a table M becomes p[M[q][:, q]],
+    q the inverse of p."""
+    p = np.array(p)
+    q = np.argsort(p)
+    additive = FiniteAdditiveGroup(order=T.order, add=p[T.additive.add[q][:, q]],
+                                   neg=p[T.additive.neg[q]])
+    return FiniteRing(additive=additive, mul=p[T.mul[q][:, q]])
+
+
+def squared(T: FiniteRing) -> FiniteRing:
+    """T x T, each table entrywise, the pair (a, b) numbered a*|T| + b."""
+    n = T.order
+
+    def pairs(M: np.ndarray) -> np.ndarray:
+        return (n * M[:, None, :, None] + M[None, :, None, :]).reshape(n * n, n * n)
+
+    neg = T.additive.neg
+    return FiniteRing(additive=FiniteAdditiveGroup(order=n * n, add=pairs(T.additive.add),
+                                                   neg=(n * neg[:, None] + neg).ravel()),
+                      mul=pairs(T.mul))
+
+
+def seeded(order: int, seed: int) -> tuple[int, ...]:
+    return (0, *np.random.default_rng(seed).permutation(np.arange(1, order)).tolist())
+
+
+# each relabelling that fixes 0 moves the failing pairs to other cells of
+# the pair table, so a scan that reads it transposed, off the diagonal by
+# one or in the wrong order reports another first pair here.  Only the
+# square of PAIR_FAILS, with 78 failing pairs, has relabellings whose first
+# failing pair in column order is not the first in row order
+RELABELLINGS = (
+    [("PAIR_FAILS", PAIR_FAILS, (0, *p)) for p in permutations(range(1, 4))]
+    + [("PAIR_IS_NOT_AN_IDEAL", PAIR_IS_NOT_AN_IDEAL, seeded(8, seed)) for seed in range(20)]
+    + [("PAIR_FAILS^2", squared(PAIR_FAILS), seeded(16, seed)) for seed in range(8)])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("T, p", [(T, p) for _, T, p in RELABELLINGS],
+                         ids=[f"{name}-{'.'.join(map(str, p))}" for name, _, p in RELABELLINGS])
+def test_relabelled_first_failing_pair_matches_reference(T, p, side):
+    R = relabelled(T, p)
+    assert (outcome(check_vnr_characterization, R, 2, side)
+            == outcome(ref.check_vnr_characterization, R, 2, side))
 
 
 def test_m3_z2_at_bound_three_gives_the_bound_two_report():
