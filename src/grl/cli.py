@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -343,37 +342,25 @@ def _entry_status(report: dict) -> str:
     return "agree" if report.get("agree", False) else "disagree"
 
 
-def _timed(task) -> tuple[dict, float]:
-    """The task's report and the seconds it took."""
-    started = time.perf_counter()
-    report = task()
-    return report, time.perf_counter() - started
-
-
-def run_suite(corpus: Corpus, suite: str, opts, jobs: int = 1) -> dict:
-    """Run each check of ``suite`` on every corpus entry it takes.  Under
-    ``timings``, ``suites`` gives the seconds each suite's tasks took,
-    summed over its tasks."""
+def run_suite(corpus: Corpus, suite: str, opts) -> dict:
+    """Run each check of ``suite`` on every corpus entry it takes, one task
+    after another on the calling thread.  Under ``timings``, ``suites``
+    gives the seconds each suite's tasks took, summed over its tasks."""
     if suite == "none":
         names: tuple[str, ...] = ()
     elif suite == "all":
         names = THEOREMS
     else:
         names = (suite,)
-    tasks = [(name, entry_id, task)
-             for name in names
-             for (entry_id, task) in _suite_tasks(corpus, name, opts)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(lambda t: _timed(t[2]), tasks))
-    else:
-        runs = [_timed(task) for (_, _, task) in tasks]
     seconds = dict.fromkeys(names, 0.0)
-    for (name, _, _), (_, took) in zip(tasks, runs):
-        seconds[name] += took
-    entries = [{"suite": name, "id": entry_id, "status": _entry_status(report),
-                "report": report}
-               for (name, entry_id, _), (report, _) in zip(tasks, runs)]
+    entries = []
+    for name in names:
+        for entry_id, task in _suite_tasks(corpus, name, opts):
+            started = time.perf_counter()
+            report = task()
+            seconds[name] += time.perf_counter() - started
+            entries.append({"suite": name, "id": entry_id,
+                            "status": _entry_status(report), "report": report})
     return {
         "tool_version": __version__,
         "suite": suite,
@@ -484,7 +471,7 @@ def cmd_corpus_run(args) -> int:
             write_corpus(corpus, args.dump)
         except OSError as err:
             return _input_error(err, args)
-    summary = run_suite(corpus, args.suite, args, jobs=args.jobs)
+    summary = run_suite(corpus, args.suite, args)
     timings = summary.pop("timings")  # summary.json stays the same from run to run
     if args.out:
         out = Path(args.out)
@@ -549,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", help="directory to materialize the corpus structure files")
     p.add_argument("--seed", type=int, help="override the manifest seed")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for corpus suites (default 1)")
+                   help="changes nothing: suites run on one thread (default 1)")
     add_common(p)
     p.set_defaults(reads=("seed", "jobs", "max_witnesses", "fg_ideal_bound"))
     return parser
@@ -557,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Smallest accepted value of the bounded options: a generator bound below 1
 # would make scan (iii) of vnr-char vacuously true, a negative witness cap
-# would empty every witness list, and fewer than one worker thread names no
-# way to run.
+# would empty every witness list.  `--jobs` changes nothing, but until it
+# is deleted a command line below 1 is still refused.
 _MINIMUM = {"max_witnesses": 0, "fg_ideal_bound": 1, "jobs": 1}
 
 

@@ -241,19 +241,25 @@ def _is_index(key) -> bool:
     return isinstance(key, int) and not isinstance(key, bool)
 
 
-def _associativity_triples(R: GradedRing):
-    """Grader triples (s, t, u) with st and tu defined, in scan order."""
-    target, graders = R.base.relations.targets, R.graders()
-    return ((s, t, u) for (s, t) in R.base_pairs() for u in graders
-            if target[t][u] is not None)
+def _associativity_triples(R: GradedRing) -> list[tuple[int, int, int]]:
+    """Grader triples (s, t, u) where (ab)c or a(bc) has both of its tables
+    stored, in lexicographic order; on every other triple both sides are the
+    zero map.  st and tu are defined on each, as the base is a semigroup or
+    a category."""
+    target, stored = R.base.relations.targets, R.products
+    after: dict[int, list[int]] = {}  # s -> the t with (s, t) stored
+    before: dict[int, list[int]] = {}  # t -> the s with (s, t) stored
+    for (s, t) in stored:
+        after.setdefault(s, []).append(t)
+        before.setdefault(t, []).append(s)
+    return sorted({(s, t, u) for (s, t) in stored for u in after.get(target[s][t], ())}
+                  | {(s, t, u) for (t, u) in stored for s in before.get(target[t][u], ())})
 
 
 def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
     """Are all product tables bi-additive and graded associative?  Both are
     checked on the components' generators, bi-additivity first, as the
     generator test for associativity is a proof only for bi-additive tables.
-    A triple where neither (ab)c nor a(bc) has both of its tables stored
-    is zero on both sides and is skipped.
 
     Each check is a function of its tables and components alone, so it runs
     once per distinct input: bi-additivity once per table array and
@@ -280,7 +286,7 @@ def _holds_on_generators(R: GradedRing, add: Sequence[np.ndarray]) -> bool:
         left = None if ab is None or ab_c is None else (ab, ab_c)
         right = None if bc is None or a_bc is None else (bc, a_bc)
         key = (comp[s], comp[t], comp[u], left, right)
-        if (left is not None or right is not None) and key not in checked:
+        if key not in checked:
             checked.add(key)
             if not agree_on_generators(
                     gens[s], gens[t], gens[u],

@@ -109,6 +109,49 @@ class TestValidation:
             validate_grading(G, R.components, products)
 
 
+def full_scan_triples(R):
+    """Every grader triple with st and tu defined where (ab)c or a(bc) has
+    both of its tables stored, by a plain walk over all triples."""
+    target, stored = R.base.relations.targets, R.products
+    return [(s, t, u) for (s, t) in R.base_pairs() for u in R.graders()
+            if target[t][u] is not None
+            and ((s, t) in stored and (target[s][t], u) in stored
+                 or (t, u) in stored and (s, target[t][u]) in stored)]
+
+
+class TestAssociativityTriples:
+    def test_matrix_units_give_n_to_the_fourth_triples(self):
+        # B_3 has 10 graders, 1,000 triples; only e_ij e_jl e_lm have a side
+        assert BN_Z2.n_graders ** 3 == 1000
+        assert len(gradings._associativity_triples(BN_Z2)) == 3 ** 4
+
+    def test_the_corpus_gets_the_triples_of_the_full_scan(self, corpus):
+        rings = [entry.graded for entry in corpus.graded]
+        rings += [regrade_groupoid_to_semigroup(R) for R in rings
+                  if R.base_kind == "groupoid"]
+        assert any(R.base_kind == "groupoid" for R in rings)
+        for R in rings:
+            assert gradings._associativity_triples(R) == full_scan_triples(R)
+
+    @pytest.mark.parametrize("dropped", [0, 1, 2])
+    def test_a_side_of_its_own_is_enough(self, corpus, dropped):
+        # the corpus stores (ab)c whenever it stores a(bc); a third of the
+        # tables left out, unvalidated, gives triples with one side only
+        sides = {"left": 0, "right": 0}
+        for entry in corpus.graded:
+            R = entry.graded
+            products = {key: R.products[key] for i, key in enumerate(sorted(R.products))
+                        if i % 3 != dropped}
+            thinned = gradings.GradedRing(base=R.base, components=R.components,
+                                          products=products)
+            triples = gradings._associativity_triples(thinned)
+            assert triples == full_scan_triples(thinned)
+            for (s, t, u) in triples:
+                sides["left"] += (s, t) not in products
+                sides["right"] += (t, u) not in products
+        assert sides["left"] and sides["right"]
+
+
 def outcome(base, components, products):
     try:
         validate_grading(base, components, products)

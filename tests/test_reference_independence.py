@@ -9,7 +9,8 @@ references' imports with ``ast``.
 
 The same reading keeps grl's own modules to one input boundary: every
 import at module level, and ``jsonio.read_json`` the one place that decodes
-JSON.  And it finds the imports a module no longer reads.
+JSON.  It finds the imports a module no longer reads, and keeps every
+module but the memo lock's off the thread and process modules.
 """
 
 import ast
@@ -186,3 +187,38 @@ def test_modules_read_every_import(path):
 ])
 def test_the_guard_sees_each_unread_import(source, found):
     assert unread_imports(source) == found
+
+
+THREAD_MODULES = {"threading", "concurrent", "multiprocessing"}
+
+
+def thread_imports(source: str) -> set[str]:
+    """The modules among ``THREAD_MODULES`` that a module imports, by the
+    top-level name of what each import statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add((node.module or "").split(".")[0])
+    return found & THREAD_MODULES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_memo_lock_imports_threads(path):
+    # suites run on the calling thread; ``tables.Memo`` keeps its lock
+    expected = {"threading"} if path.name == "tables.py" else set()
+    assert thread_imports(path.read_text()) == expected
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from threading import Lock\n", {"threading"}),
+    ("import threading\n", {"threading"}),
+    ("from concurrent.futures import ThreadPoolExecutor\n", {"concurrent"}),
+    ("import concurrent.futures as cf\n", {"concurrent"}),
+    ("def f():\n    from multiprocessing import Pool\n", {"multiprocessing"}),
+    ("import multiprocessing.pool, os\n", {"multiprocessing"}),
+    ("from . import threading\nimport os\nfrom functools import cache\n", set()),
+])
+def test_the_guard_sees_each_thread_import(source, found):
+    assert thread_imports(source) == found
