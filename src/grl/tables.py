@@ -23,11 +23,12 @@ plane, in at most ``CELL_BUDGET`` cells and never builds the whole cube of
 triples, so memory stays flat as tables grow.
 ``is_associative_flat`` is the one plain loop: it tests a single tiny
 candidate table, as exhaustive enumeration produces them.
-``associative_mask`` filters batches of order-4 tables by row/column
-lookup: (ab)c and a(bc) depend only on row a and column c, so one lookup
-settles every b for a pair (a, c).  Two row-pair lookups, on rows 0-1 and
-rows 2-3, first screen the whole batch, and only the few tables that pass
-both look up every (a, c).
+``associative_mask`` filters batches of order-4 tables by one law: a table
+is associative exactly when, for every a and b, the row of ab is row a
+composed with row b, since (ab)c = a(bc) for every c.  ``_compositions``
+tabulates that composition for all pairs of packed rows.  Two screens, the
+law restricted to rows 0-1 and to rows 2-3, pass the whole batch through
+one lookup each, and only the few tables that pass both check all 16 pairs.
 """
 
 from __future__ import annotations
@@ -321,49 +322,38 @@ _SPREAD = np.uint32(0x01041040)  # moves the low 2 bits of byte b to bits 24 + 2
 
 
 @cache
-def _pair_table() -> np.ndarray:
-    """ok[(row << 8) | col]: does col[row[b]] == row[col[b]] hold for every b?
-
-    For the row of a and the column of c of an order-4 table T, those are
-    (ab)c and a(bc).  Rows and columns are packed 2 bits a cell, cell b at
-    bits 2b.  Built on first use, not at import.
+def _compositions() -> np.ndarray:
+    """comp[x, y]: the packed row c -> x[y[c]], for rows x and y of an
+    order-4 table packed 2 bits a cell, cell c at bits 2c.  comp[row a,
+    row b] is the row c -> a(bc), which the row of ab must equal.  Built on
+    first use, not at import: 64 KiB.
     """
-    cells = np.array(list(product(range(4), repeat=4)), dtype=np.intp)
-    keys = (cells << 2 * np.arange(4)).sum(axis=1)
-    lhs = cells[np.arange(len(cells))[None, :, None], cells[:, None, :]]  # col[row[b]]
-    rhs = cells[np.arange(len(cells))[:, None, None], cells[None, :, :]]  # row[col[b]]
-    ok = np.zeros(1 << 16, dtype=bool)
-    ok[(keys[:, None] << 8) | keys[None, :]] = (lhs == rhs).all(axis=-1)
-    return ok
+    r = np.arange(256, dtype=np.uint8)
+    comp = np.zeros((256, 256), dtype=np.uint8)
+    for c in range(4):
+        comp |= ((r[:, None] >> (((r >> 2 * c) & 3) << 1)) & 3) << 2 * c
+    comp.flags.writeable = False
+    return comp
 
 
 @cache
 def _row_pair_tables() -> tuple[np.ndarray, np.ndarray]:
     """(low, high): ok[row p | row p+1 << 8] for the pairs p = 0 and p = 2
-    of an order-4 table: does (ab)c == a(bc) hold for every c, and every a, b
-    in the pair whose product ab is in the pair too?
+    of an order-4 table: is the row of ab row a composed with row b, for
+    every a, b in the pair whose product ab is in the pair too?
 
-    Those triples read only the pair's two rows: row ab is one of them, and
-    a(bc) is row a composed with row b.  Rows are packed as in
-    ``_pair_table``.  Built on first use, not at import, from the 256 x 256
-    table of row compositions, every step a 64 KiB array.
+    The law on those pairs reads only the pair's two rows.  Built on first
+    use, not at import, from ``_compositions``, every step a 64 KiB array.
     """
+    comp = _compositions()
     r = np.arange(256, dtype=np.uint8)
-    comp = np.zeros((256, 256), dtype=np.uint8)  # comp[x, y]: the row c -> x[y[c]]
-    for c in range(4):
-        comp |= ((r[:, None] >> (((r >> 2 * c) & 3) << 1)) & 3) << 2 * c
-    # over all keys in order, the (256, 256) arrays are indexed [row p+1, row p]
-    rows = (r[None, :], r[:, None])
-    diagonal = comp.diagonal()
-    composed = {(0, 0): diagonal[None, :], (0, 1): comp.T,
-                (1, 0): comp, (1, 1): diagonal[:, None]}
+    rows = (r[None, :], r[:, None])  # over all keys in order, indexed [row p+1, row p]
 
     def table(p: int) -> np.ndarray:
         ok = np.ones((256, 256), dtype=bool)
-        for (i, j), a_bc in composed.items():
+        for i, j, k in product(range(2), repeat=3):  # a = p+i, b = p+j, ab = p+k
             ab = (rows[i] >> 2 * (p + j)) & 3
-            for k in range(2):
-                ok &= (ab != p + k) | (rows[k] == a_bc)
+            ok &= (ab != p + k) | (rows[k] == comp[rows[i], rows[j]])
         return ok.reshape(-1)
 
     return table(0), table(2)
@@ -381,12 +371,11 @@ def _packed_rows(tabs: np.ndarray) -> np.ndarray:
 def associative_mask(tabs: np.ndarray) -> np.ndarray:
     """One bool per Cayley table of a batch (m, 4, 4), in batch order.
 
-    A table is associative when, for every row a and column c, the pair
-    passes ``_pair_table``: one lookup per (a, c) instead of one test per
-    triple.  The two ``_row_pair_tables`` lookups, on rows 0-1 and then rows
-    2-3, first screen the whole batch.  The few tables that pass both have
-    their columns packed like rows, from the transpose, and settle all 16
-    (a, c) pairs in one lookup.
+    A table is associative when, for every a and b, the row of ab is row a
+    composed with row b, read from ``_compositions``.  The two
+    ``_row_pair_tables`` lookups, that law on rows 0-1 and then rows 2-3,
+    first screen the whole batch; the few tables that pass both settle all
+    16 pairs (a, b) in one gather.
     """
     if tabs.shape[1:] != (4, 4):
         raise ValueError(f"associative_mask takes (m, 4, 4) batches, not {tabs.shape}")
@@ -395,8 +384,9 @@ def associative_mask(tabs: np.ndarray) -> np.ndarray:
     pairs = rows.view("<u2")  # (m, 2): rows 0-1 and rows 2-3 of each table
     live = np.flatnonzero(low.take(pairs[:, 0]))
     live = live[high.take(pairs[live, 1])]
-    cols = _packed_rows(tabs[live].transpose(0, 2, 1))
-    keys = (rows[live, :, None].astype(np.uint16) << 8) | cols[:, None, :]  # (k, 4, 4)
+    kept = rows[live]  # (k, 4); below, (k, 16) arrays over the pairs (a, b)
+    ab = kept.take(tabs[live].reshape(-1, 16) + np.arange(0, kept.size, 4)[:, None])  # row ab
+    a_b = (kept[:, :, None].astype(np.uint16) << 8) | kept[:, None, :]  # row a, row b
     mask = np.zeros(len(tabs), dtype=bool)
-    mask[live] = _pair_table().take(keys).all(axis=(1, 2))
+    mask[live] = (ab == _compositions().take(a_b.reshape(-1, 16))).all(axis=1)
     return mask

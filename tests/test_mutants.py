@@ -11,6 +11,12 @@ A variant is caught when at least one report on its family has ``agree``
 false: the five graded checks on a semigroup-based grading, ``groupoid``,
 ``switch`` and ``eps-chars`` on a groupoid-based one, and ``vnr-char`` and
 ``tominaga`` on a ring.  The unchanged code must give none.
+
+Some variants are equivalent to the code on every finite ring, so no input
+can catch them.  ``EQUIVALENT`` lists each with its reason, and each must
+give 0 on the corpus gradings and on the corpus rings, ``row2``, ``col2``
+and M2(Z2); a variant of ``idempotent_generator`` patches the name in both
+modules that call it.
 """
 
 from dataclasses import replace
@@ -18,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from grl import catalog, gradings as gr, rings
+from grl.errors import NotAnIdealError
 from grl.gradings import Verdict
 from grl.rings import TRIVIAL_GROUP, opposite_ring
 from grl.semigroups import enumerate_semigroups
@@ -142,6 +149,56 @@ RING_VARIANTS = {
         ("M2(Z2)", rings, "is_von_neumann_regular", strongly_regular),
 }
 
+# --- equivalent variants: (reason, patched names, replacement) ----------------
+# No finite ring tells these from the code, so each must give 0 everywhere.
+
+
+def guarded(T, I) -> None:
+    """The ideal guard of ``idempotent_generator``."""
+    if not rings.is_left_ideal(T, I):
+        raise NotAnIdealError("the given subgroup is not a left ideal", tuple(I.elements()))
+
+
+def generator_fixing_every_member(T, I):
+    """``idempotent_generator`` accepting an idempotent u of I with x*u = x
+    for every x in I."""
+    guarded(T, I)
+    members = list(I.elements())
+    return next((u for u in members
+                 if T.mul[u, u] == u and (T.mul[members, u] == members).all()), None)
+
+
+def any_nonzero_idempotent(T, I):
+    """``idempotent_generator`` accepting any nonzero idempotent of I, or 0
+    when I = 0."""
+    guarded(T, I)
+    if I.members == {0}:
+        return 0
+    return next((u for u in I.elements() if u and T.mul[u, u] == u), None)
+
+
+def singletons_only(cols, max_subset, scan=rings._first_subset_without_common_unit):
+    """Tominaga's common-unit scan cut to singletons."""
+    return scan(cols, min(max_subset, 1))
+
+
+IDEMPOTENT_GENERATOR = ((rings, "idempotent_generator"), (gr, "idempotent_generator"))
+EQUIVALENT = {
+    "idempotent_generator accepts an idempotent u of I with x*u = x on I":
+        ("x = xu lies in Tu, and Tu lies in the left ideal I, so I = Tu; "
+         "conversely x = tu gives xu = x",
+         IDEMPOTENT_GENERATOR, generator_fixing_every_member),
+    "idempotent_generator accepts any nonzero idempotent of I, or 0 when I = 0":
+        ("vnr-char asks only on s-unital, hence unital, finite rings and the lemma "
+         "only on regular components; there both verdicts hold exactly when the "
+         "Jacobson radical is 0",
+         IDEMPOTENT_GENERATOR, any_nonzero_idempotent),
+    "tominaga's common-unit scan cut to singletons":
+        ("Tominaga's theorem: once every element has a one-sided unit, every "
+         "finite subset has a common one",
+         ((rings, "_first_subset_without_common_unit"),), singletons_only),
+}
+
 # Caught by no input grl has yet: they wait for the structural matrix rings
 # and their matrix-unit and groupoid gradings.
 PENDING = {
@@ -157,6 +214,9 @@ def families(corpus):
         "one-idempotent": list(one_idempotent_gradings()),
         "row2, col2": [row2(), opposite_ring(row2())],
         "M2(Z2)": [catalog.named_ring("M2(Z2)")],
+        "corpus rings, row2, col2, M2(Z2)":
+            [entry.structure for entry in corpus.rings]
+            + [row2(), opposite_ring(row2()), catalog.named_ring("M2(Z2)")],
     }
 
 
@@ -193,3 +253,27 @@ def test_the_gate_catches_every_catchable_variant(corpus, monkeypatch):
         print(f"    -  {name} (pending: {reason})")
     print(f"mutants caught: {sum(map(bool, caught.values()))}/{len(caught)}")
     assert [name for name, count in caught.items() if not count] == []
+
+
+def reaching(variant, label: str, reached: set):
+    """``variant``, adding ``label`` to ``reached`` on each call."""
+    def call(*args):
+        reached.add(label)
+        return variant(*args)
+    return call
+
+
+def test_equivalent_variants_give_no_disagreement(corpus, monkeypatch):
+    groups = families(corpus)
+    found = {}
+    for name, (reason, names, variant) in EQUIVALENT.items():
+        reached = set()
+        with monkeypatch.context() as patch:
+            for owner, attr in names:
+                patch.setattr(owner, attr, reaching(variant, owner.__name__, reached))
+            found[name] = (graded_disagreements(groups["corpus"])
+                           + ring_disagreements(groups["corpus rings, row2, col2, M2(Z2)"]))
+        print(f"{found[name]:5d}  {name} (equivalent: {reason})")
+        # a 0 from a variant that no check calls would show nothing
+        assert reached == {owner.__name__ for owner, _ in names}, name
+    assert found == dict.fromkeys(EQUIVALENT, 0)

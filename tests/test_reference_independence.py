@@ -22,7 +22,7 @@ TESTS = Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "grl").glob("*.py"))
 RING_PREDICATES = {"s_unitality", "is_s_unital", "is_von_neumann_regular", "unity",
                    "ring_idempotents", "idempotent_generator", "is_left_ideal"}
-TABLE_LAWS = {"associative_mask", "_pair_table", "_row_pair_tables", "first_assoc_violation",
+TABLE_LAWS = {"associative_mask", "_compositions", "_row_pair_tables", "first_assoc_violation",
               "is_associative_flat", "associative_through", "agree_on_generators",
               "biadditive", "first_biadditivity_violation"}
 

@@ -898,15 +898,33 @@ class TestOrder4Mask:
                 tables.associative_mask(np.zeros((1, order, order), dtype=np.uint8))
 
     def test_import_does_not_build_the_pair_table(self):
-        # the pair table and the two row-pair tables are built on the first
-        # mask, so import time does not grow
+        # the composition table and the two row-pair tables are built on the
+        # first mask, so import time does not grow
         code = ("import grl.cli; from grl import tables; "
-                "print(tables._pair_table.cache_info().currsize, "
+                "print(tables._compositions.cache_info().currsize, "
                 "tables._row_pair_tables.cache_info().currsize)")
         src = str(Path(tables.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == ["0", "0"]
+
+
+def unpacked(byte):
+    """An order-4 row packed 2 bits a cell, cell b at bits 2b, as a list."""
+    return [(byte >> 2 * b) & 3 for b in range(4)]
+
+
+class TestCompositions:
+    """The one law the mask reads: every pair of packed rows against the
+    plain loop."""
+
+    def test_every_pair(self):
+        got = tables._compositions()
+        assert got.dtype == np.uint8 and got.shape == (256, 256)
+        for x, y in product(range(256), repeat=2):
+            outer, inner = unpacked(x), unpacked(y)
+            composed = [outer[inner[c]] for c in range(4)]
+            assert unpacked(int(got[x, y])) == composed, (x, y)
 
 
 class TestRowPairTables:
