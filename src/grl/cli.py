@@ -8,6 +8,7 @@ input, 2 = a cross-check disagreed (an implementation-bug signal).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -124,7 +125,7 @@ def _classify_ring(T: FiniteRing, limit: int) -> dict:
         "idempotents": list(ring_idempotents(T)),
         "vnr_failing": reg.failing,
         "witnesses": {
-            "quasi_inverses": _cap({r: y for r, y in enumerate(reg.quasi_inverses)
+            "quasi_inverses": _cap({r: y for r, y in enumerate(reg.witness)
                                     if y is not None}, limit),
         },
     }
@@ -151,13 +152,12 @@ def _classify_graded(R: GradedRing, limit: int) -> dict:
     gvnr = is_graded_vnr(R)
     bvnr = base_components_vnr(R)
     witnesses = {}
-    if eps.witness is not None and eps.witness.uniform:
+    if eps.witness:
         witnesses["epsilon"] = _cap({f"{s},{t}": list(v)
-                                     for (s, t), v in eps.witness.uniform.items()}, limit)
-    if gvnr.witness is not None and gvnr.witness.assignments:
+                                     for (s, t), v in eps.witness.items()}, limit)
+    if gvnr.witness:
         witnesses["quasi_inverses"] = _cap(
-            {f"{s},{r},{t}": y
-             for (s, r, t), y in gvnr.witness.assignments.items()}, limit)
+            {f"{s},{r},{t}": y for (s, r, t), y in gvnr.witness.items()}, limit)
     return {
         "kind": "graded_ring",
         "base_kind": R.base_kind,
@@ -462,7 +462,7 @@ def cmd_corpus_run(args) -> int:
         if args.manifest:
             manifest = CorpusManifest.from_json(jsonio.read_json(args.manifest, tables=False))
         if args.seed is not None:
-            manifest = CorpusManifest.from_json({**manifest.to_json(), "seed": args.seed})
+            manifest = dataclasses.replace(manifest, seed=args.seed)
     except _LOAD_ERRORS as err:
         return _input_error(err, args)
     corpus = generate_corpus(manifest)

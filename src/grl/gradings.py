@@ -34,6 +34,7 @@ from .rings import (
     FiniteAdditiveGroup,
     FiniteRing,
     Subgroup,
+    Verdict,
     additive_closure,
     idempotent_generator,
     is_s_unital,
@@ -338,41 +339,6 @@ def _raise_first_graded_violation(R: GradedRing, add: Sequence[np.ndarray]) -> N
 
 
 # ---------------------------------------------------------------------------
-# verdicts and witnesses
-
-
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    vacuous: bool = False
-    witness: object = None
-    failing: object = None
-
-
-@dataclass(frozen=True)
-class EpsilonWitness:
-    """Unit-like elements inside product spans.
-
-    ``uniform`` maps (s, t) to (eps, eps') with eps in span(R_s R_t) fixing
-    every r in R_s from the left and eps' in span(R_t R_s) fixing it from the
-    right.  ``per_element`` maps (s, t, r) to such a pair for that r only.
-    """
-
-    kind: str
-    uniform: Optional[dict[tuple[int, int], tuple[int, int]]] = None
-    per_element: Optional[dict[tuple[int, int, int], tuple[int, int]]] = None
-
-
-@dataclass(frozen=True)
-class GradedVnrWitness:
-    """(s, r, t) -> first y in R_t with r = r*y*r; or the first failing triple."""
-
-    assignments: dict[tuple[int, int, int], int]
-    failing: Optional[tuple[int, int, int]]
-    vacuous: bool
-
-
-# ---------------------------------------------------------------------------
 # product spans
 
 
@@ -459,8 +425,9 @@ def _span_is_s_unital(R: GradedRing, s: int, t: int) -> bool:
 def is_epsilon_strong(R: GradedRing) -> Verdict:
     """Symmetric, with every span(R_s R_t) for t inverse to s a unital ring.
 
-    The witness records, per pair, the unity of span(R_s R_t) and the unity
-    of span(R_t R_s).
+    The witness maps each such (s, t) to (eps, eps'): the unity of
+    span(R_s R_t), which fixes every r in R_s from the left, and that of
+    span(R_t R_s), which fixes it from the right.
     """
     sym = is_symmetric(R)
     if not sym.holds:
@@ -474,8 +441,7 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
         if eps_prime is None:
             return Verdict(holds=False, failing=(t, s))
         uniform[(s, t)] = (eps, eps_prime)
-    return Verdict(holds=True, vacuous=sym.vacuous,
-                   witness=EpsilonWitness(kind="uniform", uniform=uniform))
+    return Verdict(holds=True, vacuous=sym.vacuous, witness=uniform)
 
 
 def _units(span: Subgroup, table: np.ndarray, order: int) -> tuple[list[int], bool]:
@@ -519,8 +485,9 @@ def _per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
 def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
     """Symmetric, with every span(R_s R_t) for t inverse to s an s-unital ring.
 
-    The attached witness carries element-wise unit pairs found by direct
-    search; these re-verify by table evaluation.
+    The witness maps each (s, t, r), r in R_s, to the first (eps, eps') with
+    eps in span(R_s R_t), eps*r = r, and eps' in span(R_t R_s), r*eps' = r,
+    found by direct search; None if some r has no such pair.
     """
     sym = is_symmetric(R)
     if not sym.holds:
@@ -529,8 +496,7 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
         if not _span_is_s_unital(R, s, t):
             return Verdict(holds=False, failing=(s, t))
     ok, per_element, _ = _per_element_epsilons(R)
-    witness = EpsilonWitness(kind="per-element", per_element=per_element) if ok else None
-    return Verdict(holds=True, vacuous=sym.vacuous, witness=witness)
+    return Verdict(holds=True, vacuous=sym.vacuous, witness=per_element if ok else None)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +515,9 @@ def _quasi_inverses(R: GradedRing, s: int, t: int) -> list[int]:
 def is_graded_vnr(R: GradedRing) -> Verdict:
     """For every grader s, r in R_s and inverse t of s: some y in R_t with r = r*y*r.
 
-    Vacuous when no grader with a nontrivial component has an inverse.
+    The witness maps each (s, r, t) to the first such y, up to the first
+    triple that has none, which is ``failing``.  Vacuous when no grader with
+    a nontrivial component has an inverse.
     """
     pairs = R.inverse_pairs()
     vacuous = not any(R.component(s).order > 1 for (s, _) in pairs)
@@ -557,12 +525,10 @@ def is_graded_vnr(R: GradedRing) -> Verdict:
     for (s, t) in pairs:
         for r, y in enumerate(_quasi_inverses(R, s, t)):
             if y < 0:
-                return Verdict(holds=False, vacuous=vacuous,
-                               witness=GradedVnrWitness(assignments, (s, r, t), vacuous),
+                return Verdict(holds=False, vacuous=vacuous, witness=assignments,
                                failing=(s, r, t))
             assignments[(s, r, t)] = y
-    return Verdict(holds=True, vacuous=vacuous,
-                   witness=GradedVnrWitness(assignments, None, vacuous))
+    return Verdict(holds=True, vacuous=vacuous, witness=assignments)
 
 
 @_once_per_ring

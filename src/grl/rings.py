@@ -600,24 +600,29 @@ def idempotent_generator(T: FiniteRing, I: Subgroup) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class RegularityWitness:
-    """First quasi-inverse per element (r = r*y*r), or the first failing element."""
+class Verdict:
+    """The result of every regularity and grading-class predicate: ``failing``
+    is the first input that breaks the property, ``vacuous`` marks one that
+    holds with nothing to check, and ``witness`` is in the form the
+    predicate's docstring gives."""
 
     holds: bool
-    quasi_inverses: tuple[Optional[int], ...]
-    failing: Optional[int]
+    vacuous: bool = False
+    witness: object = None
+    failing: object = None
 
 
-def is_von_neumann_regular(T: FiniteRing) -> RegularityWitness:
-    """The first quasi-inverse of each r before the first r that has none."""
+def is_von_neumann_regular(T: FiniteRing) -> Verdict:
+    """Is every r equal to r*y*r for some y?  The witness is the tuple of the
+    first such y of each r, None from the first r that has none on; that r
+    is ``failing``."""
     M = T.mul
     rs = np.arange(T.order)[:, None]
     regular = M[M, rs] == rs  # [r, y]: (r*y)*r == r
     failing = _first(~regular.any(axis=1))
     ys = regular.argmax(axis=1).tolist()[:failing]
-    return RegularityWitness(holds=failing is None,
-                             quasi_inverses=tuple(ys) + (None,) * (T.order - len(ys)),
-                             failing=failing)
+    return Verdict(holds=failing is None,
+                   witness=tuple(ys) + (None,) * (T.order - len(ys)), failing=failing)
 
 
 def ring_idempotents(T: FiniteRing) -> tuple[int, ...]:
@@ -641,8 +646,6 @@ def _first_non_idempotent_ideal(T: FiniteRing, max_generators: int) -> Optional[
     by one: the sum of each two of the k distinct principal ideals is decided
     into a k x k table, and the generator pairs read it through their ids.
     """
-    if max_generators < 1:
-        return None
     index: dict[frozenset[int], int] = {}  # ideal -> id; ids count up, so ideal i is list(index)[i]
     verdicts: list = []  # per id: True, False (no idempotent generator) or the error
 
@@ -722,8 +725,13 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
     failing generator set from it, not by visiting the sets.  No set of more
     than two generators can fail first, so any bound finishes in the time of
     bound 2, at most linear in bound x order.  Neither reads the other's
-    record, and (i) reads neither.
+    record, and (i) reads neither.  An unknown ``side`` or a bound below 1,
+    which would pass scan (iii) with nothing scanned, raises ``ValueError``.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if max_generators < 1:
+        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     su = s_unitality(T)
     if not su.holds:
         return {
@@ -768,7 +776,10 @@ def check_vnr_characterization(T: FiniteRing, max_generators: int = 2,
 
 
 def check_tominaga(T: FiniteRing, max_subset: int = 3) -> dict:
-    """One-sided s-unitality must coincide with common units for small subsets."""
+    """One-sided s-unitality must coincide with common units for subsets of
+    1 to ``max_subset`` elements; a bound below 1, which scans none, raises."""
+    if max_subset < 1:
+        raise ValueError(f"max_subset must be at least 1, got {max_subset}")
     su = s_unitality(T)
     out: dict = {"check": "tominaga", "applicable": True, "bound": max_subset}
     agree = True

@@ -74,6 +74,8 @@ class TableRelations:
         self.identity = int(units.argmax()) if units.any() else None
         self.is_group = self.identity is not None and bool(
             ((P == self.identity) & (P.T == self.identity)).any(axis=1).all())
+        self.is_regular = all(self.weak_inverse_sets)  # every weak-inverse set nonempty
+        self.is_inverse = all(len(v) == 1 for v in self.inverse_sets)  # each a singleton
 
 
 def validate_semigroup(table: Sequence[Sequence[int]],
@@ -131,27 +133,10 @@ def inverses(S: FiniteSemigroup, s: int) -> tuple[int, ...]:
     return S.relations.inverse_sets[s]
 
 
-@dataclass(frozen=True)
-class SemigroupClassification:
-    idempotents: tuple[int, ...]
-    weak_inverse_sets: tuple[tuple[int, ...], ...]
-    inverse_sets: tuple[tuple[int, ...], ...]
-    is_regular: bool
-    is_inverse: bool
-    is_group: bool
-
-
-def classify_semigroup(S: FiniteSemigroup) -> SemigroupClassification:
-    """Regular: every weak-inverse set nonempty. Inverse: every inverse set a singleton."""
-    qs, vs = S.relations.weak_inverse_sets, S.relations.inverse_sets
-    return SemigroupClassification(
-        idempotents=idempotents(S),
-        weak_inverse_sets=qs,
-        inverse_sets=vs,
-        is_regular=all(len(q) > 0 for q in qs),
-        is_inverse=all(len(v) == 1 for v in vs),
-        is_group=S.relations.is_group,
-    )
+def classify_semigroup(S: FiniteSemigroup) -> TableRelations:
+    """The base's relations: its idempotents, weak-inverse and inverse sets,
+    and whether it is regular, inverse and a group."""
+    return S.relations
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from typing import Optional, Sequence
 
 from grl.constructions import GoodGrading
 from grl.gradings import (
-    EpsilonWitness,
     GradedRing,
-    GradedVnrWitness,
     Verdict,
     regrade_groupoid_to_semigroup,
     validate_grading,
@@ -139,8 +137,7 @@ def is_epsilon_strong(R: GradedRing) -> Verdict:
         if eps_prime is None:
             return Verdict(holds=False, failing=(t, s))
         uniform[(s, t)] = (eps, eps_prime)
-    return Verdict(holds=True, vacuous=sym.vacuous,
-                   witness=EpsilonWitness(kind="uniform", uniform=uniform))
+    return Verdict(holds=True, vacuous=sym.vacuous, witness=uniform)
 
 
 def per_element_epsilons(R: GradedRing) -> tuple[bool, dict, Optional[tuple]]:
@@ -169,8 +166,7 @@ def is_nearly_epsilon_strong(R: GradedRing) -> Verdict:
         if not subring_is_s_unital(component_ring(R, st), span.elements()):
             return Verdict(holds=False, failing=(s, t))
     ok, per_element, _ = per_element_epsilons(R)
-    witness = EpsilonWitness(kind="per-element", per_element=per_element) if ok else None
-    return Verdict(holds=True, vacuous=sym.vacuous, witness=witness)
+    return Verdict(holds=True, vacuous=sym.vacuous, witness=per_element if ok else None)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +183,10 @@ def is_graded_vnr(R: GradedRing) -> Verdict:
             y = next((y for y in R.component(t).elements()
                       if product(R, st, s, product(R, s, t, r, y), r) == r), None)
             if y is None:
-                return Verdict(holds=False, vacuous=vacuous,
-                               witness=GradedVnrWitness(assignments, (s, r, t), vacuous),
+                return Verdict(holds=False, vacuous=vacuous, witness=assignments,
                                failing=(s, r, t))
             assignments[(s, r, t)] = y
-    return Verdict(holds=True, vacuous=vacuous,
-                   witness=GradedVnrWitness(assignments, None, vacuous))
+    return Verdict(holds=True, vacuous=vacuous, witness=assignments)
 
 
 def base_components_vnr(R: GradedRing) -> Verdict:

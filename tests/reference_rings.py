@@ -30,9 +30,9 @@ from itertools import combinations, product
 
 from grl.errors import NotAnIdealError
 from grl.rings import (
-    RegularityWitness,
     Subgroup,
     SUnitalityWitness,
+    Verdict,
     opposite_ring,
     validate_ring,
 )
@@ -172,15 +172,15 @@ def unity(T):
                  if all(times(T, u, r) == r == times(T, r, u) for r in T.elements())), None)
 
 
-def is_von_neumann_regular(T) -> RegularityWitness:
+def is_von_neumann_regular(T) -> Verdict:
     ys = []
     for r in T.elements():
         y = next((y for y in T.elements() if times(T, times(T, r, y), r) == r), None)
         ys.append(y)
         if y is None:
             ys.extend([None] * (T.order - len(ys)))
-            return RegularityWitness(holds=False, quasi_inverses=tuple(ys), failing=r)
-    return RegularityWitness(holds=True, quasi_inverses=tuple(ys), failing=None)
+            return Verdict(holds=False, witness=tuple(ys), failing=r)
+    return Verdict(holds=True, witness=tuple(ys))
 
 
 def ring_idempotents(T) -> tuple:

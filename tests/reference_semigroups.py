@@ -11,10 +11,11 @@ array version.
 from __future__ import annotations
 
 from functools import cache
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from grl.gradings import GradedRing
-from grl.semigroups import FiniteSemigroup, SemigroupClassification
+from grl.semigroups import FiniteSemigroup
 
 
 @cache
@@ -50,14 +51,14 @@ def identity_element(S: FiniteSemigroup) -> Optional[int]:
     return None
 
 
-def classify_semigroup(S: FiniteSemigroup) -> SemigroupClassification:
+def classify_semigroup(S: FiniteSemigroup) -> SimpleNamespace:
     qs = tuple(weak_inverses(S, s) for s in S.elements())
     vs = tuple(inverses(S, s) for s in S.elements())
     e = identity_element(S)
     is_group = e is not None and all(
         any(mul(S, a, b) == e == mul(S, b, a) for b in S.elements()) for a in S.elements()
     )
-    return SemigroupClassification(
+    return SimpleNamespace(
         idempotents=idempotents(S),
         weak_inverse_sets=qs,
         inverse_sets=vs,

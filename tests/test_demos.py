@@ -1,6 +1,9 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints something, and the
+README's library tour runs as written."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +25,26 @@ def test_demo_runs(path):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_tour_runs_as_written():
+    """Each statement of the tour runs in order, and each bare expression
+    whose line ends in a comment that is a Python literal equals it."""
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"## Library tour\n+```python\n(.*?)```", readme, re.S).group(1)
+    lines = tour.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(tour).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        try:
+            expected = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue
+        assert value == expected, ast.get_source_segment(tour, stmt)
+        checked += 1
+    assert checked >= 5

@@ -299,11 +299,11 @@ class TestGradingClasses:
         v = is_epsilon_strong(BN_Z2)
         assert v.holds
         e12, e21 = bn_index(3, 1, 2), bn_index(3, 2, 1)
-        assert v.witness.uniform[(e12, e21)] == (1, 1)  # the unit coefficient
+        assert v.witness[(e12, e21)] == (1, 1)  # the unit coefficient
 
     def test_group_ring_epsilon_strong(self):
         v = is_epsilon_strong(GROUP_RING_Z2)
-        assert v.holds and v.witness.uniform[(1, 1)] == (1, 1)
+        assert v.holds and v.witness[(1, 1)] == (1, 1)
 
     def test_zero_multiplication_not_epsilon_strong(self):
         assert not is_epsilon_strong(zero_mult_trivial_grading(2)).holds
@@ -312,7 +312,7 @@ class TestGradingClasses:
         for R in (BN_Z2, GROUP_RING_Z2, matrix_bn_grading(Z6, 2)):
             v = is_epsilon_strong(R)
             assert v.holds
-            for (s, t), (eps, eps_prime) in v.witness.uniform.items():
+            for (s, t), (eps, eps_prime) in v.witness.items():
                 st, ts = R.target(s, t), R.target(t, s)
                 for r in R.component(s).elements():
                     assert product(R, st, s, eps, r) == r
@@ -327,7 +327,7 @@ class TestGradingClasses:
         v = is_nearly_epsilon_strong(semigroup_ring(Z6, chain_semilattice(2)))
         assert v.holds and v.witness is not None
         R = semigroup_ring(Z6, chain_semilattice(2))
-        for (s, t, r), (eps, eps_prime) in v.witness.per_element.items():
+        for (s, t, r), (eps, eps_prime) in v.witness.items():
             st, ts = R.target(s, t), R.target(t, s)
             assert product(R, st, s, eps, r) == r
             assert product(R, s, ts, r, eps_prime) == r
@@ -365,7 +365,7 @@ class TestGradedRegularity:
     def test_witnesses_verify(self):
         R = BN_Z2
         v = is_graded_vnr(R)
-        for (s, r, t), y in v.witness.assignments.items():
+        for (s, r, t), y in v.witness.items():
             st = R.target(s, t)
             assert product(R, st, s, product(R, s, t, r, y), r) == r
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from grl import catalog, gradings as gr, rings
 from grl.errors import NotAnIdealError
-from grl.gradings import Verdict
-from grl.rings import TRIVIAL_GROUP, opposite_ring
+from grl.rings import TRIVIAL_GROUP, Verdict, opposite_ring
 from grl.semigroups import enumerate_semigroups
 from reference_rings import ring_from_ops
 
@@ -136,8 +135,7 @@ def strongly_regular(T):
     rs = np.arange(T.order)[:, None]
     regular = M[rs, M] == rs  # [r, y]: r*(r*y) == r
     failing = rings._first(~regular.any(axis=1))
-    return rings.RegularityWitness(holds=failing is None, quasi_inverses=(),
-                                   failing=failing)
+    return Verdict(holds=failing is None, failing=failing)
 
 
 RING_VARIANTS = {

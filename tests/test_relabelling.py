@@ -147,7 +147,7 @@ def check_uniform_epsilons(R: GradedRing, U: GradedRing, back: Back) -> None:
     if not verdict.holds:
         return
     uniform = {}
-    for (s, t), (eps, eps_prime) in verdict.witness.uniform.items():
+    for (s, t), (eps, eps_prime) in verdict.witness.items():
         uniform[back.grader(s), back.grader(t)] = (back.element(U.target(s, t), eps),
                                                    back.element(U.target(t, s), eps_prime))
     assert set(uniform) == set(R.inverse_pairs())
@@ -167,7 +167,7 @@ def check_quasi_inverses(R: GradedRing, U: GradedRing, back: Back) -> None:
 
     verdict = gr.is_graded_vnr(U)
     assignments = {}
-    for (s, r, t), y in verdict.witness.assignments.items():
+    for (s, r, t), y in verdict.witness.items():
         assignments[back.grader(s), back.element(s, r), back.grader(t)] = back.element(t, y)
     for (s, r, t), y in assignments.items():
         assert regular(s, r, t, y), (s, r, t, y)

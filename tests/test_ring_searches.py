@@ -81,7 +81,7 @@ def assert_queries_match_reference(T):
     for name in QUERIES:
         assert getattr(rings, name)(T) == getattr(ref, name)(T), name
     su, reg = rings.s_unitality(T), rings.is_von_neumann_regular(T)
-    witnesses = (*su.left_units, *su.right_units, *reg.quasi_inverses, reg.failing,
+    witnesses = (*su.left_units, *su.right_units, *reg.witness, reg.failing,
                  rings.unity(T), *rings.ring_idempotents(T))
     assert all(w is None or type(w) is int for w in witnesses)
     assert type(reg.holds) is bool and type(rings.is_s_unital(T)) is bool
@@ -424,6 +424,26 @@ def test_common_unit_rejects_bad_input():
     for v in (-1, M2.order):
         with pytest.raises(IndexError):
             common_unit(M2, [v])
+
+
+def test_vnr_characterization_rejects_unknown_side():
+    # any side but "left" used to run the right side and report the name given
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
+        check_vnr_characterization(M2, side="up")
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_vnr_characterization_rejects_bound_below_one(bound):
+    # scan (iii) would visit no set and pass vacuously
+    with pytest.raises(ValueError, match=f"max_generators must be at least 1, got {bound}"):
+        check_vnr_characterization(M2, bound)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_tominaga_rejects_bound_below_one(bound):
+    # no subset would be scanned, so every side would have common units
+    with pytest.raises(ValueError, match=f"max_subset must be at least 1, got {bound}"):
+        check_tominaga(M2, bound)
 
 
 class TestCacheScope:

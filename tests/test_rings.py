@@ -289,7 +289,7 @@ class TestRegularity:
     def test_z6_regular_with_verified_witnesses(self):
         w = is_von_neumann_regular(Z6)
         assert w.holds
-        for r, y in enumerate(w.quasi_inverses):
+        for r, y in enumerate(w.witness):
             assert Z6.mul[Z6.mul[r][y]][r] == r
 
     def test_z4_failing_element(self):
